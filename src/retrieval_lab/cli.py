@@ -148,8 +148,22 @@ def cmd_synth(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _load_bundle(opts: Options):
+    """Corpus, queries, qrels and the neg-query map (None when not given)."""
+    corpus = data_mod.load_corpus(_require_file(opts.get("corpus"), "corpus"))
+    queries = data_mod.load_queries(_require_file(opts.get("queries"), "queries"))
+    qrels = data_mod.load_qrels(_require_file(opts.get("qrels"), "qrels"))
+    neg_query_map = None
+    if opts.get("neg_query_map"):
+        neg_query_map = data_mod.load_neg_query_map(
+            _require_file(opts.get("neg_query_map"), "neg-query map"))
+    return corpus, queries, qrels, neg_query_map
+
+
 def _mine_dataset(corpus, queries, qrels, neg_query_map, params, config,
                   strategy: str, k: int, rng) -> list[data_mod.TrainingExample]:
+    if strategy not in ("ance", "random"):
+        raise CliError(f"strategy must be 'ance' or 'random', got {strategy!r}")
     doc_by_id = {doc.id: doc for doc in corpus}
     index = None
     if strategy == "ance":
@@ -191,16 +205,8 @@ def _mine_dataset(corpus, queries, qrels, neg_query_map, params, config,
 
 def cmd_mine(ns: argparse.Namespace) -> int:
     opts = Options(ns)
-    corpus = data_mod.load_corpus(_require_file(opts.get("corpus"), "corpus"))
-    queries = data_mod.load_queries(_require_file(opts.get("queries"), "queries"))
-    qrels = data_mod.load_qrels(_require_file(opts.get("qrels"), "qrels"))
-    neg_query_map = None
-    if opts.get("neg_query_map"):
-        neg_query_map = data_mod.load_neg_query_map(
-            _require_file(opts.get("neg_query_map"), "neg-query map"))
+    corpus, queries, qrels, neg_query_map = _load_bundle(opts)
     strategy = opts.get("strategy", "ance")
-    if strategy not in ("ance", "random"):
-        raise CliError(f"strategy must be 'ance' or 'random', got {strategy!r}")
     k = int(opts.get("k", mining.DEFAULT_NEGATIVES))
     params = config = None
     if strategy == "ance":
@@ -245,13 +251,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     dataset_hash = None
     refresh_fn = None
     if refresh:
-        corpus = data_mod.load_corpus(_require_file(opts.get("corpus"), "corpus"))
-        queries = data_mod.load_queries(_require_file(opts.get("queries"), "queries"))
-        qrels = data_mod.load_qrels(_require_file(opts.get("qrels"), "qrels"))
-        neg_query_map = None
-        if opts.get("neg_query_map"):
-            neg_query_map = data_mod.load_neg_query_map(
-                _require_file(opts.get("neg_query_map"), "neg-query map"))
+        corpus, queries, qrels, neg_query_map = _load_bundle(opts)
         strategy = opts.get("strategy", "ance")
         k = int(opts.get("k", mining.DEFAULT_NEGATIVES))
         mine_rng = make_rng(cfg.seed)
@@ -309,9 +309,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
 def cmd_eval(ns: argparse.Namespace) -> int:
     opts = Options(ns)
     params, config = load_checkpoint(_require_file(opts.get("checkpoint"), "checkpoint"))
-    corpus = data_mod.load_corpus(_require_file(opts.get("corpus"), "corpus"))
-    queries = data_mod.load_queries(_require_file(opts.get("queries"), "queries"))
-    qrels = data_mod.load_qrels(_require_file(opts.get("qrels"), "qrels"))
+    corpus, queries, qrels, _ = _load_bundle(opts)
     k = int(opts.get("k", 5))
     method = opts.get("method", "unnamed")
     dataset_label = opts.get("dataset", "dataset")

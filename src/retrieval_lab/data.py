@@ -39,15 +39,26 @@ class Qrels:
     """Binary relevance judgments; absent pairs count as 0."""
 
     judgments: dict[tuple[str, str], int] = field(default_factory=dict)
+    # query_id -> docs judged 1; kept in step with ``judgments`` by set()
+    _relevant: dict[str, set[str]] = field(default_factory=dict, init=False,
+                                           repr=False, compare=False)
+
+    def __post_init__(self):
+        for (qid, did), rel in list(self.judgments.items()):
+            self.set(qid, did, rel)
 
     def set(self, query_id: str, doc_id: str, relevance: int) -> None:
         if relevance not in (0, 1):
             raise ValueError(f"relevance must be 0 or 1, got {relevance}")
         self.judgments[(query_id, doc_id)] = relevance
+        docs = self._relevant.setdefault(query_id, set())
+        if relevance:
+            docs.add(doc_id)
+        else:
+            docs.discard(doc_id)
 
     def relevant_docs(self, query_id: str) -> set[str]:
-        return {doc for (qid, doc), rel in self.judgments.items()
-                if qid == query_id and rel == 1}
+        return set(self._relevant.get(query_id, ()))
 
 
 @dataclass
@@ -264,16 +275,18 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     rng = make_rng(seed)
     cluster_vocab = _make_vocabulary(spec, rng)
     all_words = [w for words in cluster_vocab for w in words]
+    # other_words[c]: every word outside cluster c, in all_words order
+    other_words = [[w for w in all_words if w not in own]
+                   for own in map(set, cluster_vocab)]
 
     corpus: list[Document] = []
     doc_words: dict[str, list[str]] = {}
     doc_cluster: dict[str, int] = {}
     for c in range(spec.num_clusters):
-        own = cluster_vocab[c]
-        other = [w for w in all_words if w not in set(own)]
         for j in range(spec.docs_per_cluster):
             doc_id = f"d{c * spec.docs_per_cluster + j:05d}"
-            words = _sample_words(own, other, spec.doc_words, spec.noise_rate, rng)
+            words = _sample_words(cluster_vocab[c], other_words[c], spec.doc_words,
+                                  spec.noise_rate, rng)
             corpus.append(Document(doc_id, " ".join(words)))
             doc_words[doc_id] = words
             doc_cluster[doc_id] = c
@@ -282,11 +295,10 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     qrels = Qrels()
     qnum = 0
     for c in range(spec.num_clusters):
-        own_docs = [d for d in corpus if doc_cluster[d.id] == c]
-        other = [w for w in all_words if w not in set(cluster_vocab[c])]
+        own_docs = corpus[c * spec.docs_per_cluster:(c + 1) * spec.docs_per_cluster]
         for _ in range(spec.queries_per_cluster):
             target = own_docs[int(rng.integers(0, len(own_docs)))]
-            text = _query_from_doc(doc_words[target.id], other, spec, rng)
+            text = _query_from_doc(doc_words[target.id], other_words[c], spec, rng)
             query_id = f"q{qnum:04d}"
             qnum += 1
             queries.append(Query(query_id, text))
@@ -294,7 +306,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
 
     neg_query_map: dict[str, list[str]] = {}
     for doc in corpus:
-        other = [w for w in all_words if w not in set(cluster_vocab[doc_cluster[doc.id]])]
+        other = other_words[doc_cluster[doc.id]]
         neg_query_map[doc.id] = [
             _query_from_doc(doc_words[doc.id], other, spec, rng)
             for _ in range(spec.neg_queries_per_doc)

@@ -5,6 +5,11 @@ relu(x W_up + b_up) W_down + b_down feed-forward block with a residual
 connection, mean-pools over tokens and L2-normalizes the result. The
 up-projection ("intermediate layer") can be swapped for a top-1 routed
 mixture of experts; backprop is hand-derived for both variants.
+
+Tokens never interact, so a text's tokens go through as one matrix: MoE
+routing is one gate matmul, then one up-projection matmul per expert over
+the tokens routed to it. Backprop reuses the forward's intermediates and
+adds into a caller-supplied gradient dict.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, l2_normalize, make_rng, seeded_init, softmax_temperature
+from .numerics import as_matrix, as_vector, l2_normalize, make_rng, seeded_init
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -195,6 +200,14 @@ def tokenize(text: str, config: EncoderConfig) -> list[int]:
             for tok in _TOKEN_RE.findall(text.lower())]
 
 
+def _route(x: np.ndarray, params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """Gate probabilities (n, experts) and top-1 expert (n,); ties go to the lowest index."""
+    logits = x @ params.gate
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = z / z.sum(axis=1, keepdims=True)
+    return p, np.argmax(p, axis=1)
+
+
 def moe_intermediate_forward(
     x: np.ndarray, params: EncoderParams, config: EncoderConfig
 ) -> tuple[np.ndarray, int, float]:
@@ -208,99 +221,86 @@ def moe_intermediate_forward(
     x = as_vector(x, "x")
     if x.shape[0] != config.d_model:
         raise ValueError(f"x has dimension {x.shape[0]}, expected {config.d_model}")
-    logits = x @ params.gate
-    p = softmax_temperature(logits, 1.0)
-    e = int(np.argmax(p))
+    p, route = _route(x[None, :], params)
+    e = int(route[0])
     r = np.maximum(x @ params.w_up[e] + params.b_up[e], 0.0)
-    return p[e] * r, e, float(p[e])
+    return p[0, e] * r, e, float(p[0, e])
 
 
-def _forward(params: EncoderParams, config: EncoderConfig, text: str) -> dict:
-    """Full forward pass keeping the intermediates backprop needs."""
+def _encode(params: EncoderParams, config: EncoderConfig, text: str, upstream=None,
+            grads: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    """Encode text; with ``upstream``, also add d(upstream . out)/dparams into ``grads``."""
     ids = tokenize(text, config)
     if not ids:
         raise ValueError("empty input")
+    n = len(ids)
     x = params.embedding[ids]  # (n, d_model)
     if params.is_moe:
-        n = len(ids)
-        h = np.empty((n, config.d_intermediate))
-        moe_cache = []
-        for i in range(n):
-            xi = x[i]
-            logits = xi @ params.gate
-            p = softmax_temperature(logits, 1.0)
-            e = int(np.argmax(p))
-            u = xi @ params.w_up[e] + params.b_up[e]
-            r = np.maximum(u, 0.0)
-            h[i] = p[e] * r
-            moe_cache.append((p, e, u, r))
-        u = None
+        p, route = _route(x, params)
+        pe = p[np.arange(n), route]  # gate probability of each token's expert
+        groups = [(e, np.flatnonzero(route == e)) for e in np.unique(route)]
+        u = np.empty((n, config.d_intermediate))
+        for e, rows in groups:
+            u[rows] = x[rows] @ params.w_up[e] + params.b_up[e]
+        r = np.maximum(u, 0.0)
+        h = pe[:, None] * r
     else:
         u = x @ params.w_up + params.b_up  # (n, d_intermediate)
         h = np.maximum(u, 0.0)
-        moe_cache = None
     y = h @ params.w_down + params.b_down + x
     pool = y.mean(axis=0)
     out = l2_normalize(pool)
-    return {"ids": ids, "x": x, "u": u, "h": h, "moe": moe_cache,
-            "pool": pool, "out": out}
+    if upstream is None:
+        return out
+
+    # out = pool / |pool|; d(upstream . out)/dpool = (upstream - out (out . upstream)) / |pool|
+    dpool = (upstream - out * float(out @ upstream)) / float(np.linalg.norm(pool))
+    dy = dpool / n  # identical for every token (mean pooling)
+    grads["b_down"] += dpool  # n tokens x dpool/n
+    grads["w_down"] += np.outer(h.sum(axis=0), dy)
+    dh = params.w_down @ dy  # (d_intermediate,), same for every token
+    dx = np.tile(dy, (n, 1))  # residual path
+    if params.is_moe:
+        du = (u > 0) * (pe[:, None] * dh)
+        for e, rows in groups:
+            grads[f"b_up.{e}"] += du[rows].sum(axis=0)
+            grads[f"w_up.{e}"] += x[rows].T @ du[rows]
+            dx[rows] += du[rows] @ params.w_up[e].T
+        # softmax jacobian row e: dp_e/dlogit_j = p_e (1[e==j] - p_j)
+        onehot = route[:, None] == np.arange(p.shape[1])
+        dlogits = ((r @ dh) * pe)[:, None] * (onehot - p)
+        grads["gate"] += x.T @ dlogits
+        dx += dlogits @ params.gate.T
+    else:
+        du = (u > 0) * dh  # (n, d_intermediate), broadcast over tokens
+        grads["b_up"] += du.sum(axis=0)
+        grads["w_up"] += x.T @ du
+        dx += du @ params.w_up.T
+    np.add.at(grads["embedding"], ids, dx)
+    return out
 
 
 def encode(params: EncoderParams, config: EncoderConfig, text: str) -> np.ndarray:
     """Encode text to a unit-norm vector of dimension d_model."""
-    return _forward(params, config, text)["out"]
+    return _encode(params, config, text)
 
 
 def encode_with_grad(
-    params: EncoderParams, config: EncoderConfig, text: str, upstream
+    params: EncoderParams, config: EncoderConfig, text: str, upstream,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Forward pass plus gradients of upstream . encode(text) w.r.t. every tensor.
 
-    Returns (encoded vector, gradient dict keyed like ``named_tensors``).
-    Experts no token routed to receive exactly zero gradient.
+    Returns (encoded vector, gradient dict keyed like ``named_tensors``). The
+    gradients are added into ``grads`` when given (and that dict returned),
+    else into a fresh zero dict. Experts no token routed to get no gradient.
     """
     upstream = as_vector(upstream, "upstream")
     if upstream.shape[0] != config.d_model:
         raise ValueError(f"upstream has dimension {upstream.shape[0]}, expected {config.d_model}")
-    cache = _forward(params, config, text)
-    ids, x, h = cache["ids"], cache["x"], cache["h"]
-    pool, out = cache["pool"], cache["out"]
-    n = len(ids)
-    grads = zero_grads(params)
-
-    # out = pool / |pool|; d(upstream . out)/dpool = (upstream - out (out . upstream)) / |pool|
-    pool_norm = float(np.linalg.norm(pool))
-    dpool = (upstream - out * float(out @ upstream)) / pool_norm
-    dy = dpool / n  # identical for every token (mean pooling)
-
-    grads["b_down"][:] = dpool  # n tokens x dpool/n
-    grads["w_down"][:] = np.outer(h.sum(axis=0), dy)
-    dh = params.w_down @ dy  # (d_intermediate,), same for every token
-    dx = np.tile(dy, (n, 1))  # residual path
-
-    if params.is_moe:
-        num_experts = len(params.w_up)
-        for i in range(n):
-            p, e, u, r = cache["moe"][i]
-            xi = x[i]
-            dr = p[e] * dh
-            dpe = float(r @ dh)
-            du = dr * (u > 0)
-            grads[f"b_up.{e}"] += du
-            grads[f"w_up.{e}"] += np.outer(xi, du)
-            # softmax jacobian row e: dp_e/dlogit_j = p_e (1[e==j] - p_j)
-            dlogits = dpe * p[e] * (np.eye(num_experts)[e] - p)
-            grads["gate"] += np.outer(xi, dlogits)
-            dx[i] += params.w_up[e] @ du + params.gate @ dlogits
-    else:
-        mask = cache["u"] > 0
-        du = mask * dh  # (n, d_intermediate), broadcast over tokens
-        grads["b_up"][:] = du.sum(axis=0)
-        grads["w_up"][:] = x.T @ du
-        dx += du @ params.w_up.T
-
-    np.add.at(grads["embedding"], ids, dx)
-    return out, grads
+    if grads is None:
+        grads = zero_grads(params)
+    return _encode(params, config, text, upstream, grads), grads
 
 
 def save_checkpoint(params: EncoderParams, config: EncoderConfig, path: str | Path) -> None:

@@ -110,8 +110,9 @@ def apply_freeze(grads: dict[str, np.ndarray], mode: FreezeMode) -> dict[str, np
 
 
 def _example_grads(params: EncoderParams, config: EncoderConfig,
-                   example: TrainingExample, cfg: TrainConfig) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss value and parameter gradients for a single training example."""
+                   example: TrainingExample, cfg: TrainConfig,
+                   grads: dict[str, np.ndarray]) -> float:
+    """Loss value for a single training example; adds its gradients into ``grads``."""
     loss_cfg = cfg.loss_cfg
     query_emb = encode(params, config, example.query)
     pos_emb = encode(params, config, example.pos[0])
@@ -135,22 +136,14 @@ def _example_grads(params: EncoderParams, config: EncoderConfig,
         loss = clp_loss(batch, loss_cfg)
         bgrads = clp_loss_grad(batch, loss_cfg)
 
-    grads = zero_grads(params)
-
-    def backprop(text: str, upstream: np.ndarray) -> None:
-        _, g = encode_with_grad(params, config, text, upstream)
-        for name in grads:
-            grads[name] += g[name]
-
-    backprop(example.query, bgrads.query_emb)
-    backprop(example.pos[0], bgrads.pos_emb)
-    for text, upstream in zip(example.neg, bgrads.neg_embs):
-        backprop(text, upstream)
+    pairs = [(example.query, bgrads.query_emb), (example.pos[0], bgrads.pos_emb),
+             *zip(example.neg, bgrads.neg_embs)]
     if use_penalty and not cfg.stop_grad_neg_queries:
         for texts, upstreams in zip(example.neg_queries, bgrads.neg_query_embs):
-            for text, upstream in zip(texts, upstreams):
-                backprop(text, upstream)
-    return loss, grads
+            pairs += zip(texts, upstreams)
+    for text, upstream in pairs:
+        encode_with_grad(params, config, text, upstream, grads)
+    return loss
 
 
 def train(params: EncoderParams, config: EncoderConfig,
@@ -175,6 +168,8 @@ def train(params: EncoderParams, config: EncoderConfig,
     rng = make_rng(cfg.seed)
     trace: list[float] = []
     example_index = 0
+    accum = zero_grads(params)
+    accum_count = 0
 
     for _ in range(cfg.epochs):
         if refresh_fn is not None:
@@ -184,23 +179,17 @@ def train(params: EncoderParams, config: EncoderConfig,
             if cfg.loss == "clp":
                 _require_neg_queries(dataset)
         order = rng.permutation(len(dataset))
-        accum = zero_grads(params)
-        accum_count = 0
-        for idx in order:
-            loss, grads = _example_grads(params, config, dataset[int(idx)], cfg)
+        for pos, idx in enumerate(order, start=1):
+            loss = _example_grads(params, config, dataset[int(idx)], cfg, accum)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite loss at example step {example_index}")
             trace.append(loss)
             example_index += 1
-            for name in accum:
-                accum[name] += grads[name]
             accum_count += 1
-            if accum_count == cfg.grad_accum_steps:
+            if accum_count == cfg.grad_accum_steps or pos == len(order):
                 _optimizer_step(params, accum, accum_count, state, cfg)
                 accum = zero_grads(params)
                 accum_count = 0
-        if accum_count > 0:
-            _optimizer_step(params, accum, accum_count, state, cfg)
     return TrainResult(params=params, loss_trace=trace)
 
 

@@ -7,11 +7,20 @@ kink, a gate argmax boundary or a vanishing pool norm.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from retrieval_lab.encoder import EncoderConfig, MoEConfig, encode, init_params, tokenize
 from retrieval_lab.numerics import make_rng
+
+# pytest's ``pythonpath`` setting reaches this process only; export src/ so
+# tests that start ``python -m retrieval_lab.cli`` import the same checkout.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 FD_STEP = 1e-6
 

@@ -46,6 +46,16 @@ class TestSynth:
             outs.append(read_hashes(out))
         assert outs[0] == outs[1]
 
+    def test_bundle_bytes_pinned(self, synth_dir):
+        # sha256 of the synth_dir spec's files; a change to the generator
+        # or the file writers must not alter a single byte
+        assert read_hashes(synth_dir) == {
+            "corpus.jsonl": "6f9d3556359f46bb79e2daa3e65edff1a3aeaee171c257d8f6edea9776a66218",
+            "neg_queries.jsonl": "c12edb032173ce2e6c90783ce7f346896bead969fda27c09e04f182bce5538bc",
+            "qrels.tsv": "57f6e970b8a7281dc53bf2e1462109d278ed8adc7641bdd214b67f5eba689fc6",
+            "queries.jsonl": "9e3d96b239797a5a70993ed6c27843d42751a1c628a56d23e09c314c05f42aa8",
+        }
+
     def test_missing_outdir_created(self, tmp_path):
         nested = tmp_path / "x" / "y" / "z"
         assert run_cli("synth", "--clusters", 1, "--docs-per-cluster", 2,
@@ -199,6 +209,17 @@ class TestTrain:
                        "--epochs", 2, "--learning-rate", 1e-3, "--seed", 4,
                        "--outdir", out) == 0
         assert (out / "checkpoint.json").is_file()
+
+    def test_refresh_rejects_unknown_strategy_from_config(self, synth_dir, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"strategy": "bogus"}))
+        assert run_cli("train", "--config", config_path, "--refresh-per-epoch",
+                       "--k", 3, "--init-seed", 7, *ENC_FLAGS,
+                       "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv",
+                       "--epochs", 1, "--outdir", tmp_path / "t6") == 1
+        assert "strategy must be" in capsys.readouterr().err
 
 
 @pytest.fixture

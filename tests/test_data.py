@@ -74,6 +74,16 @@ class TestQrels:
         assert qrels.relevant_docs("q1") == {"d1"}
         assert qrels.relevant_docs("missing") == set()
 
+    def test_overwrite_to_zero_removes_doc(self):
+        qrels = Qrels()
+        qrels.set("q1", "d1", 1)
+        qrels.set("q1", "d2", 1)
+        qrels.set("q1", "d1", 0)
+        assert qrels.relevant_docs("q1") == {"d2"}
+        assert qrels.judgments[("q1", "d1")] == 0
+        qrels.relevant_docs("q1").add("d9")  # caller gets a copy
+        assert qrels.relevant_docs("q1") == {"d2"}
+
     def test_rejects_graded_relevance(self):
         with pytest.raises(ValueError, match="0 or 1"):
             Qrels().set("q", "d", 2)

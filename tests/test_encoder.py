@@ -219,6 +219,41 @@ class TestEncodeWithGrad:
             assert np.all(grads[f"b_up.{other}"] == 0.0)
             assert np.any(grads[f"w_up.{route}"] != 0.0)
 
+    @pytest.mark.parametrize("moe", [False, True])
+    def test_accumulates_into_given_dict(self, moe):
+        params, config, text_a, up_a = encoder_instance(4, moe=moe)
+        _, _, text_b, up_b = encoder_instance(5, moe=moe)
+        _, fresh_a = encode_with_grad(params, config, text_a, up_a)
+        _, fresh_b = encode_with_grad(params, config, text_b, up_b)
+        grads = zero_grads(params)
+        _, returned = encode_with_grad(params, config, text_a, up_a, grads)
+        assert returned is grads
+        _, returned = encode_with_grad(params, config, text_b, up_b, grads)
+        assert returned is grads
+        for name in grads:
+            np.testing.assert_allclose(grads[name], fresh_a[name] + fresh_b[name],
+                                       rtol=1e-15, atol=1e-15, err_msg=name)
+
+    def test_moe_two_experts_match_per_token_oracle(self):
+        rng = make_rng(31)
+        params, config = _moe_instance(31, vocab=64, d_model=8, d_int=16)
+        while True:
+            text = random_text(rng, 6)
+            ids = tokenize(text, config)
+            routed = [moe_intermediate_forward(params.embedding[t], params, config)
+                      for t in ids]
+            if {route for _, route, _ in routed} == {0, 1}:
+                break
+        ys = [h @ params.w_down + params.b_down + params.embedding[t]
+              for (h, _, _), t in zip(routed, ids)]
+        pool = sum(ys) / len(ys)
+        np.testing.assert_allclose(encode(params, config, text), pool / np.linalg.norm(pool),
+                                   rtol=0, atol=1e-12)
+        _, grads = encode_with_grad(params, config, text, rng.standard_normal(8))
+        for e in (0, 1):
+            assert np.any(grads[f"w_up.{e}"] != 0.0)
+            assert np.any(grads[f"b_up.{e}"] != 0.0)
+
     def test_untouched_embedding_rows_zero(self):
         params, config, text, upstream = encoder_instance(3, moe=False)
         ids = set(tokenize(text, config))

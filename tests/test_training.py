@@ -229,6 +229,17 @@ class TestTrain:
         with pytest.raises((RuntimeError, ValueError, FloatingPointError)):
             train(params, config, dataset, cfg)
 
+    def test_partial_group_steps_at_epoch_end(self):
+        # one example never fills a group of 4, yet each epoch must end with
+        # a step averaged over that one example
+        params, config = tiny_encoder()
+        dataset = tiny_dataset(n=1)
+        base = dict(learning_rate=1e-3, epochs=2, seed=3)
+        partial = train(params, config, dataset, TrainConfig(grad_accum_steps=4, **base))
+        single = train(params, config, dataset, TrainConfig(grad_accum_steps=1, **base))
+        assert params_bytes(partial.params) == params_bytes(single.params)
+        assert params_bytes(partial.params) != params_bytes(params)
+
     def test_empty_dataset_rejected(self):
         params, config = tiny_encoder()
         with pytest.raises(ValueError, match="nonempty"):
