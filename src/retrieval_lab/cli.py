@@ -83,6 +83,15 @@ class Options:
                 raise CliError(f"config file {path}: invalid JSON ({err.msg})") from err
             if not isinstance(self.config, dict):
                 raise CliError(f"config file {path}: expected a JSON object")
+            sub = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            actions = [a for p in sub.choices.values() for a in p._actions]
+            switches = {a.dest for a in actions if isinstance(a, argparse.BooleanOptionalAction)}
+            for key, value in self.config.items():
+                if key not in {a.dest for a in actions} - {"help", "config"}:
+                    raise CliError(f"config file {path}: unknown key {key!r}")
+                if key in switches and not isinstance(value, bool):
+                    raise CliError(f"config file {path}: {key!r} must be true or false")
         preset_name = getattr(ns, "preset", None) or self.config.get("preset")
         if preset_name is not None and preset_name not in PRESETS:
             raise CliError(f"unknown preset {preset_name!r}; choose from {sorted(PRESETS)}")
@@ -170,7 +179,8 @@ def _mine_dataset(corpus, queries, qrels, neg_query_map, params, config,
         index = mining.build_index(corpus, params, config)
     examples = []
     for query in queries:
-        relevant = sorted(qrels.relevant_docs(query.id))
+        relevant_set = qrels.relevant_docs(query.id)
+        relevant = sorted(relevant_set)
         if not relevant:
             print(f"warning: query {query.id} has no relevant document; skipped",
                   file=sys.stderr)
@@ -185,7 +195,7 @@ def _mine_dataset(corpus, queries, qrels, neg_query_map, params, config,
                                                  query.text, positive_id, k)
         else:
             neg_ids = mining.mine_random_negatives(list(doc_by_id), positive_id, k, rng)
-        neg_ids = [nid for nid in neg_ids if nid not in set(relevant)]
+        neg_ids = [nid for nid in neg_ids if nid not in relevant_set]
         neg_queries = None
         if neg_query_map is not None:
             missing = [nid for nid in neg_ids if nid not in neg_query_map]

@@ -6,10 +6,10 @@ connection, mean-pools over tokens and L2-normalizes the result. The
 up-projection ("intermediate layer") can be swapped for a top-1 routed
 mixture of experts; backprop is hand-derived for both variants.
 
-Tokens never interact, so a text's tokens go through as one matrix: MoE
-routing is one gate matmul, then one up-projection matmul per expert over
-the tokens routed to it. Backprop reuses the forward's intermediates and
-adds into a caller-supplied gradient dict.
+Tokens never interact, so a token's output row depends on its id alone. A
+batch of texts goes through one table over its distinct ids (MoE: one gate
+matmul, then one up-projection matmul per expert), and backprop runs once
+over that table, adding into a caller-supplied gradient dict.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, l2_normalize, make_rng, seeded_init
+from .numerics import NORM_FLOOR, as_matrix, as_vector, make_rng, seeded_init
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 CHECKPOINT_FORMAT = "retrieval-lab-checkpoint-v1"
+_BLOCK = 128  # texts per encode_texts pass; bounds the (distinct ids, d_intermediate) arrays
 
 
 class FreezeMode(str, Enum):
@@ -227,62 +228,87 @@ def moe_intermediate_forward(
     return p[0, e] * r, e, float(p[0, e])
 
 
-def _encode(params: EncoderParams, config: EncoderConfig, text: str, upstream=None,
-            grads: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """Encode text; with ``upstream``, also add d(upstream . out)/dparams into ``grads``."""
-    ids = tokenize(text, config)
-    if not ids:
+def _forward(params: EncoderParams, config: EncoderConfig,
+             texts: list[str]) -> tuple[np.ndarray, dict]:
+    """Unit-norm encodings (len(texts), d_model) plus the context ``_backward`` needs.
+
+    Each distinct word is hashed once and each distinct token id goes
+    through the token network once; a text's pool is the mean of its rows
+    of that table.
+    """
+    words = [_TOKEN_RE.findall(text.lower()) for text in texts]
+    if not all(words):
         raise ValueError("empty input")
-    n = len(ids)
-    x = params.embedding[ids]  # (n, d_model)
+    word_ids = {w: stable_token_id(w, config.vocab_size) for w in set().union(*words)}
+    lengths = np.array([len(ws) for ws in words])
+    uniq, inv = np.unique([word_ids[w] for ws in words for w in ws], return_inverse=True)
+    x = params.embedding[uniq]  # (m, d_model), one row per distinct id
+    ctx = {"uniq": uniq, "inv": inv, "lengths": lengths, "x": x}
     if params.is_moe:
         p, route = _route(x, params)
-        pe = p[np.arange(n), route]  # gate probability of each token's expert
+        pe = p[np.arange(len(uniq)), route]  # gate probability of each row's expert
         groups = [(e, np.flatnonzero(route == e)) for e in np.unique(route)]
-        u = np.empty((n, config.d_intermediate))
+        h = np.empty((len(uniq), config.d_intermediate))  # pre-activation, then gated
         for e, rows in groups:
-            u[rows] = x[rows] @ params.w_up[e] + params.b_up[e]
-        r = np.maximum(u, 0.0)
-        h = pe[:, None] * r
+            h[rows] = x[rows] @ params.w_up[e] + params.b_up[e]
+        h = pe[:, None] * np.maximum(h, 0.0)
+        ctx.update(p=p, route=route, pe=pe, groups=groups)
     else:
-        u = x @ params.w_up + params.b_up  # (n, d_intermediate)
-        h = np.maximum(u, 0.0)
-    y = h @ params.w_down + params.b_down + x
-    pool = y.mean(axis=0)
-    out = l2_normalize(pool)
-    if upstream is None:
-        return out
+        h = np.maximum(x @ params.w_up + params.b_up, 0.0)  # (m, d_intermediate)
+    table = h @ params.w_down + params.b_down + x
+    starts = np.cumsum(lengths) - lengths
+    pool = np.array([table[inv[s:s + n]].mean(axis=0) for s, n in zip(starts, lengths)])
+    norms = np.sqrt([row @ row for row in pool])  # the dot l2_normalize takes, row by row
+    if not np.all(norms >= NORM_FLOOR):
+        raise ValueError(f"cannot normalize: pool norm {norms.min()} below floor {NORM_FLOOR}")
+    out = pool / norms[:, None]
+    ctx.update(h=h, norms=norms, out=out)
+    return out, ctx
 
+
+def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
+              grads: dict[str, np.ndarray]) -> None:
+    """Add d(sum_j upstreams[j] . out[j])/dparams into ``grads``, one pass over the table."""
+    out, lengths, inv, x, h = (ctx[k] for k in ("out", "lengths", "inv", "x", "h"))
     # out = pool / |pool|; d(upstream . out)/dpool = (upstream - out (out . upstream)) / |pool|
-    dpool = (upstream - out * float(out @ upstream)) / float(np.linalg.norm(pool))
-    dy = dpool / n  # identical for every token (mean pooling)
-    grads["b_down"] += dpool  # n tokens x dpool/n
-    grads["w_down"] += np.outer(h.sum(axis=0), dy)
-    dh = params.w_down @ dy  # (d_intermediate,), same for every token
-    dx = np.tile(dy, (n, 1))  # residual path
+    dpool = (upstreams - out * np.sum(out * upstreams, axis=1)[:, None]) / ctx["norms"][:, None]
+    n, m = len(lengths), len(ctx["uniq"])
+    counts = np.bincount(np.repeat(np.arange(n) * m, lengths) + inv, minlength=n * m)
+    dtable = counts.reshape(n, m).T.astype(np.float64) @ (dpool / lengths[:, None])
+    grads["b_down"] += dtable.sum(axis=0)
+    grads["w_down"] += h.T @ dtable
+    dh = dtable @ params.w_down.T  # (m, d_intermediate)
     if params.is_moe:
-        du = (u > 0) * (pe[:, None] * dh)
-        for e, rows in groups:
+        p, route, pe = (ctx[k] for k in ("p", "route", "pe"))
+        du = (h > 0) * (pe[:, None] * dh)  # h > 0 exactly where relu is (pe > 0)
+        # softmax jacobian row e: dp_e/dlogit_j = p_e (1[e==j] - p_j); h = p_e relu(u)
+        onehot = route[:, None] == np.arange(p.shape[1])
+        dlogits = np.sum(h * dh, axis=1)[:, None] * (onehot - p)
+        grads["gate"] += x.T @ dlogits
+        dx = dtable + dlogits @ params.gate.T
+        for e, rows in ctx["groups"]:
             grads[f"b_up.{e}"] += du[rows].sum(axis=0)
             grads[f"w_up.{e}"] += x[rows].T @ du[rows]
             dx[rows] += du[rows] @ params.w_up[e].T
-        # softmax jacobian row e: dp_e/dlogit_j = p_e (1[e==j] - p_j)
-        onehot = route[:, None] == np.arange(p.shape[1])
-        dlogits = ((r @ dh) * pe)[:, None] * (onehot - p)
-        grads["gate"] += x.T @ dlogits
-        dx += dlogits @ params.gate.T
     else:
-        du = (u > 0) * dh  # (n, d_intermediate), broadcast over tokens
+        du = (h > 0) * dh
         grads["b_up"] += du.sum(axis=0)
         grads["w_up"] += x.T @ du
-        dx += du @ params.w_up.T
-    np.add.at(grads["embedding"], ids, dx)
+        dx = dtable + du @ params.w_up.T  # residual path plus the block
+    grads["embedding"][ctx["uniq"]] += dx  # ids are unique: no repeated-index scatter
+
+
+def encode_texts(params: EncoderParams, config: EncoderConfig, texts: list[str]) -> np.ndarray:
+    """Encode texts to unit-norm rows (len(texts), d_model), ``_BLOCK`` texts per pass."""
+    out = np.empty((len(texts), config.d_model))
+    for start in range(0, len(texts), _BLOCK):
+        out[start:start + _BLOCK] = _forward(params, config, texts[start:start + _BLOCK])[0]
     return out
 
 
 def encode(params: EncoderParams, config: EncoderConfig, text: str) -> np.ndarray:
     """Encode text to a unit-norm vector of dimension d_model."""
-    return _encode(params, config, text)
+    return encode_texts(params, config, [text])[0]
 
 
 def encode_with_grad(
@@ -300,7 +326,9 @@ def encode_with_grad(
         raise ValueError(f"upstream has dimension {upstream.shape[0]}, expected {config.d_model}")
     if grads is None:
         grads = zero_grads(params)
-    return _encode(params, config, text, upstream, grads), grads
+    out, ctx = _forward(params, config, [text])
+    _backward(params, ctx, upstream[None, :], grads)
+    return out[0], grads
 
 
 def save_checkpoint(params: EncoderParams, config: EncoderConfig, path: str | Path) -> None:
@@ -328,9 +356,16 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
     config = EncoderConfig.from_dict(doc["config"])
 
     def tensor(name: str) -> np.ndarray:
-        entry = doc["tensors"][name]
-        raw = base64.b64decode(entry["data"])
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
+        entry = doc["tensors"].get(name)
+        if entry is None:
+            raise ValueError(f"{path}: tensor {name!r} is missing")
+        raw, shape = base64.b64decode(entry["data"]), entry["shape"]
+        if len(raw) != 8 * int(np.prod(shape)):
+            raise ValueError(f"{path}: tensor {name!r} has {len(raw)} bytes for shape {shape}")
+        t = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
+        return t
 
     if config.moe is not None:
         w_up = [tensor(f"w_up.{e}") for e in range(config.moe.num_experts)]

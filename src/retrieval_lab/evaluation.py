@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import Document, Qrels, Query
-from .encoder import EncoderConfig, EncoderParams, encode
+from .encoder import encode  # unused here; perfbench/tracer.py wraps evaluation.encode
+from .encoder import EncoderConfig, EncoderParams, encode_texts
 from .mining import RankedList, build_index, search_top_k
 
 log = logging.getLogger(__name__)
@@ -54,8 +55,8 @@ def build_run(params: EncoderParams, config: EncoderConfig, corpus: list[Documen
               queries: list[Query], k: int) -> RetrievalRun:
     """Retrieve the top-k ranking for every query under the given parameters."""
     index = build_index(corpus, params, config)
-    return {q.id: search_top_k(index, encode(params, config, q.text), k)
-            for q in queries}
+    vectors = encode_texts(params, config, [q.text for q in queries])
+    return {q.id: search_top_k(index, vec, k) for q, vec in zip(queries, vectors)}
 
 
 def score_run(run: RetrievalRun, qrels: Qrels, k: int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Document
-from .encoder import EncoderConfig, EncoderParams, encode
+from .encoder import EncoderConfig, EncoderParams, encode, encode_texts
 from .numerics import as_vector
 
 RankedList = list[tuple[str, float]]
@@ -55,17 +55,14 @@ def build_index(corpus: list[Document], params: EncoderParams,
     if not corpus:
         raise ValueError("corpus must be nonempty")
     seen = set()
-    vectors = np.empty((len(corpus), config.d_model))
-    ids = []
-    for i, doc in enumerate(corpus):
+    for doc in corpus:
         if doc.id in seen:
             raise ValueError(f"duplicate doc_id {doc.id!r}")
         seen.add(doc.id)
         if not doc.text:
             raise ValueError(f"document {doc.id!r} has empty text")
-        vectors[i] = encode(params, config, doc.text)
-        ids.append(doc.id)
-    return DenseIndex(ids, vectors, config.d_model)
+    vectors = encode_texts(params, config, [doc.text for doc in corpus])
+    return DenseIndex([doc.id for doc in corpus], vectors, config.d_model)
 
 
 def search_top_k(index: DenseIndex, query_vec, k: int) -> RankedList:

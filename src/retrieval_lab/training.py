@@ -1,10 +1,13 @@
 """Fine-tuning loop: encode, loss gradients, backprop, Adam, freeze masks.
 
-Examples are processed one at a time (no batching); gradients are averaged
-over ``grad_accum_steps`` examples before each optimizer step, so the
-learning-rate scale does not change with the accumulation count. A partial
-group left over at the end of an epoch still steps, averaged over its
-actual size.
+Examples are taken ``grad_accum_steps`` at a time. Parameters do not change
+inside such a group, so every text of the group goes through one encoder
+forward, each example's loss gradients are taken with respect to its
+texts' embeddings, and one encoder backward adds the whole group's
+gradients. They are averaged over the group before the optimizer step, so
+the learning-rate scale does not change with the accumulation count. A
+partial group left over at the end of an epoch still steps, averaged over
+its actual size.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     FreezeMode,
-    encode,
-    encode_with_grad,
+    _backward,
+    _forward,
+    encode,  # unused here; perfbench/tracer.py wraps training.encode
+    encode_with_grad,  # unused here; perfbench/tracer.py wraps training.encode_with_grad
     zero_grads,
 )
-from .losses import BatchGrads, ContrastiveBatch, LossConfig, cl_loss, cl_loss_grad, clp_loss, clp_loss_grad
+from .losses import ContrastiveBatch, LossConfig, cl_loss, cl_loss_grad, clp_loss, clp_loss_grad
 from .numerics import make_rng
 
 ADAM_BETA1 = 0.9
@@ -109,41 +114,49 @@ def apply_freeze(grads: dict[str, np.ndarray], mode: FreezeMode) -> dict[str, np
             for name, g in grads.items()}
 
 
-def _example_grads(params: EncoderParams, config: EncoderConfig,
-                   example: TrainingExample, cfg: TrainConfig,
-                   grads: dict[str, np.ndarray]) -> float:
-    """Loss value for a single training example; adds its gradients into ``grads``."""
-    loss_cfg = cfg.loss_cfg
-    query_emb = encode(params, config, example.query)
-    pos_emb = encode(params, config, example.pos[0])
-    neg_embs = [encode(params, config, text) for text in example.neg]
-
-    use_penalty = cfg.loss == "clp" and loss_cfg.lam != 0.0
+def _example_loss(example: TrainingExample, vecs: np.ndarray, cfg: TrainConfig,
+                  use_penalty: bool) -> tuple[float, list[np.ndarray]]:
+    """Loss of one example and its gradients w.r.t. ``vecs``, the encodings of
+    its query, positive, negatives and (with the penalty) the negatives' queries."""
+    k = len(example.neg)
+    neg_embs = list(vecs[2:2 + k])
     neg_query_embs = None
     if use_penalty:
-        neg_query_embs = [[encode(params, config, q) for q in qs]
-                          for qs in example.neg_queries]
+        rows = iter(vecs[2 + k:])
+        neg_query_embs = [[next(rows) for _ in qs] for qs in example.neg_queries]
     elif cfg.loss == "clp":
         # lam == 0: penalty path contributes nothing; placeholder embeddings
         # keep batch validation satisfied without extra encoder passes.
-        neg_query_embs = [[neg] for neg in neg_embs] if example.neg else []
+        neg_query_embs = [[neg] for neg in neg_embs]
+    batch = ContrastiveBatch(vecs[0], vecs[1], neg_embs, neg_query_embs)
+    loss_fn, grad_fn = (cl_loss, cl_loss_grad) if cfg.loss == "cl" else (clp_loss, clp_loss_grad)
+    loss, bgrads = loss_fn(batch, cfg.loss_cfg), grad_fn(batch, cfg.loss_cfg)
+    upstreams = [bgrads.query_emb, bgrads.pos_emb, *bgrads.neg_embs]
+    if use_penalty:
+        upstreams += [np.zeros_like(g) if cfg.stop_grad_neg_queries else g
+                      for gs in bgrads.neg_query_embs for g in gs]
+    return loss, upstreams
 
-    batch = ContrastiveBatch(query_emb, pos_emb, neg_embs, neg_query_embs)
-    if cfg.loss == "cl":
-        loss = cl_loss(batch, loss_cfg)
-        bgrads: BatchGrads = cl_loss_grad(batch, loss_cfg)
-    else:
-        loss = clp_loss(batch, loss_cfg)
-        bgrads = clp_loss_grad(batch, loss_cfg)
 
-    pairs = [(example.query, bgrads.query_emb), (example.pos[0], bgrads.pos_emb),
-             *zip(example.neg, bgrads.neg_embs)]
-    if use_penalty and not cfg.stop_grad_neg_queries:
-        for texts, upstreams in zip(example.neg_queries, bgrads.neg_query_embs):
-            pairs += zip(texts, upstreams)
-    for text, upstream in pairs:
-        encode_with_grad(params, config, text, upstream, grads)
-    return loss
+def _group_grads(params: EncoderParams, config: EncoderConfig,
+                 group: list[TrainingExample], cfg: TrainConfig,
+                 grads: dict[str, np.ndarray], first_step: int) -> list[float]:
+    """Losses of one accumulation group; adds the group's gradients into ``grads``."""
+    use_penalty = cfg.loss == "clp" and cfg.loss_cfg.lam != 0.0
+    layout = [[ex.query, ex.pos[0], *ex.neg,
+               *(q for qs in (ex.neg_queries if use_penalty else []) for q in qs)]
+              for ex in group]
+    vecs, ctx = _forward(params, config, [text for texts in layout for text in texts])
+    losses, upstreams, row = [], [], 0
+    for step, (example, texts) in enumerate(zip(group, layout), start=first_step):
+        loss, ups = _example_loss(example, vecs[row:row + len(texts)], cfg, use_penalty)
+        if not np.isfinite(loss):
+            raise RuntimeError(f"non-finite loss at example step {step}")
+        losses.append(loss)
+        upstreams += ups
+        row += len(texts)
+    _backward(params, ctx, np.array(upstreams), grads)
+    return losses
 
 
 def train(params: EncoderParams, config: EncoderConfig,
@@ -167,9 +180,6 @@ def train(params: EncoderParams, config: EncoderConfig,
     state = OptimizerState.init(params)
     rng = make_rng(cfg.seed)
     trace: list[float] = []
-    example_index = 0
-    accum = zero_grads(params)
-    accum_count = 0
 
     for _ in range(cfg.epochs):
         if refresh_fn is not None:
@@ -179,17 +189,11 @@ def train(params: EncoderParams, config: EncoderConfig,
             if cfg.loss == "clp":
                 _require_neg_queries(dataset)
         order = rng.permutation(len(dataset))
-        for pos, idx in enumerate(order, start=1):
-            loss = _example_grads(params, config, dataset[int(idx)], cfg, accum)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"non-finite loss at example step {example_index}")
-            trace.append(loss)
-            example_index += 1
-            accum_count += 1
-            if accum_count == cfg.grad_accum_steps or pos == len(order):
-                _optimizer_step(params, accum, accum_count, state, cfg)
-                accum = zero_grads(params)
-                accum_count = 0
+        for start in range(0, len(order), cfg.grad_accum_steps):
+            group = [dataset[int(idx)] for idx in order[start:start + cfg.grad_accum_steps]]
+            accum = zero_grads(params)
+            trace += _group_grads(params, config, group, cfg, accum, len(trace))
+            _optimizer_step(params, accum, len(group), state, cfg)
     return TrainResult(params=params, loss_trace=trace)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -295,3 +297,70 @@ class TestEntryPoint:
     def test_unknown_preset_rejected(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["train", "--preset", "bogus"])
+
+
+class TestConfigFileValidation:
+    def test_unknown_key_rejected(self, mined_dir, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"train_file": str(mined_dir / "train.jsonl"),
+                                           "epochz": 1}))
+        assert run_cli("train", "--config", config_path, "--outdir", tmp_path / "t") == 1
+        err = capsys.readouterr().err
+        assert str(config_path) in err and "unknown key 'epochz'" in err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("key", ["moe", "refresh_per_epoch", "stop_grad_neg_queries"])
+    def test_string_boolean_rejected(self, mined_dir, tmp_path, capsys, key):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"train_file": str(mined_dir / "train.jsonl"),
+                                           key: "false"}))
+        assert run_cli("train", "--config", config_path, "--outdir", tmp_path / "t") == 1
+        err = capsys.readouterr().err
+        assert str(config_path) in err and f"{key!r} must be true or false" in err
+
+    def test_keys_of_other_subcommands_accepted(self, synth_dir, tmp_path):
+        # one config file can drive the whole pipeline
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"clusters": 2, "epochs": 1, "moe": False,
+                                           "method": "m", "reports": []}))
+        assert run_cli("synth", "--config", config_path, "--docs-per-cluster", 2,
+                       "--outdir", tmp_path / "s") == 0
+
+
+_PIPELINE = """
+import sys
+from retrieval_lab.cli import main
+out = sys.argv[1]
+steps = [["synth", "--clusters", "3", "--docs-per-cluster", "6", "--queries-per-cluster", "3",
+          "--vocab-per-cluster", "15", "--seed", "5", "--outdir", out + "/data"]]
+bundle = [arg for flag, name in [("--corpus", "corpus.jsonl"), ("--queries", "queries.jsonl"),
+                                 ("--qrels", "qrels.tsv"), ("--neg-query-map", "neg_queries.jsonl")]
+          for arg in (flag, out + "/data/" + name)]
+for preset in ("ance-clp", "ance-clp-moe-intermediate"):
+    steps += [["mine", "--preset", preset, "--k", "4", "--init-seed", "1", *bundle,
+               "--outdir", out + "/mine-" + preset],
+              ["train", "--preset", preset,
+               "--train-file", out + "/mine-" + preset + "/train.jsonl",
+               "--init-seed", "1", "--epochs", "2", "--learning-rate", "1e-3", "--seed", "4",
+               "--outdir", out + "/train-" + preset]]
+for step in steps:
+    if main(step) != 0:
+        sys.exit(1)
+"""
+
+
+class TestBlasThreadDeterminism:
+    def test_checkpoints_equal_across_blas_thread_counts(self, tmp_path):
+        # default encoder sizes, so the group gemms are large enough for
+        # OpenBLAS to split them over threads
+        digests = []
+        for run, threads in enumerate((1, min(2, os.cpu_count() or 1))):
+            out = tmp_path / f"run{run}-threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+            result = subprocess.run([sys.executable, "-c", _PIPELINE, str(out)], env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            digests.append([hashlib.sha256((out / f"train-{p}" / "checkpoint.json")
+                                           .read_bytes()).hexdigest()
+                            for p in ("ance-clp", "ance-clp-moe-intermediate")])
+        assert digests[0] == digests[1]

@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,10 @@ from retrieval_lab.encoder import (
     EncoderConfig,
     EncoderParams,
     MoEConfig,
+    _backward,
+    _forward,
     encode,
+    encode_texts,
     encode_with_grad,
     init_params,
     load_checkpoint,
@@ -351,3 +357,102 @@ class TestParams:
             EncoderConfig(vocab_size=1)
         with pytest.raises(ValueError):
             EncoderConfig(d_model=64, d_intermediate=32)
+
+
+# Every text has at least two distinct words: a one-row product goes through
+# BLAS gemv, whose rounding can differ from the gemm a larger table uses.
+_BATCH = ["alpha beta gamma", "delta alpha alpha epsilon", "alpha beta gamma",
+          "zeta eta, theta zeta zeta iota", "Gamma DELTA"]
+
+
+class TestTokenTable:
+    @pytest.mark.parametrize("moe", [False, True])
+    def test_batch_rows_equal_single_text_encodings(self, moe):
+        make = _moe_instance if moe else _dense_instance
+        params, config = make(40, vocab=4096, d_model=8, d_int=16)
+        rows = encode_texts(params, config, _BATCH)
+        assert rows.shape == (len(_BATCH), 8)
+        assert rows[0].tobytes() == rows[2].tobytes()  # the repeated text
+        for row, text in zip(rows, _BATCH):
+            single = encode(params, config, text)
+            if moe:
+                np.testing.assert_allclose(row, single, rtol=0, atol=1e-15)
+            else:
+                assert row.tobytes() == single.tobytes(), text
+
+    def test_blocks_agree_with_one_pass(self):
+        params, config = _moe_instance(41, vocab=256, d_model=8, d_int=16)
+        rng = make_rng(41)
+        texts = [random_text(rng, int(rng.integers(2, 9))) for _ in range(1200)]
+        np.testing.assert_allclose(encode_texts(params, config, texts),
+                                   _forward(params, config, texts)[0], rtol=0, atol=1e-15)
+
+    def test_matches_straight_line_oracle(self):
+        for moe in (False, True):
+            params, config, _, _ = encoder_instance(42, moe=moe)
+            rows = encode_texts(params, config, _BATCH)
+            for row, text in zip(rows, _BATCH):
+                np.testing.assert_allclose(row, straight_line_encode(params, config, text),
+                                           rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("moe", [False, True])
+    def test_one_backward_equals_sum_of_single_text_grads(self, moe):
+        make = _moe_instance if moe else _dense_instance
+        params, config = make(43, vocab=64, d_model=8, d_int=16)
+        upstreams = make_rng(43).standard_normal((len(_BATCH), 8))
+        expected = zero_grads(params)
+        for text, upstream in zip(_BATCH, upstreams):
+            encode_with_grad(params, config, text, upstream, expected)
+        grads = zero_grads(params)
+        _backward(params, _forward(params, config, _BATCH)[1], upstreams, grads)
+        for name in grads:
+            assert np.any(grads[name] != 0.0), name
+            # summation order differs; entries that cancel keep the rounding
+            # of the tensor's largest terms, so atol scales with them
+            scale = max(1.0, float(np.abs(expected[name]).max()))
+            np.testing.assert_allclose(grads[name], expected[name],
+                                       rtol=1e-15, atol=1e-15 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_empty_text_anywhere_raises(self, where):
+        params, config = _dense_instance(44)
+        texts = list(_BATCH)
+        texts[where] = " ... "
+        with pytest.raises(ValueError, match="empty input"):
+            encode_texts(params, config, texts)
+
+    def test_no_texts_no_rows(self):
+        params, config = _dense_instance(45)
+        assert encode_texts(params, config, []).shape == (0, 4)
+
+
+class TestCheckpointValidation:
+    def _doc(self, tmp_path):
+        params, config = _dense_instance(46)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, config, path)
+        return path, json.loads(path.read_text())
+
+    def test_truncated_payload(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        raw = base64.b64decode(doc["tensors"]["w_down"]["data"])
+        doc["tensors"]["w_down"]["data"] = base64.b64encode(raw[:-8]).decode("ascii")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"ckpt\.json: tensor 'w_down' has \d+ bytes"):
+            load_checkpoint(path)
+
+    def test_nan_value(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        values = np.frombuffer(base64.b64decode(doc["tensors"]["b_up"]["data"]), "<f8").copy()
+        values[3] = np.nan
+        doc["tensors"]["b_up"]["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"ckpt\.json: tensor 'b_up' holds non-finite"):
+            load_checkpoint(path)
+
+    def test_missing_tensor(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        del doc["tensors"]["embedding"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"ckpt\.json: tensor 'embedding' is missing"):
+            load_checkpoint(path)

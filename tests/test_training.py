@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from retrieval_lab.data import SynthSpec, TrainingExample, synth_generate
+from retrieval_lab import training
 from retrieval_lab.encoder import (
     EncoderConfig,
     MoEConfig,
+    encode,
+    encode_with_grad,
     init_params,
     zero_grads,
 )
 from retrieval_lab.encoder import FreezeMode
-from retrieval_lab.losses import LossConfig
+from retrieval_lab.losses import ContrastiveBatch, LossConfig, clp_loss, clp_loss_grad
+from retrieval_lab.numerics import make_rng
 from retrieval_lab.training import (
     OptimizerState,
     TrainConfig,
@@ -252,3 +256,57 @@ class TestTrain:
             TrainConfig(grad_accum_steps=0)
         with pytest.raises(ValueError):
             TrainConfig(loss="triplet")
+
+
+def reference_clp_step(params, config, group, cfg):
+    """One optimizer step built from per-text encode / encode_with_grad calls."""
+    params = params.copy()
+    accum = zero_grads(params)
+    losses = []
+    for ex in group:
+        def vec(text):
+            return encode(params, config, text)
+        batch = ContrastiveBatch(vec(ex.query), vec(ex.pos[0]), [vec(t) for t in ex.neg],
+                                 [[vec(q) for q in qs] for qs in ex.neg_queries])
+        losses.append(clp_loss(batch, cfg.loss_cfg))
+        g = clp_loss_grad(batch, cfg.loss_cfg)
+        pairs = [(ex.query, g.query_emb), (ex.pos[0], g.pos_emb), *zip(ex.neg, g.neg_embs)]
+        for texts, upstreams in zip(ex.neg_queries, g.neg_query_embs):
+            pairs += zip(texts, upstreams)
+        for text, upstream in pairs:
+            encode_with_grad(params, config, text, upstream, accum)
+    mean = {name: g / len(group) for name, g in accum.items()}
+    adam_step(params, apply_freeze(mean, cfg.freeze), OptimizerState.init(params),
+              cfg.learning_rate)
+    return params, losses
+
+
+class TestGroupPass:
+    @pytest.mark.parametrize("moe, freeze", [(False, FreezeMode.FULL),
+                                             (True, FreezeMode.MOE_ONLY)])
+    def test_step_matches_per_text_reference(self, moe, freeze):
+        params, config = tiny_encoder(moe=moe, seed=3)
+        dataset = tiny_dataset(n=4)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=1, grad_accum_steps=4, loss="clp",
+                          loss_cfg=LossConfig(lam=0.3), freeze=freeze, seed=5)
+        result = train(params, config, dataset, cfg)
+        group = [dataset[int(i)] for i in make_rng(cfg.seed).permutation(len(dataset))]
+        expected, losses = reference_clp_step(params, config, group, cfg)
+        np.testing.assert_allclose(result.loss_trace, losses, rtol=0, atol=1e-12)
+        for name, tensor in expected.named_tensors().items():
+            np.testing.assert_allclose(result.params.named_tensors()[name], tensor,
+                                       rtol=0, atol=1e-12, err_msg=name)
+        assert params_bytes(result.params) != params_bytes(params)
+
+    def test_nonfinite_loss_names_its_example_step(self, monkeypatch):
+        params, config = tiny_encoder()
+        calls = []
+
+        def nan_at_step_5(batch, cfg):
+            calls.append(None)
+            return float("nan") if len(calls) == 6 else 0.5
+
+        monkeypatch.setattr(training, "cl_loss", nan_at_step_5)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=1, grad_accum_steps=4, seed=1)
+        with pytest.raises(RuntimeError, match="non-finite loss at example step 5$"):
+            train(params, config, tiny_dataset(n=6), cfg)
