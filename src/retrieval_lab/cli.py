@@ -174,10 +174,7 @@ def _mine_dataset(corpus, queries, qrels, neg_query_map, params, config,
     if strategy not in ("ance", "random"):
         raise CliError(f"strategy must be 'ance' or 'random', got {strategy!r}")
     doc_by_id = {doc.id: doc for doc in corpus}
-    index = None
-    if strategy == "ance":
-        index = mining.build_index(corpus, params, config)
-    examples = []
+    mineable = []  # (query, sorted relevant ids, relevant set)
     for query in queries:
         relevant_set = qrels.relevant_docs(query.id)
         relevant = sorted(relevant_set)
@@ -189,12 +186,20 @@ def _mine_dataset(corpus, queries, qrels, neg_query_map, params, config,
             if doc_id not in doc_by_id:
                 raise CliError(f"qrels references unknown doc_id {doc_id!r} "
                                f"for query {query.id}")
-        positive_id = relevant[0]
-        if strategy == "ance":
-            neg_ids = mining.mine_ance_negatives(index, params, config,
-                                                 query.text, positive_id, k)
-        else:
-            neg_ids = mining.mine_random_negatives(list(doc_by_id), positive_id, k, rng)
+        mineable.append((query, relevant, relevant_set))
+    if not mineable:
+        raise CliError("no mineable queries (qrels empty or ids mismatched)")
+    if strategy == "ance":
+        index = mining.build_index(corpus, params, config)
+        neg_lists = mining.mine_ance_negatives_many(
+            index, params, config, [query.text for query, _, _ in mineable],
+            [relevant_set for _, _, relevant_set in mineable], k)
+    else:
+        neg_lists = mining.mine_random_negatives_many(
+            list(doc_by_id), [relevant[0] for _, relevant, _ in mineable], k, rng)
+    examples = []
+    for (query, relevant, relevant_set), neg_ids in zip(mineable, neg_lists):
+        # Random draws exclude only the first relevant doc.
         neg_ids = [nid for nid in neg_ids if nid not in relevant_set]
         neg_queries = None
         if neg_query_map is not None:
@@ -208,8 +213,6 @@ def _mine_dataset(corpus, queries, qrels, neg_query_map, params, config,
             neg=[doc_by_id[nid].text for nid in neg_ids],
             neg_queries=neg_queries,
         ))
-    if not examples:
-        raise CliError("no mineable queries (qrels empty or ids mismatched)")
     return examples
 
 

@@ -1,5 +1,7 @@
 """Retrieval-run construction and nDCG@k scoring.
 
+A run encodes every query in one pass and ranks them all with the batched
+exact search (``mining.search_many``, one matmul per block of queries).
 Binary gains with the log2(rank+1) discount (trec convention). Queries
 without any relevant document are skipped with a warning rather than
 scored as zero. Reports aggregate the arithmetic mean over scored queries,
@@ -17,7 +19,8 @@ from pathlib import Path
 from .data import Document, Qrels, Query
 from .encoder import encode  # unused here; perfbench/tracer.py wraps evaluation.encode
 from .encoder import EncoderConfig, EncoderParams, encode_texts
-from .mining import RankedList, build_index, search_top_k
+from .mining import RankedList, build_index, search_many
+from .mining import search_top_k  # unused here; perfbench/tracer.py wraps evaluation.search_top_k
 
 log = logging.getLogger(__name__)
 
@@ -53,10 +56,13 @@ def ndcg_at_k(ranking: RankedList, relevant: set[str], k: int) -> float:
 
 def build_run(params: EncoderParams, config: EncoderConfig, corpus: list[Document],
               queries: list[Query], k: int) -> RetrievalRun:
-    """Retrieve the top-k ranking for every query under the given parameters."""
+    """Retrieve the top-k ranking for every query under the given parameters.
+
+    Queries are encoded in one pass and searched in blocks by ``search_many``.
+    """
     index = build_index(corpus, params, config)
-    vectors = encode_texts(params, config, [q.text for q in queries])
-    return {q.id: search_top_k(index, vec, k) for q, vec in zip(queries, vectors)}
+    ranked = search_many(index, encode_texts(params, config, [q.text for q in queries]), k)
+    return {q.id: ranking for q, ranking in zip(queries, ranked)}
 
 
 def score_run(run: RetrievalRun, qrels: Qrels, k: int,

@@ -2,8 +2,12 @@
 
 The index is a plain id -> unit-vector table scanned exhaustively; at desk
 scale exactness beats any approximate structure and makes oracle testing
-trivial. Hard negatives come from the top-ranked non-positive documents
-under the current model; random negatives are a uniform sample.
+trivial. ``search_many`` scores a block of queries against every document
+with one matmul, at most ``_BLOCK_SCORES`` scores per block, and ranks each
+row by (descending score, ascending doc id). Hard negatives come from the
+top-ranked documents outside each query's relevant set under the current
+model; random negatives are a uniform sample. The single-query functions
+are one-query calls of the batched ones.
 """
 
 from __future__ import annotations
@@ -13,12 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Document
-from .encoder import EncoderConfig, EncoderParams, encode, encode_texts
-from .numerics import as_vector
+from .encoder import encode  # unused here; perfbench/tracer.py wraps mining.encode
+from .encoder import EncoderConfig, EncoderParams, encode_texts
+from .numerics import NORM_FLOOR, as_vector
 
 RankedList = list[tuple[str, float]]
 
 DEFAULT_NEGATIVES = 10
+# Scores per search block: bounds the (queries, docs) score matrix and the
+# copy np.partition makes of it (2**18 float64 = 2 MiB each).
+_BLOCK_SCORES = 1 << 18
 
 
 @dataclass
@@ -37,7 +45,18 @@ class DenseIndex:
         norms = np.linalg.norm(self.vectors, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("index vectors must be unit norm")
+        n = len(self.doc_ids)
         self._row_of = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+        # Position of each row in ascending doc-id (str) order: the tie-break key.
+        self._id_rank = np.empty(n, dtype=np.int64)
+        self._id_rank[sorted(range(n), key=self.doc_ids.__getitem__)] = np.arange(n)
+        # BLAS gives equal rows different last bits depending on where they
+        # sit in its tiles. With duplicate rows, score the distinct ones and
+        # expand, so that equal documents tie exactly and rank by id.
+        rows = np.ascontiguousarray(self.vectors, dtype=np.float64)
+        _, first, inverse = np.unique(rows.view(np.dtype((np.void, 8 * self.dim))).ravel(),
+                                      return_index=True, return_inverse=True)
+        self._distinct = (rows[first], inverse) if len(first) < n else None
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -47,6 +66,13 @@ class DenseIndex:
 
     def vector(self, doc_id: str) -> np.ndarray:
         return self.vectors[self._row_of[doc_id]]
+
+    def scores(self, queries: np.ndarray) -> np.ndarray:
+        """(len(queries), n_docs) dot products of unit queries with every row."""
+        if self._distinct is None:
+            return queries @ self.vectors.T
+        distinct, inverse = self._distinct
+        return (queries @ distinct.T)[:, inverse]
 
 
 def build_index(corpus: list[Document], params: EncoderParams,
@@ -65,57 +91,102 @@ def build_index(corpus: list[Document], params: EncoderParams,
     return DenseIndex([doc.id for doc in corpus], vectors, config.d_model)
 
 
-def search_top_k(index: DenseIndex, query_vec, k: int) -> RankedList:
-    """Exact top-k by cosine, ties broken by ascending doc_id.
+def search_many(index: DenseIndex, query_vecs, k: int) -> list[RankedList]:
+    """Exact top-k by cosine for each row of query_vecs, ties by ascending doc_id.
 
-    Scans all documents; candidate selection uses an argpartition cut, then
-    every document tied with the k-th score is kept so boundary ties resolve
-    by id exactly as a full sort would.
+    Scores ``_BLOCK_SCORES // len(index)`` queries per matmul. Per row, the
+    k-th highest score is found with a partition, and every document scoring
+    at least that much is kept, so boundary ties resolve by id exactly as a
+    full sort would.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = as_vector(query_vec, "query_vec")
-    if q.shape[0] != index.dim:
-        raise ValueError(f"query dimension {q.shape[0]} != index dimension {index.dim}")
-    qn = q / np.linalg.norm(q)
-    scores = index.vectors @ qn
+    queries = np.asarray(query_vecs, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ValueError(f"query_vecs must be 2-D, got shape {queries.shape}")
+    if queries.shape[1] != index.dim:
+        raise ValueError(f"query dimension {queries.shape[1]} != index dimension {index.dim}")
+    if not np.all(np.isfinite(queries)):
+        raise ValueError("query_vecs contains non-finite entries")
+    norms = np.sqrt([q @ q for q in queries])  # the dot np.linalg.norm takes, row by row
+    if not np.all(norms >= NORM_FLOOR):
+        raise ValueError("cannot search with a zero-norm query")
+    queries = queries / norms[:, None]
     n = len(index)
-    if k >= n:
-        candidates = range(n)
-    else:
-        part = np.argpartition(-scores, k - 1)
-        kth_score = scores[part[k - 1]]
-        candidates = np.flatnonzero(scores >= kth_score)
-    ranked = sorted(((index.doc_ids[i], float(scores[i])) for i in candidates),
-                    key=lambda pair: (-pair[1], pair[0]))
-    return ranked[:k]
+    block = max(1, _BLOCK_SCORES // max(n, 1))
+    ranked: list[RankedList] = []
+    for start in range(0, len(queries), block):
+        scores = index.scores(queries[start:start + block])
+        if k < n:
+            kth = np.partition(scores, n - k, axis=1)[:, n - k]
+        for i, row in enumerate(scores):
+            cand = np.arange(n) if k >= n else np.flatnonzero(row >= kth[i])
+            order = cand[np.lexsort((index._id_rank[cand], -row[cand]))[:k]]
+            ranked.append([(index.doc_ids[j], float(row[j])) for j in order])
+    return ranked
+
+
+def search_top_k(index: DenseIndex, query_vec, k: int) -> RankedList:
+    """Exact top-k by cosine for one query; see ``search_many``."""
+    return search_many(index, as_vector(query_vec, "query_vec")[None, :], k)[0]
+
+
+def mine_ance_negatives_many(index: DenseIndex, params: EncoderParams, config: EncoderConfig,
+                             queries: list[str], excluded: list[set[str]],
+                             k: int = DEFAULT_NEGATIVES) -> list[list[str]]:
+    """For each query, its k most similar documents outside its excluded set.
+
+    ``excluded[i]`` holds query i's relevant (positive) doc ids. All queries
+    are encoded in one pass and searched in one call; each retrieves
+    k + len(excluded[i]) documents and drops the excluded ones, so it gets k
+    negatives whenever the corpus has them. Order stays descending by
+    similarity.
+    """
+    if len(excluded) != len(queries):
+        raise ValueError(f"{len(excluded)} excluded sets for {len(queries)} queries")
+    for skip in excluded:
+        for doc_id in skip:
+            if doc_id not in index:
+                raise ValueError(f"unknown positive_id {doc_id!r}")
+    depth = k + max(map(len, excluded), default=0)
+    ranked = search_many(index, encode_texts(params, config, queries), depth)
+    negatives = []
+    for ranking, skip in zip(ranked, excluded):
+        top = ranking[:k + len(skip)]
+        negatives.append([doc_id for doc_id, _ in top if doc_id not in skip][:k])
+    return negatives
 
 
 def mine_ance_negatives(index: DenseIndex, params: EncoderParams, config: EncoderConfig,
                         query: str, positive_id: str, k: int = DEFAULT_NEGATIVES) -> list[str]:
-    """Top-k most similar documents to the query, excluding its positive.
+    """Top-k most similar documents to the query, excluding its positive."""
+    return mine_ance_negatives_many(index, params, config, [query], [{positive_id}], k)[0]
 
-    Retrieves k+1, drops the positive wherever it ranks, truncates to k;
-    order stays descending by similarity.
+
+def mine_random_negatives_many(corpus_ids: list[str], positive_ids: list[str], k: int,
+                               rng: np.random.Generator) -> list[list[str]]:
+    """For each positive, a uniform sample of k other ids without replacement.
+
+    Ids must be unique. When fewer than k other documents exist, all of them
+    are returned in shuffled order. Draws index the corpus without the
+    positive (pool index j is corpus index j + (j >= p), p the positive's
+    position), so no per-query pool is built.
     """
-    if positive_id not in index:
-        raise ValueError(f"unknown positive_id {positive_id!r}")
-    query_vec = encode(params, config, query)
-    ranked = search_top_k(index, query_vec, k + 1)
-    negatives = [doc_id for doc_id, _ in ranked if doc_id != positive_id]
-    return negatives[:k]
+    n = len(corpus_ids)
+    position = {doc_id: i for i, doc_id in enumerate(corpus_ids)}
+    samples = []
+    for positive_id in positive_ids:
+        p = position.get(positive_id, n)
+        size = n - (p < n)
+        if size <= k:
+            chosen = rng.permutation(size)
+        else:
+            chosen = rng.choice(size, size=k, replace=False)
+        samples.append([corpus_ids[j + (j >= p)] for j in chosen.tolist()])
+    return samples
 
 
 def mine_random_negatives(corpus_ids: list[str], positive_id: str, k: int,
                           rng: np.random.Generator) -> list[str]:
-    """Uniform sample of k non-positive ids without replacement.
-
-    When fewer than k non-positive documents exist, all of them are
-    returned in shuffled order.
-    """
-    pool = [doc_id for doc_id in corpus_ids if doc_id != positive_id]
-    if len(pool) <= k:
-        order = rng.permutation(len(pool))
-        return [pool[i] for i in order]
-    chosen = rng.choice(len(pool), size=k, replace=False)
-    return [pool[i] for i in chosen]
+    """Uniform sample of k non-positive ids; see ``mine_random_negatives_many``."""
+    return mine_random_negatives_many(corpus_ids, [positive_id], k, rng)[0]

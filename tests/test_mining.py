@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from retrieval_lab.data import Document
+from retrieval_lab import cli, mining
+from retrieval_lab.data import Document, Qrels, Query
 from retrieval_lab.encoder import EncoderConfig, encode, init_params
 from retrieval_lab.mining import (
     DenseIndex,
     build_index,
     mine_ance_negatives,
+    mine_ance_negatives_many,
     mine_random_negatives,
+    mine_random_negatives_many,
+    search_many,
     search_top_k,
 )
 from retrieval_lab.numerics import cosine_similarity, make_rng
@@ -226,3 +230,150 @@ class TestMineRandom:
         observed = np.array([counts[d] for d in ids if d != "d00"])
         _, p = stats.chisquare(observed)
         assert p > 0.01
+
+
+def random_negatives_oracle(corpus_ids, positive_id, k, rng):
+    """The list-comprehension pool sampler: every non-positive id, then one draw."""
+    pool = [doc_id for doc_id in corpus_ids if doc_id != positive_id]
+    if len(pool) <= k:
+        return [pool[i] for i in rng.permutation(len(pool))]
+    return [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
+
+
+def duplicate_row_index(n=1003, copies=(3, 501, 1001), dim=64, seed=31):
+    """Random unit rows with one vector repeated at ``copies``; ids descend
+    with the row, so ascending id order is the reverse of row order."""
+    vectors = make_rng(seed).standard_normal((n, dim))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors[list(copies)] = vectors[copies[0]]
+    ids = [f"d{n - 1 - i:04d}" for i in range(n)]
+    return DenseIndex(ids, vectors, dim), [ids[r] for r in copies]
+
+
+class TestSearchMany:
+    def test_every_k_matches_oracle_over_several_blocks(self, monkeypatch):
+        corpus, params, config = small_setup(seed=4, n_docs=17)
+        index = build_index(corpus, params, config)
+        monkeypatch.setattr(mining, "_BLOCK_SCORES", 4 * len(index))  # 4 queries per block
+        queries = make_rng(41).standard_normal((11, 8))
+        oracles = [brute_force_ranking(index, q) for q in queries]
+        for k in range(1, len(index) + 3):
+            got = search_many(index, queries, k)
+            assert len(got) == len(queries)
+            for ranked, oracle in zip(got, oracles):
+                assert [d for d, _ in ranked] == [d for d, _ in oracle[:k]]
+                np.testing.assert_allclose([s for _, s in ranked],
+                                           [s for _, s in oracle[:k]], rtol=0, atol=1e-12)
+
+    def test_rankings_equal_single_query_search_with_ties(self, monkeypatch):
+        monkeypatch.setattr(mining, "_BLOCK_SCORES", 1 << 12)  # 4 queries per block
+        index, _ = duplicate_row_index()
+        rng = make_rng(42)
+        queries = np.vstack([rng.standard_normal((8, 64)), index.vectors[[3, 501, 1001, 7]]])
+        for k in (1, 2, 3, 10, len(index)):
+            got = search_many(index, queries, k)
+            for q, ranked in zip(queries, got):
+                assert [d for d, _ in ranked] == [d for d, _ in search_top_k(index, q, k)]
+
+    def test_duplicate_rows_tie_exactly_and_rank_by_id(self):
+        index, copy_ids = duplicate_row_index()
+        assert 2 ** 18 // len(index) < 600  # the batch below spans several blocks
+        rng = make_rng(43)
+        queries = rng.standard_normal((600, 64))
+        batched = search_many(index, queries, len(index))
+        for q, ranked in list(zip(queries, batched))[:200] + [
+                (q, search_top_k(index, q, len(index))) for q in queries[:200]]:
+            position = {doc_id: i for i, (doc_id, _) in enumerate(ranked)}
+            scores = {ranked[position[d]][1] for d in copy_ids}
+            assert len(scores) == 1
+            spots = sorted(position[d] for d in copy_ids)
+            assert spots == list(range(spots[0], spots[0] + len(copy_ids)))
+            assert [ranked[i][0] for i in spots] == sorted(copy_ids)
+        # a copy queried with itself: the k-th boundary falls inside the tie
+        for k in (1, 2):
+            for ranked in (search_many(index, index.vectors[[1001, 3]], k)
+                           + [search_top_k(index, index.vectors[501], k)]):
+                assert [d for d, _ in ranked] == sorted(copy_ids)[:k]
+
+    def test_zero_query_batch(self):
+        index, _ = duplicate_row_index(n=20, copies=(1, 2))
+        assert search_many(index, np.empty((0, 64)), 5) == []
+
+    @pytest.mark.parametrize("queries, k, match", [
+        (np.ones((2, 8)), 0, "k must be"),
+        (np.ones((2, 5)), 3, "dimension"),
+        (np.ones(8), 3, "2-D"),
+        (np.zeros((2, 8)), 3, "zero-norm"),
+        (np.full((1, 8), np.nan), 3, "non-finite"),
+    ])
+    def test_bad_input_rejected(self, queries, k, match):
+        corpus, params, config = small_setup()
+        index = build_index(corpus, params, config)
+        with pytest.raises(ValueError, match=match):
+            search_many(index, queries, k)
+
+
+class TestMineAnceMany:
+    def test_equals_single_query_mining(self):
+        corpus, params, config = small_setup(seed=13, n_docs=50)
+        index = build_index(corpus, params, config)
+        rng = make_rng(44)
+        queries = [random_text(rng, 5) for _ in range(12)]
+        positives = [corpus[int(i)].id for i in rng.integers(0, len(corpus), size=12)]
+        got = mine_ance_negatives_many(index, params, config, queries,
+                                       [{p} for p in positives], k=7)
+        for query, positive, negatives in zip(queries, positives, got):
+            assert negatives == mine_ance_negatives(index, params, config, query, positive, k=7)
+
+    def test_several_relevant_docs_fill_k(self):
+        corpus, params, config = small_setup(seed=15, n_docs=50)
+        index = build_index(corpus, params, config)
+        query = random_text(make_rng(45), 5)
+        ranking = brute_force_ranking(index, encode(params, config, query))
+        relevant = {ranking[0][0], ranking[2][0], ranking[5][0]}
+        got = mine_ance_negatives_many(index, params, config, [query], [relevant], k=10)
+        assert got == [[d for d, _ in ranking if d not in relevant][:10]]
+
+    def test_mine_dataset_fills_k_with_several_relevant_docs(self):
+        corpus, params, config = small_setup(seed=16, n_docs=40)
+        index = build_index(corpus, params, config)
+        rng = make_rng(46)
+        queries = [Query(f"q{i}", random_text(rng, 5)) for i in range(4)]
+        qrels = Qrels()
+        wanted = []
+        for query in queries:
+            ranking = [d for d, _ in brute_force_ranking(index, encode(params, config, query.text))]
+            relevant = {ranking[1], ranking[2], ranking[4]}
+            for doc_id in relevant:
+                qrels.set(query.id, doc_id, 1)
+            wanted.append([d for d in ranking if d not in relevant][:6])
+        text_of = {doc.id: doc.text for doc in corpus}
+        examples = cli._mine_dataset(corpus, queries, qrels, None, params, config,
+                                     "ance", 6, make_rng(0))
+        assert [ex.neg for ex in examples] == [[text_of[d] for d in w] for w in wanted]
+
+    def test_zero_queries(self):
+        corpus, params, config = small_setup()
+        index = build_index(corpus, params, config)
+        assert mine_ance_negatives_many(index, params, config, [], [], k=3) == []
+
+    def test_unknown_excluded_doc(self):
+        corpus, params, config = small_setup()
+        index = build_index(corpus, params, config)
+        with pytest.raises(ValueError, match="unknown positive_id 'nope'"):
+            mine_ance_negatives_many(index, params, config, ["a b", "c d"],
+                                     [{corpus[0].id}, {corpus[1].id, "nope"}], k=3)
+
+
+class TestMineRandomMany:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_pool_oracle(self, seed):
+        ids = [f"d{i:02d}" for i in range(12)]
+        positives = ["d00", "d11", "d05", "absent", "d07", "d00"]
+        for k in (1, 5, 10, 11, 12, 20):
+            got = mine_random_negatives_many(ids, positives, k, make_rng(seed))
+            oracle_rng = make_rng(seed)
+            want = [random_negatives_oracle(ids, p, k, oracle_rng) for p in positives]
+            assert got == want
+            single_rng = make_rng(seed)
+            assert [mine_random_negatives(ids, p, k, single_rng) for p in positives] == want
