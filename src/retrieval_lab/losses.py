@@ -1,9 +1,13 @@
-"""Contrastive objectives over embedding vectors, with analytic gradients.
+"""Contrastive objectives over unit embeddings, in matrix form, with analytic gradients.
 
 Two losses: the standard softmax cross-entropy contrastive loss over
 (query, positive, hard negatives), and a penalty-augmented variant that
 additionally keeps each hard negative close to its own positive queries.
-Both operate purely on embeddings; encoding happens elsewhere.
+Both operate purely on embeddings; encoding happens elsewhere. Every
+embedding has unit norm (one row-wise check per field), so a cosine is a
+dot product: the scores are ``[pos; negs] @ q``, the penalty is
+``mean_j (1 - mean(Q_j @ n_j))``, and a score ``s = a · b`` with upstream
+``g`` sends ``g (b - s a)`` to ``a``, the partial of cosine at unit norm.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# cosine_similarity(_grad): unused here; perfbench/tracer.py wraps losses.cosine_similarity(_grad)
 from .numerics import as_vector, cosine_similarity, cosine_similarity_grad
 
 _UNIT_TOL = 1e-9
@@ -35,29 +40,37 @@ class LossConfig:
 class ContrastiveBatch:
     """One training example: query/positive/negative embeddings, all unit norm.
 
-    ``neg_query_embs`` (one list per negative) holds the embeddings of each
-    negative document's own positive queries; it is only required by the
-    penalty-augmented loss.
+    ``neg_embs`` is a ``(k, d)`` matrix, one row per negative.
+    ``neg_query_embs`` (one ``(m_j, d)`` matrix per negative) holds the
+    embeddings of each negative document's own positive queries; it is only
+    required by the penalty-augmented loss. Lists of vectors are accepted
+    for both.
     """
 
     query_emb: np.ndarray
     pos_emb: np.ndarray
-    neg_embs: list[np.ndarray] = field(default_factory=list)
-    neg_query_embs: list[list[np.ndarray]] | None = None
+    neg_embs: np.ndarray = field(default_factory=list)
+    neg_query_embs: list[np.ndarray] | None = None
 
     def __post_init__(self):
-        self.query_emb = _unit_vector(self.query_emb, "query_emb")
+        self.query_emb = as_vector(self.query_emb, "query_emb")
         dim = self.query_emb.shape[0]
-        self.pos_emb = _unit_vector(self.pos_emb, "pos_emb", dim)
-        self.neg_embs = [_unit_vector(v, f"neg_embs[{j}]", dim)
-                         for j, v in enumerate(self.neg_embs)]
+        self.pos_emb = _matrix([self.pos_emb], dim, "pos_emb")[0]
+        _check_unit(np.stack([self.query_emb, self.pos_emb]), ("query_emb", "pos_emb").__getitem__)
+        self.neg_embs = _matrix(self.neg_embs, dim, "neg_embs")
+        _check_unit(self.neg_embs, "neg_embs[{}]".format)
         if self.neg_query_embs is not None:
             if len(self.neg_query_embs) != len(self.neg_embs):
                 raise ValueError("neg_query_embs must have one entry list per negative")
-            self.neg_query_embs = [
-                [_unit_vector(v, f"neg_query_embs[{j}][{m}]", dim) for m, v in enumerate(qs)]
-                for j, qs in enumerate(self.neg_query_embs)
-            ]
+            self.neg_query_embs = [_matrix(qs, dim, f"neg_query_embs[{j}]")
+                                   for j, qs in enumerate(self.neg_query_embs)]
+            starts = np.cumsum([0, *map(len, self.neg_query_embs)])
+
+            def row_name(i: int) -> str:
+                j = int(np.searchsorted(starts, i, side="right")) - 1
+                return f"neg_query_embs[{j}][{i - starts[j]}]"
+
+            _check_unit(np.vstack([self.neg_embs[:0], *self.neg_query_embs]), row_name)
 
 
 @dataclass
@@ -66,59 +79,61 @@ class BatchGrads:
 
     query_emb: np.ndarray
     pos_emb: np.ndarray
-    neg_embs: list[np.ndarray]
-    neg_query_embs: list[list[np.ndarray]] | None = None
+    neg_embs: np.ndarray
+    neg_query_embs: list[np.ndarray] | None = None
 
 
-def _unit_vector(v, name: str, dim: int | None = None) -> np.ndarray:
-    v = as_vector(v, name)
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError(f"{name} has dimension {v.shape[0]}, expected {dim}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise ValueError(f"{name} must be unit norm, got |v| = {norm}")
-    return v
+def _matrix(rows, dim: int, name: str) -> np.ndarray:
+    """``rows`` (a matrix or a list of vectors) as a float64 ``(n, dim)`` matrix."""
+    try:
+        m = np.asarray(rows, dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{name} holds vectors of unequal dimension") from None
+    if m.shape == (0,):
+        return m.reshape(0, dim)
+    if m.ndim != 2 or m.shape[1] != dim:
+        raise ValueError(f"{name} must hold vectors of dimension {dim}, got shape {m.shape}")
+    return m
 
 
-def _scores(batch: ContrastiveBatch) -> np.ndarray:
-    """Similarity of the query to [positive, negatives...], positive first."""
-    sims = [cosine_similarity(batch.query_emb, batch.pos_emb)]
-    sims.extend(cosine_similarity(batch.query_emb, neg) for neg in batch.neg_embs)
-    return np.array(sims)
+def _check_unit(m: np.ndarray, row_name) -> None:
+    """Raise for the first row of ``m`` that is non-finite or not of unit norm."""
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))
+    if bad.size:
+        i = int(bad[0])
+        if not np.all(np.isfinite(m[i])):
+            raise ValueError(f"{row_name(i)} contains non-finite entries")
+        raise ValueError(f"{row_name(i)} must be unit norm, got |v| = {norms[i]}")
 
 
 def _log_softmax_first(scores: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-    """-log softmax(scores/tau)[0] and the softmax probabilities.
-
-    Evaluated through a max-subtracted log-sum-exp so extreme temperatures
-    stay finite.
-    """
+    """-log softmax(scores/tau)[0] and the softmax probabilities, through a
+    max-subtracted log-sum-exp so extreme temperatures stay finite."""
     z = scores / tau
     m = float(np.max(z))
     e = np.exp(z - m)
-    lse = m + float(np.log(np.sum(e)))
-    probs = e / np.sum(e)
-    return lse - float(z[0]), probs
+    total = np.sum(e)
+    return m + float(np.log(total)) - float(z[0]), e / total
 
 
 def cl_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:
     """Softmax cross-entropy pulling the query to the positive, away from negatives."""
-    loss, _ = _log_softmax_first(_scores(batch), cfg.tau)
+    scores = np.vstack([batch.pos_emb, batch.neg_embs]) @ batch.query_emb
+    loss, _ = _log_softmax_first(scores, cfg.tau)
     return loss
 
 
-def _penalty(batch: ContrastiveBatch) -> float:
-    """Mean over negatives of (1 - mean similarity to their own positive queries).
-
-    Bounded in [0, 2]; defined as 0 when there are no negatives.
-    """
-    if not batch.neg_embs:
-        return 0.0
-    terms = []
-    for neg, queries in zip(batch.neg_embs, batch.neg_query_embs):
-        sims = [cosine_similarity(neg, q) for q in queries]
-        terms.append(1.0 - sum(sims) / len(sims))
-    return sum(terms) / len(terms)
+def _penalty_rows(batch: ContrastiveBatch) -> tuple[np.ndarray, ...]:
+    """The penalty with one row per (negative, own query) pair: the negative
+    index of each row, that negative, the query, their cosine and its weight
+    ``1 / (k m_j)``, so that the penalty is ``weights @ (1 - sims)``."""
+    counts = np.array([len(qs) for qs in batch.neg_query_embs], dtype=np.intp)
+    owner = np.repeat(np.arange(counts.size), counts)
+    negs = batch.neg_embs[owner]
+    queries = np.vstack([batch.neg_embs[:0], *batch.neg_query_embs])  # (0, d) when k = 0
+    sims = np.einsum("ij,ij->i", negs, queries)
+    return owner, negs, queries, sims, 1.0 / (counts.size * counts[owner])
 
 
 def _require_neg_queries(batch: ContrastiveBatch) -> None:
@@ -127,37 +142,28 @@ def _require_neg_queries(batch: ContrastiveBatch) -> None:
 
 
 def clp_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:
-    """(1 - lam) * contrastive loss + lam * negative-query penalty."""
+    """(1 - lam) * contrastive loss + lam * negative-query penalty.
+
+    The penalty is the mean over negatives of (1 - mean similarity to their
+    own positive queries): bounded in [0, 2], and 0 when there are no negatives.
+    """
     _require_neg_queries(batch)
-    base = cl_loss(batch, cfg)
-    if cfg.lam == 0.0:
-        return base
-    return (1.0 - cfg.lam) * base + cfg.lam * _penalty(batch)
+    *_, sims, weights = _penalty_rows(batch)
+    return (1.0 - cfg.lam) * cl_loss(batch, cfg) + cfg.lam * float(weights @ (1.0 - sims))
 
 
 def cl_loss_grad(batch: ContrastiveBatch, cfg: LossConfig) -> BatchGrads:
     """Analytic gradients of cl_loss w.r.t. query, positive and negatives."""
-    scores = _scores(batch)
+    q = batch.query_emb
+    docs = np.vstack([batch.pos_emb, batch.neg_embs])
+    scores = docs @ q
     _, probs = _log_softmax_first(scores, cfg.tau)
     # d loss / d score_i = (p_i - 1[i == 0]) / tau
-    dscores = probs.copy()
-    dscores[0] -= 1.0
-    dscores /= cfg.tau
-
-    d_query = np.zeros_like(batch.query_emb)
-    da, db = cosine_similarity_grad(batch.query_emb, batch.pos_emb)
-    d_query += dscores[0] * da
-    d_pos = dscores[0] * db
-    d_negs = []
-    for j, neg in enumerate(batch.neg_embs):
-        da, db = cosine_similarity_grad(batch.query_emb, neg)
-        d_query += dscores[j + 1] * da
-        d_negs.append(dscores[j + 1] * db)
-    return BatchGrads(d_query, d_pos, d_negs)
-
-
-def _zero_neg_query_grads(batch: ContrastiveBatch) -> list[list[np.ndarray]]:
-    return [[np.zeros_like(q) for q in qs] for qs in batch.neg_query_embs]
+    ds = probs.copy()
+    ds[0] -= 1.0
+    ds /= cfg.tau
+    d_docs = ds[:, None] * (q - scores[:, None] * docs)
+    return BatchGrads(ds @ docs - (ds @ scores) * q, d_docs[0], d_docs[1:])
 
 
 def clp_loss_grad(batch: ContrastiveBatch, cfg: LossConfig) -> BatchGrads:
@@ -170,22 +176,15 @@ def clp_loss_grad(batch: ContrastiveBatch, cfg: LossConfig) -> BatchGrads:
     _require_neg_queries(batch)
     grads = cl_loss_grad(batch, cfg)
     if cfg.lam == 0.0:
-        grads.neg_query_embs = _zero_neg_query_grads(batch)
+        grads.neg_query_embs = [np.zeros_like(qs) for qs in batch.neg_query_embs]
         return grads
 
-    keep = 1.0 - cfg.lam
-    grads.query_emb *= keep
-    grads.pos_emb *= keep
-    for g in grads.neg_embs:
-        g *= keep
-
-    grads.neg_query_embs = _zero_neg_query_grads(batch)
-    if batch.neg_embs:
-        num_negs = len(batch.neg_embs)
-        for j, (neg, queries) in enumerate(zip(batch.neg_embs, batch.neg_query_embs)):
-            coeff = -cfg.lam / (num_negs * len(queries))
-            for m, q in enumerate(queries):
-                da, db = cosine_similarity_grad(neg, q)
-                grads.neg_embs[j] += coeff * da
-                grads.neg_query_embs[j][m] = coeff * db
+    for g in (grads.query_emb, grads.pos_emb, grads.neg_embs):
+        g *= 1.0 - cfg.lam
+    owner, negs, queries, sims, weights = _penalty_rows(batch)
+    ds = (-cfg.lam * weights)[:, None]  # d loss / d sim of each row
+    np.add.at(grads.neg_embs, owner, ds * (queries - sims[:, None] * negs))
+    # one (m_j, d) block per negative; the piece after the last end is empty
+    ends = np.cumsum([len(qs) for qs in batch.neg_query_embs])
+    grads.neg_query_embs = np.split(ds * (negs - sims[:, None] * queries), ends)[:-1]
     return grads

@@ -115,27 +115,25 @@ def apply_freeze(grads: dict[str, np.ndarray], mode: FreezeMode) -> dict[str, np
 
 
 def _example_loss(example: TrainingExample, vecs: np.ndarray, cfg: TrainConfig,
-                  use_penalty: bool) -> tuple[float, list[np.ndarray]]:
+                  use_penalty: bool) -> tuple[float, np.ndarray]:
     """Loss of one example and its gradients w.r.t. ``vecs``, the encodings of
     its query, positive, negatives and (with the penalty) the negatives' queries."""
     k = len(example.neg)
-    neg_embs = list(vecs[2:2 + k])
+    neg_query_rows = vecs[2 + k:]
     neg_query_embs = None
     if use_penalty:
-        rows = iter(vecs[2 + k:])
-        neg_query_embs = [[next(rows) for _ in qs] for qs in example.neg_queries]
-    elif cfg.loss == "clp":
-        # lam == 0: penalty path contributes nothing; placeholder embeddings
-        # keep batch validation satisfied without extra encoder passes.
-        neg_query_embs = [[neg] for neg in neg_embs]
-    batch = ContrastiveBatch(vecs[0], vecs[1], neg_embs, neg_query_embs)
-    loss_fn, grad_fn = (cl_loss, cl_loss_grad) if cfg.loss == "cl" else (clp_loss, clp_loss_grad)
+        # one block per negative; the piece after the last end is empty
+        ends = np.cumsum([len(qs) for qs in example.neg_queries])
+        neg_query_embs = np.split(neg_query_rows, ends)[:-1]
+    batch = ContrastiveBatch(vecs[0], vecs[1], vecs[2:2 + k], neg_query_embs)
+    # CLP at lam == 0 is CL bit for bit, so the penalty-free pair serves it.
+    loss_fn, grad_fn = (clp_loss, clp_loss_grad) if use_penalty else (cl_loss, cl_loss_grad)
     loss, bgrads = loss_fn(batch, cfg.loss_cfg), grad_fn(batch, cfg.loss_cfg)
-    upstreams = [bgrads.query_emb, bgrads.pos_emb, *bgrads.neg_embs]
+    upstreams = [bgrads.query_emb, bgrads.pos_emb, bgrads.neg_embs]
     if use_penalty:
-        upstreams += [np.zeros_like(g) if cfg.stop_grad_neg_queries else g
-                      for gs in bgrads.neg_query_embs for g in gs]
-    return loss, upstreams
+        upstreams += ([np.zeros_like(neg_query_rows)] if cfg.stop_grad_neg_queries
+                      else bgrads.neg_query_embs)
+    return loss, np.vstack(upstreams)
 
 
 def _group_grads(params: EncoderParams, config: EncoderConfig,
@@ -153,9 +151,9 @@ def _group_grads(params: EncoderParams, config: EncoderConfig,
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss at example step {step}")
         losses.append(loss)
-        upstreams += ups
+        upstreams.append(ups)
         row += len(texts)
-    _backward(params, ctx, np.array(upstreams), grads)
+    _backward(params, ctx, np.vstack(upstreams), grads)
     return losses
 
 

@@ -212,6 +212,30 @@ class TestTrain:
                        "--outdir", out) == 0
         assert (out / "checkpoint.json").is_file()
 
+    def test_mean_loss_last_epoch_with_a_skipped_query(self, synth_dir, tmp_path):
+        # q0000 loses its only judgment, so every re-mining skips it; each
+        # epoch still sees the same queries, so the trace splits evenly
+        qrels = synth_dir / "qrels.tsv"
+        lines = qrels.read_text().splitlines(keepends=True)
+        qrels.write_text("".join(line for line in lines if not line.startswith("q0000\t")))
+        judged = {line.split("\t")[0] for line in qrels.read_text().splitlines()}
+        out = tmp_path / "t7"
+        assert run_cli("train", "--refresh-per-epoch", "--preset", "ance-clp",
+                       "--k", 3, "--init-seed", 7, *ENC_FLAGS,
+                       "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", qrels,
+                       "--neg-query-map", synth_dir / "neg_queries.jsonl",
+                       "--epochs", 2, "--learning-rate", 1e-3, "--seed", 4,
+                       "--outdir", out) == 0
+        rows = (out / "loss_trace.csv").read_text().splitlines()[1:]
+        losses = [float(row.split(",")[1]) for row in rows]
+        assert len(losses) == 2 * len(judged)
+        last_epoch = losses[len(judged):]
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["final_metrics"]["mean_loss_last_epoch"] == pytest.approx(
+            sum(last_epoch) / len(last_epoch), rel=1e-15)
+
     def test_refresh_rejects_unknown_strategy_from_config(self, synth_dir, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"strategy": "bogus"}))

@@ -14,7 +14,12 @@ from retrieval_lab.losses import (
     clp_loss,
     clp_loss_grad,
 )
-from retrieval_lab.numerics import make_rng
+from retrieval_lab.numerics import (
+    cosine_similarity,
+    cosine_similarity_grad,
+    make_rng,
+    softmax_temperature,
+)
 
 from conftest import random_unit, rel_error
 
@@ -331,8 +336,133 @@ class TestValidation:
             ContrastiveBatch(random_unit(rng, 8), random_unit(rng, 8),
                              [random_unit(rng, 8)], [])
 
+    def test_rejects_non_unit_negative_row(self):
+        batch = random_batch(16)
+        negs = batch.neg_embs.copy()
+        negs[2] *= 1.5
+        with pytest.raises(ValueError, match=r"^neg_embs\[2\] must be unit norm"):
+            ContrastiveBatch(batch.query_emb, batch.pos_emb, negs, batch.neg_query_embs)
+
+    def test_rejects_non_unit_row_inside_neg_query_entry(self):
+        batch = ragged_batch(17)
+        entries = [qs.copy() for qs in batch.neg_query_embs]
+        entries[1][2] *= 0.5
+        with pytest.raises(ValueError, match=r"^neg_query_embs\[1\]\[2\] must be unit norm"):
+            ContrastiveBatch(batch.query_emb, batch.pos_emb, batch.neg_embs, entries)
+
+    def test_rejects_non_finite_neg_query_row(self):
+        batch = ragged_batch(18)
+        entries = [qs.copy() for qs in batch.neg_query_embs]
+        entries[2][0, 3] = np.nan
+        with pytest.raises(ValueError, match=r"^neg_query_embs\[2\]\[0\] contains non-finite"):
+            ContrastiveBatch(batch.query_emb, batch.pos_emb, batch.neg_embs, entries)
+
+    def test_rejects_negative_of_wrong_dimension(self):
+        rng = make_rng(19)
+        with pytest.raises(ValueError, match=r"^neg_embs .*dimension"):
+            ContrastiveBatch(random_unit(rng, 8), random_unit(rng, 8),
+                             [random_unit(rng, 8), random_unit(rng, 6)])
+        with pytest.raises(ValueError, match=r"^neg_query_embs\[0\] .*dimension 8"):
+            ContrastiveBatch(random_unit(rng, 8), random_unit(rng, 8),
+                             [random_unit(rng, 8)], [[random_unit(rng, 6)]])
+
     def test_loss_config_bounds(self):
         with pytest.raises(ValueError):
             LossConfig(tau=0.0)
         with pytest.raises(ValueError):
             LossConfig(lam=1.5)
+
+
+def per_vector_grads(batch: ContrastiveBatch, tau: float, lam: float | None) -> BatchGrads:
+    """Straight-line gradients built one vector pair at a time from
+    numerics.cosine_similarity(_grad); ``lam=None`` is the CL loss."""
+    docs = [batch.pos_emb, *batch.neg_embs]
+    probs = softmax_temperature([cosine_similarity(batch.query_emb, d) for d in docs], tau)
+    keep = 1.0 if lam is None else 1.0 - lam
+    d_query = np.zeros_like(batch.query_emb)
+    d_docs = []
+    for i, doc in enumerate(docs):
+        dscore = keep * (probs[i] - (i == 0)) / tau
+        da, db = cosine_similarity_grad(batch.query_emb, doc)
+        d_query += dscore * da
+        d_docs.append(dscore * db)
+    if lam is None:
+        return BatchGrads(d_query, d_docs[0], d_docs[1:])
+    d_neg_queries = []
+    for j, (neg, queries) in enumerate(zip(batch.neg_embs, batch.neg_query_embs)):
+        coeff = -lam / (len(batch.neg_embs) * len(queries))
+        d_neg_queries.append([])
+        for q in queries:
+            da, db = cosine_similarity_grad(neg, q)
+            d_docs[1 + j] = d_docs[1 + j] + coeff * da
+            d_neg_queries[j].append(coeff * db)
+    return BatchGrads(d_query, d_docs[0], d_docs[1:], d_neg_queries)
+
+
+def assert_grads_close(got: BatchGrads, want: BatchGrads, atol: float) -> None:
+    np.testing.assert_allclose(got.query_emb, want.query_emb, rtol=0, atol=atol)
+    np.testing.assert_allclose(got.pos_emb, want.pos_emb, rtol=0, atol=atol)
+    assert len(got.neg_embs) == len(want.neg_embs)
+    for g, w in zip(got.neg_embs, want.neg_embs):
+        np.testing.assert_allclose(g, w, rtol=0, atol=atol)
+    assert (got.neg_query_embs is None) == (want.neg_query_embs is None)
+    for gs, ws in zip(got.neg_query_embs or [], want.neg_query_embs or []):
+        assert len(gs) == len(ws)
+        for g, w in zip(gs, ws):
+            np.testing.assert_allclose(g, w, rtol=0, atol=atol)
+
+
+class TestPerVectorOracle:
+    """The matrix-form gradients against a reference that takes every cosine
+    and its partials one vector pair at a time."""
+
+    @pytest.mark.parametrize("n_negs", [0, 1, 4])
+    def test_cl_grad(self, n_negs):
+        for seed in range(10):
+            batch = random_batch(seed, n_negs=n_negs, with_queries=False)
+            assert_grads_close(cl_loss_grad(batch, LossConfig(tau=0.05)),
+                               per_vector_grads(batch, 0.05, None), atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    @pytest.mark.parametrize("n_negs", [0, 1, 4])
+    def test_clp_grad(self, lam, n_negs):
+        for seed in range(10):
+            batch = random_batch(seed, n_negs=n_negs, n_queries=1 + seed % 3)
+            assert_grads_close(clp_loss_grad(batch, LossConfig(tau=0.05, lam=lam)),
+                               per_vector_grads(batch, 0.05, lam), atol=1e-12)
+
+
+def ragged_batch(seed: int, counts=(1, 3, 2), dim: int = 8) -> ContrastiveBatch:
+    rng = make_rng(seed)
+    return ContrastiveBatch(
+        query_emb=random_unit(rng, dim),
+        pos_emb=random_unit(rng, dim),
+        neg_embs=[random_unit(rng, dim) for _ in counts],
+        neg_query_embs=[[random_unit(rng, dim) for _ in range(c)] for c in counts],
+    )
+
+
+class TestRaggedNegQueries:
+    """Negatives with different numbers of own queries (1, 3 and 2)."""
+
+    def test_loss_matches_raw_formula(self):
+        for seed in range(10):
+            batch = ragged_batch(seed)
+            for lam in (0.0, 0.3, 1.0):
+                want = raw_clp(batch.query_emb, batch.pos_emb, list(batch.neg_embs),
+                               batch.neg_query_embs, 0.05, lam)
+                assert clp_loss(batch, LossConfig(tau=0.05, lam=lam)) == pytest.approx(
+                    want, abs=1e-12)
+
+    def test_grad_matches_finite_differences(self):
+        for seed in range(10):
+            batch = ragged_batch(seed)
+            cfg = LossConfig(tau=0.05, lam=0.3)
+            analytic = clp_loss_grad(batch, cfg)
+            assert [g.shape for g in analytic.neg_query_embs] == [(1, 8), (3, 8), (2, 8)]
+            assert rel_error(_flatten(analytic), _flatten(fd_clp_grads(batch, cfg))) < 1e-5
+
+    def test_batch_keeps_one_matrix_per_negative(self):
+        batch = ragged_batch(0)
+        assert batch.neg_embs.shape == (3, 8)
+        assert [len(qs) for qs in batch.neg_query_embs] == [1, 3, 2]

@@ -310,3 +310,23 @@ class TestGroupPass:
         cfg = TrainConfig(learning_rate=1e-3, epochs=1, grad_accum_steps=4, seed=1)
         with pytest.raises(RuntimeError, match="non-finite loss at example step 5$"):
             train(params, config, tiny_dataset(n=6), cfg)
+
+    @pytest.mark.parametrize("moe", [False, True])
+    def test_ragged_neg_queries_match_per_text_reference(self, moe):
+        # the negatives of each example own 1, 2 or 3 queries, so every
+        # example splits its neg-query rows unevenly
+        params, config = tiny_encoder(moe=moe, seed=4)
+        dataset = tiny_dataset(n=4)
+        pool = [q for ex in dataset for qs in ex.neg_queries for q in qs]
+        for i, ex in enumerate(dataset):
+            ex.neg_queries = [pool[i + j:i + j + 1 + (i + j) % 3] for j in range(len(ex.neg))]
+        assert len({len(qs) for ex in dataset for qs in ex.neg_queries}) == 3
+        cfg = TrainConfig(learning_rate=1e-3, epochs=1, grad_accum_steps=4, loss="clp",
+                          loss_cfg=LossConfig(lam=0.3), seed=2)
+        result = train(params, config, dataset, cfg)
+        group = [dataset[int(i)] for i in make_rng(cfg.seed).permutation(len(dataset))]
+        expected, losses = reference_clp_step(params, config, group, cfg)
+        np.testing.assert_allclose(result.loss_trace, losses, rtol=0, atol=1e-12)
+        for name, tensor in expected.named_tensors().items():
+            np.testing.assert_allclose(result.params.named_tensors()[name], tensor,
+                                       rtol=0, atol=1e-12, err_msg=name)
