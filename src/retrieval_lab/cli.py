@@ -27,7 +27,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .losses import LossConfig
-from .numerics import make_rng
+from .numerics import _atomic_open, make_rng
 
 # Each preset pins {mining strategy, loss, freeze mode, MoE on/off}.
 PRESETS: dict[str, dict] = {
@@ -55,8 +55,8 @@ def _sha256(path: Path) -> str:
 
 def _write_hashes(outdir: Path, names: list[str]) -> None:
     hashes = {name: _sha256(outdir / name) for name in sorted(names)}
-    (outdir / "hashes.json").write_text(
-        json.dumps(hashes, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with _atomic_open(outdir / "hashes.json") as fh:
+        fh.write(json.dumps(hashes, sort_keys=True, indent=2) + "\n")
 
 
 def _require_file(path_str: str | None, what: str) -> Path:
@@ -283,7 +283,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
     outdir = _outdir(opts)
     save_checkpoint(result.params, config, outdir / "checkpoint.json")
-    with open(outdir / "loss_trace.csv", "w", encoding="utf-8") as fh:
+    with _atomic_open(outdir / "loss_trace.csv") as fh:
         fh.write("step,loss\n")
         for step, loss in enumerate(result.loss_trace):
             fh.write(f"{step},{loss!r}\n")
@@ -311,8 +311,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
         },
         "loss_trace_path": "loss_trace.csv",
     }
-    (outdir / "run.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with _atomic_open(outdir / "run.json") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     _write_hashes(outdir, ["checkpoint.json", "loss_trace.csv", "run.json"])
     print(f"trained {cfg.epochs} epoch(s), {len(result.loss_trace)} examples seen; "
           f"outputs in {outdir}")
@@ -336,7 +336,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     md_lines = [f"| query | nDCG@{k} |", "|---|---|"]
     md_lines += [f"| {qid} | {score:.4f} |" for qid, score in sorted(report.per_query.items())]
     md_lines.append(f"| **mean** | **{report.mean_ndcg:.4f}** |")
-    (outdir / "report.md").write_text("\n".join(md_lines) + "\n", encoding="utf-8")
+    with _atomic_open(outdir / "report.md") as fh:
+        fh.write("\n".join(md_lines) + "\n")
     _write_hashes(outdir, ["run.tsv", "report.json", "report.md"])
     print(f"mean nDCG@{k} = {report.mean_ndcg:.4f} over {len(report.per_query)} queries")
     return 0
@@ -353,8 +354,9 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     except ValueError as err:
         raise CliError(str(err)) from None
     outdir = _outdir(opts)
-    (outdir / "comparison.md").write_text(markdown, encoding="utf-8")
-    (outdir / "comparison.tsv").write_text(tsv, encoding="utf-8")
+    for name, text in (("comparison.md", markdown), ("comparison.tsv", tsv)):
+        with _atomic_open(outdir / name) as fh:
+            fh.write(text)
     _write_hashes(outdir, ["comparison.md", "comparison.tsv"])
     print(markdown, end="")
     return 0

@@ -19,7 +19,7 @@ import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .numerics import make_rng
+from .numerics import _atomic_open, make_rng
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def load_queries(path: str | Path) -> list[Query]:
 
 
 def save_id_text(items, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for item in items:
             fh.write(json.dumps({"id": item.id, "text": item.text},
                                 sort_keys=True, ensure_ascii=False) + "\n")
@@ -150,7 +150,7 @@ def load_qrels(path: str | Path) -> Qrels:
 
 
 def save_qrels(qrels: Qrels, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for (qid, did), rel in sorted(qrels.judgments.items()):
             fh.write(f"{qid}\t{did}\t{rel}\n")
 
@@ -172,7 +172,7 @@ def load_train_set(path: str | Path) -> list[TrainingExample]:
 
 
 def save_train_set(examples: list[TrainingExample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for ex in examples:
             fh.write(json.dumps(ex.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
 
@@ -192,7 +192,7 @@ def load_neg_query_map(path: str | Path) -> dict[str, list[str]]:
 
 
 def save_neg_query_map(mapping: dict[str, list[str]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for doc_id in sorted(mapping):
             fh.write(json.dumps({"doc_id": doc_id, "queries": mapping[doc_id]},
                                 sort_keys=True, ensure_ascii=False) + "\n")

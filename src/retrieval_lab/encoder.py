@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import NORM_FLOOR, as_matrix, as_vector, make_rng, seeded_init
+from .numerics import NORM_FLOOR, _atomic_open, as_matrix, as_vector, make_rng, seeded_init
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -268,34 +268,48 @@ def _forward(params: EncoderParams, config: EncoderConfig,
 
 def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
               grads: dict[str, np.ndarray]) -> None:
-    """Add d(sum_j upstreams[j] . out[j])/dparams into ``grads``, one pass over the table."""
+    """Add d(sum_j upstreams[j] . out[j])/dparams into ``grads``, one pass over the table.
+
+    A tensor missing from ``grads`` is frozen: its gradient is neither
+    computed nor added as a key, and without ``embedding`` the whole
+    input-gradient chain is skipped.
+    """
     out, lengths, inv, x, h = (ctx[k] for k in ("out", "lengths", "inv", "x", "h"))
+
+    def add(name, grad):  # grad is a thunk, so a frozen tensor's gradient never runs
+        if name in grads:
+            grads[name] += grad()
+
     # out = pool / |pool|; d(upstream . out)/dpool = (upstream - out (out . upstream)) / |pool|
     dpool = (upstreams - out * np.sum(out * upstreams, axis=1)[:, None]) / ctx["norms"][:, None]
     n, m = len(lengths), len(ctx["uniq"])
     counts = np.bincount(np.repeat(np.arange(n) * m, lengths) + inv, minlength=n * m)
     dtable = counts.reshape(n, m).T.astype(np.float64) @ (dpool / lengths[:, None])
-    grads["b_down"] += dtable.sum(axis=0)
-    grads["w_down"] += h.T @ dtable
+    add("b_down", lambda: dtable.sum(axis=0))
+    add("w_down", lambda: h.T @ dtable)
     dh = dtable @ params.w_down.T  # (m, d_intermediate)
+    want_dx = "embedding" in grads
     if params.is_moe:
         p, route, pe = (ctx[k] for k in ("p", "route", "pe"))
         du = (h > 0) * (pe[:, None] * dh)  # h > 0 exactly where relu is (pe > 0)
-        # softmax jacobian row e: dp_e/dlogit_j = p_e (1[e==j] - p_j); h = p_e relu(u)
-        onehot = route[:, None] == np.arange(p.shape[1])
-        dlogits = np.sum(h * dh, axis=1)[:, None] * (onehot - p)
-        grads["gate"] += x.T @ dlogits
-        dx = dtable + dlogits @ params.gate.T
+        if want_dx or "gate" in grads:
+            # softmax jacobian row e: dp_e/dlogit_j = p_e (1[e==j] - p_j); h = p_e relu(u)
+            onehot = route[:, None] == np.arange(p.shape[1])
+            dlogits = np.sum(h * dh, axis=1)[:, None] * (onehot - p)
+            add("gate", lambda: x.T @ dlogits)
+        dx = dtable + dlogits @ params.gate.T if want_dx else None
         for e, rows in ctx["groups"]:
-            grads[f"b_up.{e}"] += du[rows].sum(axis=0)
-            grads[f"w_up.{e}"] += x[rows].T @ du[rows]
-            dx[rows] += du[rows] @ params.w_up[e].T
+            add(f"b_up.{e}", lambda: du[rows].sum(axis=0))
+            add(f"w_up.{e}", lambda: x[rows].T @ du[rows])
+            if want_dx:
+                dx[rows] += du[rows] @ params.w_up[e].T
     else:
         du = (h > 0) * dh
-        grads["b_up"] += du.sum(axis=0)
-        grads["w_up"] += x.T @ du
-        dx = dtable + du @ params.w_up.T  # residual path plus the block
-    grads["embedding"][ctx["uniq"]] += dx  # ids are unique: no repeated-index scatter
+        add("b_up", lambda: du.sum(axis=0))
+        add("w_up", lambda: x.T @ du)
+        dx = dtable + du @ params.w_up.T if want_dx else None  # residual path plus the block
+    if want_dx:
+        grads["embedding"][ctx["uniq"]] += dx  # ids are unique: no repeated-index scatter
 
 
 def encode_texts(params: EncoderParams, config: EncoderConfig, texts: list[str]) -> np.ndarray:
@@ -346,7 +360,8 @@ def save_checkpoint(params: EncoderParams, config: EncoderConfig, path: str | Pa
                          "dtype": "<f8",
                          "data": base64.b64encode(raw).decode("ascii")}
     doc = {"format": CHECKPOINT_FORMAT, "config": config.to_dict(), "tensors": tensors}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:

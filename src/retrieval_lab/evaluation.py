@@ -21,6 +21,7 @@ from .encoder import encode  # unused here; perfbench/tracer.py wraps evaluation
 from .encoder import EncoderConfig, EncoderParams, encode_texts
 from .mining import RankedList, build_index, search_many
 from .mining import search_top_k  # unused here; perfbench/tracer.py wraps evaluation.search_top_k
+from .numerics import _atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +93,7 @@ def evaluate(params: EncoderParams, config: EncoderConfig, corpus: list[Document
 
 def save_run(run: RetrievalRun, path: str | Path) -> None:
     """TSV dump: query_id, rank (1-based), doc_id, score per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for qid in sorted(run):
             for rank, (doc_id, score) in enumerate(run[qid], start=1):
                 fh.write(f"{qid}\t{rank}\t{doc_id}\t{score!r}\n")
@@ -116,8 +117,8 @@ def load_run(path: str | Path) -> RetrievalRun:
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def load_report(path: str | Path) -> EvalReport:

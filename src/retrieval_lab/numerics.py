@@ -1,12 +1,17 @@
-"""Dense float64 primitives shared by every other module.
+"""Dense float64 primitives shared by every other module, plus the atomic
+file write every output goes through.
 
 Vectors are 1-D ``numpy.float64`` arrays, matrices 2-D row-major. All
-operations are pure functions; random state is carried explicitly by a
+numeric operations are pure functions; random state is carried explicitly by a
 ``numpy.random.Generator`` seeded with PCG64 (numpy's ``default_rng``),
 which produces the same stream on every platform for a given seed.
 """
 
 from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -105,3 +110,19 @@ def seeded_init(rng: np.random.Generator, rows: int, cols: int, scale: float) ->
     if rows < 1 or cols < 1:
         raise ValueError(f"rows and cols must be positive, got {rows}x{cols}")
     return (rng.random((rows, cols)) * 2.0 - 1.0) * scale
+
+
+@contextmanager
+def _atomic_open(path: str | Path):
+    """Text handle on a temporary file beside ``path`` that replaces ``path`` in
+    one ``os.replace`` when the block exits cleanly and is removed when it raises,
+    so readers see the old file or the whole new one, never a partial write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

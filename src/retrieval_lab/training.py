@@ -8,6 +8,13 @@ gradients. They are averaged over the group before the optimizer step, so
 the learning-rate scale does not change with the accumulation count. A
 partial group left over at the end of an epoch still steps, averaged over
 its actual size.
+
+Freezing is done by skipping: the group's gradient dict holds only the
+tensors the freeze mode leaves trainable, so the backward never computes a
+frozen tensor's gradient and Adam never touches it. Within a trainable
+tensor Adam updates only the rows that have ever had a nonzero gradient
+(for the embedding, the ids the training texts use); every other row would
+move by exactly zero, so the result equals dense Adam bit for bit.
 """
 
 from __future__ import annotations
@@ -62,11 +69,13 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam first/second moment accumulators plus the step counter."""
+    """Adam first/second moment accumulators, the step counter and, per tensor,
+    the rows that have ever had a nonzero gradient (the only rows Adam moves)."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
+    touched: dict[str, np.ndarray] = field(default_factory=dict)
 
     @staticmethod
     def init(params: EncoderParams) -> "OptimizerState":
@@ -81,37 +90,48 @@ class TrainResult:
 
 def adam_step(params: EncoderParams, grads: dict[str, np.ndarray],
               state: OptimizerState, lr: float) -> tuple[EncoderParams, OptimizerState]:
-    """One bias-corrected Adam update, applied to the tensors in place."""
+    """One bias-corrected Adam update, applied in place to the tensors in ``grads``.
+
+    A row whose gradient, ``m`` and ``v`` have always been zero would move
+    by exactly ``lr * 0 / (0 + eps) = +0``, so only rows that have ever had
+    a nonzero gradient are updated; the result equals the dense update bit
+    for bit. Tensors missing from ``grads`` are frozen and skipped.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, tensor in params.named_tensors().items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+    tensors = params.named_tensors()
+    for name, g in grads.items():
+        touched = state.touched.setdefault(name, np.zeros(len(g), dtype=bool))
+        touched |= np.any(g.reshape(len(g), -1) != 0, axis=1)
+        rows = slice(None) if touched.all() else np.flatnonzero(touched)
+        g, m, v = g[rows], state.m[name][rows], state.v[name][rows]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        tensor -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        state.m[name][rows], state.v[name][rows] = m, v
+        tensors[name][rows] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
+
+
+def _trainable(tensors: dict[str, np.ndarray], mode: FreezeMode) -> list[str]:
+    """Names of the tensors ``mode`` leaves trainable; every other tensor is frozen."""
+    if mode == FreezeMode.MOE_ONLY and "gate" not in tensors:
+        raise ValueError("freeze mode moe_only requires MoE parameters")
+    if mode == FreezeMode.FULL:
+        return list(tensors)
+    kept = ("w_up", "b_up") if mode == FreezeMode.INTERMEDIATE_ONLY else ("w_up", "b_up", "gate")
+    return [name for name in tensors if name.startswith(kept)]
 
 
 def apply_freeze(grads: dict[str, np.ndarray], mode: FreezeMode) -> dict[str, np.ndarray]:
     """Zero the gradients of every tensor outside the trainable set."""
     if mode == FreezeMode.FULL:
         return grads
-    if mode == FreezeMode.MOE_ONLY and "gate" not in grads:
-        raise ValueError("freeze mode moe_only requires MoE parameters")
-
-    def trainable(name: str) -> bool:
-        if mode == FreezeMode.INTERMEDIATE_ONLY:
-            return name.startswith("w_up") or name.startswith("b_up")
-        return name.startswith(("w_up", "b_up")) or name == "gate"
-
-    return {name: (g if trainable(name) else np.zeros_like(g))
-            for name, g in grads.items()}
+    kept = _trainable(grads, mode)
+    return {name: (g if name in kept else np.zeros_like(g)) for name, g in grads.items()}
 
 
 def _example_loss(example: TrainingExample, vecs: np.ndarray, cfg: TrainConfig,
@@ -175,6 +195,8 @@ def train(params: EncoderParams, config: EncoderConfig,
 
     params = params.copy()
     params.check_shapes(config)
+    tensors = params.named_tensors()
+    trainable = _trainable(tensors, cfg.freeze)
     state = OptimizerState.init(params)
     rng = make_rng(cfg.seed)
     trace: list[float] = []
@@ -189,7 +211,7 @@ def train(params: EncoderParams, config: EncoderConfig,
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), cfg.grad_accum_steps):
             group = [dataset[int(idx)] for idx in order[start:start + cfg.grad_accum_steps]]
-            accum = zero_grads(params)
+            accum = {name: np.zeros_like(tensors[name]) for name in trainable}
             trace += _group_grads(params, config, group, cfg, accum, len(trace))
             _optimizer_step(params, accum, len(group), state, cfg)
     return TrainResult(params=params, loss_trace=trace)
@@ -197,9 +219,9 @@ def train(params: EncoderParams, config: EncoderConfig,
 
 def _optimizer_step(params: EncoderParams, accum: dict[str, np.ndarray],
                     count: int, state: OptimizerState, cfg: TrainConfig) -> None:
-    mean_grads = {name: g / count for name, g in accum.items()}
-    masked = apply_freeze(mean_grads, cfg.freeze)
-    adam_step(params, masked, state, cfg.learning_rate)
+    for g in accum.values():
+        g /= count
+    adam_step(params, accum, state, cfg.learning_rate)
 
 
 def _require_neg_queries(dataset: list[TrainingExample]) -> None:

@@ -360,7 +360,7 @@ steps = [["synth", "--clusters", "3", "--docs-per-cluster", "6", "--queries-per-
 bundle = [arg for flag, name in [("--corpus", "corpus.jsonl"), ("--queries", "queries.jsonl"),
                                  ("--qrels", "qrels.tsv"), ("--neg-query-map", "neg_queries.jsonl")]
           for arg in (flag, out + "/data/" + name)]
-for preset in ("ance-clp", "ance-clp-moe-intermediate"):
+for preset in ("ance-clp", "ance-clp-intermediate", "ance-clp-moe-intermediate"):
     steps += [["mine", "--preset", preset, "--k", "4", "--init-seed", "1", *bundle,
                "--outdir", out + "/mine-" + preset],
               ["train", "--preset", preset,
@@ -386,5 +386,6 @@ class TestBlasThreadDeterminism:
             assert result.returncode == 0, result.stderr
             digests.append([hashlib.sha256((out / f"train-{p}" / "checkpoint.json")
                                            .read_bytes()).hexdigest()
-                            for p in ("ance-clp", "ance-clp-moe-intermediate")])
+                            for p in ("ance-clp", "ance-clp-intermediate",
+                                      "ance-clp-moe-intermediate")])
         assert digests[0] == digests[1]

@@ -426,6 +426,43 @@ class TestTokenTable:
         assert encode_texts(params, config, []).shape == (0, 4)
 
 
+# trainable sets of the freeze modes, plus two subsets that split the gate
+# from the input-gradient chain
+_SUBSETS = {
+    "full": lambda name: True,
+    "intermediate_only": lambda name: name.startswith(("w_up", "b_up")),
+    "moe_only": lambda name: name.startswith(("w_up", "b_up", "gate")),
+    "all_but_gate": lambda name: name != "gate",
+    "gate_and_down": lambda name: name in ("gate", "w_down", "b_down"),
+}
+
+
+class TestPartialBackward:
+    @pytest.mark.parametrize("moe", [False, True])
+    @pytest.mark.parametrize("subset", sorted(_SUBSETS))
+    def test_partial_dict_matches_full_dict_bitwise(self, moe, subset):
+        make = _moe_instance if moe else _dense_instance
+        params, config = make(43, vocab=64, d_model=8, d_int=16)
+        upstreams = make_rng(43).standard_normal((len(_BATCH), 8))
+        ctx = _forward(params, config, _BATCH)[1]
+        full = zero_grads(params)
+        _backward(params, ctx, upstreams, full)
+        names = [name for name in full if _SUBSETS[subset](name)]
+        partial = {name: np.zeros_like(full[name]) for name in names}
+        _backward(params, ctx, upstreams, partial)
+        assert list(partial) == names  # nothing frozen was added
+        for name in names:
+            assert np.any(full[name] != 0.0), name
+            assert partial[name].tobytes() == full[name].tobytes(), name
+
+    def test_empty_dict_stays_empty(self):
+        params, config = _moe_instance(43, vocab=64, d_model=8, d_int=16)
+        grads = {}
+        _backward(params, _forward(params, config, _BATCH)[1],
+                  np.ones((len(_BATCH), 8)), grads)
+        assert grads == {}
+
+
 class TestCheckpointValidation:
     def _doc(self, tmp_path):
         params, config = _dense_instance(46)

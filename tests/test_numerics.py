@@ -1,11 +1,16 @@
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retrieval_lab.data import Document, save_id_text
+from retrieval_lab.evaluation import save_run
 from retrieval_lab.numerics import (
+    _atomic_open,
     cosine_similarity,
     cosine_similarity_grad,
     l2_normalize,
@@ -164,3 +169,43 @@ class TestSeededInit:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             seeded_init(make_rng(0), 0, 3, 1.0)
+
+
+class TestAtomicOpen:
+    def test_clean_exit_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with _atomic_open(path) as fh:
+            fh.write("new\n")
+            assert path.read_bytes() == b"old\n"  # nothing visible before the block ends
+        assert path.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_error_inside_the_block_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError, match="boom"):
+            with _atomic_open(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("boom")
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_writer_failing_partway_keeps_the_old_file(self, tmp_path):
+        # the first line reaches the temporary file before the second fails
+        path = tmp_path / "corpus.jsonl"
+        save_id_text([Document("d1", "alpha"), Document("d2", "beta")], path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_id_text([Document("d1", "gamma"), SimpleNamespace(id="d2", text={1})], path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+    def test_run_dump_failing_partway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "run.tsv"
+        save_run({"q1": [("d1", 0.5)]}, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_run({"q1": [("d1", 0.25)], "q2": [("d1", 0.5, "extra")]}, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["run.tsv"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from retrieval_lab.data import SynthSpec, TrainingExample, synth_generate
-from retrieval_lab import training
+from retrieval_lab import cli, training
 from retrieval_lab.encoder import (
     EncoderConfig,
     MoEConfig,
@@ -330,3 +330,126 @@ class TestGroupPass:
         for name, tensor in expected.named_tensors().items():
             np.testing.assert_allclose(result.params.named_tensors()[name], tensor,
                                        rtol=0, atol=1e-12, err_msg=name)
+
+
+def dense_adam(tensors, grads, m, v, t, lr):
+    """Adam written out over every entry of every tensor: no row mask, no skips."""
+    bc1 = 1.0 - 0.9 ** t
+    bc2 = 1.0 - 0.999 ** t
+    for name, tensor in tensors.items():
+        g = grads[name]
+        m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+        v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
+        tensor -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+
+
+def assert_same_bits(actual, expected, name):
+    assert np.array_equal(actual, expected), name
+    assert np.array_equal(np.signbit(actual), np.signbit(expected)), name
+
+
+def reference_train(params, config, dataset, cfg, refresh_fn=None):
+    """train() the old way: a full zero_grads dict per group, g / count,
+    apply_freeze and dense Adam over every tensor."""
+    params = params.copy()
+    tensors = params.named_tensors()
+    m, v = zero_grads(params), zero_grads(params)
+    rng = make_rng(cfg.seed)
+    trace, t = [], 0
+    for _ in range(cfg.epochs):
+        if refresh_fn is not None:
+            dataset = refresh_fn(params)
+        order = rng.permutation(len(dataset))
+        for start in range(0, len(order), cfg.grad_accum_steps):
+            group = [dataset[int(i)] for i in order[start:start + cfg.grad_accum_steps]]
+            accum = zero_grads(params)
+            trace += training._group_grads(params, config, group, cfg, accum, len(trace))
+            t += 1
+            mean = apply_freeze({name: g / len(group) for name, g in accum.items()}, cfg.freeze)
+            dense_adam(tensors, mean, m, v, t, cfg.learning_rate)
+    return params, trace
+
+
+class TestSparseAdam:
+    def test_ever_touched_rows_match_dense_oracle(self):
+        # Row 1's gradients 1, 2 then -0.9, -1.8 cancel its m to exactly 0
+        # while v stays positive, so a "m is nonzero now" rule would stop
+        # decaying v before its next gradient at step 40. (Plain decay does
+        # not get there: under round-to-nearest 0.9 * m sticks at a few
+        # subnormal ulps.) Row 0 is touched at step 1 only, then decays
+        # for 7,299 steps.
+        config = EncoderConfig(vocab_size=6, d_model=2, d_intermediate=2)
+        params = init_params(config, 0)
+        params.embedding[3:5] = -0.0  # row 3 is never touched, row 4 only in column 0
+        oracle = params.copy()
+        expected = oracle.named_tensors()
+        m, v = zero_grads(oracle), zero_grads(oracle)
+        state = OptimizerState.init(params)
+        rng = make_rng(7)
+        sporadic = {2: [1.0, 2.0], 3: [-0.9, -1.8], 40: None, 7_200: None}
+        for t in range(1, 7_301):
+            g = np.zeros_like(params.embedding)
+            if t == 1:
+                g[0] = [-0.7, 1.3]
+                g[4, 0] = -1.5
+            if t in sporadic:
+                g[1] = sporadic[t] if sporadic[t] else rng.standard_normal(2)
+            adam_step(params, {"embedding": g}, state, lr=1e-3)
+            dense_adam(expected, {**zero_grads(oracle), "embedding": g}, m, v, t, 1e-3)
+            if t == 3:
+                assert np.all(m["embedding"][1] == 0.0) and np.all(v["embedding"][1] > 0.0)
+        assert np.signbit(params.embedding[3:5]).tolist() == [[True, True], [False, True]]
+        for name, tensor in params.named_tensors().items():
+            assert_same_bits(tensor, expected[name], name)
+        assert state.step == 7_300
+
+    @pytest.mark.parametrize("moe, freeze", [(False, FreezeMode.INTERMEDIATE_ONLY),
+                                             (True, FreezeMode.INTERMEDIATE_ONLY),
+                                             (True, FreezeMode.MOE_ONLY)])
+    def test_frozen_tensors_zeroed_or_left_out_agree(self, moe, freeze):
+        params, _ = tiny_encoder(moe=moe)
+        ones = {name: np.ones_like(t) for name, t in params.named_tensors().items()}
+        trainable = [name for name, g in apply_freeze(ones, freeze).items() if g.any()]
+        zeroed, left_out = params.copy(), params.copy()
+        state_zeroed, state_left_out = OptimizerState.init(zeroed), OptimizerState.init(left_out)
+        rng = make_rng(3)
+        for _ in range(5):
+            grads = {name: rng.standard_normal(t.shape) * (rng.random(t.shape) < 0.3)
+                     for name, t in params.named_tensors().items()}
+            adam_step(zeroed, apply_freeze(grads, freeze), state_zeroed, lr=1e-2)
+            adam_step(left_out, {name: grads[name] for name in trainable}, state_left_out,
+                      lr=1e-2)
+        for name, tensor in left_out.named_tensors().items():
+            assert_same_bits(tensor, zeroed.named_tensors()[name], name)
+        assert params_bytes(left_out) != params_bytes(params)
+
+
+def _ance_refresh(config):
+    """Re-mines 4 ANCE negatives per query of a tiny synth from the live params."""
+    spec = SynthSpec(num_clusters=2, docs_per_cluster=6, queries_per_cluster=3,
+                     vocab_per_cluster=15, noise_rate=0.1, doc_words=12, query_words=4)
+    ds = synth_generate(spec, 0)
+    rng = make_rng(2)
+    return lambda current: cli._mine_dataset(ds.corpus, ds.queries, ds.qrels, ds.neg_query_map,
+                                             current, config, "ance", 4, rng)
+
+
+class TestTrainMatchesFullPath:
+    @pytest.mark.parametrize("refresh", [False, True])
+    @pytest.mark.parametrize("moe, freeze", [(False, FreezeMode.FULL),
+                                             (False, FreezeMode.INTERMEDIATE_ONLY),
+                                             (True, FreezeMode.INTERMEDIATE_ONLY),
+                                             (True, FreezeMode.MOE_ONLY)])
+    def test_params_and_trace_bitwise(self, moe, freeze, refresh):
+        params, config = tiny_encoder(moe=moe, seed=2)
+        dataset = tiny_dataset(n=6)  # groups of 4 and 2: the partial group steps too
+        cfg = TrainConfig(learning_rate=1e-2, epochs=2, grad_accum_steps=4, loss="clp",
+                          loss_cfg=LossConfig(lam=0.3), freeze=freeze, seed=5)
+        result = train(params, config, dataset, cfg,
+                       refresh_fn=_ance_refresh(config) if refresh else None)
+        expected, trace = reference_train(params, config, dataset, cfg,
+                                          refresh_fn=_ance_refresh(config) if refresh else None)
+        assert result.loss_trace == trace
+        for name, tensor in result.params.named_tensors().items():
+            assert_same_bits(tensor, expected.named_tensors()[name], name)
+        assert params_bytes(result.params) != params_bytes(params)
