@@ -169,64 +169,26 @@ def _load_bundle(opts: Options):
     return corpus, queries, qrels, neg_query_map
 
 
-def _mine_dataset(corpus, queries, qrels, neg_query_map, params, config,
-                  strategy: str, k: int, rng) -> list[data_mod.TrainingExample]:
-    if strategy not in ("ance", "random"):
-        raise CliError(f"strategy must be 'ance' or 'random', got {strategy!r}")
-    doc_by_id = {doc.id: doc for doc in corpus}
-    mineable = []  # (query, sorted relevant ids, relevant set)
-    for query in queries:
-        relevant_set = qrels.relevant_docs(query.id)
-        relevant = sorted(relevant_set)
-        if not relevant:
-            print(f"warning: query {query.id} has no relevant document; skipped",
-                  file=sys.stderr)
-            continue
-        for doc_id in relevant:
-            if doc_id not in doc_by_id:
-                raise CliError(f"qrels references unknown doc_id {doc_id!r} "
-                               f"for query {query.id}")
-        mineable.append((query, relevant, relevant_set))
-    if not mineable:
-        raise CliError("no mineable queries (qrels empty or ids mismatched)")
-    if strategy == "ance":
-        index = mining.build_index(corpus, params, config)
-        neg_lists = mining.mine_ance_negatives_many(
-            index, params, config, [query.text for query, _, _ in mineable],
-            [relevant_set for _, _, relevant_set in mineable], k)
-    else:
-        neg_lists = mining.mine_random_negatives_many(
-            list(doc_by_id), [relevant[0] for _, relevant, _ in mineable], k, rng)
-    examples = []
-    for (query, relevant, relevant_set), neg_ids in zip(mineable, neg_lists):
-        # Random draws exclude only the first relevant doc.
-        neg_ids = [nid for nid in neg_ids if nid not in relevant_set]
-        neg_queries = None
-        if neg_query_map is not None:
-            missing = [nid for nid in neg_ids if nid not in neg_query_map]
-            if missing:
-                raise CliError(f"neg-query map missing entries for {missing[:3]}")
-            neg_queries = [neg_query_map[nid] for nid in neg_ids]
-        examples.append(data_mod.TrainingExample(
-            query=query.text,
-            pos=[doc_by_id[d].text for d in relevant],
-            neg=[doc_by_id[nid].text for nid in neg_ids],
-            neg_queries=neg_queries,
-        ))
-    return examples
+def _miner(opts: Options):
+    """The mining step of ``mine`` and of ``train --refresh-per-epoch``: loads
+    the bundle once and returns the strategy and ``(params, config) -> examples``."""
+    corpus, queries, qrels, neg_query_map = _load_bundle(opts)
+    strategy = opts.get("strategy", "ance")
+    k = int(opts.get("k", mining.DEFAULT_NEGATIVES))
+    rng = make_rng(int(opts.get("seed", 0)))
+
+    def mine(params, config):
+        return mining.mine_dataset(corpus, queries, qrels, neg_query_map,
+                                   params, config, strategy, k, rng)
+
+    return strategy, mine
 
 
 def cmd_mine(ns: argparse.Namespace) -> int:
     opts = Options(ns)
-    corpus, queries, qrels, neg_query_map = _load_bundle(opts)
-    strategy = opts.get("strategy", "ance")
-    k = int(opts.get("k", mining.DEFAULT_NEGATIVES))
-    params = config = None
-    if strategy == "ance":
-        params, config = _load_or_init_params(opts)
-    rng = make_rng(int(opts.get("seed", 0)))
-    examples = _mine_dataset(corpus, queries, qrels, neg_query_map,
-                             params, config, strategy, k, rng)
+    strategy, mine = _miner(opts)
+    params, config = _load_or_init_params(opts) if strategy == "ance" else (None, None)
+    examples = mine(params, config)
     outdir = _outdir(opts)
     data_mod.save_train_set(examples, outdir / "train.jsonl")
     _write_hashes(outdir, ["train.jsonl"])
@@ -264,14 +226,10 @@ def cmd_train(ns: argparse.Namespace) -> int:
     dataset_hash = None
     refresh_fn = None
     if refresh:
-        corpus, queries, qrels, neg_query_map = _load_bundle(opts)
-        strategy = opts.get("strategy", "ance")
-        k = int(opts.get("k", mining.DEFAULT_NEGATIVES))
-        mine_rng = make_rng(cfg.seed)
+        _, mine = _miner(opts)
 
         def refresh_fn(current_params):
-            return _mine_dataset(corpus, queries, qrels, neg_query_map,
-                                 current_params, config, strategy, k, mine_rng)
+            return mine(current_params, config)
 
         dataset_hash = _sha256(Path(opts.get("corpus")))
     else:

@@ -155,15 +155,26 @@ def save_qrels(qrels: Qrels, path: str | Path) -> None:
             fh.write(f"{qid}\t{did}\t{rel}\n")
 
 
+def _as_list(value, name: str) -> list:
+    """``value`` if it is a JSON array; a string or any other value is rejected."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
 def load_train_set(path: str | Path) -> list[TrainingExample]:
     examples = []
     for lineno, obj in _read_jsonl(path):
         try:
+            neg_queries = obj.get("neg_queries")
+            if neg_queries is not None:
+                neg_queries = [_as_list(qs, f"neg_queries[{j}]")
+                               for j, qs in enumerate(_as_list(neg_queries, "neg_queries"))]
             example = TrainingExample(
                 query=obj["query"],
-                pos=list(obj["pos"]),
-                neg=list(obj.get("neg", [])),
-                neg_queries=obj.get("neg_queries"),
+                pos=_as_list(obj["pos"], "pos"),
+                neg=_as_list(obj.get("neg", []), "neg"),
+                neg_queries=neg_queries,
             )
         except (KeyError, ValueError, TypeError) as err:
             raise ValueError(f"{path}:{lineno}: invalid training example ({err})") from err
@@ -185,6 +196,9 @@ def load_neg_query_map(path: str | Path) -> dict[str, list[str]]:
         queries = obj.get("queries")
         if not doc_id or not queries:
             raise ValueError(f"{path}:{lineno}: need nonempty doc_id and queries")
+        if not isinstance(queries, list):
+            raise ValueError(f"{path}:{lineno}: queries must be a list, "
+                             f"got {type(queries).__name__}")
         if doc_id in mapping:
             raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
         mapping[doc_id] = [str(q) for q in queries]

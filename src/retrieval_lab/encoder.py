@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import NORM_FLOOR, _atomic_open, as_matrix, as_vector, make_rng, seeded_init
+from .numerics import (NORM_FLOOR, _atomic_open, _reading, as_matrix, as_vector, make_rng,
+                       seeded_init)
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -365,32 +366,33 @@ def save_checkpoint(params: EncoderParams, config: EncoderConfig, path: str | Pa
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    config = EncoderConfig.from_dict(doc["config"])
+    with _reading(path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if doc.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+        config = EncoderConfig.from_dict(doc["config"])
 
-    def tensor(name: str) -> np.ndarray:
-        entry = doc["tensors"].get(name)
-        if entry is None:
-            raise ValueError(f"{path}: tensor {name!r} is missing")
-        raw, shape = base64.b64decode(entry["data"]), entry["shape"]
-        if len(raw) != 8 * int(np.prod(shape)):
-            raise ValueError(f"{path}: tensor {name!r} has {len(raw)} bytes for shape {shape}")
-        t = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        if not np.all(np.isfinite(t)):
-            raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
-        return t
+        def tensor(name: str) -> np.ndarray:
+            entry = doc["tensors"].get(name)
+            if entry is None:
+                raise ValueError(f"{path}: tensor {name!r} is missing")
+            raw, shape = base64.b64decode(entry["data"]), entry["shape"]
+            if len(raw) != 8 * int(np.prod(shape)):
+                raise ValueError(f"{path}: tensor {name!r} has {len(raw)} bytes for shape {shape}")
+            t = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.all(np.isfinite(t)):
+                raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
+            return t
 
-    if config.moe is not None:
-        w_up = [tensor(f"w_up.{e}") for e in range(config.moe.num_experts)]
-        b_up = [tensor(f"b_up.{e}") for e in range(config.moe.num_experts)]
-        gate = tensor("gate")
-    else:
-        w_up = tensor("w_up")
-        b_up = tensor("b_up")
-        gate = None
-    params = EncoderParams(tensor("embedding"), w_up, b_up,
-                           tensor("w_down"), tensor("b_down"), gate)
-    params.check_shapes(config)
-    return params, config
+        if config.moe is not None:
+            w_up = [tensor(f"w_up.{e}") for e in range(config.moe.num_experts)]
+            b_up = [tensor(f"b_up.{e}") for e in range(config.moe.num_experts)]
+            gate = tensor("gate")
+        else:
+            w_up = tensor("w_up")
+            b_up = tensor("b_up")
+            gate = None
+        params = EncoderParams(tensor("embedding"), w_up, b_up,
+                               tensor("w_down"), tensor("b_down"), gate)
+        params.check_shapes(config)
+        return params, config

@@ -21,7 +21,7 @@ from .encoder import encode  # unused here; perfbench/tracer.py wraps evaluation
 from .encoder import EncoderConfig, EncoderParams, encode_texts
 from .mining import RankedList, build_index, search_many
 from .mining import search_top_k  # unused here; perfbench/tracer.py wraps evaluation.search_top_k
-from .numerics import _atomic_open
+from .numerics import _atomic_open, _reading
 
 log = logging.getLogger(__name__)
 
@@ -109,10 +109,14 @@ def load_run(path: str | Path) -> RetrievalRun:
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
             qid, rank, doc_id, score = parts
+            try:
+                rank, score = int(rank), float(score)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
             entries = run.setdefault(qid, [])
-            if int(rank) != len(entries) + 1:
+            if rank != len(entries) + 1:
                 raise ValueError(f"{path}:{lineno}: ranks must be contiguous from 1")
-            entries.append((doc_id, float(score)))
+            entries.append((doc_id, score))
     return run
 
 
@@ -122,9 +126,10 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    return EvalReport(method=d["method"], dataset=d["dataset"], k=d["k"],
-                      per_query=d["per_query"], mean_ndcg=d["mean_ndcg"])
+    with _reading(path):
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+        return EvalReport(method=d["method"], dataset=d["dataset"], k=d["k"],
+                          per_query=d["per_query"], mean_ndcg=d["mean_ndcg"])
 
 
 def compare_methods(reports: list[EvalReport]) -> tuple[str, str]:

@@ -3,9 +3,11 @@
 Two losses: the standard softmax cross-entropy contrastive loss over
 (query, positive, hard negatives), and a penalty-augmented variant that
 additionally keeps each hard negative close to its own positive queries.
-Both operate purely on embeddings; encoding happens elsewhere. Every
-embedding has unit norm (one row-wise check per field), so a cosine is a
-dot product: the scores are ``[pos; negs] @ q``, the penalty is
+Both operate purely on embeddings; encoding happens elsewhere. Each loss has
+one implementation, its gradient call, which computes the loss in the same
+pass and returns it as ``BatchGrads.loss``; ``cl_loss``/``clp_loss`` read
+that field. Every embedding has unit norm (one row-wise check per field), so
+a cosine is a dot product: the scores are ``[pos; negs] @ q``, the penalty is
 ``mean_j (1 - mean(Q_j @ n_j))``, and a score ``s = a · b`` with upstream
 ``g`` sends ``g (b - s a)`` to ``a``, the partial of cosine at unit norm.
 """
@@ -16,8 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# cosine_similarity(_grad): unused here; perfbench/tracer.py wraps losses.cosine_similarity(_grad)
-from .numerics import as_vector, cosine_similarity, cosine_similarity_grad
+from .numerics import (
+    as_vector,
+    cosine_similarity,  # unused here; perfbench/tracer.py wraps losses.cosine_similarity
+    cosine_similarity_grad,  # unused here; perfbench/tracer.py wraps losses.cosine_similarity_grad
+)
 
 _UNIT_TOL = 1e-9
 
@@ -75,12 +80,14 @@ class ContrastiveBatch:
 
 @dataclass
 class BatchGrads:
-    """Gradients aligned with ContrastiveBatch fields."""
+    """Gradients aligned with ContrastiveBatch fields, and the loss they are the
+    gradients of (NaN when built by hand without one)."""
 
     query_emb: np.ndarray
     pos_emb: np.ndarray
     neg_embs: np.ndarray
     neg_query_embs: list[np.ndarray] | None = None
+    loss: float = float("nan")
 
 
 def _matrix(rows, dim: int, name: str) -> np.ndarray:
@@ -107,21 +114,18 @@ def _check_unit(m: np.ndarray, row_name) -> None:
         raise ValueError(f"{row_name(i)} must be unit norm, got |v| = {norms[i]}")
 
 
-def _log_softmax_first(scores: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-    """-log softmax(scores/tau)[0] and the softmax probabilities, through a
-    max-subtracted log-sum-exp so extreme temperatures stay finite."""
-    z = scores / tau
-    m = float(np.max(z))
-    e = np.exp(z - m)
-    total = np.sum(e)
-    return m + float(np.log(total)) - float(z[0]), e / total
-
-
 def cl_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:
     """Softmax cross-entropy pulling the query to the positive, away from negatives."""
-    scores = np.vstack([batch.pos_emb, batch.neg_embs]) @ batch.query_emb
-    loss, _ = _log_softmax_first(scores, cfg.tau)
-    return loss
+    return cl_loss_grad(batch, cfg).loss
+
+
+def clp_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:
+    """(1 - lam) * contrastive loss + lam * negative-query penalty.
+
+    The penalty is the mean over negatives of (1 - mean similarity to their
+    own positive queries): bounded in [0, 2], and 0 when there are no negatives.
+    """
+    return clp_loss_grad(batch, cfg).loss
 
 
 def _penalty_rows(batch: ContrastiveBatch) -> tuple[np.ndarray, ...]:
@@ -136,52 +140,43 @@ def _penalty_rows(batch: ContrastiveBatch) -> tuple[np.ndarray, ...]:
     return owner, negs, queries, sims, 1.0 / (counts.size * counts[owner])
 
 
-def _require_neg_queries(batch: ContrastiveBatch) -> None:
-    if batch.neg_query_embs is None or any(len(qs) == 0 for qs in batch.neg_query_embs):
-        raise ValueError("CLP requires negative-query embeddings")
-
-
-def clp_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:
-    """(1 - lam) * contrastive loss + lam * negative-query penalty.
-
-    The penalty is the mean over negatives of (1 - mean similarity to their
-    own positive queries): bounded in [0, 2], and 0 when there are no negatives.
-    """
-    _require_neg_queries(batch)
-    *_, sims, weights = _penalty_rows(batch)
-    return (1.0 - cfg.lam) * cl_loss(batch, cfg) + cfg.lam * float(weights @ (1.0 - sims))
-
-
 def cl_loss_grad(batch: ContrastiveBatch, cfg: LossConfig) -> BatchGrads:
-    """Analytic gradients of cl_loss w.r.t. query, positive and negatives."""
+    """cl_loss and its analytic gradients w.r.t. query, positive and negatives; the
+    log-sum-exp subtracts the max so extreme temperatures stay finite."""
     q = batch.query_emb
     docs = np.vstack([batch.pos_emb, batch.neg_embs])
     scores = docs @ q
-    _, probs = _log_softmax_first(scores, cfg.tau)
+    z = scores / cfg.tau
+    m = float(np.max(z))
+    e = np.exp(z - m)
+    total = np.sum(e)
     # d loss / d score_i = (p_i - 1[i == 0]) / tau
-    ds = probs.copy()
+    ds = e / total
     ds[0] -= 1.0
     ds /= cfg.tau
     d_docs = ds[:, None] * (q - scores[:, None] * docs)
-    return BatchGrads(ds @ docs - (ds @ scores) * q, d_docs[0], d_docs[1:])
+    return BatchGrads(ds @ docs - (ds @ scores) * q, d_docs[0], d_docs[1:],
+                      loss=m + float(np.log(total)) - float(z[0]))
 
 
 def clp_loss_grad(batch: ContrastiveBatch, cfg: LossConfig) -> BatchGrads:
-    """Analytic gradients of clp_loss; negatives receive contributions from
-    both the contrastive term and the penalty term.
+    """clp_loss and its analytic gradients; negatives receive contributions
+    from both the contrastive term and the penalty term.
 
-    With lam == 0 the contrastive gradient path is returned untouched
+    With lam == 0 the contrastive loss and gradients are returned untouched
     (bit-identical to cl_loss_grad) and all negative-query gradients are zero.
     """
-    _require_neg_queries(batch)
+    if batch.neg_query_embs is None or any(len(qs) == 0 for qs in batch.neg_query_embs):
+        raise ValueError("CLP requires negative-query embeddings")
     grads = cl_loss_grad(batch, cfg)
     if cfg.lam == 0.0:
         grads.neg_query_embs = [np.zeros_like(qs) for qs in batch.neg_query_embs]
         return grads
 
+    owner, negs, queries, sims, weights = _penalty_rows(batch)
+    grads.loss = (1.0 - cfg.lam) * grads.loss + cfg.lam * float(weights @ (1.0 - sims))
     for g in (grads.query_emb, grads.pos_emb, grads.neg_embs):
         g *= 1.0 - cfg.lam
-    owner, negs, queries, sims, weights = _penalty_rows(batch)
     ds = (-cfg.lam * weights)[:, None]  # d loss / d sim of each row
     np.add.at(grads.neg_embs, owner, ds * (queries - sims[:, None] * negs))
     # one (m_j, d) block per negative; the piece after the last end is empty

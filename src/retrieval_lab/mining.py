@@ -6,20 +6,24 @@ trivial. ``search_many`` scores a block of queries against every document
 with one matmul, at most ``_BLOCK_SCORES`` scores per block, and ranks each
 row by (descending score, ascending doc id). Hard negatives come from the
 top-ranked documents outside each query's relevant set under the current
-model; random negatives are a uniform sample. The single-query functions
-are one-query calls of the batched ones.
+model; random negatives are a uniform sample of the documents outside it.
+The single-query functions are one-query calls of the batched ones, and
+``mine_dataset`` turns judged queries into training examples with either.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Document
+from .data import Document, Qrels, Query, TrainingExample
 from .encoder import encode  # unused here; perfbench/tracer.py wraps mining.encode
 from .encoder import EncoderConfig, EncoderParams, encode_texts
 from .numerics import NORM_FLOOR, as_vector
+
+log = logging.getLogger(__name__)
 
 RankedList = list[tuple[str, float]]
 
@@ -163,30 +167,78 @@ def mine_ance_negatives(index: DenseIndex, params: EncoderParams, config: Encode
     return mine_ance_negatives_many(index, params, config, [query], [{positive_id}], k)[0]
 
 
-def mine_random_negatives_many(corpus_ids: list[str], positive_ids: list[str], k: int,
+def mine_random_negatives_many(corpus_ids: list[str], excluded: list[set[str]], k: int,
                                rng: np.random.Generator) -> list[list[str]]:
-    """For each positive, a uniform sample of k other ids without replacement.
+    """For each excluded set, a uniform sample of k other ids without replacement.
 
-    Ids must be unique. When fewer than k other documents exist, all of them
-    are returned in shuffled order. Draws index the corpus without the
-    positive (pool index j is corpus index j + (j >= p), p the positive's
-    position), so no per-query pool is built.
+    Ids must be unique; excluded ids outside the corpus are ignored. When
+    fewer than k other documents exist, all of them are returned in shuffled
+    order. Draws index the corpus without the excluded ids: with excluded
+    positions p_0 < p_1 < ..., pool index j is corpus index
+    j + #{i : p_i - i <= j}, so no per-query pool is built.
     """
-    n = len(corpus_ids)
     position = {doc_id: i for i, doc_id in enumerate(corpus_ids)}
     samples = []
-    for positive_id in positive_ids:
-        p = position.get(positive_id, n)
-        size = n - (p < n)
+    for skip in excluded:
+        skipped = np.array(sorted(position[d] for d in skip if d in position), dtype=np.int64)
+        size = len(corpus_ids) - len(skipped)
         if size <= k:
             chosen = rng.permutation(size)
         else:
             chosen = rng.choice(size, size=k, replace=False)
-        samples.append([corpus_ids[j + (j >= p)] for j in chosen.tolist()])
+        rows = chosen + np.searchsorted(skipped - np.arange(len(skipped)), chosen, side="right")
+        samples.append([corpus_ids[j] for j in rows.tolist()])
     return samples
 
 
 def mine_random_negatives(corpus_ids: list[str], positive_id: str, k: int,
                           rng: np.random.Generator) -> list[str]:
     """Uniform sample of k non-positive ids; see ``mine_random_negatives_many``."""
-    return mine_random_negatives_many(corpus_ids, [positive_id], k, rng)[0]
+    return mine_random_negatives_many(corpus_ids, [{positive_id}], k, rng)[0]
+
+
+def mine_dataset(corpus: list[Document], queries: list[Query], qrels: Qrels,
+                 neg_query_map: dict[str, list[str]] | None,
+                 params: EncoderParams | None, config: EncoderConfig | None,
+                 strategy: str, k: int, rng: np.random.Generator) -> list[TrainingExample]:
+    """One example per judged query: its relevant docs as positives and k negatives
+    outside them, top-ranked by the model ("ance") or drawn from ``rng`` ("random"),
+    each with its own queries when given ``neg_query_map``. Unjudged queries are
+    skipped with a warning."""
+    if strategy not in ("ance", "random"):
+        raise ValueError(f"strategy must be 'ance' or 'random', got {strategy!r}")
+    doc_by_id = {doc.id: doc for doc in corpus}
+    mineable = []  # (query, its relevant doc ids)
+    for query in queries:
+        relevant = qrels.relevant_docs(query.id)
+        if not relevant:
+            log.warning("query %s has no relevant document; skipped", query.id)
+            continue
+        unknown = sorted(d for d in relevant if d not in doc_by_id)
+        if unknown:
+            raise ValueError(f"qrels references unknown doc_id {unknown[0]!r} "
+                             f"for query {query.id}")
+        mineable.append((query, relevant))
+    if not mineable:
+        raise ValueError("no mineable queries (qrels empty or ids mismatched)")
+    excluded = [relevant for _, relevant in mineable]
+    if strategy == "ance":
+        neg_lists = mine_ance_negatives_many(build_index(corpus, params, config), params, config,
+                                             [query.text for query, _ in mineable], excluded, k)
+    else:
+        neg_lists = mine_random_negatives_many(list(doc_by_id), excluded, k, rng)
+    examples = []
+    for (query, relevant), neg_ids in zip(mineable, neg_lists):
+        neg_queries = None
+        if neg_query_map is not None:
+            missing = [nid for nid in neg_ids if nid not in neg_query_map]
+            if missing:
+                raise ValueError(f"neg-query map missing entries for {missing[:3]}")
+            neg_queries = [neg_query_map[nid] for nid in neg_ids]
+        examples.append(TrainingExample(
+            query=query.text,
+            pos=[doc_by_id[d].text for d in sorted(relevant)],
+            neg=[doc_by_id[nid].text for nid in neg_ids],
+            neg_queries=neg_queries,
+        ))
+    return examples

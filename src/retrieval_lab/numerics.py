@@ -1,5 +1,5 @@
 """Dense float64 primitives shared by every other module, plus the atomic
-file write every output goes through.
+file write every output goes through and the error wrapper of the JSON loaders.
 
 Vectors are 1-D ``numpy.float64`` arrays, matrices 2-D row-major. All
 numeric operations are pure functions; random state is carried explicitly by a
@@ -9,6 +9,7 @@ which produces the same stream on every platform for a given seed.
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -126,3 +127,15 @@ def _atomic_open(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _reading(path: str | Path):
+    """Re-raise malformed JSON or a missing key met inside the block as a
+    ``ValueError`` that names ``path`` (and the line, for JSON)."""
+    try:
+        yield
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}:{err.lineno}: malformed JSON ({err.msg})") from err
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err.args[0]!r}") from err

@@ -35,7 +35,8 @@ from .encoder import (
     encode_with_grad,  # unused here; perfbench/tracer.py wraps training.encode_with_grad
     zero_grads,
 )
-from .losses import ContrastiveBatch, LossConfig, cl_loss, cl_loss_grad, clp_loss, clp_loss_grad
+from .losses import ContrastiveBatch, LossConfig, cl_loss_grad, clp_loss_grad
+from .losses import cl_loss, clp_loss  # unused here; perfbench/tracer.py wraps both
 from .numerics import make_rng
 
 ADAM_BETA1 = 0.9
@@ -146,14 +147,13 @@ def _example_loss(example: TrainingExample, vecs: np.ndarray, cfg: TrainConfig,
         ends = np.cumsum([len(qs) for qs in example.neg_queries])
         neg_query_embs = np.split(neg_query_rows, ends)[:-1]
     batch = ContrastiveBatch(vecs[0], vecs[1], vecs[2:2 + k], neg_query_embs)
-    # CLP at lam == 0 is CL bit for bit, so the penalty-free pair serves it.
-    loss_fn, grad_fn = (clp_loss, clp_loss_grad) if use_penalty else (cl_loss, cl_loss_grad)
-    loss, bgrads = loss_fn(batch, cfg.loss_cfg), grad_fn(batch, cfg.loss_cfg)
+    # CLP at lam == 0 is CL bit for bit, so the penalty-free call serves it.
+    bgrads = (clp_loss_grad if use_penalty else cl_loss_grad)(batch, cfg.loss_cfg)
     upstreams = [bgrads.query_emb, bgrads.pos_emb, bgrads.neg_embs]
     if use_penalty:
         upstreams += ([np.zeros_like(neg_query_rows)] if cfg.stop_grad_neg_queries
                       else bgrads.neg_query_embs)
-    return loss, np.vstack(upstreams)
+    return bgrads.loss, np.vstack(upstreams)
 
 
 def _group_grads(params: EncoderParams, config: EncoderConfig,

@@ -306,6 +306,12 @@ class TestEvalAndCompare:
         assert run_cli("compare", "--outdir", tmp_path / "c") == 1
         assert "at least one" in capsys.readouterr().err
 
+    def test_compare_report_without_dataset_names_file(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('{"k": 5, "mean_ndcg": 0.5, "method": "m", "per_query": {}}\n')
+        assert run_cli("compare", report, "--outdir", tmp_path / "c") == 1
+        assert capsys.readouterr().err == f"error: {report}: missing key 'dataset'\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

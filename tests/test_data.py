@@ -125,6 +125,21 @@ class TestTrainSet:
         with pytest.raises(ValueError, match=":2"):
             load_train_set(path)
 
+    @pytest.mark.parametrize("line, field", [
+        ('{"query": "q", "pos": "pp"}', "pos must be a list, got str"),
+        ('{"query": "q", "pos": ["p"], "neg": "nn"}', "neg must be a list, got str"),
+        ('{"query": "q", "pos": ["p"], "neg": ["n"], "neg_queries": "a"}',
+         "neg_queries must be a list, got str"),
+        ('{"query": "q", "pos": ["p"], "neg": ["n"], "neg_queries": ["ab"]}',
+         r"neg_queries\[0\] must be a list, got str"),
+    ])
+    def test_string_where_list_belongs_cites_line(self, tmp_path, line, field):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"query": "q", "pos": ["p"]}\n' + line + "\n")
+        match = rf"train\.jsonl:2: invalid training example \({field}\)"
+        with pytest.raises(ValueError, match=match):
+            load_train_set(path)
+
 
 class TestNegQueryMap:
     def test_round_trip(self, tmp_path):
@@ -138,6 +153,13 @@ class TestNegQueryMap:
         path.write_text('{"doc_id": "d", "queries": ["x"]}\n'
                         '{"doc_id": "d", "queries": ["y"]}\n')
         with pytest.raises(ValueError, match="duplicate"):
+            load_neg_query_map(path)
+
+    def test_string_queries_cite_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"doc_id": "d", "queries": ["x"]}\n'
+                        '{"doc_id": "e", "queries": "hello"}\n')
+        with pytest.raises(ValueError, match=r"m\.jsonl:2: queries must be a list, got str$"):
             load_neg_query_map(path)
 
 

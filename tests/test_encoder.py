@@ -493,3 +493,17 @@ class TestCheckpointValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"ckpt\.json: tensor 'embedding' is missing"):
             load_checkpoint(path)
+
+    def test_truncated_json(self, tmp_path):
+        path, _ = self._doc(tmp_path)
+        text = path.read_text()
+        path.write_text(text[:text.index('"data": "') + 20])  # cut inside a base64 string
+        with pytest.raises(ValueError, match=r"ckpt\.json:\d+: malformed JSON \(Unterminated"):
+            load_checkpoint(path)
+
+    def test_config_without_d_model(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        del doc["config"]["d_model"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"ckpt\.json: missing key 'd_model'$"):
+            load_checkpoint(path)

@@ -173,6 +173,29 @@ class TestRunDump:
         save_report(report, tmp_path / "r.json")
         assert load_report(tmp_path / "r.json") == report
 
+    def test_truncated_report_names_file(self, tmp_path):
+        report = EvalReport("m", "ds", 5, {"q1": 0.5}, 0.5)
+        save_report(report, tmp_path / "r.json")
+        (tmp_path / "r.json").write_text((tmp_path / "r.json").read_text()[:30])
+        with pytest.raises(ValueError, match=r"r\.json:\d+: malformed JSON"):
+            load_report(tmp_path / "r.json")
+
+    def test_report_without_dataset_names_file(self, tmp_path):
+        (tmp_path / "r.json").write_text(
+            '{"k": 5, "mean_ndcg": 0.5, "method": "m", "per_query": {"q1": 0.5}}\n')
+        with pytest.raises(ValueError, match=r"r\.json: missing key 'dataset'$"):
+            load_report(tmp_path / "r.json")
+
+    def test_non_integer_rank_names_line(self, tmp_path):
+        (tmp_path / "run.tsv").write_text("q1\t1\td1\t0.9\nq1\ttwo\td2\t0.5\n")
+        with pytest.raises(ValueError, match=r"run\.tsv:2: invalid literal for int"):
+            load_run(tmp_path / "run.tsv")
+
+    def test_non_float_score_names_line(self, tmp_path):
+        (tmp_path / "run.tsv").write_text("q1\t1\td1\thigh\n")
+        with pytest.raises(ValueError, match=r"run\.tsv:1: could not convert string to float"):
+            load_run(tmp_path / "run.tsv")
+
 
 class TestCompareMethods:
     def test_single_method_single_dataset(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from retrieval_lab import cli, mining
+from retrieval_lab import mining
 from retrieval_lab.data import Document, Qrels, Query
 from retrieval_lab.encoder import EncoderConfig, encode, init_params
 from retrieval_lab.mining import (
@@ -9,6 +9,7 @@ from retrieval_lab.mining import (
     build_index,
     mine_ance_negatives,
     mine_ance_negatives_many,
+    mine_dataset,
     mine_random_negatives,
     mine_random_negatives_many,
     search_many,
@@ -232,9 +233,9 @@ class TestMineRandom:
         assert p > 0.01
 
 
-def random_negatives_oracle(corpus_ids, positive_id, k, rng):
-    """The list-comprehension pool sampler: every non-positive id, then one draw."""
-    pool = [doc_id for doc_id in corpus_ids if doc_id != positive_id]
+def random_negatives_oracle(corpus_ids, excluded, k, rng):
+    """The list-comprehension pool sampler: every id outside ``excluded``, then one draw."""
+    pool = [doc_id for doc_id in corpus_ids if doc_id not in excluded]
     if len(pool) <= k:
         return [pool[i] for i in rng.permutation(len(pool))]
     return [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
@@ -348,8 +349,8 @@ class TestMineAnceMany:
                 qrels.set(query.id, doc_id, 1)
             wanted.append([d for d in ranking if d not in relevant][:6])
         text_of = {doc.id: doc.text for doc in corpus}
-        examples = cli._mine_dataset(corpus, queries, qrels, None, params, config,
-                                     "ance", 6, make_rng(0))
+        examples = mine_dataset(corpus, queries, qrels, None, params, config,
+                                "ance", 6, make_rng(0))
         assert [ex.neg for ex in examples] == [[text_of[d] for d in w] for w in wanted]
 
     def test_zero_queries(self):
@@ -371,9 +372,40 @@ class TestMineRandomMany:
         ids = [f"d{i:02d}" for i in range(12)]
         positives = ["d00", "d11", "d05", "absent", "d07", "d00"]
         for k in (1, 5, 10, 11, 12, 20):
-            got = mine_random_negatives_many(ids, positives, k, make_rng(seed))
+            got = mine_random_negatives_many(ids, [{p} for p in positives], k, make_rng(seed))
             oracle_rng = make_rng(seed)
-            want = [random_negatives_oracle(ids, p, k, oracle_rng) for p in positives]
+            want = [random_negatives_oracle(ids, {p}, k, oracle_rng) for p in positives]
             assert got == want
             single_rng = make_rng(seed)
             assert [mine_random_negatives(ids, p, k, single_rng) for p in positives] == want
+
+    def test_mine_dataset_fills_k_with_several_relevant_docs(self):
+        corpus, _, _ = small_setup(seed=16, n_docs=40)
+        ids = [doc.id for doc in corpus]
+        rng = make_rng(46)
+        queries = [Query(f"q{i}", random_text(rng, 5)) for i in range(4)]
+        qrels = Qrels()
+        relevant_sets = []
+        for i, query in enumerate(queries):
+            relevant = {ids[i], ids[10 + 3 * i], ids[39 - i]}
+            for doc_id in relevant:
+                qrels.set(query.id, doc_id, 1)
+            relevant_sets.append(relevant)
+        oracle_rng = make_rng(0)
+        wanted = [random_negatives_oracle(ids, relevant, 6, oracle_rng)
+                  for relevant in relevant_sets]
+        text_of = {doc.id: doc.text for doc in corpus}
+        examples = mine_dataset(corpus, queries, qrels, None, None, None,
+                                "random", 6, make_rng(0))
+        assert [ex.neg for ex in examples] == [[text_of[d] for d in w] for w in wanted]
+        assert all(len(ex.neg) == 6 for ex in examples)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_excluded_sets_match_pool_oracle(self, seed):
+        ids = [f"d{i:02d}" for i in range(12)]
+        excluded = [{"d00", "d11", "d05"}, {"d03", "absent"}, set(), {"d01", "d02", "d03"},
+                    set(ids) - {"d06"}, set(ids)]
+        for k in (1, 3, 8, 9, 12, 20):
+            got = mine_random_negatives_many(ids, excluded, k, make_rng(seed))
+            oracle_rng = make_rng(seed)
+            assert got == [random_negatives_oracle(ids, skip, k, oracle_rng) for skip in excluded]

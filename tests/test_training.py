@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from retrieval_lab.data import SynthSpec, TrainingExample, synth_generate
-from retrieval_lab import cli, training
+from retrieval_lab import mining, training
 from retrieval_lab.encoder import (
     EncoderConfig,
     MoEConfig,
@@ -12,7 +12,8 @@ from retrieval_lab.encoder import (
     zero_grads,
 )
 from retrieval_lab.encoder import FreezeMode
-from retrieval_lab.losses import ContrastiveBatch, LossConfig, clp_loss, clp_loss_grad
+from retrieval_lab.losses import (ContrastiveBatch, LossConfig, cl_loss_grad, clp_loss,
+                                  clp_loss_grad)
 from retrieval_lab.numerics import make_rng
 from retrieval_lab.training import (
     OptimizerState,
@@ -304,9 +305,12 @@ class TestGroupPass:
 
         def nan_at_step_5(batch, cfg):
             calls.append(None)
-            return float("nan") if len(calls) == 6 else 0.5
+            grads = cl_loss_grad(batch, cfg)
+            if len(calls) == 6:
+                grads.loss = float("nan")
+            return grads
 
-        monkeypatch.setattr(training, "cl_loss", nan_at_step_5)
+        monkeypatch.setattr(training, "cl_loss_grad", nan_at_step_5)
         cfg = TrainConfig(learning_rate=1e-3, epochs=1, grad_accum_steps=4, seed=1)
         with pytest.raises(RuntimeError, match="non-finite loss at example step 5$"):
             train(params, config, tiny_dataset(n=6), cfg)
@@ -430,8 +434,8 @@ def _ance_refresh(config):
                      vocab_per_cluster=15, noise_rate=0.1, doc_words=12, query_words=4)
     ds = synth_generate(spec, 0)
     rng = make_rng(2)
-    return lambda current: cli._mine_dataset(ds.corpus, ds.queries, ds.qrels, ds.neg_query_map,
-                                             current, config, "ance", 4, rng)
+    return lambda current: mining.mine_dataset(ds.corpus, ds.queries, ds.qrels, ds.neg_query_map,
+                                               current, config, "ance", 4, rng)
 
 
 class TestTrainMatchesFullPath:
