@@ -162,18 +162,29 @@ def _as_list(value, name: str) -> list:
     return value
 
 
+def _as_text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _as_texts(value, name: str) -> list[str]:
+    """``value`` if it is a JSON array of strings."""
+    return [_as_text(v, f"{name}[{i}]") for i, v in enumerate(_as_list(value, name))]
+
+
 def load_train_set(path: str | Path) -> list[TrainingExample]:
     examples = []
     for lineno, obj in _read_jsonl(path):
         try:
             neg_queries = obj.get("neg_queries")
             if neg_queries is not None:
-                neg_queries = [_as_list(qs, f"neg_queries[{j}]")
+                neg_queries = [_as_texts(qs, f"neg_queries[{j}]")
                                for j, qs in enumerate(_as_list(neg_queries, "neg_queries"))]
             example = TrainingExample(
-                query=obj["query"],
-                pos=_as_list(obj["pos"], "pos"),
-                neg=_as_list(obj.get("neg", []), "neg"),
+                query=_as_text(obj["query"], "query"),
+                pos=_as_texts(obj["pos"], "pos"),
+                neg=_as_texts(obj.get("neg", []), "neg"),
                 neg_queries=neg_queries,
             )
         except (KeyError, ValueError, TypeError) as err:

@@ -9,7 +9,9 @@ mixture of experts; backprop is hand-derived for both variants.
 Tokens never interact, so a token's output row depends on its id alone. A
 batch of texts goes through one table over its distinct ids (MoE: one gate
 matmul, then one up-projection matmul per expert), and backprop runs once
-over that table, adding into a caller-supplied gradient dict.
+over that table, adding into a caller-supplied gradient dict. An
+``encode_texts`` call, a whole corpus included, is one such batch: each
+distinct word is hashed once and the table has at most ``vocab_size`` rows.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .numerics import (NORM_FLOOR, _atomic_open, _reading, as_matrix, as_vector,
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 CHECKPOINT_FORMAT = "retrieval-lab-checkpoint-v1"
-_BLOCK = 128  # texts per encode_texts pass; bounds the (distinct ids, d_intermediate) arrays
 
 
 class FreezeMode(str, Enum):
@@ -229,20 +230,38 @@ def moe_intermediate_forward(
     return p[0, e] * r, e, float(p[0, e])
 
 
-def _forward(params: EncoderParams, config: EncoderConfig,
-             texts: list[str]) -> tuple[np.ndarray, dict]:
+def _token_rows(texts: list[str], config: EncoderConfig,
+                word_ids: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct token ids of ``texts``, each token's index into them (text
+    by text, as ``np.unique``'s inverse) and each text's token count. Words are
+    hashed into ``word_ids`` one text at a time, each distinct word once."""
+    lengths = np.empty(len(texts), dtype=np.intp)
+    flat: list[int] = []
+    for i, text in enumerate(texts):
+        words = _TOKEN_RE.findall(text.lower())
+        if not words:
+            raise ValueError("empty input")
+        for w in words:
+            if w not in word_ids:
+                word_ids[w] = stable_token_id(w, config.vocab_size)
+        flat += map(word_ids.__getitem__, words)
+        lengths[i] = len(words)
+    ids = np.array(flat, dtype=np.intp)
+    present = np.zeros(config.vocab_size, dtype=bool)
+    present[ids] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[ids], lengths
+
+
+def _forward(params: EncoderParams, config: EncoderConfig, texts: list[str],
+             word_ids: dict[str, int] | None = None) -> tuple[np.ndarray, dict]:
     """Unit-norm encodings (len(texts), d_model) plus the context ``_backward`` needs.
 
-    Each distinct word is hashed once and each distinct token id goes
-    through the token network once; a text's pool is the mean of its rows
-    of that table.
+    Each distinct word is hashed once (into ``word_ids``, when the caller
+    passes a map to reuse across calls) and each distinct token id goes
+    through the token network once, so the table has at most ``vocab_size``
+    rows; a text's pool is the mean of its rows of that table.
     """
-    words = [_TOKEN_RE.findall(text.lower()) for text in texts]
-    if not all(words):
-        raise ValueError("empty input")
-    word_ids = {w: stable_token_id(w, config.vocab_size) for w in set().union(*words)}
-    lengths = np.array([len(ws) for ws in words])
-    uniq, inv = np.unique([word_ids[w] for ws in words for w in ws], return_inverse=True)
+    uniq, inv, lengths = _token_rows(texts, config, {} if word_ids is None else word_ids)
     x = params.embedding[uniq]  # (m, d_model), one row per distinct id
     ctx = {"uniq": uniq, "inv": inv, "lengths": lengths, "x": x}
     if params.is_moe:
@@ -252,19 +271,39 @@ def _forward(params: EncoderParams, config: EncoderConfig,
         h = np.empty((len(uniq), config.d_intermediate))  # pre-activation, then gated
         for e, rows in groups:
             h[rows] = x[rows] @ params.w_up[e] + params.b_up[e]
-        h = pe[:, None] * np.maximum(h, 0.0)
+        np.maximum(h, 0.0, out=h)
+        h *= pe[:, None]
         ctx.update(p=p, route=route, pe=pe, groups=groups)
     else:
-        h = np.maximum(x @ params.w_up + params.b_up, 0.0)  # (m, d_intermediate)
-    table = h @ params.w_down + params.b_down + x
-    starts = np.cumsum(lengths) - lengths
-    pool = np.array([table[inv[s:s + n]].mean(axis=0) for s, n in zip(starts, lengths)])
-    norms = np.sqrt([row @ row for row in pool])  # the dot l2_normalize takes, row by row
+        h = x @ params.w_up  # (m, d_intermediate)
+        h += params.b_up
+        np.maximum(h, 0.0, out=h)
+    padded = np.full((len(uniq) + 1, config.d_model), -0.0)  # last row: _mean_rows' pad
+    table = np.matmul(h, params.w_down, out=padded[:-1])
+    table += params.b_down
+    table += x
+    pool = _mean_rows(padded, inv, lengths)
+    norms = np.sqrt(np.vecdot(pool, pool))  # one BLAS ddot per row, as row @ row
     if not np.all(norms >= NORM_FLOOR):
         raise ValueError(f"cannot normalize: pool norm {norms.min()} below floor {NORM_FLOOR}")
-    out = pool / norms[:, None]
-    ctx.update(h=h, norms=norms, out=out)
-    return out, ctx
+    pool /= norms[:, None]
+    ctx.update(h=h, norms=norms, out=pool)
+    return pool, ctx
+
+
+def _mean_rows(padded: np.ndarray, inv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per text, the mean of its table rows (``inv``: the texts' rows end to end;
+    ``padded``: the table plus a last row of -0.0). Bit for bit ``.mean(axis=0)``
+    for d_model >= 2: both sum row by row from +0.0, and a text past its end
+    adds the pad row (x + -0.0 is x, signed zeros included)."""
+    used = np.arange(lengths.max(initial=0)) < lengths[:, None]  # (text, position)
+    rows = np.full(used.shape, len(padded) - 1)
+    rows[used] = inv  # row-major order is inv's order: text by text
+    pool = np.zeros((len(lengths), padded.shape[1]))
+    for position in rows.T:
+        pool += padded[position]
+    pool /= lengths[:, None]
+    return pool
 
 
 def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
@@ -314,11 +353,9 @@ def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
 
 
 def encode_texts(params: EncoderParams, config: EncoderConfig, texts: list[str]) -> np.ndarray:
-    """Encode texts to unit-norm rows (len(texts), d_model), ``_BLOCK`` texts per pass."""
-    out = np.empty((len(texts), config.d_model))
-    for start in range(0, len(texts), _BLOCK):
-        out[start:start + _BLOCK] = _forward(params, config, texts[start:start + _BLOCK])[0]
-    return out
+    """Encode texts to unit-norm rows (len(texts), d_model) in one ``_forward``: one
+    token table over all their distinct ids, at most ``vocab_size`` rows."""
+    return _forward(params, config, texts)[0]
 
 
 def encode(params: EncoderParams, config: EncoderConfig, text: str) -> np.ndarray:
@@ -366,8 +403,7 @@ def save_checkpoint(params: EncoderParams, config: EncoderConfig, path: str | Pa
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
-    with _reading(path):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    with _reading(path) as doc:
         if doc.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
         config = EncoderConfig.from_dict(doc["config"])

@@ -126,8 +126,7 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    with _reading(path):
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    with _reading(path) as d:
         return EvalReport(method=d["method"], dataset=d["dataset"], k=d["k"],
                           per_query=d["per_query"], mean_ndcg=d["mean_ndcg"])
 

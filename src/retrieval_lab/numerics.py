@@ -131,10 +131,14 @@ def _atomic_open(path: str | Path):
 
 @contextmanager
 def _reading(path: str | Path):
-    """Re-raise malformed JSON or a missing key met inside the block as a
+    """Yield the JSON object ``path`` holds. A document that is not an object,
+    and malformed JSON or a missing key met inside the block, raise a
     ``ValueError`` that names ``path`` (and the line, for JSON)."""
     try:
-        yield
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        yield doc
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}:{err.lineno}: malformed JSON ({err.msg})") from err
     except KeyError as err:

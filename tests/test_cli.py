@@ -201,6 +201,15 @@ class TestTrain:
                        "--outdir", tmp_path / "x") == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_non_string_query_names_line(self, tmp_path, capsys):
+        train_file = tmp_path / "train.jsonl"
+        train_file.write_text('{"query": ["a", "b"], "pos": ["p"], "neg": []}\n')
+        assert run_cli("train", "--train-file", train_file, *ENC_FLAGS,
+                       "--outdir", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {train_file}:1: invalid training example "
+                       "(query must be a string, got list)\n")
+
     def test_refresh_per_epoch(self, synth_dir, tmp_path):
         out = tmp_path / "t5"
         assert run_cli("train", "--refresh-per-epoch", "--strategy", "ance",
@@ -312,6 +321,19 @@ class TestEvalAndCompare:
         assert run_cli("compare", report, "--outdir", tmp_path / "c") == 1
         assert capsys.readouterr().err == f"error: {report}: missing key 'dataset'\n"
 
+    def test_eval_checkpoint_array_names_file(self, tmp_path, capsys):
+        checkpoint = tmp_path / "ckpt.json"
+        checkpoint.write_text("[1, 2]\n")
+        assert run_cli("eval", "--checkpoint", checkpoint, "--outdir", tmp_path / "e") == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: expected a JSON object, got list\n")
+
+    def test_compare_report_array_names_file(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('["x"]\n')
+        assert run_cli("compare", report, "--outdir", tmp_path / "c") == 1
+        assert capsys.readouterr().err == f"error: {report}: expected a JSON object, got list\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -379,6 +401,19 @@ for step in steps:
 """
 
 
+# one encode_texts call over 4,000 distinct words (about 2,550 distinct ids)
+# on the default encoder, so the token-table gemms span thousands of rows
+_ENCODE = """
+import hashlib
+from retrieval_lab.encoder import EncoderConfig, MoEConfig, encode_texts, init_params, tokenize
+texts = [" ".join(f"w{(40 * i + j) % 4000}" for j in range(1 + i % 40)) for i in range(2000)]
+for moe in (False, True):
+    config = EncoderConfig(moe=MoEConfig() if moe else None)
+    assert len({t for text in texts for t in tokenize(text, config)}) >= 2000
+    print(hashlib.sha256(encode_texts(init_params(config, 3), config, texts).tobytes()).hexdigest())
+"""
+
+
 class TestBlasThreadDeterminism:
     def test_checkpoints_equal_across_blas_thread_counts(self, tmp_path):
         # default encoder sizes, so the group gemms are large enough for
@@ -394,4 +429,15 @@ class TestBlasThreadDeterminism:
                                            .read_bytes()).hexdigest()
                             for p in ("ance-clp", "ance-clp-intermediate",
                                       "ance-clp-moe-intermediate")])
+        assert digests[0] == digests[1]
+
+    def test_encodings_equal_across_blas_thread_counts(self):
+        digests = []
+        for threads in (1, min(2, os.cpu_count() or 1)):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+            result = subprocess.run([sys.executable, "-c", _ENCODE], env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.split())
+        assert len(digests[0]) == 2  # dense and MoE
         assert digests[0] == digests[1]

@@ -140,6 +140,21 @@ class TestTrainSet:
         with pytest.raises(ValueError, match=match):
             load_train_set(path)
 
+    @pytest.mark.parametrize("line, field", [
+        ('{"query": ["a", "b"], "pos": ["p"], "neg": []}', "query must be a string, got list"),
+        ('{"query": 7, "pos": ["p"]}', "query must be a string, got int"),
+        ('{"query": "q", "pos": ["p", 3]}', r"pos\[1\] must be a string, got int"),
+        ('{"query": "q", "pos": ["p"], "neg": [null]}', r"neg\[0\] must be a string, got NoneType"),
+        ('{"query": "q", "pos": ["p"], "neg": ["n"], "neg_queries": [["a", ["b"]]]}',
+         r"neg_queries\[0\]\[1\] must be a string, got list"),
+    ])
+    def test_non_string_text_cites_line(self, tmp_path, line, field):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"query": "q", "pos": ["p"]}\n' + line + "\n")
+        match = rf"train\.jsonl:2: invalid training example \({field}\)$"
+        with pytest.raises(ValueError, match=match):
+            load_train_set(path)
+
 
 class TestNegQueryMap:
     def test_round_trip(self, tmp_path):

@@ -4,12 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from retrieval_lab import encoder
 from retrieval_lab.encoder import (
     EncoderConfig,
     EncoderParams,
     MoEConfig,
     _backward,
     _forward,
+    _mean_rows,
     encode,
     encode_texts,
     encode_with_grad,
@@ -380,13 +382,6 @@ class TestTokenTable:
             else:
                 assert row.tobytes() == single.tobytes(), text
 
-    def test_blocks_agree_with_one_pass(self):
-        params, config = _moe_instance(41, vocab=256, d_model=8, d_int=16)
-        rng = make_rng(41)
-        texts = [random_text(rng, int(rng.integers(2, 9))) for _ in range(1200)]
-        np.testing.assert_allclose(encode_texts(params, config, texts),
-                                   _forward(params, config, texts)[0], rtol=0, atol=1e-15)
-
     def test_matches_straight_line_oracle(self):
         for moe in (False, True):
             params, config, _, _ = encoder_instance(42, moe=moe)
@@ -424,6 +419,81 @@ class TestTokenTable:
     def test_no_texts_no_rows(self):
         params, config = _dense_instance(45)
         assert encode_texts(params, config, []).shape == (0, 4)
+
+
+def mean_pool_oracle(table, uniq, texts, config):
+    """Per text: its rows of ``table`` averaged with ``.mean(axis=0)``, then scaled
+    by ``sqrt(row @ row)``."""
+    rows = []
+    for text in texts:
+        pool = table[np.searchsorted(uniq, tokenize(text, config))].mean(axis=0)
+        rows.append(pool / np.sqrt(pool @ pool))
+    return np.array(rows)
+
+
+def _wide_texts(seed, count):
+    """``count`` texts of 1-40 words drawn from 2,000 distinct words."""
+    rng = make_rng(seed)
+    return [" ".join(f"w{int(i)}" for i in rng.integers(0, 2000, size=int(rng.integers(1, 41))))
+            for _ in range(count)]
+
+
+class TestOneTablePerCall:
+    @pytest.mark.parametrize("moe", [False, True])
+    def test_bitwise_equal_to_mean_pool_oracle(self, moe):
+        make = _moe_instance if moe else _dense_instance
+        params, config = make(47, vocab=1024, d_model=16, d_int=32)
+        texts = _wide_texts(47, 320)  # more than two of the 128-text blocks encode_texts once used
+        out, ctx = _forward(params, config, texts)
+        table = ctx["h"] @ params.w_down + params.b_down + ctx["x"]
+        expected = mean_pool_oracle(table, ctx["uniq"], texts, config)
+        assert encode_texts(params, config, texts).tobytes() == expected.tobytes()
+        assert out.tobytes() == expected.tobytes()
+
+    def test_negative_zero_column_pools_like_mean(self):
+        rng = make_rng(48)
+        table = rng.standard_normal((6, 3))
+        table[:, 1] = -0.0
+        lengths = np.array([1, 4, 2, 5])
+        inv = rng.integers(0, len(table), size=int(lengths.sum()))
+        starts = np.cumsum(lengths) - lengths
+        expected = np.array([table[inv[s:s + n]].mean(axis=0) for s, n in zip(starts, lengths)])
+        pooled = _mean_rows(np.vstack([table, np.full(3, -0.0)]), inv, lengths)
+        assert pooled.tobytes() == expected.tobytes()
+        assert np.array_equal(np.signbit(pooled[:, 1]), np.signbit(expected[:, 1]))
+
+    def test_table_rows_are_the_distinct_ids(self):
+        params, config = _moe_instance(49, vocab=1024, d_model=8, d_int=16)
+        texts = _wide_texts(49, 300)
+        ctx = _forward(params, config, texts)[1]
+        ids = sorted({i for text in texts for i in tokenize(text, config)})
+        assert ctx["uniq"].tolist() == ids
+        assert len(ctx["x"]) == len(ids)
+
+    def test_one_forward_per_call(self, monkeypatch):
+        params, config = _dense_instance(50, vocab=1024, d_model=8, d_int=16)
+        forward, calls = encoder._forward, []
+
+        def counting(params, config, texts, *args):
+            calls.append(len(texts))
+            return forward(params, config, texts, *args)
+
+        monkeypatch.setattr(encoder, "_forward", counting)
+        assert encode_texts(params, config, _wide_texts(50, 1000)).shape == (1000, 8)
+        assert calls == [1000]
+
+    def test_each_distinct_word_hashed_once(self, monkeypatch):
+        params, config = _dense_instance(51, vocab=1024, d_model=8, d_int=16)
+        texts = _wide_texts(51, 400)
+        hashed = []
+
+        def counting(token, vocab_size):
+            hashed.append(token)
+            return stable_token_id(token, vocab_size)
+
+        monkeypatch.setattr(encoder, "stable_token_id", counting)
+        encode_texts(params, config, texts)
+        assert sorted(hashed) == sorted({w for text in texts for w in text.split()})
 
 
 # trainable sets of the freeze modes, plus two subsets that split the gate
@@ -499,6 +569,13 @@ class TestCheckpointValidation:
         text = path.read_text()
         path.write_text(text[:text.index('"data": "') + 20])  # cut inside a base64 string
         with pytest.raises(ValueError, match=r"ckpt\.json:\d+: malformed JSON \(Unterminated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("doc", ["[1, 2]", '"ckpt"', "null"])
+    def test_non_object_document_names_file(self, tmp_path, doc):
+        path = tmp_path / "ckpt.json"
+        path.write_text(doc + "\n")
+        with pytest.raises(ValueError, match=r"ckpt\.json: expected a JSON object, got "):
             load_checkpoint(path)
 
     def test_config_without_d_model(self, tmp_path):

@@ -186,6 +186,11 @@ class TestRunDump:
         with pytest.raises(ValueError, match=r"r\.json: missing key 'dataset'$"):
             load_report(tmp_path / "r.json")
 
+    def test_non_object_report_names_file(self, tmp_path):
+        (tmp_path / "r.json").write_text('["x"]\n')
+        with pytest.raises(ValueError, match=r"r\.json: expected a JSON object, got list$"):
+            load_report(tmp_path / "r.json")
+
     def test_non_integer_rank_names_line(self, tmp_path):
         (tmp_path / "run.tsv").write_text("q1\t1\td1\t0.9\nq1\ttwo\td2\t0.5\n")
         with pytest.raises(ValueError, match=r"run\.tsv:2: invalid literal for int"):

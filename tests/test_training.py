@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from retrieval_lab.data import SynthSpec, TrainingExample, synth_generate
-from retrieval_lab import mining, training
+from retrieval_lab import encoder, mining, training
 from retrieval_lab.encoder import (
     EncoderConfig,
     MoEConfig,
@@ -258,6 +260,21 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(loss="triplet")
 
+    def test_each_distinct_word_hashed_once_per_run(self, monkeypatch):
+        params, config = tiny_encoder()
+        dataset = tiny_dataset()
+        stable_token_id, hashed = encoder.stable_token_id, []
+
+        def counting(token, vocab_size):
+            hashed.append(token)
+            return stable_token_id(token, vocab_size)
+
+        monkeypatch.setattr(encoder, "stable_token_id", counting)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=3, grad_accum_steps=2, loss="clp", seed=1)
+        train(params, config, dataset, cfg)
+        texts = [t for ex in dataset
+                 for t in [ex.query, ex.pos[0], *ex.neg, *(q for qs in ex.neg_queries for q in qs)]]
+        assert sorted(hashed) == sorted({w for t in texts for w in re.findall(r"\w+", t.lower())})
 
 def reference_clp_step(params, config, group, cfg):
     """One optimizer step built from per-text encode / encode_with_grad calls."""
