@@ -10,8 +10,9 @@ Tokens never interact, so a token's output row depends on its id alone. A
 batch of texts goes through one table over its distinct ids (MoE: one gate
 matmul, then one up-projection matmul per expert), and backprop runs once
 over that table, adding into a caller-supplied gradient dict. An
-``encode_texts`` call, a whole corpus included, is one such batch: each
-distinct word is hashed once and the table has at most ``vocab_size`` rows.
+``encode_texts`` call, a whole corpus included, is one such batch, so the
+table has at most ``vocab_size`` rows. Word -> id lookups are memoised per
+process, so a word is hashed once however many calls tokenize it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -199,8 +202,7 @@ def stable_token_id(token: str, vocab_size: int) -> int:
 
 def tokenize(text: str, config: EncoderConfig) -> list[int]:
     """Lowercase, split into maximal runs of word characters, hash to ids."""
-    return [stable_token_id(tok, config.vocab_size)
-            for tok in _TOKEN_RE.findall(text.lower())]
+    return list(map(_token_id, _TOKEN_RE.findall(text.lower()), repeat(config.vocab_size)))
 
 
 def _route(x: np.ndarray, params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
@@ -230,38 +232,39 @@ def moe_intermediate_forward(
     return p[0, e] * r, e, float(p[0, e])
 
 
-def _token_rows(texts: list[str], config: EncoderConfig,
-                word_ids: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1 << 16)
+def _token_id(word: str, vocab_size: int) -> int:
+    """``stable_token_id``, memoised: while the vocabulary fits the cache, each
+    distinct word is hashed once per process, on every path that tokenizes."""
+    return stable_token_id(word, vocab_size)
+
+
+def _token_rows(texts: list[str], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted distinct token ids of ``texts``, each token's index into them (text
-    by text, as ``np.unique``'s inverse) and each text's token count. Words are
-    hashed into ``word_ids`` one text at a time, each distinct word once."""
+    by text, as ``np.unique``'s inverse) and each text's token count."""
     lengths = np.empty(len(texts), dtype=np.intp)
     flat: list[int] = []
     for i, text in enumerate(texts):
-        words = _TOKEN_RE.findall(text.lower())
-        if not words:
+        text_ids = tokenize(text, config)
+        if not text_ids:
             raise ValueError("empty input")
-        for w in words:
-            if w not in word_ids:
-                word_ids[w] = stable_token_id(w, config.vocab_size)
-        flat += map(word_ids.__getitem__, words)
-        lengths[i] = len(words)
+        flat += text_ids
+        lengths[i] = len(text_ids)
     ids = np.array(flat, dtype=np.intp)
     present = np.zeros(config.vocab_size, dtype=bool)
     present[ids] = True
     return np.flatnonzero(present), (np.cumsum(present) - 1)[ids], lengths
 
 
-def _forward(params: EncoderParams, config: EncoderConfig, texts: list[str],
-             word_ids: dict[str, int] | None = None) -> tuple[np.ndarray, dict]:
+def _forward(params: EncoderParams, config: EncoderConfig,
+             texts: list[str]) -> tuple[np.ndarray, dict]:
     """Unit-norm encodings (len(texts), d_model) plus the context ``_backward`` needs.
 
-    Each distinct word is hashed once (into ``word_ids``, when the caller
-    passes a map to reuse across calls) and each distinct token id goes
-    through the token network once, so the table has at most ``vocab_size``
-    rows; a text's pool is the mean of its rows of that table.
+    Each distinct token id goes through the token network once, so the table
+    has at most ``vocab_size`` rows; a text's pool is the mean of its rows of
+    that table.
     """
-    uniq, inv, lengths = _token_rows(texts, config, {} if word_ids is None else word_ids)
+    uniq, inv, lengths = _token_rows(texts, config)
     x = params.embedding[uniq]  # (m, d_model), one row per distinct id
     ctx = {"uniq": uniq, "inv": inv, "lengths": lengths, "x": x}
     if params.is_moe:
@@ -278,12 +281,13 @@ def _forward(params: EncoderParams, config: EncoderConfig, texts: list[str],
         h = x @ params.w_up  # (m, d_intermediate)
         h += params.b_up
         np.maximum(h, 0.0, out=h)
-    padded = np.full((len(uniq) + 1, config.d_model), -0.0)  # last row: _mean_rows' pad
-    table = np.matmul(h, params.w_down, out=padded[:-1])
+    table = h @ params.w_down
     table += params.b_down
     table += x
-    pool = _mean_rows(padded, inv, lengths)
-    norms = np.sqrt(np.vecdot(pool, pool))  # one BLAS ddot per row, as row @ row
+    pool = _mean_rows(table, inv, lengths)
+    # (n, 1, d) @ (n, d, 1): matmul takes each row's vector-vector product with
+    # the dot that ``row @ row`` (and so l2_normalize) uses, in one call
+    norms = np.sqrt(np.matmul(pool[:, None, :], pool[:, :, None])[:, 0, 0])
     if not np.all(norms >= NORM_FLOOR):
         raise ValueError(f"cannot normalize: pool norm {norms.min()} below floor {NORM_FLOOR}")
     pool /= norms[:, None]
@@ -291,19 +295,23 @@ def _forward(params: EncoderParams, config: EncoderConfig, texts: list[str],
     return pool, ctx
 
 
-def _mean_rows(padded: np.ndarray, inv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per text, the mean of its table rows (``inv``: the texts' rows end to end;
-    ``padded``: the table plus a last row of -0.0). Bit for bit ``.mean(axis=0)``
-    for d_model >= 2: both sum row by row from +0.0, and a text past its end
-    adds the pad row (x + -0.0 is x, signed zeros included)."""
-    used = np.arange(lengths.max(initial=0)) < lengths[:, None]  # (text, position)
-    rows = np.full(used.shape, len(padded) - 1)
-    rows[used] = inv  # row-major order is inv's order: text by text
-    pool = np.zeros((len(lengths), padded.shape[1]))
-    for position in rows.T:
-        pool += padded[position]
-    pool /= lengths[:, None]
-    return pool
+def _mean_rows(table: np.ndarray, inv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per text, the mean of its rows of ``table`` (``inv``: the texts' rows end
+    to end). Bit for bit ``.mean(axis=0)`` for d_model >= 2: each sum starts
+    from +0.0 and adds the text's rows in order. Texts are pooled longest
+    first, so at each position only the texts still running (a prefix) add a
+    row, and the work grows with the total token count."""
+    order = np.argsort(-lengths, kind="stable")
+    starts, longest_first = (np.cumsum(lengths) - lengths)[order], lengths[order]
+    # running[p]: how many texts are longer than p, i.e. still running at position p
+    running = np.searchsorted(-longest_first, -np.arange(lengths.max(initial=0)))
+    pool = np.zeros((len(lengths), table.shape[1]))
+    for position, k in enumerate(running):
+        pool[:k] += table[inv[starts[:k] + position]]
+    pool /= longest_first[:, None]
+    out = np.empty_like(pool)
+    out[order] = pool
+    return out
 
 
 def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,

@@ -7,8 +7,7 @@ texts' embeddings, and one encoder backward adds the whole group's
 gradients. They are averaged over the group before the optimizer step, so
 the learning-rate scale does not change with the accumulation count. A
 partial group left over at the end of an epoch still steps, averaged over
-its actual size. One word -> token id map serves every group of a run, so
-each distinct word is hashed once per run.
+its actual size.
 
 Freezing is done by skipping: the group's gradient dict holds only the
 tensors the freeze mode leaves trainable, so the backward never computes a
@@ -159,15 +158,13 @@ def _example_loss(example: TrainingExample, vecs: np.ndarray, cfg: TrainConfig,
 
 def _group_grads(params: EncoderParams, config: EncoderConfig,
                  group: list[TrainingExample], cfg: TrainConfig,
-                 grads: dict[str, np.ndarray], first_step: int,
-                 word_ids: dict[str, int] | None = None) -> list[float]:
-    """Losses of one accumulation group; adds the group's gradients into ``grads``.
-    ``word_ids`` is the word -> token id map ``_forward`` reads and extends."""
+                 grads: dict[str, np.ndarray], first_step: int) -> list[float]:
+    """Losses of one accumulation group; adds the group's gradients into ``grads``."""
     use_penalty = cfg.loss == "clp" and cfg.loss_cfg.lam != 0.0
     layout = [[ex.query, ex.pos[0], *ex.neg,
                *(q for qs in (ex.neg_queries if use_penalty else []) for q in qs)]
               for ex in group]
-    vecs, ctx = _forward(params, config, [text for texts in layout for text in texts], word_ids)
+    vecs, ctx = _forward(params, config, [text for texts in layout for text in texts])
     losses, upstreams, row = [], [], 0
     for step, (example, texts) in enumerate(zip(group, layout), start=first_step):
         loss, ups = _example_loss(example, vecs[row:row + len(texts)], cfg, use_penalty)
@@ -203,7 +200,6 @@ def train(params: EncoderParams, config: EncoderConfig,
     state = OptimizerState.init(params)
     rng = make_rng(cfg.seed)
     trace: list[float] = []
-    word_ids: dict[str, int] = {}
 
     for _ in range(cfg.epochs):
         if refresh_fn is not None:
@@ -216,8 +212,7 @@ def train(params: EncoderParams, config: EncoderConfig,
         for start in range(0, len(order), cfg.grad_accum_steps):
             group = [dataset[int(idx)] for idx in order[start:start + cfg.grad_accum_steps]]
             accum = {name: np.zeros_like(tensors[name]) for name in trainable}
-            trace += _group_grads(params, config, group, cfg, accum, len(trace),
-                                  word_ids=word_ids)
+            trace += _group_grads(params, config, group, cfg, accum, len(trace))
             _optimizer_step(params, accum, len(group), state, cfg)
     return TrainResult(params=params, loss_trace=trace)
 

@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,7 +459,7 @@ class TestOneTablePerCall:
         inv = rng.integers(0, len(table), size=int(lengths.sum()))
         starts = np.cumsum(lengths) - lengths
         expected = np.array([table[inv[s:s + n]].mean(axis=0) for s, n in zip(starts, lengths)])
-        pooled = _mean_rows(np.vstack([table, np.full(3, -0.0)]), inv, lengths)
+        pooled = _mean_rows(table, inv, lengths)
         assert pooled.tobytes() == expected.tobytes()
         assert np.array_equal(np.signbit(pooled[:, 1]), np.signbit(expected[:, 1]))
 
@@ -482,6 +483,33 @@ class TestOneTablePerCall:
         assert encode_texts(params, config, _wide_texts(50, 1000)).shape == (1000, 8)
         assert calls == [1000]
 
+    @pytest.mark.parametrize("moe", [False, True])
+    def test_skewed_lengths_match_mean_pool_oracle(self, moe):
+        make = _moe_instance if moe else _dense_instance
+        params, config = make(52, vocab=1024, d_model=8, d_int=16)
+        rng = make_rng(52)
+        texts = _wide_texts(52, 1500) + [
+            " ".join(f"w{int(i)}" for i in rng.integers(0, 2000, size=3000))]
+        texts.insert(700, texts.pop())  # the long text among the short ones
+        out, ctx = _forward(params, config, texts)
+        table = ctx["h"] @ params.w_down + params.b_down + ctx["x"]
+        assert out.tobytes() == mean_pool_oracle(table, ctx["uniq"], texts, config).tobytes()
+
+    def test_pooling_memory_grows_with_tokens_not_texts_times_longest(self):
+        rng = make_rng(53)
+        table = rng.standard_normal((50, 8))
+        lengths = np.concatenate([rng.integers(1, 4, size=2000), [3000]])
+        inv = rng.integers(0, len(table), size=int(lengths.sum()))
+        tracemalloc.start()
+        try:
+            pooled = _mean_rows(table, inv, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pooled[-1].tobytes() == table[inv[-3000:]].mean(axis=0).tobytes()
+        # a (texts x longest text) index matrix alone would take 48 MB here
+        assert peak < len(lengths) * lengths.max() * inv.itemsize / 10
+
     def test_each_distinct_word_hashed_once(self, monkeypatch):
         params, config = _dense_instance(51, vocab=1024, d_model=8, d_int=16)
         texts = _wide_texts(51, 400)
@@ -492,8 +520,12 @@ class TestOneTablePerCall:
             return stable_token_id(token, vocab_size)
 
         monkeypatch.setattr(encoder, "stable_token_id", counting)
+        encoder._token_id.cache_clear()
         encode_texts(params, config, texts)
         assert sorted(hashed) == sorted({w for text in texts for w in text.split()})
+        encode_texts(params, config, texts[::-1])  # a later call reuses the ids
+        tokenize(texts[0], config)
+        assert len(hashed) == len(set(hashed))
 
 
 # trainable sets of the freeze modes, plus two subsets that split the gate

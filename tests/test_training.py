@@ -270,6 +270,7 @@ class TestTrain:
             return stable_token_id(token, vocab_size)
 
         monkeypatch.setattr(encoder, "stable_token_id", counting)
+        encoder._token_id.cache_clear()
         cfg = TrainConfig(learning_rate=1e-3, epochs=3, grad_accum_steps=2, loss="clp", seed=1)
         train(params, config, dataset, cfg)
         texts = [t for ex in dataset
