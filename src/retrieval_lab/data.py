@@ -300,9 +300,10 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     rng = make_rng(seed)
     cluster_vocab = _make_vocabulary(spec, rng)
     all_words = [w for words in cluster_vocab for w in words]
-    # other_words[c]: every word outside cluster c, in all_words order
-    other_words = [[w for w in all_words if w not in own]
-                   for own in map(set, cluster_vocab)]
+    # other_words[c]: every word outside cluster c, in all_words order; the
+    # clusters are disjoint blocks of vocab_per_cluster words in all_words
+    v = spec.vocab_per_cluster
+    other_words = [all_words[:c * v] + all_words[(c + 1) * v:] for c in range(spec.num_clusters)]
 
     corpus: list[Document] = []
     doc_words: dict[str, list[str]] = {}

@@ -11,8 +11,10 @@ batch of texts goes through one table over its distinct ids (MoE: one gate
 matmul, then one up-projection matmul per expert), and backprop runs once
 over that table, adding into a caller-supplied gradient dict. An
 ``encode_texts`` call, a whole corpus included, is one such batch, so the
-table has at most ``vocab_size`` rows. Word -> id lookups are memoised per
-process, so a word is hashed once however many calls tokenize it.
+table has at most ``vocab_size`` rows. Text splits on whitespace when that
+gives the word-character runs, else by regex. Word -> id lookups go through
+one dict per call, backed by a per-process memo, so a word is hashed once
+however many calls tokenize it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -201,8 +202,24 @@ def stable_token_id(token: str, vocab_size: int) -> int:
 
 
 def tokenize(text: str, config: EncoderConfig) -> list[int]:
-    """Lowercase, split into maximal runs of word characters, hash to ids."""
-    return list(map(_token_id, _TOKEN_RE.findall(text.lower()), repeat(config.vocab_size)))
+    """Lowercase, split into maximal runs of word characters (``_words``), hash to ids."""
+    return list(map(_WordIds(config.vocab_size).__getitem__, _words(text)))
+
+
+def _words(text: str) -> list[str]:
+    """``_TOKEN_RE.findall(text.lower())``, by ``str.split()`` when that is exact.
+
+    At every code point, ``re``'s word characters are those ``str.isalnum()``
+    accepts plus ``_``, and none of the characters ``str.split()`` splits on
+    is one. So when the split words hold only word characters, the text is
+    word runs between whitespace, and the split gives the regex's words;
+    otherwise the regex runs. ``TestWords`` checks both facts exhaustively.
+    """
+    lowered = text.lower()
+    words = lowered.split()
+    if "".join(words).replace("_", "a").isalnum():
+        return words
+    return _TOKEN_RE.findall(lowered)
 
 
 def _route(x: np.ndarray, params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
@@ -239,13 +256,26 @@ def _token_id(word: str, vocab_size: int) -> int:
     return stable_token_id(word, vocab_size)
 
 
+class _WordIds(dict):
+    """Word -> token id for one call; a word not yet in it goes to ``_token_id``."""
+
+    def __init__(self, vocab_size: int):
+        super().__init__()
+        self.vocab_size = vocab_size
+
+    def __missing__(self, word: str) -> int:
+        self[word] = token = _token_id(word, self.vocab_size)
+        return token
+
+
 def _token_rows(texts: list[str], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted distinct token ids of ``texts``, each token's index into them (text
     by text, as ``np.unique``'s inverse) and each text's token count."""
+    word_id = _WordIds(config.vocab_size).__getitem__
     lengths = np.empty(len(texts), dtype=np.intp)
     flat: list[int] = []
     for i, text in enumerate(texts):
-        text_ids = tokenize(text, config)
+        text_ids = list(map(word_id, _words(text)))
         if not text_ids:
             raise ValueError("empty input")
         flat += text_ids

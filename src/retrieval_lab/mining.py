@@ -3,8 +3,9 @@
 The index is a plain id -> unit-vector table scanned exhaustively; at desk
 scale exactness beats any approximate structure and makes oracle testing
 trivial. ``search_many`` scores a block of queries against every document
-with one matmul, at most ``_BLOCK_SCORES`` scores per block, and ranks each
-row by (descending score, ascending doc id). Hard negatives come from the
+with one matmul, at most ``_BLOCK_SCORES`` scores per block, and ranks the
+whole block with one lexsort by (row, descending score, ascending doc id),
+with no per-row loop. Hard negatives come from the
 top-ranked documents outside each query's relevant set under the current
 model; random negatives are a uniform sample of the documents outside it.
 The single-query functions are one-query calls of the batched ones, and
@@ -98,10 +99,12 @@ def build_index(corpus: list[Document], params: EncoderParams,
 def search_many(index: DenseIndex, query_vecs, k: int) -> list[RankedList]:
     """Exact top-k by cosine for each row of query_vecs, ties by ascending doc_id.
 
-    Scores ``_BLOCK_SCORES // len(index)`` queries per matmul. Per row, the
-    k-th highest score is found with a partition, and every document scoring
-    at least that much is kept, so boundary ties resolve by id exactly as a
-    full sort would.
+    Scores ``_BLOCK_SCORES // len(index)`` queries per matmul. One partition
+    finds every row's k-th highest score, and every document scoring at least
+    that much is a candidate, so boundary ties resolve by id exactly as a
+    full sort would. One lexsort orders the block's candidates by (row,
+    descending score, ascending doc id), and each row keeps its first
+    ``min(k, len(index))``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -112,22 +115,43 @@ def search_many(index: DenseIndex, query_vecs, k: int) -> list[RankedList]:
         raise ValueError(f"query dimension {queries.shape[1]} != index dimension {index.dim}")
     if not np.all(np.isfinite(queries)):
         raise ValueError("query_vecs contains non-finite entries")
-    norms = np.sqrt([q @ q for q in queries])  # the dot np.linalg.norm takes, row by row
+    # (n, 1, d) @ (n, d, 1): each row's ``q @ q``, the dot np.linalg.norm takes, in one call
+    norms = np.sqrt(np.matmul(queries[:, None, :], queries[:, :, None])[:, 0, 0])
     if not np.all(norms >= NORM_FLOOR):
         raise ValueError("cannot search with a zero-norm query")
     queries = queries / norms[:, None]
     n = len(index)
-    block = max(1, _BLOCK_SCORES // max(n, 1))
+    keep = min(k, n)
+    if keep == 0:  # an empty index
+        return [[] for _ in queries]
+    block = max(1, _BLOCK_SCORES // n)
     ranked: list[RankedList] = []
     for start in range(0, len(queries), block):
-        scores = index.scores(queries[start:start + block])
-        if k < n:
-            kth = np.partition(scores, n - k, axis=1)[:, n - k]
-        for i, row in enumerate(scores):
-            cand = np.arange(n) if k >= n else np.flatnonzero(row >= kth[i])
-            order = cand[np.lexsort((index._id_rank[cand], -row[cand]))[:k]]
-            ranked.append([(index.doc_ids[j], float(row[j])) for j in order])
+        cols, values = _block_top(index.scores(queries[start:start + block]), keep, index._id_rank)
+        pairs = list(zip(map(index.doc_ids.__getitem__, cols), values))
+        ranked += [pairs[i:i + keep] for i in range(0, len(pairs), keep)]
     return ranked
+
+
+def _block_top(scores: np.ndarray, keep: int, id_rank: np.ndarray) -> tuple[list, list]:
+    """Each row's first ``keep`` columns by (descending score, ascending
+    ``id_rank``) and their scores, row after row.
+
+    Every array of a block dies on return, before the next block's score
+    matrix is allocated; small arrays left alive across blocks would pin
+    holes in the heap and hold it resident for the rest of the process.
+    """
+    n = scores.shape[1]
+    kth = np.partition(scores, n - keep, axis=1)[:, n - keep]  # keep == n: the row minimum
+    # every (row, col) scoring at least its row's k-th score, row-major
+    rows, cols = np.divmod(np.flatnonzero(scores >= kth[:, None]), n)
+    cand = scores[rows, cols]
+    order = np.lexsort((id_rank[cols], -cand, rows))
+    # ``rows`` is sorted and stays so under ``order``: row i's candidates start
+    # at its first entry
+    first = np.searchsorted(rows, np.arange(len(scores)))
+    kept = order[(first[:, None] + np.arange(keep)).ravel()]
+    return cols[kept].tolist(), cand[kept].tolist()
 
 
 def search_top_k(index: DenseIndex, query_vec, k: int) -> RankedList:

@@ -1,18 +1,25 @@
 import base64
 import json
+import re
+import string
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retrieval_lab import encoder
 from retrieval_lab.encoder import (
     EncoderConfig,
     EncoderParams,
     MoEConfig,
+    _TOKEN_RE,
     _backward,
     _forward,
     _mean_rows,
+    _words,
     encode,
     encode_texts,
     encode_with_grad,
@@ -82,6 +89,51 @@ class TestTokenize:
         colliding_pairs = sum(c * (c - 1) // 2 for c in buckets.values())
         total_pairs = 10_000 * 9_999 // 2
         assert colliding_pairs / total_pairs < 0.05
+
+
+# Characters whose handling differs between str.split(), str.isalnum() and the
+# regex: separators outside ASCII, a digit that is not decimal, a capital
+# whose lowercase is two code points (i plus a combining dot), and a CJK letter.
+_TRICKY = "\t\n\x1c\x85\xa0\u2028\u3000\u00b2\u0130\u4e2d"
+
+
+def _regex_ids(text, config):
+    """The tokenizer's definition: hash every regex word of the lowered text."""
+    return [stable_token_id(w, config.vocab_size) for w in _TOKEN_RE.findall(text.lower())]
+
+
+class TestWords:
+    """``_words`` splits on whitespace when every other character is a word
+    character; these tests check that shortcut against the regex it replaces."""
+
+    def test_word_characters_are_isalnum_or_underscore_and_never_split_on(self):
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        word = re.compile(r"\w")
+        mismatched = [ch for ch in everything
+                      if (word.fullmatch(ch) is not None) != (ch.isalnum() or ch == "_")]
+        assert mismatched == []
+        separators = set(everything) - set("".join(everything.split()))
+        assert separators == {ch for ch in everything if ch.isspace()}
+        assert not any(word.fullmatch(ch) for ch in separators)
+
+    @given(st.text(alphabet=string.ascii_letters + string.digits + "_" + string.punctuation
+                   + _TRICKY + " "))
+    @settings(max_examples=300, deadline=None)
+    def test_words_equal_regex_findall(self, text):
+        assert _words(text) == _TOKEN_RE.findall(text.lower())
+        assert tokenize(text, EncoderConfig()) == _regex_ids(text, EncoderConfig())
+
+    @pytest.mark.parametrize("text, split", [
+        ("The cat_2 SAT\u3000on\x85the mat\u00b2 \u4e2d", True),
+        # \u0130 lowercases to "i" plus U+0307, which is not a word character
+        ("The cat-2 sat, on the (mat)! \u0130x", False),
+    ])
+    def test_tokenize_matches_regex_on_each_path(self, text, split):
+        lowered = text.lower()
+        assert "".join(lowered.split()).replace("_", "a").isalnum() == split
+        config = EncoderConfig()
+        assert tokenize(text, config) == _regex_ids(text, config)
+        assert _words(text) == _TOKEN_RE.findall(lowered)
 
 
 class TestEncode:

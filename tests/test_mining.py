@@ -266,15 +266,26 @@ class TestSearchMany:
                 np.testing.assert_allclose([s for _, s in ranked],
                                            [s for _, s in oracle[:k]], rtol=0, atol=1e-12)
 
-    def test_rankings_equal_single_query_search_with_ties(self, monkeypatch):
-        monkeypatch.setattr(mining, "_BLOCK_SCORES", 1 << 12)  # 4 queries per block
+    def test_rankings_with_ties_match_full_sort_oracle(self, monkeypatch):
         index, _ = duplicate_row_index()
+        n = len(index)
+        monkeypatch.setattr(mining, "_BLOCK_SCORES", 4 * n)  # 4 queries per block
         rng = make_rng(42)
-        queries = np.vstack([rng.standard_normal((8, 64)), index.vectors[[3, 501, 1001, 7]]])
-        for k in (1, 2, 3, 10, len(index)):
+        # each block mixes rows without ties and rows whose k-th boundary falls
+        # inside the tied copies: at the top (the copy itself, k = 1, 2) or at
+        # the bottom (its negation, k = n - 1)
+        copy, anti = index.vectors[[3, 1001]], -index.vectors[[501, 3]]
+        plain = rng.standard_normal((6, 64))
+        queries = np.vstack([plain[0], copy[0], plain[1], anti[0], plain[2], copy[1],
+                             plain[3], anti[1], plain[4], plain[5]])
+        oracles = [brute_force_ranking(index, q) for q in queries]
+        for k in (1, 2, n - 1, n, n + 2):
             got = search_many(index, queries, k)
-            for q, ranked in zip(queries, got):
-                assert [d for d, _ in ranked] == [d for d, _ in search_top_k(index, q, k)]
+            assert len(got) == len(queries)
+            for ranked, oracle in zip(got, oracles):
+                assert [d for d, _ in ranked] == [d for d, _ in oracle[:k]]
+                np.testing.assert_allclose([s for _, s in ranked],
+                                           [s for _, s in oracle[:k]], rtol=0, atol=1e-12)
 
     def test_duplicate_rows_tie_exactly_and_rank_by_id(self):
         index, copy_ids = duplicate_row_index()
@@ -299,6 +310,10 @@ class TestSearchMany:
     def test_zero_query_batch(self):
         index, _ = duplicate_row_index(n=20, copies=(1, 2))
         assert search_many(index, np.empty((0, 64)), 5) == []
+
+    def test_empty_index_gives_empty_rankings(self):
+        index = DenseIndex([], np.empty((0, 4)), 4)
+        assert search_many(index, np.ones((2, 4)), 3) == [[], []]
 
     @pytest.mark.parametrize("queries, k, match", [
         (np.ones((2, 8)), 0, "k must be"),
