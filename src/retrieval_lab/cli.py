@@ -22,6 +22,7 @@ from .encoder import (
     EncoderParams,
     FreezeMode,
     MoEConfig,
+    TokenCache,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -171,15 +172,16 @@ def _load_bundle(opts: Options):
 
 def _miner(opts: Options):
     """The mining step of ``mine`` and of ``train --refresh-per-epoch``: loads
-    the bundle once and returns the strategy and ``(params, config) -> examples``."""
+    the bundle once and returns the strategy and ``(params, config, tokens=None) ->
+    examples``, ``tokens`` being the ``TokenCache`` that re-mines share."""
     corpus, queries, qrels, neg_query_map = _load_bundle(opts)
     strategy = opts.get("strategy", "ance")
     k = int(opts.get("k", mining.DEFAULT_NEGATIVES))
     rng = make_rng(int(opts.get("seed", 0)))
 
-    def mine(params, config):
+    def mine(params, config, tokens=None):
         return mining.mine_dataset(corpus, queries, qrels, neg_query_map,
-                                   params, config, strategy, k, rng)
+                                   params, config, strategy, k, rng, tokens)
 
     return strategy, mine
 
@@ -227,9 +229,10 @@ def cmd_train(ns: argparse.Namespace) -> int:
     refresh_fn = None
     if refresh:
         _, mine = _miner(opts)
+        tokens = TokenCache(config)  # each re-mine reuses the texts' token ids
 
         def refresh_fn(current_params):
-            return mine(current_params, config)
+            return mine(current_params, config, tokens)
 
         dataset_hash = _sha256(Path(opts.get("corpus")))
     else:

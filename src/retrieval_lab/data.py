@@ -125,11 +125,17 @@ def load_queries(path: str | Path) -> list[Query]:
     return _load_id_text(path, Query)
 
 
-def save_id_text(items, path: str | Path) -> None:
+def _write_jsonl(path: str | Path, objects) -> None:
+    """One ``json.dumps(obj, sort_keys=True, ensure_ascii=False)`` line per object,
+    through one encoder for the whole file."""
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     with _atomic_open(path) as fh:
-        for item in items:
-            fh.write(json.dumps({"id": item.id, "text": item.text},
-                                sort_keys=True, ensure_ascii=False) + "\n")
+        for obj in objects:
+            fh.write(encode(obj) + "\n")
+
+
+def save_id_text(items, path: str | Path) -> None:
+    _write_jsonl(path, ({"id": item.id, "text": item.text} for item in items))
 
 
 def load_qrels(path: str | Path) -> Qrels:
@@ -194,9 +200,7 @@ def load_train_set(path: str | Path) -> list[TrainingExample]:
 
 
 def save_train_set(examples: list[TrainingExample], path: str | Path) -> None:
-    with _atomic_open(path) as fh:
-        for ex in examples:
-            fh.write(json.dumps(ex.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
+    _write_jsonl(path, (ex.to_dict() for ex in examples))
 
 
 def load_neg_query_map(path: str | Path) -> dict[str, list[str]]:
@@ -217,10 +221,8 @@ def load_neg_query_map(path: str | Path) -> dict[str, list[str]]:
 
 
 def save_neg_query_map(mapping: dict[str, list[str]], path: str | Path) -> None:
-    with _atomic_open(path) as fh:
-        for doc_id in sorted(mapping):
-            fh.write(json.dumps({"doc_id": doc_id, "queries": mapping[doc_id]},
-                                sort_keys=True, ensure_ascii=False) + "\n")
+    _write_jsonl(path, ({"doc_id": doc_id, "queries": mapping[doc_id]}
+                        for doc_id in sorted(mapping)))
 
 
 @dataclass(frozen=True)

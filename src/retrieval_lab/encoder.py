@@ -14,7 +14,9 @@ over that table, adding into a caller-supplied gradient dict. An
 table has at most ``vocab_size`` rows. Text splits on whitespace when that
 gives the word-character runs, else by regex. Word -> id lookups go through
 one dict per call, backed by a per-process memo, so a word is hashed once
-however many calls tokenize it.
+however many calls tokenize it. Callers that encode the same texts again and
+again (training groups, re-mines) keep a ``TokenCache`` of each text's ids
+and build the table rows from it, so a text is tokenized once.
 """
 
 from __future__ import annotations
@@ -268,9 +270,8 @@ class _WordIds(dict):
         return token
 
 
-def _token_rows(texts: list[str], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted distinct token ids of ``texts``, each token's index into them (text
-    by text, as ``np.unique``'s inverse) and each text's token count."""
+def _token_ids(texts: list[str], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every text's token ids, text after text, and each text's token count."""
     word_id = _WordIds(config.vocab_size).__getitem__
     lengths = np.empty(len(texts), dtype=np.intp)
     flat: list[int] = []
@@ -280,21 +281,60 @@ def _token_rows(texts: list[str], config: EncoderConfig) -> tuple[np.ndarray, np
             raise ValueError("empty input")
         flat += text_ids
         lengths[i] = len(text_ids)
-    ids = np.array(flat, dtype=np.intp)
-    present = np.zeros(config.vocab_size, dtype=bool)
+    return np.array(flat, dtype=np.intp), lengths
+
+
+def _table_rows(ids: np.ndarray, lengths: np.ndarray,
+                vocab_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct ``ids``, each token's index into them (as ``np.unique``'s
+    inverse) and ``lengths``: the rows of the token table and how texts pool them."""
+    present = np.zeros(vocab_size, dtype=bool)
     present[ids] = True
     return np.flatnonzero(present), (np.cumsum(present) - 1)[ids], lengths
 
 
-def _forward(params: EncoderParams, config: EncoderConfig,
-             texts: list[str]) -> tuple[np.ndarray, dict]:
-    """Unit-norm encodings (len(texts), d_model) plus the context ``_backward`` needs.
+def _token_rows(texts: list[str], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_table_rows`` of the texts' token ids."""
+    return _table_rows(*_token_ids(texts, config), config.vocab_size)
+
+
+class TokenCache(dict):
+    """Text -> its token ids, for texts that are encoded again and again (the
+    groups of a training run, the corpus of each re-mine): each distinct text
+    is tokenized once per cache."""
+
+    def __init__(self, config: EncoderConfig):
+        super().__init__()
+        self.config = config
+
+    def rows(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_token_rows(texts, config)``, tokenizing only texts not seen before."""
+        new = [text for text in dict.fromkeys(texts) if text not in self]
+        if new:
+            ids, lengths = _token_ids(new, self.config)
+            ends = np.cumsum(lengths).tolist()
+            self.update(zip(new, (ids[end - n:end] for end, n in zip(ends, lengths.tolist()))))
+        pieces = [self[text] for text in texts]
+        lengths = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
+        return _table_rows(np.concatenate(pieces), lengths, self.config.vocab_size)
+
+
+def _forward(params: EncoderParams, config: EncoderConfig, texts: list[str],
+             tokens: TokenCache | None = None) -> tuple[np.ndarray, dict]:
+    """Unit-norm encodings (len(texts), d_model) plus the context ``_backward``
+    needs; token ids come from ``tokens`` when given."""
+    rows = _token_rows(texts, config) if tokens is None else tokens.rows(texts)
+    return _table_forward(params, config, *rows)
+
+
+def _table_forward(params: EncoderParams, config: EncoderConfig, uniq: np.ndarray,
+                   inv: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``_forward`` from the texts' table rows (see ``_table_rows``).
 
     Each distinct token id goes through the token network once, so the table
     has at most ``vocab_size`` rows; a text's pool is the mean of its rows of
     that table.
     """
-    uniq, inv, lengths = _token_rows(texts, config)
     x = params.embedding[uniq]  # (m, d_model), one row per distinct id
     ctx = {"uniq": uniq, "inv": inv, "lengths": lengths, "x": x}
     if params.is_moe:
@@ -390,10 +430,11 @@ def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
         grads["embedding"][ctx["uniq"]] += dx  # ids are unique: no repeated-index scatter
 
 
-def encode_texts(params: EncoderParams, config: EncoderConfig, texts: list[str]) -> np.ndarray:
+def encode_texts(params: EncoderParams, config: EncoderConfig, texts: list[str],
+                 tokens: TokenCache | None = None) -> np.ndarray:
     """Encode texts to unit-norm rows (len(texts), d_model) in one ``_forward``: one
     token table over all their distinct ids, at most ``vocab_size`` rows."""
-    return _forward(params, config, texts)[0]
+    return _forward(params, config, texts, tokens)[0]
 
 
 def encode(params: EncoderParams, config: EncoderConfig, text: str) -> np.ndarray:
@@ -422,22 +463,31 @@ def encode_with_grad(
 
 
 def save_checkpoint(params: EncoderParams, config: EncoderConfig, path: str | Path) -> None:
-    """Write config plus all tensors to one JSON document.
+    """Write config plus all tensors to one JSON document (``indent=2``, sorted keys).
 
     Tensor payloads are base64 of raw little-endian float64 bytes, so
     load(save(p)) round-trips bit-exactly and the file bytes are
-    deterministic for identical params.
+    deterministic for identical params. Base64 never needs JSON escaping, so
+    the document is dumped with empty ``data`` strings and each payload is
+    written between the pieces, in sorted tensor-name order, never joined
+    into one string with them.
     """
     params.check_shapes(config)
-    tensors = {}
-    for name, t in params.named_tensors().items():
-        raw = np.ascontiguousarray(t, dtype="<f8").tobytes()
-        tensors[name] = {"shape": list(t.shape),
-                         "dtype": "<f8",
-                         "data": base64.b64encode(raw).decode("ascii")}
+    named = params.named_tensors()
+    tensors = {name: {"shape": list(t.shape), "dtype": "<f8", "data": ""}
+               for name, t in named.items()}
     doc = {"format": CHECKPOINT_FORMAT, "config": config.to_dict(), "tensors": tensors}
+    pieces = json.dumps(doc, sort_keys=True, indent=2).split('"data": ""')
+    if len(pieces) != len(named) + 1:
+        raise ValueError(f"{len(pieces) - 1} data fields for {len(named)} tensors")
     with _atomic_open(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        fh.write(pieces[0])
+        for name, piece in zip(sorted(named), pieces[1:]):
+            raw = np.ascontiguousarray(named[name], dtype="<f8").tobytes()
+            fh.write('"data": "')
+            fh.write(base64.b64encode(raw).decode("ascii"))
+            fh.write('"' + piece)
+        fh.write("\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:

@@ -15,6 +15,12 @@ frozen tensor's gradient and Adam never touches it. Within a trainable
 tensor Adam updates only the rows that have ever had a nonzero gradient
 (for the embedding, the ids the training texts use); every other row would
 move by exactly zero, so the result equals dense Adam bit for bit.
+
+Each distinct text is tokenized once per run (a ``TokenCache`` that outlives
+re-mining), and the gradient dict is allocated once per run. A group writes
+only its distinct token ids' rows of the embedding gradient, so the
+averaging, Adam's search for newly touched rows and the zeroing after the
+step cover those rows, and every other trainable tensor in full.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     FreezeMode,
+    TokenCache,
     _backward,
     _forward,
     encode,  # unused here; perfbench/tracer.py wraps training.encode
@@ -90,13 +97,15 @@ class TrainResult:
 
 
 def adam_step(params: EncoderParams, grads: dict[str, np.ndarray],
-              state: OptimizerState, lr: float) -> tuple[EncoderParams, OptimizerState]:
+              state: OptimizerState, lr: float,
+              written: dict[str, np.ndarray] | None = None) -> tuple[EncoderParams, OptimizerState]:
     """One bias-corrected Adam update, applied in place to the tensors in ``grads``.
 
     A row whose gradient, ``m`` and ``v`` have always been zero would move
     by exactly ``lr * 0 / (0 + eps) = +0``, so only rows that have ever had
     a nonzero gradient are updated; the result equals the dense update bit
     for bit. Tensors missing from ``grads`` are frozen and skipped.
+    ``written`` may name, per tensor, the only rows that can be nonzero.
     """
     state.step += 1
     t = state.step
@@ -105,7 +114,9 @@ def adam_step(params: EncoderParams, grads: dict[str, np.ndarray],
     tensors = params.named_tensors()
     for name, g in grads.items():
         touched = state.touched.setdefault(name, np.zeros(len(g), dtype=bool))
-        touched |= np.any(g.reshape(len(g), -1) != 0, axis=1)
+        hint = (written or {}).get(name, slice(None))
+        part = g[hint]
+        touched[hint] |= np.any(part.reshape(len(part), -1) != 0, axis=1)
         rows = slice(None) if touched.all() else np.flatnonzero(touched)
         g, m, v = g[rows], state.m[name][rows], state.v[name][rows]
         m *= ADAM_BETA1
@@ -160,11 +171,19 @@ def _group_grads(params: EncoderParams, config: EncoderConfig,
                  group: list[TrainingExample], cfg: TrainConfig,
                  grads: dict[str, np.ndarray], first_step: int) -> list[float]:
     """Losses of one accumulation group; adds the group's gradients into ``grads``."""
+    return _group_pass(params, config, group, cfg, grads, first_step, TokenCache(config))[0]
+
+
+def _group_pass(params: EncoderParams, config: EncoderConfig,
+                group: list[TrainingExample], cfg: TrainConfig, grads: dict[str, np.ndarray],
+                first_step: int, tokens: TokenCache) -> tuple[list[float], np.ndarray]:
+    """``_group_grads``, taking token ids from ``tokens``; also returns the
+    embedding rows the backward wrote (the group's distinct token ids)."""
     use_penalty = cfg.loss == "clp" and cfg.loss_cfg.lam != 0.0
     layout = [[ex.query, ex.pos[0], *ex.neg,
                *(q for qs in (ex.neg_queries if use_penalty else []) for q in qs)]
               for ex in group]
-    vecs, ctx = _forward(params, config, [text for texts in layout for text in texts])
+    vecs, ctx = _forward(params, config, [text for texts in layout for text in texts], tokens)
     losses, upstreams, row = [], [], 0
     for step, (example, texts) in enumerate(zip(group, layout), start=first_step):
         loss, ups = _example_loss(example, vecs[row:row + len(texts)], cfg, use_penalty)
@@ -174,7 +193,7 @@ def _group_grads(params: EncoderParams, config: EncoderConfig,
         upstreams.append(ups)
         row += len(texts)
     _backward(params, ctx, np.vstack(upstreams), grads)
-    return losses
+    return losses, ctx["uniq"]
 
 
 def train(params: EncoderParams, config: EncoderConfig,
@@ -196,8 +215,9 @@ def train(params: EncoderParams, config: EncoderConfig,
     params = params.copy()
     params.check_shapes(config)
     tensors = params.named_tensors()
-    trainable = _trainable(tensors, cfg.freeze)
+    accum = {name: np.zeros_like(tensors[name]) for name in _trainable(tensors, cfg.freeze)}
     state = OptimizerState.init(params)
+    tokens = TokenCache(config)
     rng = make_rng(cfg.seed)
     trace: list[float] = []
 
@@ -211,17 +231,23 @@ def train(params: EncoderParams, config: EncoderConfig,
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), cfg.grad_accum_steps):
             group = [dataset[int(idx)] for idx in order[start:start + cfg.grad_accum_steps]]
-            accum = {name: np.zeros_like(tensors[name]) for name in trainable}
-            trace += _group_grads(params, config, group, cfg, accum, len(trace))
-            _optimizer_step(params, accum, len(group), state, cfg)
+            losses, uniq = _group_pass(params, config, group, cfg, accum, len(trace), tokens)
+            trace += losses
+            _optimizer_step(params, accum, uniq, len(group), state, cfg)
     return TrainResult(params=params, loss_trace=trace)
 
 
-def _optimizer_step(params: EncoderParams, accum: dict[str, np.ndarray],
+def _optimizer_step(params: EncoderParams, accum: dict[str, np.ndarray], uniq: np.ndarray,
                     count: int, state: OptimizerState, cfg: TrainConfig) -> None:
-    for g in accum.values():
-        g /= count
-    adam_step(params, accum, state, cfg.learning_rate)
+    """Adam on the group's mean gradient, then zero what the group wrote into
+    ``accum``: the embedding's ``uniq`` rows (every other row is +0.0 already)
+    and every other tensor in full."""
+    written = {"embedding": uniq}
+    for name, g in accum.items():
+        g[written.get(name, slice(None))] /= count
+    adam_step(params, accum, state, cfg.learning_rate, written)
+    for name, g in accum.items():
+        g[written.get(name, slice(None))] = 0.0
 
 
 def _require_neg_queries(dataset: list[TrainingExample]) -> None:

@@ -15,10 +15,12 @@ from retrieval_lab.encoder import (
     EncoderConfig,
     EncoderParams,
     MoEConfig,
+    TokenCache,
     _TOKEN_RE,
     _backward,
     _forward,
     _mean_rows,
+    _token_rows,
     _words,
     encode,
     encode_texts,
@@ -375,6 +377,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("experts", [None, 2, 3])
+    def test_bytes_equal_one_dumps_of_the_whole_document(self, tmp_path, experts):
+        # d_model=4, d_int=8: the 32- and 64-byte biases end their base64 in
+        # "=" and "==" padding
+        if experts is None:
+            params, config = _dense_instance(24, vocab=48)
+        else:
+            params, config = _moe_instance(24, vocab=48, experts=experts)
+        expected = one_dumps_checkpoint(params, config)
+        payloads = [entry["data"] for entry in json.loads(expected)["tensors"].values()]
+        assert any(data.endswith("==") for data in payloads)
+        assert any(data.endswith("=") and not data.endswith("==") for data in payloads)
+        assert any("+" in data for data in payloads) and any("/" in data for data in payloads)
+        save_checkpoint(params, config, tmp_path / "ckpt.json")
+        assert (tmp_path / "ckpt.json").read_bytes() == expected
+
+
+def one_dumps_checkpoint(params, config) -> bytes:
+    """The v1 checkpoint as one ``json.dumps`` over the full base64 payloads."""
+    tensors = {name: {"shape": list(t.shape), "dtype": "<f8",
+                      "data": base64.b64encode(t.astype("<f8").tobytes()).decode("ascii")}
+               for name, t in params.named_tensors().items()}
+    doc = {"format": "retrieval-lab-checkpoint-v1", "config": config.to_dict(),
+           "tensors": tensors}
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
 
 class TestParams:
     def test_named_tensors_order_dense(self):
@@ -578,6 +606,27 @@ class TestOneTablePerCall:
         encode_texts(params, config, texts[::-1])  # a later call reuses the ids
         tokenize(texts[0], config)
         assert len(hashed) == len(set(hashed))
+
+
+class TestTokenCache:
+    def test_rows_equal_the_tokenizer_for_random_groups(self):
+        config = EncoderConfig(vocab_size=64, d_model=4, d_intermediate=8)
+        # the first two take the regex path of ``_words``
+        pool = ["Ünïcode, a-b", "x²", *_wide_texts(54, 30)]
+        rng = make_rng(54)
+        cache = TokenCache(config)
+        for _ in range(40):
+            group = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 12)))]
+            for got, want in zip(cache.rows(group), _token_rows(group, config)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert len(cache) == len(pool)
+
+    def test_empty_text_raises_and_caches_nothing(self):
+        config = EncoderConfig(vocab_size=64, d_model=4, d_intermediate=8)
+        cache = TokenCache(config)
+        with pytest.raises(ValueError, match="empty input"):
+            cache.rows(["fine words", "?! ..."])
+        assert len(cache) == 0
 
 
 # trainable sets of the freeze modes, plus two subsets that split the gate

@@ -277,6 +277,35 @@ class TestTrain:
                  for t in [ex.query, ex.pos[0], *ex.neg, *(q for qs in ex.neg_queries for q in qs)]]
         assert sorted(hashed) == sorted({w for t in texts for w in re.findall(r"\w+", t.lower())})
 
+    def test_group_token_rows_equal_the_tokenizer(self, monkeypatch):
+        # groups repeat texts, and two texts take the regex path of the tokenizer
+        params, config = tiny_encoder()
+        dataset = tiny_dataset(n=6)
+        for i, ex in enumerate(dataset):
+            ex.neg[i % 4] = ["Ünïcode, a-b", "x²"][i % 2]
+            ex.neg_queries[0] = [dataset[0].query, "x²"]
+        forward, groups = training._forward, []
+
+        def checking(params, config, texts, tokens):
+            out, ctx = forward(params, config, texts, tokens)
+            for name, want in zip(("uniq", "inv", "lengths"), encoder._token_rows(texts, config)):
+                assert ctx[name].dtype == want.dtype and np.array_equal(ctx[name], want), name
+            groups.append(len(texts))
+            return out, ctx
+
+        monkeypatch.setattr(training, "_forward", checking)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=2, grad_accum_steps=3, loss="clp", seed=4)
+        train(params, config, dataset, cfg)
+        assert len(groups) == 4
+
+    def test_text_without_tokens_raises(self):
+        params, config = tiny_encoder()
+        dataset = tiny_dataset(n=4)
+        dataset[2].neg[1] = "?! -- ..."
+        cfg = TrainConfig(learning_rate=1e-3, epochs=1, grad_accum_steps=1, loss="clp", seed=1)
+        with pytest.raises(ValueError, match="empty input"):
+            train(params, config, dataset, cfg)
+
 def reference_clp_step(params, config, group, cfg):
     """One optimizer step built from per-text encode / encode_with_grad calls."""
     params = params.copy()
@@ -475,3 +504,37 @@ class TestTrainMatchesFullPath:
         for name, tensor in result.params.named_tensors().items():
             assert_same_bits(tensor, expected.named_tensors()[name], name)
         assert params_bytes(result.params) != params_bytes(params)
+
+    @pytest.mark.parametrize("accum", [1, 3])
+    @pytest.mark.parametrize("moe, freeze", [(False, FreezeMode.FULL),
+                                             (True, FreezeMode.FULL),
+                                             (True, FreezeMode.MOE_ONLY)])
+    def test_reused_buffer_bitwise(self, moe, freeze, accum):
+        # 5 examples: groups of 1, or of 3 and a partial 2, share some rows
+        params, config = tiny_encoder(moe=moe, seed=7)
+        dataset = tiny_dataset(n=5)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=2, grad_accum_steps=accum, loss="clp",
+                          loss_cfg=LossConfig(lam=0.3), freeze=freeze, seed=8)
+        result = train(params, config, dataset, cfg)
+        expected, trace = reference_train(params, config, dataset, cfg)
+        assert result.loss_trace == trace
+        for name, tensor in result.params.named_tensors().items():
+            assert_same_bits(tensor, expected.named_tensors()[name], name)
+
+    def test_rows_one_group_wrote_and_the_next_did_not(self):
+        params, config = tiny_encoder(seed=9)
+        words = [f"word{i}" for i in range(40)]
+        dataset = [TrainingExample(query=" ".join(words[8 * i:8 * i + 2]),
+                                   pos=[" ".join(words[8 * i + 2:8 * i + 5])],
+                                   neg=[" ".join(words[8 * i + 5:8 * i + 8])])
+                   for i in range(5)]
+        cfg = TrainConfig(learning_rate=1e-2, epochs=2, grad_accum_steps=1, seed=3)
+        rows = [{i for text in (ex.query, ex.pos[0], *ex.neg) for i in encoder.tokenize(text, config)}
+                for ex in dataset]
+        order = make_rng(cfg.seed).permutation(len(dataset))
+        assert all(rows[a] - rows[b] for a, b in zip(order, order[1:]))
+        result = train(params, config, dataset, cfg)
+        expected, trace = reference_train(params, config, dataset, cfg)
+        assert result.loss_trace == trace
+        for name, tensor in result.params.named_tensors().items():
+            assert_same_bits(tensor, expected.named_tensors()[name], name)
