@@ -94,9 +94,13 @@ def _read_jsonl(path: str | Path):
             if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
+            if not isinstance(obj, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+            yield lineno, obj
 
 
 def _load_id_text(path: str | Path, cls):
@@ -104,9 +108,11 @@ def _load_id_text(path: str | Path, cls):
     seen: dict[str, int] = {}
     for lineno, obj in _read_jsonl(path):
         try:
-            item = cls(id=str(obj["id"]), text=str(obj["text"]))
+            item = cls(id=str(obj["id"]), text=_as_text(obj["text"], "text"))
         except KeyError as err:
             raise ValueError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
         if not item.id or not item.text:
             raise ValueError(f"{path}:{lineno}: id and text must be nonempty")
         if item.id in seen:
@@ -209,14 +215,16 @@ def load_neg_query_map(path: str | Path) -> dict[str, list[str]]:
     for lineno, obj in _read_jsonl(path):
         doc_id = obj.get("doc_id")
         queries = obj.get("queries")
-        if not doc_id or not queries:
+        if doc_id in (None, "") or not queries:
             raise ValueError(f"{path}:{lineno}: need nonempty doc_id and queries")
-        if not isinstance(queries, list):
-            raise ValueError(f"{path}:{lineno}: queries must be a list, "
-                             f"got {type(queries).__name__}")
+        try:
+            queries = _as_texts(queries, "queries")
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
+        doc_id = str(doc_id)  # as _load_id_text reads ids, so it matches its document's
         if doc_id in mapping:
             raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-        mapping[doc_id] = [str(q) for q in queries]
+        mapping[doc_id] = queries
     return mapping
 
 

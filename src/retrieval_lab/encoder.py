@@ -14,9 +14,9 @@ over that table, adding into a caller-supplied gradient dict. An
 table has at most ``vocab_size`` rows. Text splits on whitespace when that
 gives the word-character runs, else by regex. Word -> id lookups go through
 one dict per call, backed by a per-process memo, so a word is hashed once
-however many calls tokenize it. Callers that encode the same texts again and
-again (training groups, re-mines) keep a ``TokenCache`` of each text's ids
-and build the table rows from it, so a text is tokenized once.
+however many calls tokenize it. Only a training run, which encodes the same
+texts in group after group, keeps a ``TokenCache`` of each text's ids and
+builds the table rows from it, so a text is tokenized once per run.
 """
 
 from __future__ import annotations
@@ -293,22 +293,16 @@ def _table_rows(ids: np.ndarray, lengths: np.ndarray,
     return np.flatnonzero(present), (np.cumsum(present) - 1)[ids], lengths
 
 
-def _token_rows(texts: list[str], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_table_rows`` of the texts' token ids."""
-    return _table_rows(*_token_ids(texts, config), config.vocab_size)
-
-
 class TokenCache(dict):
     """Text -> its token ids, for texts that are encoded again and again (the
-    groups of a training run, the corpus of each re-mine): each distinct text
-    is tokenized once per cache."""
+    groups of a training run): each distinct text is tokenized once per cache."""
 
     def __init__(self, config: EncoderConfig):
         super().__init__()
         self.config = config
 
     def rows(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_token_rows(texts, config)``, tokenizing only texts not seen before."""
+        """``_table_rows`` of the texts' token ids, tokenizing only texts not seen before."""
         new = [text for text in dict.fromkeys(texts) if text not in self]
         if new:
             ids, lengths = _token_ids(new, self.config)
@@ -322,19 +316,16 @@ class TokenCache(dict):
 def _forward(params: EncoderParams, config: EncoderConfig, texts: list[str],
              tokens: TokenCache | None = None) -> tuple[np.ndarray, dict]:
     """Unit-norm encodings (len(texts), d_model) plus the context ``_backward``
-    needs; token ids come from ``tokens`` when given."""
-    rows = _token_rows(texts, config) if tokens is None else tokens.rows(texts)
-    return _table_forward(params, config, *rows)
-
-
-def _table_forward(params: EncoderParams, config: EncoderConfig, uniq: np.ndarray,
-                   inv: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, dict]:
-    """``_forward`` from the texts' table rows (see ``_table_rows``).
+    needs; token ids come from ``tokens`` when given.
 
     Each distinct token id goes through the token network once, so the table
     has at most ``vocab_size`` rows; a text's pool is the mean of its rows of
     that table.
     """
+    if tokens is None:
+        uniq, inv, lengths = _table_rows(*_token_ids(texts, config), config.vocab_size)
+    else:
+        uniq, inv, lengths = tokens.rows(texts)
     x = params.embedding[uniq]  # (m, d_model), one row per distinct id
     ctx = {"uniq": uniq, "inv": inv, "lengths": lengths, "x": x}
     if params.is_moe:
@@ -430,11 +421,10 @@ def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
         grads["embedding"][ctx["uniq"]] += dx  # ids are unique: no repeated-index scatter
 
 
-def encode_texts(params: EncoderParams, config: EncoderConfig, texts: list[str],
-                 tokens: TokenCache | None = None) -> np.ndarray:
+def encode_texts(params: EncoderParams, config: EncoderConfig, texts: list[str]) -> np.ndarray:
     """Encode texts to unit-norm rows (len(texts), d_model) in one ``_forward``: one
     token table over all their distinct ids, at most ``vocab_size`` rows."""
-    return _forward(params, config, texts, tokens)[0]
+    return _forward(params, config, texts)[0]
 
 
 def encode(params: EncoderParams, config: EncoderConfig, text: str) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Document, Qrels, Query, TrainingExample
 from .encoder import encode  # unused here; perfbench/tracer.py wraps mining.encode
-from .encoder import EncoderConfig, EncoderParams, TokenCache, encode_texts
+from .encoder import EncoderConfig, EncoderParams, encode_texts
 from .numerics import NORM_FLOOR, as_vector
 
 log = logging.getLogger(__name__)
@@ -80,10 +80,9 @@ class DenseIndex:
         return (queries @ distinct.T)[:, inverse]
 
 
-def build_index(corpus: list[Document], params: EncoderParams, config: EncoderConfig,
-                tokens: TokenCache | None = None) -> DenseIndex:
-    """Encode every document with the given parameters (token ids from ``tokens``
-    when given)."""
+def build_index(corpus: list[Document], params: EncoderParams,
+                config: EncoderConfig) -> DenseIndex:
+    """Encode every document with the given parameters."""
     if not corpus:
         raise ValueError("corpus must be nonempty")
     seen = set()
@@ -93,7 +92,7 @@ def build_index(corpus: list[Document], params: EncoderParams, config: EncoderCo
         seen.add(doc.id)
         if not doc.text:
             raise ValueError(f"document {doc.id!r} has empty text")
-    vectors = encode_texts(params, config, [doc.text for doc in corpus], tokens)
+    vectors = encode_texts(params, config, [doc.text for doc in corpus])
     return DenseIndex([doc.id for doc in corpus], vectors, config.d_model)
 
 
@@ -162,8 +161,7 @@ def search_top_k(index: DenseIndex, query_vec, k: int) -> RankedList:
 
 def mine_ance_negatives_many(index: DenseIndex, params: EncoderParams, config: EncoderConfig,
                              queries: list[str], excluded: list[set[str]],
-                             k: int = DEFAULT_NEGATIVES,
-                             tokens: TokenCache | None = None) -> list[list[str]]:
+                             k: int = DEFAULT_NEGATIVES) -> list[list[str]]:
     """For each query, its k most similar documents outside its excluded set.
 
     ``excluded[i]`` holds query i's relevant (positive) doc ids. All queries
@@ -179,7 +177,7 @@ def mine_ance_negatives_many(index: DenseIndex, params: EncoderParams, config: E
             if doc_id not in index:
                 raise ValueError(f"unknown positive_id {doc_id!r}")
     depth = k + max(map(len, excluded), default=0)
-    ranked = search_many(index, encode_texts(params, config, queries, tokens), depth)
+    ranked = search_many(index, encode_texts(params, config, queries), depth)
     negatives = []
     for ranking, skip in zip(ranked, excluded):
         top = ranking[:k + len(skip)]
@@ -226,13 +224,11 @@ def mine_random_negatives(corpus_ids: list[str], positive_id: str, k: int,
 def mine_dataset(corpus: list[Document], queries: list[Query], qrels: Qrels,
                  neg_query_map: dict[str, list[str]] | None,
                  params: EncoderParams | None, config: EncoderConfig | None,
-                 strategy: str, k: int, rng: np.random.Generator,
-                 tokens: TokenCache | None = None) -> list[TrainingExample]:
+                 strategy: str, k: int, rng: np.random.Generator) -> list[TrainingExample]:
     """One example per judged query: its relevant docs as positives and k negatives
     outside them, top-ranked by the model ("ance") or drawn from ``rng`` ("random"),
     each with its own queries when given ``neg_query_map``. Unjudged queries are
-    skipped with a warning. ``tokens`` keeps the texts' token ids for the next
-    call (each re-mine of a training run)."""
+    skipped with a warning."""
     if strategy not in ("ance", "random"):
         raise ValueError(f"strategy must be 'ance' or 'random', got {strategy!r}")
     doc_by_id = {doc.id: doc for doc in corpus}
@@ -251,9 +247,9 @@ def mine_dataset(corpus: list[Document], queries: list[Query], qrels: Qrels,
         raise ValueError("no mineable queries (qrels empty or ids mismatched)")
     excluded = [relevant for _, relevant in mineable]
     if strategy == "ance":
-        neg_lists = mine_ance_negatives_many(build_index(corpus, params, config, tokens), params,
+        neg_lists = mine_ance_negatives_many(build_index(corpus, params, config), params,
                                              config, [query.text for query, _ in mineable],
-                                             excluded, k, tokens)
+                                             excluded, k)
     else:
         neg_lists = mine_random_negatives_many(list(doc_by_id), excluded, k, rng)
     examples = []

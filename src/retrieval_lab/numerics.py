@@ -132,8 +132,8 @@ def _atomic_open(path: str | Path):
 @contextmanager
 def _reading(path: str | Path):
     """Yield the JSON object ``path`` holds. A document that is not an object,
-    and malformed JSON or a missing key met inside the block, raise a
-    ``ValueError`` that names ``path`` (and the line, for JSON)."""
+    and malformed JSON, a missing key or a value of the wrong type met inside
+    the block, raise a ``ValueError`` that names ``path`` (and the line, for JSON)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
@@ -143,3 +143,5 @@ def _reading(path: str | Path):
         raise ValueError(f"{path}:{err.lineno}: malformed JSON ({err.msg})") from err
     except KeyError as err:
         raise ValueError(f"{path}: missing key {err.args[0]!r}") from err
+    except TypeError as err:
+        raise ValueError(f"{path}: malformed entry ({err})") from err

@@ -16,11 +16,12 @@ tensor Adam updates only the rows that have ever had a nonzero gradient
 (for the embedding, the ids the training texts use); every other row would
 move by exactly zero, so the result equals dense Adam bit for bit.
 
-Each distinct text is tokenized once per run (a ``TokenCache`` that outlives
-re-mining), and the gradient dict is allocated once per run. A group writes
-only its distinct token ids' rows of the embedding gradient, so the
-averaging, Adam's search for newly touched rows and the zeroing after the
-step cover those rows, and every other trainable tensor in full.
+Each distinct text is tokenized once per run: only ``train`` keeps a
+``TokenCache``, and it outlives re-mining (re-mines tokenize afresh). The
+gradient dict is allocated once per run. A group writes only its distinct
+token ids' rows of the embedding gradient, so the averaging, Adam's search
+for newly touched rows and the zeroing after the step cover those rows, and
+every other trainable tensor in full.
 """
 
 from __future__ import annotations
@@ -168,17 +169,12 @@ def _example_loss(example: TrainingExample, vecs: np.ndarray, cfg: TrainConfig,
 
 
 def _group_grads(params: EncoderParams, config: EncoderConfig,
-                 group: list[TrainingExample], cfg: TrainConfig,
-                 grads: dict[str, np.ndarray], first_step: int) -> list[float]:
-    """Losses of one accumulation group; adds the group's gradients into ``grads``."""
-    return _group_pass(params, config, group, cfg, grads, first_step, TokenCache(config))[0]
-
-
-def _group_pass(params: EncoderParams, config: EncoderConfig,
-                group: list[TrainingExample], cfg: TrainConfig, grads: dict[str, np.ndarray],
-                first_step: int, tokens: TokenCache) -> tuple[list[float], np.ndarray]:
-    """``_group_grads``, taking token ids from ``tokens``; also returns the
-    embedding rows the backward wrote (the group's distinct token ids)."""
+                 group: list[TrainingExample], cfg: TrainConfig, grads: dict[str, np.ndarray],
+                 first_step: int,
+                 tokens: TokenCache | None = None) -> tuple[list[float], np.ndarray]:
+    """Losses of one accumulation group, and the embedding rows the backward
+    wrote (the group's distinct token ids); adds the group's gradients into
+    ``grads``. Token ids come from ``tokens`` when given."""
     use_penalty = cfg.loss == "clp" and cfg.loss_cfg.lam != 0.0
     layout = [[ex.query, ex.pos[0], *ex.neg,
                *(q for qs in (ex.neg_queries if use_penalty else []) for q in qs)]
@@ -231,7 +227,7 @@ def train(params: EncoderParams, config: EncoderConfig,
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), cfg.grad_accum_steps):
             group = [dataset[int(idx)] for idx in order[start:start + cfg.grad_accum_steps]]
-            losses, uniq = _group_pass(params, config, group, cfg, accum, len(trace), tokens)
+            losses, uniq = _group_grads(params, config, group, cfg, accum, len(trace), tokens)
             trace += losses
             _optimizer_step(params, accum, uniq, len(group), state, cfg)
     return TrainResult(params=params, loss_trace=trace)

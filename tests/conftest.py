@@ -82,6 +82,16 @@ def random_text(rng: np.random.Generator, n_tokens: int) -> str:
     return " ".join(_WORDS[int(i)] for i in rng.integers(0, len(_WORDS), size=n_tokens))
 
 
+def token_rows(texts: list[str], config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oracle for the token table rows of ``texts``: the sorted distinct ids of
+    their ``tokenize`` outputs, each token's index into them and each text's
+    token count, all as ``intp``."""
+    ids = [tokenize(text, config) for text in texts]
+    uniq, inv = np.unique(np.array([i for text_ids in ids for i in text_ids], dtype=np.intp),
+                          return_inverse=True)
+    return uniq, inv, np.array([len(text_ids) for text_ids in ids], dtype=np.intp)
+
+
 def smooth_at(params, config, text: str, margin: float = 1e-4) -> bool:
     """True when the forward pass stays clear of relu kinks, argmax ties and
     vanishing pool norms, so central differences are trustworthy."""

@@ -106,6 +106,16 @@ class TestMine:
         assert code == 1
         assert "unknown doc_id" in capsys.readouterr().err
 
+    def test_non_object_line_names_file_and_line(self, synth_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text((synth_dir / "corpus.jsonl").read_text() + "[1, 2]\n")
+        lineno = len(corpus.read_text().splitlines())
+        assert run_cli("mine", "--corpus", corpus, "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv", "--strategy", "random",
+                       "--outdir", tmp_path / "m") == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus}:{lineno}: expected a JSON object, got list\n")
+
     def test_preset_sets_strategy(self, synth_dir, tmp_path):
         out_r = tmp_path / "ra"
         out_p = tmp_path / "pa"

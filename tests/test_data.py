@@ -49,6 +49,16 @@ class TestIdTextLoaders:
         with pytest.raises(ValueError, match=":2"):
             load_queries(path)
 
+    @pytest.mark.parametrize("line, kind", [
+        ('{"id": 5, "text": ["a", "b"]}', "list"), ('{"id": "b", "text": 7}', "int")],
+        ids=["list", "int"])
+    def test_non_string_text_cites_line(self, tmp_path, line, kind):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + line + "\n")
+        match = rf"corpus\.jsonl:2: text must be a string, got {kind}$"
+        with pytest.raises(ValueError, match=match):
+            load_corpus(path)
+
     def test_round_trip(self, tmp_path):
         docs = [Document("a", "alpha beta"), Document("b", "gamma")]
         path = tmp_path / "c.jsonl"
@@ -176,6 +186,41 @@ class TestNegQueryMap:
                         '{"doc_id": "e", "queries": "hello"}\n')
         with pytest.raises(ValueError, match=r"m\.jsonl:2: queries must be a list, got str$"):
             load_neg_query_map(path)
+
+    @pytest.mark.parametrize("line, field", [
+        ('{"doc_id": "e", "queries": [1, {"a": 2}]}', r"queries\[0\] must be a string, got int"),
+        ('{"doc_id": "e", "queries": ["x", {"a": 2}]}', r"queries\[1\] must be a string, got dict"),
+    ], ids=["int", "dict"])
+    def test_non_string_query_cites_line(self, tmp_path, line, field):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"doc_id": "d", "queries": ["x"]}\n' + line + "\n")
+        with pytest.raises(ValueError, match=rf"m\.jsonl:2: {field}$"):
+            load_neg_query_map(path)
+
+    def test_number_doc_id_matches_the_corpus_id(self, tmp_path):
+        corpus, mapping = tmp_path / "c.jsonl", tmp_path / "m.jsonl"
+        corpus.write_text('{"id": 5, "text": "five"}\n')
+        mapping.write_text('{"doc_id": 5, "queries": ["q"]}\n')
+        assert list(load_neg_query_map(mapping)) == [doc.id for doc in load_corpus(corpus)]
+        mapping.write_text('{"doc_id": 5, "queries": ["q"]}\n{"doc_id": "5", "queries": ["r"]}\n')
+        with pytest.raises(ValueError, match=r"m\.jsonl:2: duplicate doc_id '5'$"):
+            load_neg_query_map(mapping)
+
+
+@pytest.mark.parametrize("loader, first", [
+    (load_corpus, '{"id": "a", "text": "x"}'),
+    (load_queries, '{"id": "a", "text": "x"}'),
+    (load_train_set, '{"query": "q", "pos": ["p"]}'),
+    (load_neg_query_map, '{"doc_id": "d", "queries": ["x"]}'),
+], ids=["corpus", "queries", "train_set", "neg_query_map"])
+@pytest.mark.parametrize("line, kind", [
+    ("[1, 2]", "list"), ('"text"', "str"), ("7", "int"), ("null", "NoneType")],
+    ids=["list", "str", "int", "null"])
+def test_non_object_line_cites_line(tmp_path, loader, first, line, kind):
+    path = tmp_path / "f.jsonl"
+    path.write_text(first + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=rf"f\.jsonl:2: expected a JSON object, got {kind}$"):
+        loader(path)
 
 
 class TestSynthGenerate:

@@ -20,7 +20,6 @@ from retrieval_lab.encoder import (
     _backward,
     _forward,
     _mean_rows,
-    _token_rows,
     _words,
     encode,
     encode_texts,
@@ -35,7 +34,7 @@ from retrieval_lab.encoder import (
 )
 from retrieval_lab.numerics import make_rng
 
-from conftest import encoder_instance, finite_diff_params, random_text, rel_error
+from conftest import encoder_instance, finite_diff_params, random_text, rel_error, token_rows
 
 
 def straight_line_encode(params, config, text):
@@ -617,7 +616,7 @@ class TestTokenCache:
         cache = TokenCache(config)
         for _ in range(40):
             group = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 12)))]
-            for got, want in zip(cache.rows(group), _token_rows(group, config)):
+            for got, want in zip(cache.rows(group), token_rows(group, config)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
         assert len(cache) == len(pool)
 
@@ -709,6 +708,19 @@ class TestCheckpointValidation:
         path = tmp_path / "ckpt.json"
         path.write_text(doc + "\n")
         with pytest.raises(ValueError, match=r"ckpt\.json: expected a JSON object, got "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["config"].update(moe={"num_experts": 2, "experts": 1}),
+         "unexpected keyword argument 'experts'"),
+        (lambda doc: doc["config"].update(vocab_size="4096"), "not supported between"),
+        (lambda doc: doc["tensors"]["w_down"].update(shape="x"), ""),
+    ], ids=["unknown_moe_key", "string_vocab_size", "string_shape"])
+    def test_wrong_type_names_file(self, tmp_path, edit, message):
+        path, doc = self._doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"ckpt\.json: malformed entry \(.*{message}"):
             load_checkpoint(path)
 
     def test_config_without_d_model(self, tmp_path):

@@ -3,8 +3,7 @@ import pytest
 
 from retrieval_lab import mining
 from retrieval_lab.data import Document, Qrels, Query
-from retrieval_lab import encoder
-from retrieval_lab.encoder import EncoderConfig, TokenCache, encode, init_params
+from retrieval_lab.encoder import EncoderConfig, encode, init_params
 from retrieval_lab.mining import (
     DenseIndex,
     build_index,
@@ -368,32 +367,6 @@ class TestMineAnceMany:
         examples = mine_dataset(corpus, queries, qrels, None, params, config,
                                 "ance", 6, make_rng(0))
         assert [ex.neg for ex in examples] == [[text_of[d] for d in w] for w in wanted]
-
-    def test_remining_with_one_token_cache_tokenizes_each_text_once(self, monkeypatch):
-        corpus, params, config = small_setup(seed=17, n_docs=30)
-        rng = make_rng(47)
-        queries = [Query(f"q{i}", random_text(rng, 5)) for i in range(6)]
-        qrels = Qrels()
-        for i, query in enumerate(queries):
-            qrels.set(query.id, corpus[i].id, 1)
-        token_ids, tokenized = encoder._token_ids, []
-
-        def counting(texts, config):
-            tokenized.extend(texts)
-            return token_ids(texts, config)
-
-        monkeypatch.setattr(encoder, "_token_ids", counting)
-        tokens = TokenCache(config)
-        for step in range(3):  # each re-mine sees new params
-            params.embedding *= 1.5 - step
-            cached = mine_dataset(corpus, queries, qrels, None, params, config,
-                                  "ance", 5, make_rng(0), tokens)
-            before = len(tokenized)
-            assert cached == mine_dataset(corpus, queries, qrels, None, params, config,
-                                          "ance", 5, make_rng(0))
-            del tokenized[before:]  # the uncached call tokenizes again
-        assert sorted(tokenized) == sorted({text for text in
-                                            [doc.text for doc in corpus] + [q.text for q in queries]})
 
     def test_zero_queries(self):
         corpus, params, config = small_setup()

@@ -25,6 +25,8 @@ from retrieval_lab.training import (
     train,
 )
 
+from conftest import token_rows
+
 
 def tiny_dataset(n=6, with_neg_queries=True, seed=0):
     spec = SynthSpec(num_clusters=2, docs_per_cluster=6, queries_per_cluster=3,
@@ -228,6 +230,7 @@ class TestTrain:
         accum = TrainConfig(**base).grad_accum_steps
         assert full.loss_trace[:accum] == stopped.loss_trace[:accum]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_loss_aborts_with_step(self):
         params, config = tiny_encoder()
         params.embedding *= 1e200  # guarantees overflow in the forward pass
@@ -288,7 +291,7 @@ class TestTrain:
 
         def checking(params, config, texts, tokens):
             out, ctx = forward(params, config, texts, tokens)
-            for name, want in zip(("uniq", "inv", "lengths"), encoder._token_rows(texts, config)):
+            for name, want in zip(("uniq", "inv", "lengths"), token_rows(texts, config)):
                 assert ctx[name].dtype == want.dtype and np.array_equal(ctx[name], want), name
             groups.append(len(texts))
             return out, ctx
@@ -414,7 +417,7 @@ def reference_train(params, config, dataset, cfg, refresh_fn=None):
         for start in range(0, len(order), cfg.grad_accum_steps):
             group = [dataset[int(i)] for i in order[start:start + cfg.grad_accum_steps]]
             accum = zero_grads(params)
-            trace += training._group_grads(params, config, group, cfg, accum, len(trace))
+            trace += training._group_grads(params, config, group, cfg, accum, len(trace))[0]
             t += 1
             mean = apply_freeze({name: g / len(group) for name, g in accum.items()}, cfg.freeze)
             dense_adam(tensors, mean, m, v, t, cfg.learning_rate)
