@@ -108,7 +108,7 @@ def _load_id_text(path: str | Path, cls):
     seen: dict[str, int] = {}
     for lineno, obj in _read_jsonl(path):
         try:
-            item = cls(id=str(obj["id"]), text=_as_text(obj["text"], "text"))
+            item = cls(id=_as_id(obj["id"], "id"), text=_as_text(obj["text"], "text"))
         except KeyError as err:
             raise ValueError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
         except ValueError as err:
@@ -174,6 +174,13 @@ def _as_list(value, name: str) -> list:
     return value
 
 
+def _as_id(value, name: str) -> str:
+    """``value`` if it is a string; an integer (not ``bool``) in its ``str()`` form."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"{name} must be a string or an integer, got {type(value).__name__}")
+    return str(value)
+
+
 def _as_text(value, name: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {type(value).__name__}")
@@ -217,11 +224,10 @@ def load_neg_query_map(path: str | Path) -> dict[str, list[str]]:
         queries = obj.get("queries")
         if doc_id in (None, "") or not queries:
             raise ValueError(f"{path}:{lineno}: need nonempty doc_id and queries")
-        try:
-            queries = _as_texts(queries, "queries")
+        try:  # ids are read as _load_id_text reads them, so one matches its document's
+            doc_id, queries = _as_id(doc_id, "doc_id"), _as_texts(queries, "queries")
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from err
-        doc_id = str(doc_id)  # as _load_id_text reads ids, so it matches its document's
         if doc_id in mapping:
             raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
         mapping[doc_id] = queries

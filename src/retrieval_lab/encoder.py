@@ -12,11 +12,9 @@ matmul, then one up-projection matmul per expert), and backprop runs once
 over that table, adding into a caller-supplied gradient dict. An
 ``encode_texts`` call, a whole corpus included, is one such batch, so the
 table has at most ``vocab_size`` rows. Text splits on whitespace when that
-gives the word-character runs, else by regex. Word -> id lookups go through
-one dict per call, backed by a per-process memo, so a word is hashed once
-however many calls tokenize it. Only a training run, which encodes the same
-texts in group after group, keeps a ``TokenCache`` of each text's ids and
-builds the table rows from it, so a text is tokenized once per run.
+gives the word-character runs, else by regex. Every word -> id lookup goes
+through one memo per vocabulary size, kept for the whole process, so a word
+is hashed once however many calls tokenize it.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +203,7 @@ def stable_token_id(token: str, vocab_size: int) -> int:
 
 def tokenize(text: str, config: EncoderConfig) -> list[int]:
     """Lowercase, split into maximal runs of word characters (``_words``), hash to ids."""
-    return list(map(_WordIds(config.vocab_size).__getitem__, _words(text)))
+    return list(map(_word_ids(config.vocab_size).__getitem__, _words(text)))
 
 
 def _words(text: str) -> list[str]:
@@ -251,28 +249,32 @@ def moe_intermediate_forward(
     return p[0, e] * r, e, float(p[0, e])
 
 
-@lru_cache(maxsize=1 << 16)
-def _token_id(word: str, vocab_size: int) -> int:
-    """``stable_token_id``, memoised: while the vocabulary fits the cache, each
-    distinct word is hashed once per process, on every path that tokenizes."""
-    return stable_token_id(word, vocab_size)
-
-
 class _WordIds(dict):
-    """Word -> token id for one call; a word not yet in it goes to ``_token_id``."""
+    """Word -> token id at one vocabulary size; a word not yet in it is hashed
+    by ``stable_token_id``. It has no cap: it keeps one entry per distinct
+    word the process has tokenized, words of texts the caller holds anyway."""
 
     def __init__(self, vocab_size: int):
         super().__init__()
         self.vocab_size = vocab_size
 
     def __missing__(self, word: str) -> int:
-        self[word] = token = _token_id(word, self.vocab_size)
+        self[word] = token = stable_token_id(word, self.vocab_size)
         return token
 
 
-def _token_ids(texts: list[str], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every text's token ids, text after text, and each text's token count."""
-    word_id = _WordIds(config.vocab_size).__getitem__
+@cache
+def _word_ids(vocab_size: int) -> _WordIds:
+    """The process's one word -> id memo at ``vocab_size``."""
+    return _WordIds(vocab_size)
+
+
+def _table_rows(texts: list[str],
+                config: EncoderConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the texts' token table and how texts pool them: the sorted
+    distinct token ids, each token's index into them, text after text (as
+    ``np.unique``'s inverse), and each text's token count."""
+    word_id = _word_ids(config.vocab_size).__getitem__
     lengths = np.empty(len(texts), dtype=np.intp)
     flat: list[int] = []
     for i, text in enumerate(texts):
@@ -281,51 +283,21 @@ def _token_ids(texts: list[str], config: EncoderConfig) -> tuple[np.ndarray, np.
             raise ValueError("empty input")
         flat += text_ids
         lengths[i] = len(text_ids)
-    return np.array(flat, dtype=np.intp), lengths
-
-
-def _table_rows(ids: np.ndarray, lengths: np.ndarray,
-                vocab_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted distinct ``ids``, each token's index into them (as ``np.unique``'s
-    inverse) and ``lengths``: the rows of the token table and how texts pool them."""
-    present = np.zeros(vocab_size, dtype=bool)
+    ids = np.array(flat, dtype=np.intp)
+    present = np.zeros(config.vocab_size, dtype=bool)
     present[ids] = True
     return np.flatnonzero(present), (np.cumsum(present) - 1)[ids], lengths
 
 
-class TokenCache(dict):
-    """Text -> its token ids, for texts that are encoded again and again (the
-    groups of a training run): each distinct text is tokenized once per cache."""
-
-    def __init__(self, config: EncoderConfig):
-        super().__init__()
-        self.config = config
-
-    def rows(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_table_rows`` of the texts' token ids, tokenizing only texts not seen before."""
-        new = [text for text in dict.fromkeys(texts) if text not in self]
-        if new:
-            ids, lengths = _token_ids(new, self.config)
-            ends = np.cumsum(lengths).tolist()
-            self.update(zip(new, (ids[end - n:end] for end, n in zip(ends, lengths.tolist()))))
-        pieces = [self[text] for text in texts]
-        lengths = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
-        return _table_rows(np.concatenate(pieces), lengths, self.config.vocab_size)
-
-
-def _forward(params: EncoderParams, config: EncoderConfig, texts: list[str],
-             tokens: TokenCache | None = None) -> tuple[np.ndarray, dict]:
-    """Unit-norm encodings (len(texts), d_model) plus the context ``_backward``
-    needs; token ids come from ``tokens`` when given.
+def _forward(params: EncoderParams, config: EncoderConfig,
+             texts: list[str]) -> tuple[np.ndarray, dict]:
+    """Unit-norm encodings (len(texts), d_model) plus the context ``_backward`` needs.
 
     Each distinct token id goes through the token network once, so the table
     has at most ``vocab_size`` rows; a text's pool is the mean of its rows of
     that table.
     """
-    if tokens is None:
-        uniq, inv, lengths = _table_rows(*_token_ids(texts, config), config.vocab_size)
-    else:
-        uniq, inv, lengths = tokens.rows(texts)
+    uniq, inv, lengths = _table_rows(texts, config)
     x = params.embedding[uniq]  # (m, d_model), one row per distinct id
     ctx = {"uniq": uniq, "inv": inv, "lengths": lengths, "x": x}
     if params.is_moe:

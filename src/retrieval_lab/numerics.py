@@ -143,5 +143,5 @@ def _reading(path: str | Path):
         raise ValueError(f"{path}:{err.lineno}: malformed JSON ({err.msg})") from err
     except KeyError as err:
         raise ValueError(f"{path}: missing key {err.args[0]!r}") from err
-    except TypeError as err:
+    except (TypeError, AttributeError) as err:  # e.g. an array where an object belongs
         raise ValueError(f"{path}: malformed entry ({err})") from err

@@ -16,12 +16,12 @@ tensor Adam updates only the rows that have ever had a nonzero gradient
 (for the embedding, the ids the training texts use); every other row would
 move by exactly zero, so the result equals dense Adam bit for bit.
 
-Each distinct text is tokenized once per run: only ``train`` keeps a
-``TokenCache``, and it outlives re-mining (re-mines tokenize afresh). The
-gradient dict is allocated once per run. A group writes only its distinct
-token ids' rows of the embedding gradient, so the averaging, Adam's search
-for newly touched rows and the zeroing after the step cover those rows, and
-every other trainable tensor in full.
+Groups tokenize through the encoder's word -> id memo, one per vocabulary
+size for the whole process, so a word is hashed once however many groups
+and re-mines use it. The gradient dict is allocated once per run. A group
+writes only its distinct token ids' rows of the embedding gradient, so the
+averaging, Adam's search for newly touched rows and the zeroing after the
+step cover those rows, and every other trainable tensor in full.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     FreezeMode,
-    TokenCache,
     _backward,
     _forward,
     encode,  # unused here; perfbench/tracer.py wraps training.encode
@@ -170,16 +169,15 @@ def _example_loss(example: TrainingExample, vecs: np.ndarray, cfg: TrainConfig,
 
 def _group_grads(params: EncoderParams, config: EncoderConfig,
                  group: list[TrainingExample], cfg: TrainConfig, grads: dict[str, np.ndarray],
-                 first_step: int,
-                 tokens: TokenCache | None = None) -> tuple[list[float], np.ndarray]:
+                 first_step: int) -> tuple[list[float], np.ndarray]:
     """Losses of one accumulation group, and the embedding rows the backward
     wrote (the group's distinct token ids); adds the group's gradients into
-    ``grads``. Token ids come from ``tokens`` when given."""
+    ``grads``."""
     use_penalty = cfg.loss == "clp" and cfg.loss_cfg.lam != 0.0
     layout = [[ex.query, ex.pos[0], *ex.neg,
                *(q for qs in (ex.neg_queries if use_penalty else []) for q in qs)]
               for ex in group]
-    vecs, ctx = _forward(params, config, [text for texts in layout for text in texts], tokens)
+    vecs, ctx = _forward(params, config, [text for texts in layout for text in texts])
     losses, upstreams, row = [], [], 0
     for step, (example, texts) in enumerate(zip(group, layout), start=first_step):
         loss, ups = _example_loss(example, vecs[row:row + len(texts)], cfg, use_penalty)
@@ -213,7 +211,6 @@ def train(params: EncoderParams, config: EncoderConfig,
     tensors = params.named_tensors()
     accum = {name: np.zeros_like(tensors[name]) for name in _trainable(tensors, cfg.freeze)}
     state = OptimizerState.init(params)
-    tokens = TokenCache(config)
     rng = make_rng(cfg.seed)
     trace: list[float] = []
 
@@ -227,7 +224,7 @@ def train(params: EncoderParams, config: EncoderConfig,
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), cfg.grad_accum_steps):
             group = [dataset[int(idx)] for idx in order[start:start + cfg.grad_accum_steps]]
-            losses, uniq = _group_grads(params, config, group, cfg, accum, len(trace), tokens)
+            losses, uniq = _group_grads(params, config, group, cfg, accum, len(trace))
             trace += losses
             _optimizer_step(params, accum, uniq, len(group), state, cfg)
     return TrainResult(params=params, loss_trace=trace)

@@ -9,7 +9,7 @@ import pytest
 
 from retrieval_lab import cli
 from retrieval_lab.data import load_train_set
-from retrieval_lab.encoder import load_checkpoint
+from retrieval_lab.encoder import CHECKPOINT_FORMAT, load_checkpoint
 
 
 def run_cli(*args):
@@ -337,6 +337,17 @@ class TestEvalAndCompare:
         assert run_cli("eval", "--checkpoint", checkpoint, "--outdir", tmp_path / "e") == 1
         assert capsys.readouterr().err == (
             f"error: {checkpoint}: expected a JSON object, got list\n")
+
+    @pytest.mark.parametrize("field", ["config", "tensors"])
+    def test_eval_checkpoint_array_entry_names_file(self, tmp_path, capsys, field):
+        doc = {"format": CHECKPOINT_FORMAT, "tensors": {},
+               "config": {"vocab_size": 8, "d_model": 2, "d_intermediate": 4, "moe": None}}
+        doc[field] = []
+        checkpoint = tmp_path / "ckpt.json"
+        checkpoint.write_text(json.dumps(doc) + "\n")
+        assert run_cli("eval", "--checkpoint", checkpoint, "--outdir", tmp_path / "e") == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: malformed entry ('list' object has no attribute 'get')\n")
 
     def test_compare_report_array_names_file(self, tmp_path, capsys):
         report = tmp_path / "report.json"

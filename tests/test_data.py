@@ -59,6 +59,16 @@ class TestIdTextLoaders:
         with pytest.raises(ValueError, match=match):
             load_corpus(path)
 
+    @pytest.mark.parametrize("value, kind", [
+        ("null", "NoneType"), ('["x"]', "list"), ("1.5", "float"), ("true", "bool")],
+        ids=["null", "list", "float", "bool"])
+    def test_wrong_type_id_cites_line(self, tmp_path, value, kind):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 3, "text": "x"}\n{"id": ' + value + ', "text": "y"}\n')
+        match = rf"corpus\.jsonl:2: id must be a string or an integer, got {kind}$"
+        with pytest.raises(ValueError, match=match):
+            load_corpus(path)
+
     def test_round_trip(self, tmp_path):
         docs = [Document("a", "alpha beta"), Document("b", "gamma")]
         path = tmp_path / "c.jsonl"
@@ -195,6 +205,19 @@ class TestNegQueryMap:
         path = tmp_path / "m.jsonl"
         path.write_text('{"doc_id": "d", "queries": ["x"]}\n' + line + "\n")
         with pytest.raises(ValueError, match=rf"m\.jsonl:2: {field}$"):
+            load_neg_query_map(path)
+
+    @pytest.mark.parametrize("value, message", [
+        ("null", "need nonempty doc_id and queries"),
+        ('["x"]', "doc_id must be a string or an integer, got list"),
+        ("1.5", "doc_id must be a string or an integer, got float"),
+        ("true", "doc_id must be a string or an integer, got bool"),
+    ], ids=["null", "list", "float", "bool"])
+    def test_wrong_type_doc_id_cites_line(self, tmp_path, value, message):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"doc_id": 3, "queries": ["x"]}\n'
+                        '{"doc_id": ' + value + ', "queries": ["y"]}\n')
+        with pytest.raises(ValueError, match=rf"m\.jsonl:2: {message}$"):
             load_neg_query_map(path)
 
     def test_number_doc_id_matches_the_corpus_id(self, tmp_path):

@@ -15,7 +15,6 @@ from retrieval_lab.encoder import (
     EncoderConfig,
     EncoderParams,
     MoEConfig,
-    TokenCache,
     _TOKEN_RE,
     _backward,
     _forward,
@@ -599,33 +598,24 @@ class TestOneTablePerCall:
             return stable_token_id(token, vocab_size)
 
         monkeypatch.setattr(encoder, "stable_token_id", counting)
-        encoder._token_id.cache_clear()
+        encoder._word_ids.cache_clear()
         encode_texts(params, config, texts)
         assert sorted(hashed) == sorted({w for text in texts for w in text.split()})
         encode_texts(params, config, texts[::-1])  # a later call reuses the ids
         tokenize(texts[0], config)
         assert len(hashed) == len(set(hashed))
 
-
-class TestTokenCache:
-    def test_rows_equal_the_tokenizer_for_random_groups(self):
-        config = EncoderConfig(vocab_size=64, d_model=4, d_intermediate=8)
-        # the first two take the regex path of ``_words``
-        pool = ["Ünïcode, a-b", "x²", *_wide_texts(54, 30)]
-        rng = make_rng(54)
-        cache = TokenCache(config)
-        for _ in range(40):
-            group = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 12)))]
-            for got, want in zip(cache.rows(group), token_rows(group, config)):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert len(cache) == len(pool)
-
-    def test_empty_text_raises_and_caches_nothing(self):
-        config = EncoderConfig(vocab_size=64, d_model=4, d_intermediate=8)
-        cache = TokenCache(config)
-        with pytest.raises(ValueError, match="empty input"):
-            cache.rows(["fine words", "?! ..."])
-        assert len(cache) == 0
+    def test_memo_is_keyed_by_vocabulary_size(self):
+        # one regex-path text and one split-path text of ``_words``, at one
+        # size, another, then the first again, in one process
+        encoder._word_ids.cache_clear()
+        texts = ["Ünïcode, a-b x²", "memo keyed by size"]
+        for vocab_size in (64, 4096, 64):
+            config = EncoderConfig(vocab_size=vocab_size, d_model=4, d_intermediate=8)
+            want = [_regex_ids(text, config) for text in texts]
+            assert [tokenize(text, config) for text in texts] == want, vocab_size
+            uniq = _forward(init_params(config, 55), config, texts)[1]["uniq"]
+            assert uniq.tolist() == sorted({i for ids in want for i in ids}), vocab_size
 
 
 # trainable sets of the freeze modes, plus two subsets that split the gate
@@ -715,7 +705,10 @@ class TestCheckpointValidation:
          "unexpected keyword argument 'experts'"),
         (lambda doc: doc["config"].update(vocab_size="4096"), "not supported between"),
         (lambda doc: doc["tensors"]["w_down"].update(shape="x"), ""),
-    ], ids=["unknown_moe_key", "string_vocab_size", "string_shape"])
+        (lambda doc: doc.update(config=[]), "'list' object has no attribute 'get'"),
+        (lambda doc: doc.update(tensors=[]), "'list' object has no attribute 'get'"),
+    ], ids=["unknown_moe_key", "string_vocab_size", "string_shape", "config_array",
+            "tensors_array"])
     def test_wrong_type_names_file(self, tmp_path, edit, message):
         path, doc = self._doc(tmp_path)
         edit(doc)

@@ -273,7 +273,7 @@ class TestTrain:
             return stable_token_id(token, vocab_size)
 
         monkeypatch.setattr(encoder, "stable_token_id", counting)
-        encoder._token_id.cache_clear()
+        encoder._word_ids.cache_clear()
         cfg = TrainConfig(learning_rate=1e-3, epochs=3, grad_accum_steps=2, loss="clp", seed=1)
         train(params, config, dataset, cfg)
         texts = [t for ex in dataset
@@ -289,8 +289,8 @@ class TestTrain:
             ex.neg_queries[0] = [dataset[0].query, "x²"]
         forward, groups = training._forward, []
 
-        def checking(params, config, texts, tokens):
-            out, ctx = forward(params, config, texts, tokens)
+        def checking(params, config, texts):
+            out, ctx = forward(params, config, texts)
             for name, want in zip(("uniq", "inv", "lengths"), token_rows(texts, config)):
                 assert ctx[name].dtype == want.dtype and np.array_equal(ctx[name], want), name
             groups.append(len(texts))
