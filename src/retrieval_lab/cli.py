@@ -1,10 +1,10 @@
 """Command-line pipeline: synth, mine, train, eval, compare.
 
 Options can come from a JSON config file (--config) whose keys mirror the
-flag names one-to-one; explicit flags win over preset values, which win
-over the config file. Every command is deterministic given identical
-inputs and seed, and writes a hashes.json manifest (sha256 per output
-file) into its output directory.
+flag names one-to-one and whose values have the flags' types; explicit flags
+win over preset values, which win over the config file. Every command is
+deterministic given identical inputs and seed, and writes a hashes.json
+manifest (sha256 per output file) into its output directory.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .losses import LossConfig
-from .numerics import _atomic_open, make_rng
+from .numerics import _atomic_open, _reading, make_rng
 
 # Each preset pins {mining strategy, loss, freeze mode, MoE on/off}.
 PRESETS: dict[str, dict] = {
@@ -68,6 +68,18 @@ def _require_file(path_str: str | None, what: str) -> Path:
     return path
 
 
+def _config_value_fault(action: argparse.Action, value) -> str | None:
+    """What a config-file ``value`` for ``action``'s flag must be; None when it is that."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        return None if isinstance(value, bool) else "true or false"
+    if action.nargs == "*":
+        fits = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        return None if fits else "a list of strings"
+    kinds, what = {int: ((int,), "an integer"), float: ((int, float), "a number")}.get(
+        action.type, ((str,), "a string"))
+    return None if isinstance(value, kinds) and not isinstance(value, bool) else what
+
+
 class Options:
     """Flag > preset > config-file > default resolution."""
 
@@ -77,21 +89,17 @@ class Options:
         config_path = getattr(ns, "config", None)
         if config_path:
             path = _require_file(config_path, "config file")
-            try:
-                self.config = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as err:
-                raise CliError(f"config file {path}: invalid JSON ({err.msg})") from err
-            if not isinstance(self.config, dict):
-                raise CliError(f"config file {path}: expected a JSON object")
+            with _reading(path) as config:
+                self.config = config
             sub = next(a for a in build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction))
-            actions = [a for p in sub.choices.values() for a in p._actions]
-            switches = {a.dest for a in actions if isinstance(a, argparse.BooleanOptionalAction)}
+            actions = {a.dest: a for p in sub.choices.values() for a in p._actions
+                       if a.dest not in ("help", "config")}
             for key, value in self.config.items():
-                if key not in {a.dest for a in actions} - {"help", "config"}:
+                if key not in actions:
                     raise CliError(f"config file {path}: unknown key {key!r}")
-                if key in switches and not isinstance(value, bool):
-                    raise CliError(f"config file {path}: {key!r} must be true or false")
+                if wanted := _config_value_fault(actions[key], value):
+                    raise CliError(f"config file {path}: {key!r} must be {wanted}")
         preset_name = getattr(ns, "preset", None) or self.config.get("preset")
         if preset_name is not None and preset_name not in PRESETS:
             raise CliError(f"unknown preset {preset_name!r}; choose from {sorted(PRESETS)}")
@@ -101,11 +109,7 @@ class Options:
         flag = getattr(self.ns, key, None)
         if flag is not None:
             return flag
-        if key in self.preset:
-            return self.preset[key]
-        if key in self.config:
-            return self.config[key]
-        return default
+        return self.preset.get(key, self.config.get(key, default))
 
 
 def _encoder_config(opts: Options) -> EncoderConfig:
@@ -223,7 +227,6 @@ def cmd_train(ns: argparse.Namespace) -> int:
     refresh = bool(opts.get("refresh_per_epoch", False))
 
     dataset: list[data_mod.TrainingExample] = []
-    dataset_hash = None
     refresh_fn = None
     if refresh:
         _, mine = _miner(opts)
@@ -417,10 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, RuntimeError) as err:
+    except (CliError, ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .encoder import _TOKEN_RE
 from .numerics import _atomic_open, make_rng
 
 
@@ -113,8 +114,8 @@ def _load_id_text(path: str | Path, cls):
             raise ValueError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from err
-        if not item.id or not item.text:
-            raise ValueError(f"{path}:{lineno}: id and text must be nonempty")
+        if not item.id:
+            raise ValueError(f"{path}:{lineno}: id must be nonempty")
         if item.id in seen:
             raise ValueError(
                 f"{path}:{lineno}: duplicate id {item.id!r} (first seen on line {seen[item.id]})")
@@ -144,20 +145,30 @@ def save_id_text(items, path: str | Path) -> None:
     _write_jsonl(path, ({"id": item.id, "text": item.text} for item in items))
 
 
-def load_qrels(path: str | Path) -> Qrels:
-    qrels = Qrels()
+def _read_tsv(path: str | Path, fields: int):
+    """(line number, fields) of each nonblank line of ``path``, each ``fields`` tab-separated."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            qid, did, rel = parts
-            try:
-                qrels.set(qid, did, int(rel))
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from err
+            if len(parts) != fields:
+                raise ValueError(f"{path}:{lineno}: expected {fields} tab-separated fields")
+            yield lineno, parts
+
+
+def load_qrels(path: str | Path) -> Qrels:
+    qrels = Qrels()
+    seen: dict[tuple[str, str], int] = {}
+    for lineno, (qid, did, rel) in _read_tsv(path, 3):
+        if (qid, did) in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate judgment ({qid!r}, {did!r}) "
+                             f"(first seen on line {seen[qid, did]})")
+        seen[qid, did] = lineno
+        try:
+            qrels.set(qid, did, int(rel))
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
     return qrels
 
 
@@ -182,8 +193,11 @@ def _as_id(value, name: str) -> str:
 
 
 def _as_text(value, name: str) -> str:
+    """``value`` if it is a string the encoder splits into at least one word."""
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {type(value).__name__}")
+    if _TOKEN_RE.search(value.lower()) is None:
+        raise ValueError(f"{name} has no word characters: {value!r}")
     return value
 
 

@@ -3,8 +3,10 @@
 The encoder embeds hashed tokens, pushes each token through a
 relu(x W_up + b_up) W_down + b_down feed-forward block with a residual
 connection, mean-pools over tokens and L2-normalizes the result. The
-up-projection ("intermediate layer") can be swapped for a top-1 routed
-mixture of experts; backprop is hand-derived for both variants.
+up-projection ("intermediate layer") is a top-1 routed mixture of experts;
+the dense layer is its one-expert case with no gate, so one function
+(``_intermediate``) runs both, and backprop is hand-derived once. Every
+tensor's name and shape is declared once, by ``tensor_layout``.
 
 Tokens never interact, so a token's output row depends on its id alone. A
 batch of texts goes through one table over its distinct ids (MoE: one gate
@@ -23,7 +25,8 @@ import base64
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from copy import deepcopy
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -76,12 +79,7 @@ class EncoderConfig:
             raise ValueError("d_intermediate must be >= d_model")
 
     def to_dict(self) -> dict:
-        moe = None
-        if self.moe is not None:
-            moe = {"num_experts": self.moe.num_experts,
-                   "experts_per_token": self.moe.experts_per_token}
-        return {"vocab_size": self.vocab_size, "d_model": self.d_model,
-                "d_intermediate": self.d_intermediate, "moe": moe}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "EncoderConfig":
@@ -94,9 +92,30 @@ class EncoderConfig:
         )
 
 
+def tensor_layout(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every tensor's name and shape, in canonical order: the embedding, each
+    expert's up-projection and bias, the down projection and its bias, then
+    the gate. The dense up-projection is the one expert of a layer with no
+    gate, named ``w_up``/``b_up``; routed expert ``e`` is ``w_up.{e}``/``b_up.{e}``."""
+    v, d, di = config.vocab_size, config.d_model, config.d_intermediate
+    layout = {"embedding": (v, d)}
+    for w_name, b_name in _expert_names(config):
+        layout[w_name], layout[b_name] = (d, di), (di,)
+    layout.update(w_down=(di, d), b_down=(d,))
+    if config.moe is not None:
+        layout["gate"] = (d, config.moe.num_experts)
+    return layout
+
+
+def _expert_names(config: EncoderConfig) -> list[tuple[str, str]]:
+    """Each expert's (up-projection, bias) tensor names, in expert order."""
+    suffixes = [""] if config.moe is None else [f".{e}" for e in range(config.moe.num_experts)]
+    return [(f"w_up{s}", f"b_up{s}") for s in suffixes]
+
+
 @dataclass
 class EncoderParams:
-    """All encoder weights.
+    """All encoder weights, laid out by ``tensor_layout``.
 
     With MoE enabled, ``w_up``/``b_up`` hold one copy per expert and ``gate``
     is the (d_model x num_experts) routing matrix; otherwise they are single
@@ -114,80 +133,55 @@ class EncoderParams:
     def is_moe(self) -> bool:
         return self.gate is not None
 
+    @classmethod
+    def from_named(cls, config: EncoderConfig, tensor) -> "EncoderParams":
+        """Params of ``config``'s layout whose tensors are ``tensor(name, shape)``,
+        called in layout order; the tensor named ``w_up.{e}`` goes to ``w_up[e]``."""
+        fields: dict = {}
+        for name, shape in tensor_layout(config).items():
+            field, _, index = name.partition(".")
+            t = tensor(name, shape)
+            fields[field] = fields.get(field, []) + [t] if index else t
+        return cls(**fields)
+
+    def _tensor(self, name: str) -> np.ndarray:
+        """The tensor a layout name points at: ``w_up.1`` is ``w_up[1]``."""
+        field, _, index = name.partition(".")
+        return getattr(self, field)[int(index)] if index else getattr(self, field)
+
     def named_tensors(self) -> dict[str, np.ndarray]:
-        """Canonical name -> tensor mapping (stable order)."""
-        out: dict[str, np.ndarray] = {"embedding": self.embedding}
-        if self.is_moe:
-            for e, (w, b) in enumerate(zip(self.w_up, self.b_up)):
-                out[f"w_up.{e}"] = w
-                out[f"b_up.{e}"] = b
-        else:
-            out["w_up"] = self.w_up
-            out["b_up"] = self.b_up
-        out["w_down"] = self.w_down
-        out["b_down"] = self.b_down
-        if self.is_moe:
-            out["gate"] = self.gate
-        return out
+        """Canonical name -> tensor, in ``tensor_layout`` order, for the sizes
+        these tensors have and one expert per ``w_up`` entry when there is a gate."""
+        (v, d), di = self.embedding.shape, self.w_down.shape[0]
+        config = EncoderConfig(v, d, di, MoEConfig(len(self.w_up)) if self.is_moe else None)
+        return {name: self._tensor(name) for name in tensor_layout(config)}
 
     def copy(self) -> "EncoderParams":
-        if self.is_moe:
-            w_up = [w.copy() for w in self.w_up]
-            b_up = [b.copy() for b in self.b_up]
-        else:
-            w_up = self.w_up.copy()
-            b_up = self.b_up.copy()
-        return EncoderParams(
-            embedding=self.embedding.copy(),
-            w_up=w_up,
-            b_up=b_up,
-            w_down=self.w_down.copy(),
-            b_down=self.b_down.copy(),
-            gate=None if self.gate is None else self.gate.copy(),
-        )
+        return deepcopy(self)
 
     def check_shapes(self, config: EncoderConfig) -> None:
-        v, d, di = config.vocab_size, config.d_model, config.d_intermediate
+        """Raise unless these are exactly ``config``'s tensors, shape for shape."""
         as_matrix(self.embedding, "embedding")
-        if self.embedding.shape != (v, d):
-            raise ValueError(f"embedding shape {self.embedding.shape} != {(v, d)}")
-        ups = self.w_up if self.is_moe else [self.w_up]
-        bs = self.b_up if self.is_moe else [self.b_up]
-        if config.moe is not None:
-            if not self.is_moe or len(ups) != config.moe.num_experts:
-                raise ValueError("params do not match MoE config")
-        elif self.is_moe:
-            raise ValueError("params carry a gate but config has no MoE")
-        for w, b in zip(ups, bs):
-            if w.shape != (d, di) or b.shape != (di,):
-                raise ValueError("intermediate layer shape mismatch")
-        if self.w_down.shape != (di, d) or self.b_down.shape != (d,):
-            raise ValueError("down projection shape mismatch")
-        if self.gate is not None and self.gate.shape != (d, config.moe.num_experts):
-            raise ValueError("gate shape mismatch")
+        shapes = {name: t.shape for name, t in self.named_tensors().items()}
+        if shapes != (layout := tensor_layout(config)):
+            raise ValueError(f"tensor shapes {shapes} do not match the config's layout {layout}")
 
 
 def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     """Seeded uniform init; biases start at zero.
 
-    Draw order is fixed (embedding, expert up-projections, down projection,
-    gate) so a seed fully determines every tensor.
+    Matrices are drawn in layout order, skipping the biases, so a seed fully
+    determines every tensor. The embedding draws from [-0.1, 0.1], a matrix of
+    n rows from [-1/sqrt(n), 1/sqrt(n)].
     """
     rng = make_rng(seed)
-    d, di = config.d_model, config.d_intermediate
-    embedding = seeded_init(rng, config.vocab_size, d, 0.1)
-    up_scale = 1.0 / np.sqrt(d)
-    down_scale = 1.0 / np.sqrt(di)
-    if config.moe is not None:
-        w_up = [seeded_init(rng, d, di, up_scale) for _ in range(config.moe.num_experts)]
-        b_up = [np.zeros(di) for _ in range(config.moe.num_experts)]
-    else:
-        w_up = seeded_init(rng, d, di, up_scale)
-        b_up = np.zeros(di)
-    w_down = seeded_init(rng, di, d, down_scale)
-    b_down = np.zeros(d)
-    gate = seeded_init(rng, d, config.moe.num_experts, up_scale) if config.moe else None
-    return EncoderParams(embedding, w_up, b_up, w_down, b_down, gate)
+
+    def draw(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 1:
+            return np.zeros(shape)
+        return seeded_init(rng, *shape, 0.1 if name == "embedding" else 1.0 / np.sqrt(shape[0]))
+
+    return EncoderParams.from_named(config, draw)
 
 
 def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
@@ -222,18 +216,42 @@ def _words(text: str) -> list[str]:
     return _TOKEN_RE.findall(lowered)
 
 
-def _route(x: np.ndarray, params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
-    """Gate probabilities (n, experts) and top-1 expert (n,); ties go to the lowest index."""
-    logits = x @ params.gate
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = z / z.sum(axis=1, keepdims=True)
-    return p, np.argmax(p, axis=1)
+def _intermediate(params: EncoderParams, config: EncoderConfig, x: np.ndarray) -> dict:
+    """The intermediate layer on the rows of ``x``: ``h``, each row's relu(x W_up
+    + b_up) through its top-1 expert times that expert's gate probability, plus
+    what ``_backward`` needs. One matmul per expert a row routed to; when one
+    expert holds every row, its product is ``h`` itself. The dense up-projection
+    is that one expert with no gate (``p``, ``route``, ``pe`` None), so unscaled.
+    """
+    names = _expert_names(config)
+    p = route = pe = None
+    experts = [0]
+    if params.is_moe:  # softmax gate, top-1 expert; argmax ties go to the lowest index
+        logits = x @ params.gate
+        z = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p = z / z.sum(axis=1, keepdims=True)
+        route = np.argmax(p, axis=1)
+        pe = p[np.arange(len(x)), route]  # gate probability of each row's expert
+        experts = np.unique(route)
+    groups = [(slice(None) if len(experts) == 1 else np.flatnonzero(route == e), *names[e])
+              for e in experts]
+    h = None if len(groups) == 1 else np.empty((len(x), config.d_intermediate))
+    for rows, w_name, b_name in groups:
+        u = x[rows] @ params._tensor(w_name)  # pre-activation
+        u += params._tensor(b_name)
+        if h is None:
+            h = u
+        else:
+            h[rows] = u
+    np.maximum(h, 0.0, out=h)
+    if pe is not None:
+        h *= pe[:, None]
+    return {"h": h, "p": p, "route": route, "pe": pe, "groups": groups}
 
 
-def moe_intermediate_forward(
-    x: np.ndarray, params: EncoderParams, config: EncoderConfig
-) -> tuple[np.ndarray, int, float]:
-    """Route one token vector through its top-1 expert.
+def moe_intermediate_forward(x: np.ndarray, params: EncoderParams,
+                             config: EncoderConfig) -> tuple[np.ndarray, int, float]:
+    """Route one token vector through its top-1 expert: a one-row ``_intermediate``.
 
     Returns (gated expert output, selected expert index, gate probability).
     Only the selected expert is evaluated; argmax ties go to the lowest index.
@@ -243,10 +261,8 @@ def moe_intermediate_forward(
     x = as_vector(x, "x")
     if x.shape[0] != config.d_model:
         raise ValueError(f"x has dimension {x.shape[0]}, expected {config.d_model}")
-    p, route = _route(x[None, :], params)
-    e = int(route[0])
-    r = np.maximum(x @ params.w_up[e] + params.b_up[e], 0.0)
-    return p[0, e] * r, e, float(p[0, e])
+    layer = _intermediate(params, config, x[None, :])
+    return layer["h"][0], int(layer["route"][0]), float(layer["pe"][0])
 
 
 class _WordIds(dict):
@@ -299,22 +315,9 @@ def _forward(params: EncoderParams, config: EncoderConfig,
     """
     uniq, inv, lengths = _table_rows(texts, config)
     x = params.embedding[uniq]  # (m, d_model), one row per distinct id
-    ctx = {"uniq": uniq, "inv": inv, "lengths": lengths, "x": x}
-    if params.is_moe:
-        p, route = _route(x, params)
-        pe = p[np.arange(len(uniq)), route]  # gate probability of each row's expert
-        groups = [(e, np.flatnonzero(route == e)) for e in np.unique(route)]
-        h = np.empty((len(uniq), config.d_intermediate))  # pre-activation, then gated
-        for e, rows in groups:
-            h[rows] = x[rows] @ params.w_up[e] + params.b_up[e]
-        np.maximum(h, 0.0, out=h)
-        h *= pe[:, None]
-        ctx.update(p=p, route=route, pe=pe, groups=groups)
-    else:
-        h = x @ params.w_up  # (m, d_intermediate)
-        h += params.b_up
-        np.maximum(h, 0.0, out=h)
-    table = h @ params.w_down
+    ctx = _intermediate(params, config, x)
+    ctx.update(uniq=uniq, inv=inv, lengths=lengths, x=x)
+    table = ctx["h"] @ params.w_down
     table += params.b_down
     table += x
     pool = _mean_rows(table, inv, lengths)
@@ -324,7 +327,7 @@ def _forward(params: EncoderParams, config: EncoderConfig,
     if not np.all(norms >= NORM_FLOOR):
         raise ValueError(f"cannot normalize: pool norm {norms.min()} below floor {NORM_FLOOR}")
     pool /= norms[:, None]
-    ctx.update(h=h, norms=norms, out=pool)
+    ctx.update(norms=norms, out=pool)
     return pool, ctx
 
 
@@ -370,25 +373,21 @@ def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
     add("w_down", lambda: h.T @ dtable)
     dh = dtable @ params.w_down.T  # (m, d_intermediate)
     want_dx = "embedding" in grads
-    if params.is_moe:
-        p, route, pe = (ctx[k] for k in ("p", "route", "pe"))
-        du = (h > 0) * (pe[:, None] * dh)  # h > 0 exactly where relu is (pe > 0)
-        if want_dx or "gate" in grads:
-            # softmax jacobian row e: dp_e/dlogit_j = p_e (1[e==j] - p_j); h = p_e relu(u)
-            onehot = route[:, None] == np.arange(p.shape[1])
-            dlogits = np.sum(h * dh, axis=1)[:, None] * (onehot - p)
-            add("gate", lambda: x.T @ dlogits)
-        dx = dtable + dlogits @ params.gate.T if want_dx else None
-        for e, rows in ctx["groups"]:
-            add(f"b_up.{e}", lambda: du[rows].sum(axis=0))
-            add(f"w_up.{e}", lambda: x[rows].T @ du[rows])
-            if want_dx:
-                dx[rows] += du[rows] @ params.w_up[e].T
-    else:
-        du = (h > 0) * dh
-        add("b_up", lambda: du.sum(axis=0))
-        add("w_up", lambda: x.T @ du)
-        dx = dtable + du @ params.w_up.T if want_dx else None  # residual path plus the block
+    p, pe = ctx["p"], ctx["pe"]
+    du = (h > 0) * (dh if pe is None else pe[:, None] * dh)  # h > 0 exactly where relu is
+    dx = dtable  # the residual path; the gate and the experts add theirs
+    if p is not None and (want_dx or "gate" in grads):
+        # softmax jacobian row e: dp_e/dlogit_j = p_e (1[e==j] - p_j); h = p_e relu(u)
+        onehot = ctx["route"][:, None] == np.arange(p.shape[1])
+        dlogits = np.sum(h * dh, axis=1)[:, None] * (onehot - p)
+        add("gate", lambda: x.T @ dlogits)
+        if want_dx:
+            dx = dtable + dlogits @ params.gate.T
+    for rows, w_name, b_name in ctx["groups"]:
+        add(b_name, lambda: du[rows].sum(axis=0))
+        add(w_name, lambda: x[rows].T @ du[rows])
+        if want_dx:
+            dx[rows] += du[rows] @ params._tensor(w_name).T
     if want_dx:
         grads["embedding"][ctx["uniq"]] += dx  # ids are unique: no repeated-index scatter
 
@@ -458,27 +457,22 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
             raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
         config = EncoderConfig.from_dict(doc["config"])
 
-        def tensor(name: str) -> np.ndarray:
+        def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
             entry = doc["tensors"].get(name)
             if entry is None:
                 raise ValueError(f"{path}: tensor {name!r} is missing")
-            raw, shape = base64.b64decode(entry["data"]), entry["shape"]
-            if len(raw) != 8 * int(np.prod(shape)):
-                raise ValueError(f"{path}: tensor {name!r} has {len(raw)} bytes for shape {shape}")
+            raw, stored = base64.b64decode(entry["data"]), entry["shape"]
+            if len(raw) != 8 * int(np.prod(stored)):
+                raise ValueError(f"{path}: tensor {name!r} has {len(raw)} bytes for shape {stored}")
+            if stored != list(shape):
+                raise ValueError(f"{path}: tensor {name!r} has shape {stored}, not {list(shape)}")
             t = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
             if not np.all(np.isfinite(t)):
                 raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
             return t
 
-        if config.moe is not None:
-            w_up = [tensor(f"w_up.{e}") for e in range(config.moe.num_experts)]
-            b_up = [tensor(f"b_up.{e}") for e in range(config.moe.num_experts)]
-            gate = tensor("gate")
-        else:
-            w_up = tensor("w_up")
-            b_up = tensor("b_up")
-            gate = None
-        params = EncoderParams(tensor("embedding"), w_up, b_up,
-                               tensor("w_down"), tensor("b_down"), gate)
-        params.check_shapes(config)
+        params = EncoderParams.from_named(config, tensor)
+        extra = sorted(set(doc["tensors"]) - set(tensor_layout(config)))
+        if extra:
+            raise ValueError(f"{path}: tensors {extra} are not in the config's layout")
         return params, config

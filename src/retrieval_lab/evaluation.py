@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import Document, Qrels, Query
+from .data import Document, Qrels, Query, _read_tsv
 from .encoder import encode  # unused here; perfbench/tracer.py wraps evaluation.encode
 from .encoder import EncoderConfig, EncoderParams, encode_texts
 from .mining import RankedList, build_index, search_many
@@ -101,22 +101,15 @@ def save_run(run: RetrievalRun, path: str | Path) -> None:
 
 def load_run(path: str | Path) -> RetrievalRun:
     run: RetrievalRun = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            qid, rank, doc_id, score = parts
-            try:
-                rank, score = int(rank), float(score)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from err
-            entries = run.setdefault(qid, [])
-            if rank != len(entries) + 1:
-                raise ValueError(f"{path}:{lineno}: ranks must be contiguous from 1")
-            entries.append((doc_id, score))
+    for lineno, (qid, rank, doc_id, score) in _read_tsv(path, 4):
+        try:
+            rank, score = int(rank), float(score)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
+        entries = run.setdefault(qid, [])
+        if rank != len(entries) + 1:
+            raise ValueError(f"{path}:{lineno}: ranks must be contiguous from 1")
+        entries.append((doc_id, score))
     return run
 
 
@@ -164,9 +157,7 @@ def compare_methods(reports: list[EvalReport]) -> tuple[str, str]:
 
     columns = datasets + ["average"]
     col_max = [max(row[1][i] for row in rows) for i in range(len(columns))]
-
-    def fmt(value: float) -> str:
-        return f"{value:.4f}"
+    fmt = "{:.4f}".format
 
     md_lines = ["| method | " + " | ".join(columns) + " |",
                 "|" + "---|" * (len(columns) + 1)]

@@ -349,6 +349,25 @@ class TestEvalAndCompare:
         assert capsys.readouterr().err == (
             f"error: {checkpoint}: malformed entry ('list' object has no attribute 'get')\n")
 
+    @pytest.mark.parametrize("name", ["corpus.jsonl", "qrels.tsv"])
+    def test_eval_bad_bundle_line_names_file(self, synth_dir, trained_dir, tmp_path, capsys,
+                                             name):
+        path = synth_dir / name
+        lines = path.read_text().splitlines()
+        if name == "corpus.jsonl":  # a text the tokenizer splits into no words
+            lines.append('{"id": "dx", "text": "!!! ---"}')
+            message = "text has no word characters: '!!! ---'"
+        else:  # a second judgment of the first line's pair
+            qid, did, _ = lines[0].split("\t")
+            lines.append(f"{qid}\t{did}\t0")
+            message = f"duplicate judgment ({qid!r}, {did!r}) (first seen on line 1)"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json",
+                       "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv", "--outdir", tmp_path / "e") == 1
+        assert capsys.readouterr().err == f"error: {path}:{len(lines)}: {message}\n"
+
     def test_compare_report_array_names_file(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         report.write_text('["x"]\n')
@@ -391,11 +410,37 @@ class TestConfigFileValidation:
         err = capsys.readouterr().err
         assert str(config_path) in err and f"{key!r} must be true or false" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"epochs": [1]}', "'epochs' must be an integer"),
+        ('{"epochs": "two"}', "'epochs' must be an integer"),
+        ('{"epochs": 1.7}', "'epochs' must be an integer"),
+        ('{"epochs": true}', "'epochs' must be an integer"),
+        ('{"learning_rate": null}', "'learning_rate' must be a number"),
+        ('{"tau": "0.1"}', "'tau' must be a number"),
+        ('{"corpus": 5}', "'corpus' must be a string"),
+        ('{"reports": ["a", 1]}', "'reports' must be a list of strings"),
+    ], ids=["list", "string", "float", "bool", "null", "string_number", "int_path",
+            "int_report"])
+    def test_wrong_type_value_rejected(self, tmp_path, capsys, text, message):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(text)
+        assert run_cli("train", "--config", config_path, "--outdir", tmp_path / "t") == 1
+        assert capsys.readouterr().err == f"error: config file {config_path}: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"epochs": 1,\n', ":2: malformed JSON ("), ("[1]", ": expected a JSON object, got list")],
+        ids=["truncated", "array"])
+    def test_malformed_file_names_file(self, tmp_path, capsys, text, message):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(text)
+        assert run_cli("train", "--config", config_path, "--outdir", tmp_path / "t") == 1
+        assert capsys.readouterr().err.startswith(f"error: {config_path}{message}")
+
     def test_keys_of_other_subcommands_accepted(self, synth_dir, tmp_path):
-        # one config file can drive the whole pipeline
+        # one config file can drive the whole pipeline; an integer fits a float flag
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"clusters": 2, "epochs": 1, "moe": False,
-                                           "method": "m", "reports": []}))
+                                           "method": "m", "reports": [], "tau": 1}))
         assert run_cli("synth", "--config", config_path, "--docs-per-cluster", 2,
                        "--outdir", tmp_path / "s") == 0
 

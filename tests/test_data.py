@@ -2,12 +2,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from retrieval_lab.data import (
     Document,
     Qrels,
     SynthSpec,
     TrainingExample,
+    _as_text,
     load_corpus,
     load_neg_query_map,
     load_qrels,
@@ -19,6 +22,7 @@ from retrieval_lab.data import (
     save_train_set,
     synth_generate,
 )
+from retrieval_lab.encoder import _words
 
 
 class TestIdTextLoaders:
@@ -112,6 +116,13 @@ class TestQrels:
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\td1\t1\nq2\td2\n")
         with pytest.raises(ValueError, match=":2"):
+            load_qrels(path)
+
+    def test_repeated_pair_cites_both_lines(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        path.write_text("q1\td1\t1\nq1\td2\t1\n\nq1\td1\t0\n")
+        match = r"qrels\.tsv:4: duplicate judgment \('q1', 'd1'\) \(first seen on line 1\)$"
+        with pytest.raises(ValueError, match=match):
             load_qrels(path)
 
 
@@ -244,6 +255,38 @@ def test_non_object_line_cites_line(tmp_path, loader, first, line, kind):
     path.write_text(first + "\n" + line + "\n")
     with pytest.raises(ValueError, match=rf"f\.jsonl:2: expected a JSON object, got {kind}$"):
         loader(path)
+
+
+@pytest.mark.parametrize("loader, line, field", [
+    (load_corpus, '{"id": "b", "text": "!!! ---"}', "text"),
+    (load_queries, '{"id": "b", "text": ""}', "text"),
+    (load_train_set, '{"query": " ?", "pos": ["p"]}', r"invalid training example \(query"),
+    (load_train_set, '{"query": "q", "pos": ["p", "..."]}', r"invalid training example \(pos\[1\]"),
+    (load_train_set, '{"query": "q", "pos": ["p"], "neg": ["-"], "neg_queries": [["a"]]}',
+     r"invalid training example \(neg\[0\]"),
+    (load_train_set, '{"query": "q", "pos": ["p"], "neg": ["n"], "neg_queries": [["a", "+"]]}',
+     r"invalid training example \(neg_queries\[0\]\[1\]"),
+    (load_neg_query_map, '{"doc_id": "e", "queries": ["x", "\\t"]}', r"queries\[1\]"),
+], ids=["corpus", "queries", "train_query", "train_pos", "train_neg", "train_neg_queries",
+        "neg_query_map"])
+def test_text_without_words_cites_line(tmp_path, loader, line, field):
+    path = tmp_path / "f.jsonl"
+    first = {load_train_set: '{"query": "q", "pos": ["p"]}',
+             load_neg_query_map: '{"doc_id": "d", "queries": ["x"]}'}.get(
+                 loader, '{"id": "a", "text": "x"}')
+    path.write_text(first + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=rf"f\.jsonl:2: {field}.* has no word characters: "):
+        loader(path)
+
+
+@given(st.text(alphabet=" _-.!\t\u00e9\u0130\u00b2\u2160\u0300\u00aaa1", max_size=6))
+def test_word_check_agrees_with_the_tokenizer(text):
+    try:
+        _as_text(text, "text")
+    except ValueError:
+        assert _words(text) == []
+    else:
+        assert _words(text) != []
 
 
 class TestSynthGenerate:

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import re
 import string
@@ -348,6 +349,31 @@ class TestMoEDenseAgreement:
             b = encode(dense_params, config, text)
             np.testing.assert_allclose(a, b, atol=1e-8)
 
+    def test_one_expert_moe_is_the_dense_encoder_bit_for_bit(self):
+        # one expert's gate probability is exactly 1: the routed layer is the dense one
+        dense, config = _dense_instance(14, vocab=256, d_model=8, d_int=16)
+        moe, moe_config = _moe_instance(15, vocab=256, d_model=8, d_int=16, experts=1)
+        moe.embedding, moe.w_down, moe.b_down = dense.embedding, dense.w_down, dense.b_down
+        moe.w_up, moe.b_up = [dense.w_up], [dense.b_up]
+        rng = make_rng(16)
+        texts = [random_text(rng, int(rng.integers(1, 12))) for _ in range(200)]
+        upstreams = rng.standard_normal((len(texts), 8))
+
+        def encode_and_backprop(params, cfg):
+            out, ctx = _forward(params, cfg, texts)
+            grads = zero_grads(params)
+            _backward(params, ctx, upstreams, grads)
+            return out, grads
+
+        dense_out, dense_grads = encode_and_backprop(dense, config)
+        moe_out, moe_grads = encode_and_backprop(moe, moe_config)
+        assert moe_out.tobytes() == dense_out.tobytes()
+        assert not np.any(moe_grads.pop("gate"))
+        assert list(moe_grads) == ["embedding", "w_up.0", "b_up.0", "w_down", "b_down"]
+        for name, grad in moe_grads.items():
+            assert np.any(grad), name
+            assert grad.tobytes() == dense_grads[name.removesuffix(".0")].tobytes(), name
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("moe", [False, True])
@@ -432,6 +458,39 @@ class TestParams:
         params.w_down = params.w_down[:-1]
         with pytest.raises(ValueError):
             params.check_shapes(config)
+        dense, dense_config = _dense_instance(3)
+        moe, moe_config = _moe_instance(3)
+        moe.check_shapes(moe_config)
+        wrong_gate, one_up = moe.copy(), moe.copy()
+        wrong_gate.gate = wrong_gate.gate[:, :1]
+        del one_up.w_up[1]
+        for params, config in [
+                (dense, moe_config), (moe, dense_config),
+                (moe, _moe_instance(3, experts=3)[1]), (_moe_instance(3, experts=3)[0], moe_config),
+                (wrong_gate, moe_config), (one_up, moe_config)]:
+            with pytest.raises(ValueError):
+                params.check_shapes(config)
+
+    @pytest.mark.parametrize("experts", [None, 2, 3])
+    def test_init_draws_pinned(self, experts):
+        # sha256 prefixes of each tensor's little-endian bytes, recorded when the
+        # draw order was embedding, w_up (per expert), w_down, gate; biases are zero
+        params, _ = (_dense_instance(5, vocab=48) if experts is None
+                     else _moe_instance(5, vocab=48, experts=experts))
+        shared = {"embedding": "8d34a9a58671ca8a", "b_down": "66687aadf862bd77",
+                  "w_up.0": "51a259e5366d59e9", "w_up.1": "3d7a9114849737a6",
+                  "w_up.2": "083494978f40084a"}
+        expected = {
+            None: {"w_up": "51a259e5366d59e9", "w_down": "d6e665c93798c1a7"},
+            2: {"w_down": "240d8fcffc94130e", "gate": "a83eae8d76a215fa"},
+            3: {"w_down": "78c603a9cb462b99", "gate": "b37ab92df467ce4f"},
+        }[experts]
+        for name, tensor in params.named_tensors().items():
+            digest = hashlib.sha256(np.ascontiguousarray(tensor, "<f8").tobytes()).hexdigest()
+            if name.startswith("b_up"):
+                assert not np.any(tensor), name
+            else:
+                assert digest[:16] == expected.get(name, shared.get(name)), name
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -714,6 +773,32 @@ class TestCheckpointValidation:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"ckpt\.json: malformed entry \(.*{message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("experts, edit, message", [
+        (None, lambda doc: doc["config"].update(moe={"num_experts": 2, "experts_per_token": 1}),
+         "tensor 'w_up.0' is missing"),
+        (2, lambda doc: doc["config"].update(moe=None), "tensor 'w_up' is missing"),
+        (2, lambda doc: doc["config"]["moe"].update(num_experts=3), "tensor 'w_up.2' is missing"),
+        (3, lambda doc: doc["config"]["moe"].update(num_experts=2),
+         r"ckpt\.json: tensor 'gate' has shape \[4, 3\], not \[4, 2\]$"),
+        (2, lambda doc: doc["tensors"].update({"w_up.2": doc["tensors"]["w_up.1"]}),
+         r"ckpt\.json: tensors \['w_up.2'\] are not in the config's layout$"),
+        (2, lambda doc: doc["tensors"]["gate"].update(
+            shape=[4, 1], data=base64.b64encode(bytes(32)).decode("ascii")),
+         r"ckpt\.json: tensor 'gate' has shape \[4, 1\], not \[4, 2\]$"),
+        (2, lambda doc: doc["tensors"].pop("w_up.1"), "tensor 'w_up.1' is missing"),
+    ], ids=["dense_under_moe", "moe_under_dense", "too_few_experts", "too_many_experts",
+            "extra_expert", "wrong_gate_shape", "missing_w_up_1"])
+    def test_layout_mismatch_rejected(self, tmp_path, experts, edit, message):
+        params, config = (_dense_instance(47) if experts is None
+                          else _moe_instance(47, experts=experts))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, config, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
     def test_config_without_d_model(self, tmp_path):
