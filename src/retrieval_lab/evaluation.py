@@ -101,6 +101,7 @@ def save_run(run: RetrievalRun, path: str | Path) -> None:
 
 def load_run(path: str | Path) -> RetrievalRun:
     run: RetrievalRun = {}
+    ranked: set[tuple[str, str]] = set()  # (query_id, doc_id) pairs read so far
     for lineno, (qid, rank, doc_id, score) in _read_tsv(path, 4):
         try:
             rank, score = int(rank), float(score)
@@ -109,6 +110,10 @@ def load_run(path: str | Path) -> RetrievalRun:
         entries = run.setdefault(qid, [])
         if rank != len(entries) + 1:
             raise ValueError(f"{path}:{lineno}: ranks must be contiguous from 1")
+        if (qid, doc_id) in ranked:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate doc_id {doc_id!r} in the ranking of {qid!r}")
+        ranked.add((qid, doc_id))
         entries.append((doc_id, score))
     return run
 
@@ -118,10 +123,27 @@ def save_report(report: EvalReport, path: str | Path) -> None:
         fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_report(path: str | Path) -> EvalReport:
+    """The report ``path`` holds; a field of the wrong JSON type names ``path``."""
     with _reading(path) as d:
-        return EvalReport(method=d["method"], dataset=d["dataset"], k=d["k"],
-                          per_query=d["per_query"], mean_ndcg=d["mean_ndcg"])
+        report = EvalReport(method=d["method"], dataset=d["dataset"], k=d["k"],
+                            per_query=d["per_query"], mean_ndcg=d["mean_ndcg"])
+    checks = [
+        ("method", isinstance(report.method, str), "a string"),
+        ("dataset", isinstance(report.dataset, str), "a string"),
+        ("k", isinstance(report.k, int) and not isinstance(report.k, bool), "an integer"),
+        ("per_query", isinstance(report.per_query, dict)
+         and all(map(_is_number, report.per_query.values())), "an object of numbers"),
+        ("mean_ndcg", _is_number(report.mean_ndcg), "a number"),
+    ]
+    for key, fits, what in checks:
+        if not fits:
+            raise ValueError(f"{path}: {key!r} must be {what}")
+    return report
 
 
 def compare_methods(reports: list[EvalReport]) -> tuple[str, str]:

@@ -8,8 +8,17 @@ from pathlib import Path
 import pytest
 
 from retrieval_lab import cli
-from retrieval_lab.data import load_train_set
-from retrieval_lab.encoder import CHECKPOINT_FORMAT, load_checkpoint
+from retrieval_lab.data import (
+    SynthSpec,
+    load_train_set,
+    save_id_text,
+    save_neg_query_map,
+    save_qrels,
+    synth_generate,
+)
+from retrieval_lab.encoder import CHECKPOINT_FORMAT, EncoderConfig, load_checkpoint
+from retrieval_lab.losses import LossConfig
+from retrieval_lab.training import TrainConfig
 
 
 def run_cli(*args):
@@ -57,6 +66,16 @@ class TestSynth:
             "qrels.tsv": "57f6e970b8a7281dc53bf2e1462109d278ed8adc7641bdd214b67f5eba689fc6",
             "queries.jsonl": "9e3d96b239797a5a70993ed6c27843d42751a1c628a56d23e09c314c05f42aa8",
         }
+
+    def test_no_flags_write_the_default_spec(self, tmp_path):
+        assert run_cli("synth", "--outdir", tmp_path / "cli") == 0
+        dataset = synth_generate(SynthSpec(), 0)
+        save_id_text(dataset.corpus, tmp_path / "corpus.jsonl")
+        save_id_text(dataset.queries, tmp_path / "queries.jsonl")
+        save_qrels(dataset.qrels, tmp_path / "qrels.tsv")
+        save_neg_query_map(dataset.neg_query_map, tmp_path / "neg_queries.jsonl")
+        for name in ("corpus.jsonl", "queries.jsonl", "qrels.tsv", "neg_queries.jsonl"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_missing_outdir_created(self, tmp_path):
         nested = tmp_path / "x" / "y" / "z"
@@ -205,6 +224,41 @@ class TestTrain:
         manifest = json.loads((tmp_path / "cfg_out" / "run.json").read_text())
         assert manifest["config"]["loss"] == "clp"  # flag beat the config file
         assert manifest["config"]["epochs"] == 1
+
+    def test_precedence_ladder(self, mined_dir, tmp_path):
+        # one key per rung: flag default, config file, preset over config, flag over preset
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({
+            "train_file": str(mined_dir / "train.jsonl"), "init_seed": 7, "vocab_size": 128,
+            "d_model": 8, "d_intermediate": 16, "epochs": 1, "seed": 4,
+            "learning_rate": 1, "loss": "cl"}))
+        assert run_cli("train", "--config", config_path, "--preset", "ance-clp",
+                       "--freeze", "intermediate_only", "--outdir", tmp_path / "t") == 0
+        recorded = json.loads((tmp_path / "t" / "run.json").read_text())["config"]
+        assert recorded["grad_accum_steps"] == TrainConfig.grad_accum_steps
+        assert recorded["learning_rate"] == 1.0
+        assert isinstance(recorded["learning_rate"], float)  # written as 1.0, not 1
+        assert recorded["loss"] == "clp"
+        assert recorded["freeze"] == "intermediate_only"
+
+    def test_no_training_flags_record_the_dataclass_defaults(self, mined_dir, tmp_path):
+        assert run_cli("train", "--train-file", mined_dir / "train.jsonl",
+                       "--outdir", tmp_path / "t") == 0
+        manifest = json.loads((tmp_path / "t" / "run.json").read_text())
+        train_cfg, loss_cfg = TrainConfig(), LossConfig()
+        assert manifest["config"] == {
+            "encoder": EncoderConfig().to_dict(),
+            "learning_rate": train_cfg.learning_rate,
+            "epochs": train_cfg.epochs,
+            "grad_accum_steps": train_cfg.grad_accum_steps,
+            "loss": train_cfg.loss,
+            "tau": loss_cfg.tau,
+            "penalty_weight": loss_cfg.lam,
+            "freeze": train_cfg.freeze.value,
+            "stop_grad_neg_queries": train_cfg.stop_grad_neg_queries,
+            "refresh_per_epoch": False,
+        }
+        assert manifest["seed"] == train_cfg.seed
 
     def test_missing_train_file_nonzero(self, tmp_path, capsys):
         assert run_cli("train", "--train-file", tmp_path / "nope.jsonl",
@@ -373,6 +427,13 @@ class TestEvalAndCompare:
         report.write_text('["x"]\n')
         assert run_cli("compare", report, "--outdir", tmp_path / "c") == 1
         assert capsys.readouterr().err == f"error: {report}: expected a JSON object, got list\n"
+
+    def test_compare_report_of_wrong_type_names_file(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('{"dataset": "d", "k": 5, "mean_ndcg": "x", "method": "m", '
+                          '"per_query": {}}\n')
+        assert run_cli("compare", report, "--outdir", tmp_path / "c") == 1
+        assert capsys.readouterr().err == f"error: {report}: 'mean_ndcg' must be a number\n"
 
 
 class TestEntryPoint:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -191,6 +192,29 @@ class TestRunDump:
         with pytest.raises(ValueError, match=r"r\.json: expected a JSON object, got list$"):
             load_report(tmp_path / "r.json")
 
+    @pytest.mark.parametrize("key, value, what", [
+        ("method", ["m"], "a string"),
+        ("dataset", 3, "a string"),
+        ("k", 5.0, "an integer"),
+        ("k", True, "an integer"),
+        ("per_query", [0.5], "an object of numbers"),
+        ("per_query", {"q1": "0.5"}, "an object of numbers"),
+        ("per_query", {"q1": False}, "an object of numbers"),
+        ("mean_ndcg", "x", "a number"),
+        ("mean_ndcg", True, "a number"),
+        ("mean_ndcg", None, "a number"),
+    ])
+    def test_report_field_of_wrong_type_names_file(self, tmp_path, key, value, what):
+        doc = EvalReport("m", "ds", 5, {"q1": 0.5}, 0.5).to_dict()
+        (tmp_path / "r.json").write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(ValueError, match=rf"r\.json: '{key}' must be {what}$"):
+            load_report(tmp_path / "r.json")
+
+    def test_report_with_integer_numbers_loads(self, tmp_path):
+        (tmp_path / "r.json").write_text(
+            '{"dataset": "ds", "k": 5, "mean_ndcg": 1, "method": "m", "per_query": {"q1": 1}}')
+        assert load_report(tmp_path / "r.json") == EvalReport("m", "ds", 5, {"q1": 1}, 1)
+
     def test_non_integer_rank_names_line(self, tmp_path):
         (tmp_path / "run.tsv").write_text("q1\t1\td1\t0.9\nq1\ttwo\td2\t0.5\n")
         with pytest.raises(ValueError, match=r"run\.tsv:2: invalid literal for int"):
@@ -201,6 +225,13 @@ class TestRunDump:
         with pytest.raises(ValueError, match=r"run\.tsv:1: could not convert string to float"):
             load_run(tmp_path / "run.tsv")
 
+
+    def test_repeated_doc_in_a_ranking_names_line(self, tmp_path):
+        # counted twice, d1 would score nDCG@10 = 1.63 for q1
+        (tmp_path / "run.tsv").write_text("q0\t1\td1\t0.9\nq1\t1\td1\t0.9\nq1\t2\td1\t0.8\n")
+        with pytest.raises(ValueError,
+                           match=r"run\.tsv:3: duplicate doc_id 'd1' in the ranking of 'q1'$"):
+            load_run(tmp_path / "run.tsv")
 
 class TestCompareMethods:
     def test_single_method_single_dataset(self):
