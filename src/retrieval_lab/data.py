@@ -19,6 +19,8 @@ import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .encoder import _TOKEN_RE
 from .numerics import _atomic_open, make_rng
 
@@ -301,12 +303,57 @@ def _make_vocabulary(spec: SynthSpec, rng) -> list[list[str]]:
     return clusters
 
 
+def _draw_word(own: list[str], other: list[str], noise_rate: float, rng) -> str:
+    pool = other if (other and rng.random() < noise_rate) else own
+    return pool[int(rng.integers(0, len(pool)))]
+
+
 def _sample_words(own: list[str], other: list[str], count: int,
                   noise_rate: float, rng) -> list[str]:
-    words = []
-    for _ in range(count):
-        pool = other if (other and rng.random() < noise_rate) else own
-        words.append(pool[int(rng.integers(0, len(pool)))])
+    """``count`` calls of ``_draw_word``, bit for bit and generator state after
+    included, from one ``random_raw`` read of PCG64's stream per run of words
+    between redraws.
+
+    ``random()`` is one 64-bit word r as (r >> 11) * 2**-53. ``integers(0, n)``,
+    1 < n < 2**32, is Lemire's method on one 32-bit value v: (v * n) >> 32,
+    redrawn while (v * n) mod 2**32 < (2**32 - n) mod n. PCG64 takes v from the
+    low half of a fresh word and keeps the high half in ``has_uint32`` and
+    ``uinteger`` for the next 32-bit draw. A word numpy redraws goes through
+    ``_draw_word``, and so does every word when a pool has one word, because
+    ``integers(0, 1)`` draws nothing.
+    """
+    if 1 in (len(own), len(other)):
+        return [_draw_word(own, other, noise_rate, rng) for _ in range(count)]
+    bitgen, noise = rng.bit_generator, int(bool(other))
+    words: list[str] = []
+    while len(words) < count:
+        n, saved = count - len(words), bitgen.state
+        has = saved["has_uint32"]
+        fresh = (np.arange(n) + has) % 2 == 0  # word i splits a fresh 64-bit word
+        starts = np.concatenate([[0], np.cumsum(fresh + noise)])  # raw words read before word i
+        raw = bitgen.random_raw(int(starts[-1]))
+        split = raw[starts[1:][fresh] - 1]
+        # the value buffered on entry (used when has_uint32 is set), then the
+        # low and high half of each split word: the 32-bit draws in stream order
+        halves = np.concatenate([np.array([saved["uinteger"]], dtype=np.uint64),
+                                 np.stack([split & 0xFFFFFFFF, split >> 32], 1).ravel()])
+        noisy = ((raw[starts[:-1]] >> 11) * 2.0**-53 < noise_rate if noise
+                 else np.zeros(n, dtype=bool))
+        sizes = np.where(noisy, len(other), len(own)).astype(np.uint64)
+        m = halves[1 - has:n + 1 - has] * sizes
+        r = int(next(iter(np.flatnonzero((m & 0xFFFFFFFF) < (2**32 - sizes) % sizes)), n))
+        words += [(other if z else own)[i]
+                  for z, i in zip(noisy[:r].tolist(), (m[:r] >> 32).tolist())]
+        if r < n:  # numpy redraws word r: rewind to the state before it
+            bitgen.state = saved
+            bitgen.random_raw(int(starts[r]))
+        # the 32-bit buffer before word r: its unused value, or else the last
+        # value used, which numpy leaves in uinteger
+        state, full = bitgen.state, (r + has) % 2
+        state["has_uint32"], state["uinteger"] = full, int(halves[r + full - has])
+        bitgen.state = state
+        if r < n:
+            words.append(_draw_word(own, other, noise_rate, rng))
     return words
 
 
@@ -339,10 +386,11 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     doc_words: dict[str, list[str]] = {}
     doc_cluster: dict[str, int] = {}
     for c in range(spec.num_clusters):
+        cluster_words = _sample_words(cluster_vocab[c], other_words[c],
+                                      spec.docs_per_cluster * spec.doc_words, spec.noise_rate, rng)
         for j in range(spec.docs_per_cluster):
             doc_id = f"d{c * spec.docs_per_cluster + j:05d}"
-            words = _sample_words(cluster_vocab[c], other_words[c], spec.doc_words,
-                                  spec.noise_rate, rng)
+            words = cluster_words[j * spec.doc_words:(j + 1) * spec.doc_words]
             corpus.append(Document(doc_id, " ".join(words)))
             doc_words[doc_id] = words
             doc_cluster[doc_id] = c

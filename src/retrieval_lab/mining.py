@@ -231,6 +231,8 @@ def mine_dataset(corpus: list[Document], queries: list[Query], qrels: Qrels,
     skipped with a warning."""
     if strategy not in ("ance", "random"):
         raise ValueError(f"strategy must be 'ance' or 'random', got {strategy!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     doc_by_id = {doc.id: doc for doc in corpus}
     mineable = []  # (query, its relevant doc ids)
     for query in queries:

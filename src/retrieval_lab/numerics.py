@@ -82,21 +82,6 @@ def cosine_similarity_grad(a, b) -> tuple[np.ndarray, np.ndarray]:
     return da, db
 
 
-def softmax_temperature(scores, tau: float) -> np.ndarray:
-    """Temperature softmax exp(s_i/tau) / sum_j exp(s_j/tau).
-
-    Uses max-subtraction so arbitrarily shifted scores never overflow; the
-    output is a probability vector (entries in (0, 1], sum 1 within 1e-12).
-    """
-    if tau <= 0:
-        raise ValueError(f"temperature must be > 0, got {tau}")
-    s = as_vector(scores, "scores")
-    z = s / tau
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / np.sum(e)
-
-
 def l2_normalize(v) -> np.ndarray:
     """Scale a vector to unit L2 norm, preserving direction."""
     v = as_vector(v, "v")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from retrieval_lab.encoder import EncoderConfig, MoEConfig, encode, init_params, tokenize
-from retrieval_lab.numerics import make_rng
+from retrieval_lab.numerics import as_vector, make_rng
 
 # pytest's ``pythonpath`` setting reaches this process only; export src/ so
 # tests that start ``python -m retrieval_lab.cli`` import the same checkout.
@@ -68,6 +68,21 @@ def finite_diff_params(params, config, text: str, upstream: np.ndarray,
             gflat[i] = (fp - fm) / (2.0 * eps)
         grads[name] = g
     return grads
+
+
+def softmax_temperature(scores, tau: float) -> np.ndarray:
+    """Temperature softmax exp(s_i/tau) / sum_j exp(s_j/tau).
+
+    Uses max-subtraction so arbitrarily shifted scores never overflow; the
+    output is a probability vector (entries in (0, 1], sum 1 within 1e-12).
+    """
+    if tau <= 0:
+        raise ValueError(f"temperature must be > 0, got {tau}")
+    s = as_vector(scores, "scores")
+    z = s / tau
+    z = z - np.max(z)
+    e = np.exp(z)
+    return e / np.sum(e)
 
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:

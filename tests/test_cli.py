@@ -67,6 +67,44 @@ class TestSynth:
             "queries.jsonl": "9e3d96b239797a5a70993ed6c27843d42751a1c628a56d23e09c314c05f42aa8",
         }
 
+    @pytest.mark.parametrize("flags,expected", [
+        (("--clusters", 100, "--docs-per-cluster", 50, "--queries-per-cluster", 20,
+          "--vocab-per-cluster", 40), {
+            "corpus.jsonl": "c84b9aa9cb0e2479476c8713dd5f85e2e8a7be2ddcef585057b2296b79b6931a",
+            "neg_queries.jsonl": "079c1859e6aa9d73ca3b6339a7b786e5c62383d44a03361c9e4e16a94acd504f",
+            "qrels.tsv": "607ac6926e320fb5ea73f8a9b236f6496a15eaa2cd763105f8d5a90c10c4372f",
+            "queries.jsonl": "4f9621fa56e02666e956b8083a2827ae3b95d712206f31ce1c58e357715fc013"}),
+        (("--clusters", 10, "--docs-per-cluster", 50, "--queries-per-cluster", 10,
+          "--vocab-per-cluster", 40), {
+            "corpus.jsonl": "cbe22edf5c43ba3e4a48ccf4b1375bb126f5d65f8e3958ba9bee28d445153a01",
+            "neg_queries.jsonl": "236f75867cdcdcbd01ba1e58a5eca48af1d53baa23b60dd5722be1e816d62db0",
+            "qrels.tsv": "f167d49794c54a2cba25d7a4a11591e3ac7980bdaf6285faab0d2fbb7d553300",
+            "queries.jsonl": "8a6bdc69317d31cb0bdf8a63c6d463df8af036d3f05dcb118edc0fe824a78345"}),
+        (("--clusters", 100, "--docs-per-cluster", 5, "--queries-per-cluster", 1,
+          "--vocab-per-cluster", 40), {
+            "corpus.jsonl": "54c171cb9e3c106d9bee937922b40ea5d014d7bba501c6eb033a8b3507ce4ddd",
+            "neg_queries.jsonl": "487f2785ba4a54700c4fdc69c641dba2a9c1d9d4c1b2757a53c1f18728c5e7c4",
+            "qrels.tsv": "1b528b9d711e4d6ae7950b7c1906b0de825c66ccd3188d372a7b154840b0920b",
+            "queries.jsonl": "379b184d5ec3514cf83059b482b5f7da39e5f156cf9b8d52bccda4e320958b75"}),
+        (("--clusters", 1), {
+            "corpus.jsonl": "5f9b79486bf53331c4aad0c8f3b7e0e1bfbfe81e8f157ab56dbcb90606b9785c",
+            "neg_queries.jsonl": "ca83f68bd8c0cd815015aee87c20c690ed7795e9b3a99420851b47247aa87370",
+            "qrels.tsv": "f1089067538793a1a91af74cdd165fac84587eccb2f77ca2373d23225c202863",
+            "queries.jsonl": "94b0888c059b75863909b528035f5873cc4f4015223233eb0dc81e6aee9a7a4c"}),
+        (("--clusters", 2, "--vocab-per-cluster", 1, "--doc-words", 1, "--query-words", 1,
+          "--noise-rate", 0.9), {
+            "corpus.jsonl": "ce9d1ed8ae12f6f69c6868c43c5f6525c27a8d7424580ed7b0d7e3a2fc73e2b8",
+            "neg_queries.jsonl": "f67508aa629369850588e33cbdcf3f6e7dfd3c6e9be6253f0ea507163a3b3b4e",
+            "qrels.tsv": "e79c637c7a82986a4f05d842a2932aef62b446556baab053236317598db61277",
+            "queries.jsonl": "17d7709ce926b9382214166bf0935438a572d7118a02b1e910be58224eb2a35c"}),
+    ], ids=["retrieve-5k", "train-dense-clp", "train-moe-wide", "one-cluster",
+            "one-word-vocabularies"])
+    def test_bundle_bytes_pinned_across_specs(self, tmp_path, flags, expected):
+        # sha256 recorded from the per-word generator, before synth read its
+        # document words in bulk: an oracle independent of the current code
+        assert run_cli("synth", *flags, "--seed", 1, "--outdir", tmp_path) == 0
+        assert read_hashes(tmp_path) == expected
+
     def test_no_flags_write_the_default_spec(self, tmp_path):
         assert run_cli("synth", "--outdir", tmp_path / "cli") == 0
         dataset = synth_generate(SynthSpec(), 0)
@@ -134,6 +172,17 @@ class TestMine:
                        "--outdir", tmp_path / "m") == 1
         assert capsys.readouterr().err == (
             f"error: {corpus}:{lineno}: expected a JSON object, got list\n")
+
+    @pytest.mark.parametrize("strategy", ["ance", "random"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, synth_dir, tmp_path, capsys, strategy, k):
+        assert run_cli("mine", "--strategy", strategy, "--k", k, *ENC_FLAGS,
+                       "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv",
+                       "--outdir", tmp_path / "m") == 1
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+        assert not (tmp_path / "m" / "train.jsonl").exists()
 
     def test_preset_sets_strategy(self, synth_dir, tmp_path):
         out_r = tmp_path / "ra"
@@ -284,6 +333,18 @@ class TestTrain:
                        "--epochs", 2, "--learning-rate", 1e-3, "--seed", 4,
                        "--outdir", out) == 0
         assert (out / "checkpoint.json").is_file()
+
+    @pytest.mark.parametrize("strategy", ["ance", "random"])
+    def test_refresh_with_k_below_one_rejected(self, synth_dir, tmp_path, capsys, strategy):
+        out = tmp_path / "t6"
+        assert run_cli("train", "--refresh-per-epoch", "--strategy", strategy,
+                       "--k", 0, *ENC_FLAGS,
+                       "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv",
+                       "--outdir", out) == 1
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+        assert not (out / "checkpoint.json").exists()
 
     def test_mean_loss_last_epoch_with_a_skipped_query(self, synth_dir, tmp_path):
         # q0000 loses its only judgment, so every re-mining skips it; each

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retrieval_lab.data import (
@@ -11,6 +11,7 @@ from retrieval_lab.data import (
     SynthSpec,
     TrainingExample,
     _as_text,
+    _sample_words,
     load_corpus,
     load_neg_query_map,
     load_qrels,
@@ -381,3 +382,93 @@ class TestSynthGenerate:
             if rel_score > max(out_scores):
                 wins += 1
         assert wins / len(ds.queries) > 0.95
+
+
+def reference_sample_words(own, other, count, noise_rate, rng):
+    """The per-word draws that ``_sample_words`` reads in bulk: the oracle."""
+    words = []
+    for _ in range(count):
+        pool = other if (other and rng.random() < noise_rate) else own
+        words.append(pool[int(rng.integers(0, len(pool)))])
+    return words
+
+
+# Lemire's method redraws a 32-bit value v when (v * n) mod 2**32 < (2**32 - n) mod n;
+# for this pool the bound is 2**31 - 1, so about half of all draws are redrawn.
+REDRAW_POOL = range(2**31 + 1)
+
+
+def assert_bulk_matches_reference(seed, own, other, count, noise_rate, warm_draws):
+    """Equal words, equal generator state after (the 32-bit buffer too) and equal
+    draws after that; ``warm_draws`` 32-bit draws first set ``has_uint32`` when odd."""
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    for rng in rngs:
+        rng.integers(0, 7, size=warm_draws)
+    assert rngs[0].bit_generator.state["has_uint32"] == warm_draws % 2
+    assert (_sample_words(own, other, count, noise_rate, rngs[0])
+            == reference_sample_words(own, other, count, noise_rate, rngs[1]))
+    got, want = (rng.bit_generator.state for rng in rngs)
+    assert got["state"] == want["state"]
+    assert got["has_uint32"] == want["has_uint32"]
+    if want["has_uint32"]:
+        assert got["uinteger"] == want["uinteger"]
+    for _ in range(3):
+        assert rngs[0].integers(0, 1000) == rngs[1].integers(0, 1000)
+        assert rngs[0].random() == rngs[1].random()
+
+
+def vocab(prefix, n):
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+class TestSampleWordsBulkRead:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           own_size=st.integers(1, 60),
+           other=st.one_of(st.integers(0, 300).map(lambda n: vocab("x", n)),
+                           st.just(REDRAW_POOL)),
+           redraw_own=st.booleans(),
+           count=st.integers(0, 120),
+           noise_rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           warm_draws=st.integers(0, 3))
+    def test_equals_per_word_draws(self, seed, own_size, other, redraw_own, count,
+                                   noise_rate, warm_draws):
+        own = REDRAW_POOL if redraw_own else vocab("o", own_size)
+        assert_bulk_matches_reference(seed, own, other, count, noise_rate, warm_draws)
+
+    @pytest.mark.parametrize("warm_draws", [0, 1], ids=["has_uint32_unset", "has_uint32_set"])
+    @pytest.mark.parametrize("count", [29, 30], ids=["odd_count", "even_count"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_entry_buffer_and_count_parity(self, seed, count, warm_draws):
+        assert_bulk_matches_reference(seed, vocab("o", 40), vocab("x", 360), count, 0.3,
+                                      warm_draws)
+
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_empty_other_draws_no_noise(self, seed, warm_draws):
+        assert_bulk_matches_reference(seed, vocab("o", 40), [], 31, 0.5, warm_draws)
+
+    @pytest.mark.parametrize("own,other", [
+        (vocab("o", 1), vocab("x", 5)),
+        (vocab("o", 5), vocab("x", 1)),
+        (vocab("o", 1), vocab("x", 1)),
+        (vocab("o", 1), []),
+    ], ids=["one_word_own", "one_word_other", "one_word_both", "one_word_own_no_other"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_word_pool(self, seed, own, other):
+        assert_bulk_matches_reference(seed, own, other, 30, 0.5, seed % 2)
+
+    @pytest.mark.parametrize("own,other", [
+        (REDRAW_POOL, []),
+        (REDRAW_POOL, vocab("x", 50)),
+        (vocab("o", 50), REDRAW_POOL),
+    ], ids=["redraw_own_no_other", "redraw_own", "redraw_other"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lemire_redraw(self, seed, own, other, monkeypatch):
+        from retrieval_lab import data
+        redrawn = []
+        draw_word = data._draw_word
+        monkeypatch.setattr(data, "_draw_word",
+                            lambda *args: redrawn.append(1) or draw_word(*args))
+        assert_bulk_matches_reference(seed, own, other, 60, 0.5, seed % 2)
+        assert redrawn  # each redraw went through the per-word path

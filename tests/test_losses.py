@@ -18,10 +18,9 @@ from retrieval_lab.numerics import (
     cosine_similarity,
     cosine_similarity_grad,
     make_rng,
-    softmax_temperature,
 )
 
-from conftest import random_unit, rel_error
+from conftest import random_unit, rel_error, softmax_temperature
 
 FD_STEP = 1e-6
 

@@ -16,10 +16,9 @@ from retrieval_lab.numerics import (
     l2_normalize,
     make_rng,
     seeded_init,
-    softmax_temperature,
 )
 
-from conftest import finite_diff, rel_error
+from conftest import finite_diff, rel_error, softmax_temperature
 
 
 class TestCosineSimilarity:
