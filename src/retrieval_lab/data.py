@@ -15,6 +15,7 @@ else's hard negative with known positive queries attached.
 from __future__ import annotations
 
 import json
+import operator
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -286,6 +287,74 @@ class SynthDataset:
     neg_query_map: dict[str, list[str]]
 
 
+def _resume(bitgen, saved: dict, words: int, has_uint32: int, uinteger: int) -> None:
+    """Set PCG64 to ``words`` 64-bit words past ``saved``, with this 32-bit buffer."""
+    bitgen.state = {**saved, "has_uint32": has_uint32, "uinteger": uinteger}
+    bitgen.random_raw(words, output=False)  # unlike advance(), keeps the buffer
+
+
+class _Draws:
+    """``random()``, ``integers(low, high)`` and ``choice(n, size, replace=False)``
+    of a PCG64 ``Generator``, bit for bit, from ``random_raw`` read 1,024 words at
+    a time; on exit the generator is where numpy's own calls would have left it.
+
+    ``random()`` is one 64-bit word r as (r >> 11) * 2**-53. ``integers`` with
+    n = high - low <= 2**32 draws nothing if n = 1, else is Lemire's method on a
+    32-bit v, the unused high half of the last word split if PCG64 buffers one,
+    else the low half of a fresh word: low + (v * n) >> 32, redrawn while
+    (v * n) mod 2**32 < (2**32 - n) mod n. ``choice`` is Floyd's sampler and a
+    shuffle, or, for n > 10000 and size > n // 50, a shuffle of range(n)'s tail."""
+
+    def __init__(self, rng):
+        self._bitgen, self._saved = rng.bit_generator, rng.bit_generator.state
+        self._has, self._buf = self._saved["has_uint32"], self._saved["uinteger"]
+        self._raw, self._read = iter(()), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        _resume(self._bitgen, self._saved, self._read - operator.length_hint(self._raw),
+                self._has, self._buf)
+
+    def _next64(self) -> int:
+        for r in self._raw:
+            return r
+        self._raw, self._read = iter(self._bitgen.random_raw(1024).tolist()), self._read + 1024
+        return next(self._raw)
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        n = high - low
+        while n > 1:
+            if self._has:
+                v, self._has = self._buf, 0
+            else:
+                r = self._next64()
+                v, self._has, self._buf = r & 0xFFFFFFFF, 1, r >> 32
+            if (v * n) & 0xFFFFFFFF >= (2**32 - n) % n:
+                return low + ((v * n) >> 32)
+        return low
+
+    def choice(self, n: int, size: int, replace: bool = True) -> list[int]:
+        if replace:
+            raise NotImplementedError("only choice(replace=False) is replayed")
+        if n <= 10000 or size <= n // 50:
+            picked = {}  # insertion-ordered, for O(1) membership
+            for j in range(n - size, n):
+                v = self.integers(0, j + 1)
+                picked[j if v in picked else v] = None
+            picked, first = list(picked), 1
+        else:
+            picked, first = list(range(n)), max(n - size, 1)
+        for i in range(len(picked) - 1, first - 1, -1):
+            j = self.integers(0, i + 1)
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked[len(picked) - size:]
+
+
 def _make_vocabulary(spec: SynthSpec, rng) -> list[list[str]]:
     """Disjoint per-cluster word lists of random lowercase strings."""
     letters = string.ascii_lowercase
@@ -295,7 +364,7 @@ def _make_vocabulary(spec: SynthSpec, rng) -> list[list[str]]:
         words = []
         while len(words) < spec.vocab_per_cluster:
             length = int(rng.integers(4, 8))
-            word = "".join(letters[i] for i in rng.integers(0, 26, size=length))
+            word = "".join(letters[rng.integers(0, 26)] for _ in range(length))
             if word not in taken:
                 taken.add(word)
                 words.append(word)
@@ -311,17 +380,9 @@ def _draw_word(own: list[str], other: list[str], noise_rate: float, rng) -> str:
 def _sample_words(own: list[str], other: list[str], count: int,
                   noise_rate: float, rng) -> list[str]:
     """``count`` calls of ``_draw_word``, bit for bit and generator state after
-    included, from one ``random_raw`` read of PCG64's stream per run of words
-    between redraws.
-
-    ``random()`` is one 64-bit word r as (r >> 11) * 2**-53. ``integers(0, n)``,
-    1 < n < 2**32, is Lemire's method on one 32-bit value v: (v * n) >> 32,
-    redrawn while (v * n) mod 2**32 < (2**32 - n) mod n. PCG64 takes v from the
-    low half of a fresh word and keeps the high half in ``has_uint32`` and
-    ``uinteger`` for the next 32-bit draw. A word numpy redraws goes through
-    ``_draw_word``, and so does every word when a pool has one word, because
-    ``integers(0, 1)`` draws nothing.
-    """
+    included, as ``_Draws`` reads them but vectorized, from one ``random_raw``
+    read per run of words between redraws. A redrawn word goes through
+    ``_draw_word``, and so does every word when a pool has one word."""
     if 1 in (len(own), len(other)):
         return [_draw_word(own, other, noise_rate, rng) for _ in range(count)]
     bitgen, noise = rng.bit_generator, int(bool(other))
@@ -344,14 +405,10 @@ def _sample_words(own: list[str], other: list[str], count: int,
         r = int(next(iter(np.flatnonzero((m & 0xFFFFFFFF) < (2**32 - sizes) % sizes)), n))
         words += [(other if z else own)[i]
                   for z, i in zip(noisy[:r].tolist(), (m[:r] >> 32).tolist())]
-        if r < n:  # numpy redraws word r: rewind to the state before it
-            bitgen.state = saved
-            bitgen.random_raw(int(starts[r]))
-        # the 32-bit buffer before word r: its unused value, or else the last
-        # value used, which numpy leaves in uinteger
-        state, full = bitgen.state, (r + has) % 2
-        state["has_uint32"], state["uinteger"] = full, int(halves[r + full - has])
-        bitgen.state = state
+        # the state before word r (numpy redraws it if r < n); the 32-bit buffer
+        # there holds its unused value, or else the last value used
+        full = (r + has) % 2
+        _resume(bitgen, saved, int(starts[r]), full, int(halves[r + full - has]))
         if r < n:
             words.append(_draw_word(own, other, noise_rate, rng))
     return words
@@ -360,11 +417,9 @@ def _sample_words(own: list[str], other: list[str], count: int,
 def _query_from_doc(doc_words: list[str], other: list[str], spec: SynthSpec, rng) -> str:
     """Short query quoting the document, with noise words swapped in."""
     picked = rng.choice(len(doc_words), size=spec.query_words, replace=False)
-    words = [doc_words[i] for i in picked]
-    for i in range(len(words)):
-        if other and rng.random() < spec.noise_rate:
-            words[i] = other[int(rng.integers(0, len(other)))]
-    return " ".join(words)
+    return " ".join([other[int(rng.integers(0, len(other)))]
+                     if other and rng.random() < spec.noise_rate else doc_words[i]
+                     for i in picked])
 
 
 def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
@@ -375,7 +430,8 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     neg-query map covers every document.
     """
     rng = make_rng(seed)
-    cluster_vocab = _make_vocabulary(spec, rng)
+    with _Draws(rng) as draws:
+        cluster_vocab = _make_vocabulary(spec, draws)
     all_words = [w for words in cluster_vocab for w in words]
     # other_words[c]: every word outside cluster c, in all_words order; the
     # clusters are disjoint blocks of vocab_per_cluster words in all_words
@@ -384,7 +440,6 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
 
     corpus: list[Document] = []
     doc_words: dict[str, list[str]] = {}
-    doc_cluster: dict[str, int] = {}
     for c in range(spec.num_clusters):
         cluster_words = _sample_words(cluster_vocab[c], other_words[c],
                                       spec.docs_per_cluster * spec.doc_words, spec.noise_rate, rng)
@@ -393,26 +448,21 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
             words = cluster_words[j * spec.doc_words:(j + 1) * spec.doc_words]
             corpus.append(Document(doc_id, " ".join(words)))
             doc_words[doc_id] = words
-            doc_cluster[doc_id] = c
 
     queries: list[Query] = []
     qrels = Qrels()
-    qnum = 0
-    for c in range(spec.num_clusters):
-        own_docs = corpus[c * spec.docs_per_cluster:(c + 1) * spec.docs_per_cluster]
-        for _ in range(spec.queries_per_cluster):
-            target = own_docs[int(rng.integers(0, len(own_docs)))]
-            text = _query_from_doc(doc_words[target.id], other_words[c], spec, rng)
-            query_id = f"q{qnum:04d}"
-            qnum += 1
-            queries.append(Query(query_id, text))
-            qrels.set(query_id, target.id, 1)
-
     neg_query_map: dict[str, list[str]] = {}
-    for doc in corpus:
-        other = other_words[doc_cluster[doc.id]]
-        neg_query_map[doc.id] = [
-            _query_from_doc(doc_words[doc.id], other, spec, rng)
-            for _ in range(spec.neg_queries_per_doc)
-        ]
+    with _Draws(rng) as draws:
+        for c in range(spec.num_clusters):
+            own_docs = corpus[c * spec.docs_per_cluster:(c + 1) * spec.docs_per_cluster]
+            for _ in range(spec.queries_per_cluster):
+                target = own_docs[int(draws.integers(0, len(own_docs)))]
+                text = _query_from_doc(doc_words[target.id], other_words[c], spec, draws)
+                query_id = f"q{len(queries):04d}"
+                queries.append(Query(query_id, text))
+                qrels.set(query_id, target.id, 1)
+        for i, doc in enumerate(corpus):
+            other = other_words[i // spec.docs_per_cluster]
+            neg_query_map[doc.id] = [_query_from_doc(doc_words[doc.id], other, spec, draws)
+                                     for _ in range(spec.neg_queries_per_doc)]
     return SynthDataset(corpus, queries, qrels, neg_query_map)

@@ -105,6 +105,41 @@ class TestSynth:
         assert run_cli("synth", *flags, "--seed", 1, "--outdir", tmp_path) == 0
         assert read_hashes(tmp_path) == expected
 
+    @pytest.mark.parametrize("flags,expected", [
+        (("--clusters", 1, "--docs-per-cluster", 1, "--doc-words", 10001, "--query-words", 201,
+          "--queries-per-cluster", 2, "--seed", 0), {
+            "corpus.jsonl": "4c007de9c9325bf82a070bc5caa4914e1738dcc887524fb0769b18be8e12b5da",
+            "neg_queries.jsonl": "8a7ac858cfee63276fd703ec433ed4c866a214f8e933a62f98b84f76c098bd3c",
+            "qrels.tsv": "c4e4b9f0032a401de952683a2ffb56225c6dc01c6dc0516db82df73a40cc0d13",
+            "queries.jsonl": "9383a46dce4c61118be75a6f14761bbf4ca07cee70148e0121c893b09ecbf558"}),
+        (("--clusters", 1, "--docs-per-cluster", 1, "--doc-words", 10001, "--query-words", 201,
+          "--queries-per-cluster", 2, "--seed", 1), {
+            "corpus.jsonl": "bc255d6cee1ecc22da5a259fc552f65a898bef425999c96144f963b152baa69a",
+            "neg_queries.jsonl": "f3daa265295e80e64cff50ffb1a98a7525cdc4ad42237f198cfeaa96ff8f15c5",
+            "qrels.tsv": "c4e4b9f0032a401de952683a2ffb56225c6dc01c6dc0516db82df73a40cc0d13",
+            "queries.jsonl": "5e04fe6eb5aa0de11971ff3d14460ecaa5ea8c62d336b51c6cb33fd61c4341a5"}),
+        (("--clusters", 2, "--docs-per-cluster", 2, "--queries-per-cluster", 1,
+          "--vocab-per-cluster", 3, "--noise-rate", 0.5, "--neg-queries-per-doc", 3,
+          "--seed", 0), {
+            "corpus.jsonl": "e0e754e4088ac249b709e1474cb7604cf75a8c9725378545bdafbe5fd97beab0",
+            "neg_queries.jsonl": "15ae20180dfda1e10778263a33a0dab594fa29fd0bea6a3d13a9b447c9fa5cd1",
+            "qrels.tsv": "caf051c7cfc597b9f0c3331787d99681fece0b64500f4fbdcd3d3e136d1e2a77",
+            "queries.jsonl": "7b312e170f159750ac4210c316ae78638f465978b0abb3de3d771dc4bcc6455a"}),
+        (("--clusters", 2, "--docs-per-cluster", 2, "--queries-per-cluster", 1,
+          "--vocab-per-cluster", 3, "--noise-rate", 0.5, "--neg-queries-per-doc", 3,
+          "--seed", 1), {
+            "corpus.jsonl": "bc0e338f148e4ee54418bac26dc1bd3c388e534a7762c68dd44375c0dde670f3",
+            "neg_queries.jsonl": "33d00424b1dec8e9b00d5bc694da7427b80bd5d05d94cbb425aa537322cbf4fc",
+            "qrels.tsv": "427531d7a015948d21f1edf88aabfc9a48abd00a8d9512eec889fa5a02f8a2dc",
+            "queries.jsonl": "4e794e1f846abcfc99a0ed3fedd79d03f4311349bc7328022f41a60dbe26a65e"}),
+    ], ids=["tail-shuffle-seed0", "tail-shuffle-seed1", "noise-swaps-seed0", "noise-swaps-seed1"])
+    def test_query_draws_pinned(self, tmp_path, flags, expected):
+        # sha256 recorded from numpy's own choice/random/integers calls, before
+        # synth replayed them from bulk reads; the first spec is the one whose
+        # word picks take numpy's tail-shuffle branch (10,001 words, 201 picked)
+        assert run_cli("synth", *flags, "--outdir", tmp_path) == 0
+        assert read_hashes(tmp_path) == expected
+
     def test_no_flags_write_the_default_spec(self, tmp_path):
         assert run_cli("synth", "--outdir", tmp_path / "cli") == 0
         dataset = synth_generate(SynthSpec(), 0)

@@ -1,16 +1,20 @@
+import contextlib
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retrieval_lab import data
 from retrieval_lab.data import (
     Document,
     Qrels,
     SynthSpec,
     TrainingExample,
     _as_text,
+    _Draws,
     _sample_words,
     load_corpus,
     load_neg_query_map,
@@ -398,23 +402,34 @@ def reference_sample_words(own, other, count, noise_rate, rng):
 REDRAW_POOL = range(2**31 + 1)
 
 
-def assert_bulk_matches_reference(seed, own, other, count, noise_rate, warm_draws):
-    """Equal words, equal generator state after (the 32-bit buffer too) and equal
-    draws after that; ``warm_draws`` 32-bit draws first set ``has_uint32`` when odd."""
+def warm_twins(seed, warm_draws):
+    """Two equal generators after ``warm_draws`` 32-bit draws (odd sets ``has_uint32``)."""
     rngs = [np.random.default_rng(seed) for _ in range(2)]
     for rng in rngs:
         rng.integers(0, 7, size=warm_draws)
     assert rngs[0].bit_generator.state["has_uint32"] == warm_draws % 2
+    return rngs
+
+
+def assert_bulk_matches_reference(seed, own, other, count, noise_rate, warm_draws):
+    """Equal words, equal generator state after (the 32-bit buffer too) and equal
+    draws after that; ``warm_draws`` 32-bit draws first set ``has_uint32`` when odd."""
+    rngs = warm_twins(seed, warm_draws)
     assert (_sample_words(own, other, count, noise_rate, rngs[0])
             == reference_sample_words(own, other, count, noise_rate, rngs[1]))
-    got, want = (rng.bit_generator.state for rng in rngs)
+    assert_same_generator(*rngs)
+
+
+def assert_same_generator(got_rng, want_rng):
+    """Equal PCG64 state, equal 32-bit buffer and equal draws after that."""
+    got, want = got_rng.bit_generator.state, want_rng.bit_generator.state
     assert got["state"] == want["state"]
     assert got["has_uint32"] == want["has_uint32"]
     if want["has_uint32"]:
         assert got["uinteger"] == want["uinteger"]
     for _ in range(3):
-        assert rngs[0].integers(0, 1000) == rngs[1].integers(0, 1000)
-        assert rngs[0].random() == rngs[1].random()
+        assert got_rng.integers(0, 1000) == want_rng.integers(0, 1000)
+        assert got_rng.random() == want_rng.random()
 
 
 def vocab(prefix, n):
@@ -472,3 +487,122 @@ class TestSampleWordsBulkRead:
                             lambda *args: redrawn.append(1) or draw_word(*args))
         assert_bulk_matches_reference(seed, own, other, 60, 0.5, seed % 2)
         assert redrawn  # each redraw went through the per-word path
+
+
+def call(gen, op):
+    """One ``random()``, ``integers(low, high)`` or ``choice(n, k, replace=False)``."""
+    name, *args = op
+    if name == "random":
+        return gen.random()
+    if name == "integers":
+        return int(gen.integers(*args))
+    n, k = args
+    return [int(i) for i in gen.choice(n, size=k, replace=False)]
+
+
+def assert_draws_match_numpy(seed, warm_draws, ops):
+    """``_Draws`` returns numpy's own results for ``ops`` and leaves the generator
+    where numpy's calls leave it."""
+    replayed, numpy_rng = warm_twins(seed, warm_draws)
+    with _Draws(replayed) as draws:
+        got = [call(draws, op) for op in ops]
+    assert got == [call(numpy_rng, op) for op in ops]
+    assert_same_generator(replayed, numpy_rng)
+
+
+def choice_op(n_values):
+    return n_values.flatmap(lambda n: st.tuples(st.just("choice"), st.just(n),
+                                                 st.integers(0, min(n, 400))))
+
+
+draw_ops = st.lists(st.one_of(
+    st.just(("random",)),
+    st.tuples(st.just("integers"), st.integers(0, 10), st.integers(1, 2**32)).map(
+        lambda t: (t[0], t[1], t[1] + t[2])),
+    st.tuples(st.just("integers"), st.just(0), st.sampled_from([2**31 + 1, 2**32 - 1])),
+    choice_op(st.integers(1, 60)),
+    # either side of numpy's switch from Floyd's sampler to the tail shuffle
+    choice_op(st.integers(10001, 10400)),
+), max_size=8)
+
+
+class TestDrawsReplayNumpy:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), warm_draws=st.integers(0, 3), ops=draw_ops)
+    def test_interleaved_calls(self, seed, warm_draws, ops):
+        assert_draws_match_numpy(seed, warm_draws, ops)
+
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_value_range_draws_nothing(self, seed, warm_draws):
+        assert_draws_match_numpy(seed, warm_draws, [("integers", 0, 1), ("integers", 5, 6),
+                                                    ("choice", 1, 1)])
+        rng = warm_twins(seed, warm_draws)[0]
+        before = rng.bit_generator.state
+        with _Draws(rng) as draws:
+            assert (draws.integers(0, 1), draws.choice(1, size=1, replace=False)) == (0, [0])
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lemire_redraw(self, seed, warm_draws):
+        n, calls = 2**31 + 1, 40
+        assert_draws_match_numpy(seed, warm_draws, [("integers", 0, n)] * calls)
+        rng = warm_twins(seed, warm_draws)[0]
+        with _Draws(rng) as draws:
+            next64, words = draws._next64, []
+            draws._next64 = lambda: words.append(1) or next64()
+            for _ in range(calls):
+                draws.integers(0, n)
+        # without a redraw, 40 32-bit values take 20 words (or 20 and the buffered one)
+        assert len(words) > calls // 2
+
+    @pytest.mark.parametrize("n,k", [(30, 5), (10000, 9000), (10001, 200)],
+                             ids=["floyd_small", "floyd_n_10000", "floyd_k_n_over_50"])
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_choice_floyd(self, seed, warm_draws, n, k):
+        assert_draws_match_numpy(seed, warm_draws, [("choice", n, k), ("random",)])
+
+    @pytest.mark.parametrize("n,k", [(10001, 201), (20000, 20000)],
+                             ids=["tail_k_over_n_over_50", "tail_all"])
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_choice_tail_shuffle(self, seed, warm_draws, n, k):
+        assert_draws_match_numpy(seed, warm_draws, [("choice", n, k), ("random",)])
+
+    def test_choice_with_replacement_rejected(self):
+        with _Draws(np.random.default_rng(0)) as draws, pytest.raises(NotImplementedError):
+            draws.choice(5, size=2, replace=True)
+
+
+def numpy_synth(spec, seed):
+    """``synth_generate`` with every ``_Draws`` block making numpy's own calls."""
+    with mock.patch.object(data, "_Draws", contextlib.nullcontext):
+        return synth_generate(spec, seed)
+
+
+class TestSynthEqualsNumpyDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 4),
+                           st.integers(1, 12), st.integers(1, 12), st.integers(1, 3)),
+           query_share=st.floats(0.0, 1.0),
+           noise_rate=st.floats(0.0, 0.99))
+    def test_small_specs(self, seed, sizes, query_share, noise_rate):
+        clusters, docs, queries, vocab, doc_words, neg_queries = sizes
+        spec = SynthSpec(num_clusters=clusters, docs_per_cluster=docs,
+                         queries_per_cluster=queries, vocab_per_cluster=vocab,
+                         noise_rate=noise_rate, doc_words=doc_words,
+                         query_words=max(1, round(query_share * doc_words)),
+                         neg_queries_per_doc=neg_queries)
+        assert synth_generate(spec, seed) == numpy_synth(spec, seed)
+
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(num_clusters=1, docs_per_cluster=1, doc_words=10001, query_words=201,
+                  queries_per_cluster=2),
+        SynthSpec(num_clusters=3, docs_per_cluster=6, queries_per_cluster=2,
+                  vocab_per_cluster=15),
+    ], ids=["tail_shuffle", "acceptance_like"])
+    def test_named_specs(self, spec):
+        assert synth_generate(spec, 1) == numpy_synth(spec, 1)
