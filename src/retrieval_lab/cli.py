@@ -181,6 +181,8 @@ def cmd_mine(ns: argparse.Namespace) -> int:
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
+    if ns.epochs < 1:  # TrainConfig allows 0 epochs; a run that trains nothing is an error
+        raise CliError("epochs must be >= 1")
     params, config = _load_or_init_params(ns)
     try:
         freeze_mode = FreezeMode(ns.freeze)

@@ -15,7 +15,6 @@ else's hard negative with known positive queries attached.
 from __future__ import annotations
 
 import json
-import operator
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,10 +167,9 @@ def load_qrels(path: str | Path) -> Qrels:
             raise ValueError(f"{path}:{lineno}: duplicate judgment ({qid!r}, {did!r}) "
                              f"(first seen on line {seen[qid, did]})")
         seen[qid, did] = lineno
-        try:
-            qrels.set(qid, did, int(rel))
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from err
+        if rel not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: relevance must be 0 or 1, got {rel!r}")
+        qrels.set(qid, did, int(rel))
     return qrels
 
 
@@ -287,89 +285,71 @@ class SynthDataset:
     neg_query_map: dict[str, list[str]]
 
 
-def _resume(bitgen, saved: dict, words: int, has_uint32: int, uinteger: int) -> None:
-    """Set PCG64 to ``words`` 64-bit words past ``saved``, with this 32-bit buffer."""
-    bitgen.state = {**saved, "has_uint32": has_uint32, "uinteger": uinteger}
-    bitgen.random_raw(words, output=False)  # unlike advance(), keeps the buffer
+def _uniform(raw):
+    """numpy's ``random()`` of each 64-bit word: (r >> 11) * 2**-53."""
+    return (raw >> 11) * 2.0**-53
 
 
-class _Draws:
-    """``random()``, ``integers(low, high)`` and ``choice(n, size, replace=False)``
-    of a PCG64 ``Generator``, bit for bit, from ``random_raw`` read 1,024 words at
-    a time; on exit the generator is where numpy's own calls would have left it.
+def _lemire(values, n):
+    """numpy's ``integers(0, n)`` of each 32-bit value by Lemire's method: the
+    results, and where numpy would reject the value and draw another."""
+    m = values * n
+    return m >> 32, (m & 0xFFFFFFFF) < (2**32 - n) % n
 
-    ``random()`` is one 64-bit word r as (r >> 11) * 2**-53. ``integers`` with
-    n = high - low <= 2**32 draws nothing if n = 1, else is Lemire's method on a
-    32-bit v, the unused high half of the last word split if PCG64 buffers one,
-    else the low half of a fresh word: low + (v * n) >> 32, redrawn while
-    (v * n) mod 2**32 < (2**32 - n) mod n. ``choice`` is Floyd's sampler and a
-    shuffle, or, for n > 10000 and size > n // 50, a shuffle of range(n)'s tail."""
 
-    def __init__(self, rng):
-        self._bitgen, self._saved = rng.bit_generator, rng.bit_generator.state
-        self._has, self._buf = self._saved["has_uint32"], self._saved["uinteger"]
-        self._raw, self._read = iter(()), 0
+def _halves(raw, reads, has: int, buffered: int):
+    """PCG64's 32-bit draws, in stream order, from ``raw`` (64-bit words read in
+    bulk) when draw c comes after reads[c] ``random()`` calls: the values, and
+    the index in ``raw`` of each one's word (-1 for the value buffered on entry).
+    A draw splits the next word and buffers its high half, or takes the buffered
+    half; ``random()`` takes a whole word and leaves the buffer alone."""
+    t = np.arange(len(reads)) - has  # -1: the buffered value; even t splits a word
+    pos = np.where(t < 0, -1, reads[t - t % 2 + has] + t // 2)
+    word = np.append(raw, np.uint64(buffered) << 32)[pos]
+    return np.where(t % 2, word >> 32, word & 0xFFFFFFFF), pos
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        _resume(self._bitgen, self._saved, self._read - operator.length_hint(self._raw),
-                self._has, self._buf)
-
-    def _next64(self) -> int:
-        for r in self._raw:
-            return r
-        self._raw, self._read = iter(self._bitgen.random_raw(1024).tolist()), self._read + 1024
-        return next(self._raw)
-
-    def random(self) -> float:
-        return (self._next64() >> 11) * 2.0**-53
-
-    def integers(self, low: int, high: int) -> int:
-        n = high - low
-        while n > 1:
-            if self._has:
-                v, self._has = self._buf, 0
-            else:
-                r = self._next64()
-                v, self._has, self._buf = r & 0xFFFFFFFF, 1, r >> 32
-            if (v * n) & 0xFFFFFFFF >= (2**32 - n) % n:
-                return low + ((v * n) >> 32)
-        return low
-
-    def choice(self, n: int, size: int, replace: bool = True) -> list[int]:
-        if replace:
-            raise NotImplementedError("only choice(replace=False) is replayed")
-        if n <= 10000 or size <= n // 50:
-            picked = {}  # insertion-ordered, for O(1) membership
-            for j in range(n - size, n):
-                v = self.integers(0, j + 1)
-                picked[j if v in picked else v] = None
-            picked, first = list(picked), 1
-        else:
-            picked, first = list(range(n)), max(n - size, 1)
-        for i in range(len(picked) - 1, first - 1, -1):
-            j = self.integers(0, i + 1)
-            picked[i], picked[j] = picked[j], picked[i]
-        return picked[len(picked) - size:]
+def _resume(bitgen, saved: dict, raw, reads: int, pos, draws: int) -> None:
+    """Set PCG64 where numpy's calls leave it after ``reads`` ``random()`` and the
+    first ``draws`` 32-bit draws of ``_halves`` from state ``saved``."""
+    has, last = saved["has_uint32"], saved["uinteger"]
+    if draws and pos[draws - 1] >= 0:  # the buffer holds the last split word's high half
+        last = int(raw[pos[draws - 1]] >> 32)
+    bitgen.state = {**saved, "has_uint32": (draws - has) % 2, "uinteger": last}
+    # unlike advance(), random_raw keeps the buffer
+    bitgen.random_raw(reads + (draws + 1 - has) // 2, output=False)
 
 
 def _make_vocabulary(spec: SynthSpec, rng) -> list[list[str]]:
-    """Disjoint per-cluster word lists of random lowercase strings."""
-    letters = string.ascii_lowercase
-    taken: set[str] = set()
-    clusters = []
-    for _ in range(spec.num_clusters):
-        words = []
-        while len(words) < spec.vocab_per_cluster:
+    """Disjoint per-cluster word lists of random lowercase strings. Per word,
+    numpy's ``integers(4, 8)`` length and as many ``integers(0, 26)`` letters,
+    replayed from one ``random_raw`` read per run of words between redraws; a
+    redrawn word makes numpy's own calls. A word drawn before is dropped."""
+    total, v = spec.num_clusters * spec.vocab_per_cluster, spec.vocab_per_cluster
+    bitgen, words = rng.bit_generator, {}  # insertion-ordered set
+    while len(words) < total:
+        n, saved = 8 * (total - len(words)), bitgen.state  # a word takes 5 to 8 draws
+        raw = bitgen.random_raw((n + 1 - saved["has_uint32"]) // 2)
+        values, pos = _halves(raw, np.zeros(n, dtype=np.int64), saved["has_uint32"],
+                              saved["uinteger"])
+        length = (_lemire(values, 4)[0] + 4).tolist()  # 4 divides 2**32: never redrawn
+        codes, redrawn = _lemire(values, 26)
+        text = (codes + 97).astype(np.uint8).tobytes().decode()  # one letter per draw
+        redrawn = np.flatnonzero(redrawn).tolist()
+        p = redraw = 0
+        while len(words) < total and p + 8 <= n:
+            end = p + 1 + length[p]
+            if redraw := any(p < i < end for i in redrawn):
+                break
+            words.setdefault(text[p + 1:end])
+            p = end
+        _resume(bitgen, saved, raw, 0, pos, p)
+        if redraw:
             length = int(rng.integers(4, 8))
-            word = "".join(letters[rng.integers(0, 26)] for _ in range(length))
-            if word not in taken:
-                taken.add(word)
-                words.append(word)
-        clusters.append(words)
-    return clusters
+            words.setdefault("".join(string.ascii_lowercase[rng.integers(0, 26)]
+                                     for _ in range(length)))
+    words = list(words)
+    return [words[c * v:(c + 1) * v] for c in range(spec.num_clusters)]
 
 
 def _draw_word(own: list[str], other: list[str], noise_rate: float, rng) -> str:
@@ -380,36 +360,26 @@ def _draw_word(own: list[str], other: list[str], noise_rate: float, rng) -> str:
 def _sample_words(own: list[str], other: list[str], count: int,
                   noise_rate: float, rng) -> list[str]:
     """``count`` calls of ``_draw_word``, bit for bit and generator state after
-    included, as ``_Draws`` reads them but vectorized, from one ``random_raw``
-    read per run of words between redraws. A redrawn word goes through
-    ``_draw_word``, and so does every word when a pool has one word."""
+    included, vectorized from one ``random_raw`` read per run of words between
+    redraws. A redrawn word goes through ``_draw_word``, and so does every word
+    when a pool has one word."""
     if 1 in (len(own), len(other)):
         return [_draw_word(own, other, noise_rate, rng) for _ in range(count)]
     bitgen, noise = rng.bit_generator, int(bool(other))
     words: list[str] = []
     while len(words) < count:
         n, saved = count - len(words), bitgen.state
-        has = saved["has_uint32"]
-        fresh = (np.arange(n) + has) % 2 == 0  # word i splits a fresh 64-bit word
-        starts = np.concatenate([[0], np.cumsum(fresh + noise)])  # raw words read before word i
-        raw = bitgen.random_raw(int(starts[-1]))
-        split = raw[starts[1:][fresh] - 1]
-        # the value buffered on entry (used when has_uint32 is set), then the
-        # low and high half of each split word: the 32-bit draws in stream order
-        halves = np.concatenate([np.array([saved["uinteger"]], dtype=np.uint64),
-                                 np.stack([split & 0xFFFFFFFF, split >> 32], 1).ravel()])
-        noisy = ((raw[starts[:-1]] >> 11) * 2.0**-53 < noise_rate if noise
+        has, k = saved["has_uint32"], np.arange(n)
+        raw = bitgen.random_raw(n * noise + (n + 1 - has) // 2)
+        # word k's random() comes after k random() calls and k 32-bit draws
+        values, pos = _halves(raw, (k + 1) * noise, has, saved["uinteger"])
+        noisy = (_uniform(raw[k + (k + 1 - has) // 2]) < noise_rate if noise
                  else np.zeros(n, dtype=bool))
-        sizes = np.where(noisy, len(other), len(own)).astype(np.uint64)
-        m = halves[1 - has:n + 1 - has] * sizes
-        r = int(next(iter(np.flatnonzero((m & 0xFFFFFFFF) < (2**32 - sizes) % sizes)), n))
-        words += [(other if z else own)[i]
-                  for z, i in zip(noisy[:r].tolist(), (m[:r] >> 32).tolist())]
-        # the state before word r (numpy redraws it if r < n); the 32-bit buffer
-        # there holds its unused value, or else the last value used
-        full = (r + has) % 2
-        _resume(bitgen, saved, int(starts[r]), full, int(halves[r + full - has]))
-        if r < n:
+        picks, redrawn = _lemire(values, np.where(noisy, len(other), len(own)).astype(np.uint64))
+        r = int(np.argmax(redrawn)) if redrawn.any() else n
+        words += [(other if z else own)[i] for z, i in zip(noisy[:r].tolist(), picks[:r].tolist())]
+        _resume(bitgen, saved, raw, r * noise, pos, r)
+        if r < n:  # numpy redraws word r
             words.append(_draw_word(own, other, noise_rate, rng))
     return words
 
@@ -422,6 +392,93 @@ def _query_from_doc(doc_words: list[str], other: list[str], spec: SynthSpec, rng
                      for i in picked])
 
 
+def _sample_queries(first_doc, targets: bool, docs, all_words, spec: SynthSpec, rng):
+    """``_query_from_doc`` of document first_doc[i] + t for each i, t drawn first
+    by ``integers(0, docs_per_cluster)`` if ``targets`` else 0: the texts and the
+    documents, bit for bit and generator state after included. ``docs`` holds
+    each document's words as a row, ``all_words`` the cluster vocabularies in
+    turn. Runs of queries between redraws are read in bulk by ``_query_run``; a
+    redrawn query, and every query when ``choice`` would not use Floyd's
+    sampler, makes numpy's own calls."""
+    texts: list[str] = []
+    chosen: list[int] = []
+    floyd = spec.doc_words <= 10000 or spec.query_words <= spec.doc_words // 50
+    while len(texts) < len(first_doc):
+        if floyd:
+            run = _query_run(first_doc[len(texts):], targets, docs, all_words, spec, rng)
+            texts += run[0]
+            chosen += run[1]
+        if len(texts) < len(first_doc):
+            doc = int(first_doc[len(texts)])
+            doc += int(rng.integers(0, spec.docs_per_cluster)) if targets else 0
+            v, c = spec.vocab_per_cluster, doc // spec.docs_per_cluster
+            other = np.delete(all_words, np.s_[c * v:(c + 1) * v]).tolist()
+            texts.append(_query_from_doc(docs[doc].tolist(), other, spec, rng))
+            chosen.append(doc)
+    return texts, chosen
+
+
+def _query_run(first_doc, targets: bool, docs, all_words, spec: SynthSpec, rng):
+    """``_sample_queries`` up to the first query numpy redraws, vectorized from
+    one ``random_raw`` read; the generator is left at the start of that query.
+
+    A query's 32-bit draws are its target, Floyd's picks (``integers(0, j + 1)``
+    for j from doc_words - query_words up; a repeated pick takes j instead), their
+    shuffle (``integers(0, i + 1)`` for i from query_words - 1 down to 1) and, per
+    word, after a ``random()`` when other clusters exist, a swap
+    ``integers(0, len(other))`` if that is below noise_rate. A draw of one value
+    reads nothing."""
+    d, q, v = spec.doc_words, spec.query_words, spec.vocab_per_cluster
+    n_other = v * (spec.num_clusters - 1)
+    # one column per draw of a query: target, Floyd's picks, shuffle, then swaps
+    ranges = np.array([spec.docs_per_cluster] * targets + list(range(d - q + 1, d + 1))
+                      + list(range(q, 1, -1)) + [n_other] * q, dtype=np.uint64)
+    m, cols, fixed = len(first_doc), len(ranges), len(ranges) - q
+    drawn, noise, swap = ranges > 1, int(n_other > 0), int(n_other > 1)
+    per = int(drawn[:fixed].sum())  # 32-bit draws before a query's first random()
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    has = saved["has_uint32"]
+    raw = bitgen.random_raw(m * q * noise + (m * (per + q * swap) + 1) // 2)
+    noisy = np.zeros(m * q, dtype=bool)
+    if noise:
+        # word k's random() reads raw[k + (c + s) // 2], after c = per * (its query + 1)
+        # fixed draws and s - 1 + has swaps: only the noisy words move later draws
+        k = np.arange(m * q)
+        bits, hits, s = (_uniform(raw) < spec.noise_rate).tolist(), [], 1 - has
+        for word, twice in enumerate((2 * k + (k // q + 1) * per).tolist()):
+            if bits[(twice + s) >> 1]:
+                hits.append(word)
+                s += swap
+        noisy[hits] = True
+    noisy = noisy.reshape(m, q)
+    cells = np.flatnonzero(drawn & np.hstack([np.ones((m, fixed), dtype=bool), noisy]))
+    rows = np.arange(m)[:, None] * q  # random() calls before each query
+    reads = noise * np.hstack([np.repeat(rows, fixed, 1), rows + np.arange(1, q + 1)])
+    values, pos = _halves(raw, reads.ravel()[cells], has, saved["uinteger"])
+    got, redrawn = _lemire(values, ranges[cells % cols])
+    r = int(cells[np.argmax(redrawn)]) // cols if redrawn.any() else m
+    done = int(np.searchsorted(cells, r * cols))
+    _resume(bitgen, saved, raw, r * q * noise, pos, done)
+
+    draws = np.zeros(r * cols, dtype=np.int64)
+    draws[cells[:done]] = got[:done]
+    draws = draws.reshape(r, cols)
+    doc, at = first_doc[:r] + (draws[:, 0] if targets else 0), np.arange(r)
+    picks, seen = draws[:, targets:targets + q].copy(), np.zeros((r, d), dtype=bool)
+    for j in range(q):
+        picks[:, j] = np.where(seen[at, picks[:, j]], d - q + j, picks[:, j])
+        seen[at, picks[:, j]] = True
+    for j, col in zip(range(q - 1, 0, -1), range(targets + q, fixed)):
+        to = draws[:, col]
+        picks[at, j], picks[at, to] = picks[at, to], picks[:, j].copy()
+    words, noisy = docs[doc[:, None], picks], noisy[:r]
+    other = draws[:, fixed:][noisy]  # index into the query's other_words
+    own = doc[np.nonzero(noisy)[0]] // spec.docs_per_cluster * v  # its cluster's first word
+    words[noisy] = all_words[other + v * (other >= own)]
+    return list(map(" ".join, words.tolist())), doc.tolist()
+
+
 def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     """Deterministic clustered corpus, queries, qrels and per-document queries.
 
@@ -430,8 +487,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     neg-query map covers every document.
     """
     rng = make_rng(seed)
-    with _Draws(rng) as draws:
-        cluster_vocab = _make_vocabulary(spec, draws)
+    cluster_vocab = _make_vocabulary(spec, rng)
     all_words = [w for words in cluster_vocab for w in words]
     # other_words[c]: every word outside cluster c, in all_words order; the
     # clusters are disjoint blocks of vocab_per_cluster words in all_words
@@ -439,30 +495,25 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     other_words = [all_words[:c * v] + all_words[(c + 1) * v:] for c in range(spec.num_clusters)]
 
     corpus: list[Document] = []
-    doc_words: dict[str, list[str]] = {}
+    doc_words: list[str] = []
     for c in range(spec.num_clusters):
         cluster_words = _sample_words(cluster_vocab[c], other_words[c],
                                       spec.docs_per_cluster * spec.doc_words, spec.noise_rate, rng)
+        doc_words += cluster_words
         for j in range(spec.docs_per_cluster):
-            doc_id = f"d{c * spec.docs_per_cluster + j:05d}"
             words = cluster_words[j * spec.doc_words:(j + 1) * spec.doc_words]
-            corpus.append(Document(doc_id, " ".join(words)))
-            doc_words[doc_id] = words
+            corpus.append(Document(f"d{c * spec.docs_per_cluster + j:05d}", " ".join(words)))
+    docs = np.fromiter(doc_words, dtype=object, count=len(doc_words)).reshape(
+        len(corpus), spec.doc_words)
+    vocabulary = np.array(all_words, dtype=object)
 
-    queries: list[Query] = []
-    qrels = Qrels()
-    neg_query_map: dict[str, list[str]] = {}
-    with _Draws(rng) as draws:
-        for c in range(spec.num_clusters):
-            own_docs = corpus[c * spec.docs_per_cluster:(c + 1) * spec.docs_per_cluster]
-            for _ in range(spec.queries_per_cluster):
-                target = own_docs[int(draws.integers(0, len(own_docs)))]
-                text = _query_from_doc(doc_words[target.id], other_words[c], spec, draws)
-                query_id = f"q{len(queries):04d}"
-                queries.append(Query(query_id, text))
-                qrels.set(query_id, target.id, 1)
-        for i, doc in enumerate(corpus):
-            other = other_words[i // spec.docs_per_cluster]
-            neg_query_map[doc.id] = [_query_from_doc(doc_words[doc.id], other, spec, draws)
-                                     for _ in range(spec.neg_queries_per_doc)]
+    first_doc = spec.docs_per_cluster * np.arange(spec.num_clusters).repeat(
+        spec.queries_per_cluster)
+    texts, targets = _sample_queries(first_doc, True, docs, vocabulary, spec, rng)
+    queries = [Query(f"q{i:04d}", text) for i, text in enumerate(texts)]
+    qrels = Qrels({(query.id, corpus[doc].id): 1 for query, doc in zip(queries, targets)})
+    per_doc = spec.neg_queries_per_doc
+    first_doc = np.arange(len(corpus)).repeat(per_doc)
+    texts, _ = _sample_queries(first_doc, False, docs, vocabulary, spec, rng)
+    neg_query_map = {doc.id: texts[i * per_doc:(i + 1) * per_doc] for i, doc in enumerate(corpus)}
     return SynthDataset(corpus, queries, qrels, neg_query_map)

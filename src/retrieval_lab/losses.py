@@ -35,8 +35,8 @@ class LossConfig:
     lam: float = 0.1
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        if not 0 < self.tau < np.inf:  # NaN fails both comparisons
+            raise ValueError("tau must be a finite number > 0")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must be in [0, 1]")
 

@@ -65,8 +65,8 @@ class TrainConfig:
     stop_grad_neg_queries: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails both comparisons
+            raise ValueError("learning_rate must be a finite number > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.grad_accum_steps < 1:

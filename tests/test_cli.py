@@ -140,6 +140,46 @@ class TestSynth:
         assert run_cli("synth", *flags, "--outdir", tmp_path) == 0
         assert read_hashes(tmp_path) == expected
 
+    @pytest.mark.parametrize("flags,expected", [
+        (("--clusters", 3, "--docs-per-cluster", 4, "--queries-per-cluster", 3,
+          "--vocab-per-cluster", 8, "--doc-words", 6, "--query-words", 6, "--noise-rate", 0.3), {
+            "corpus.jsonl": "44ed028e8b7c43956560e2039cec1fd599d727cd0f0055ec3e8a20784c6eee97",
+            "neg_queries.jsonl": "7c03c17820bfc4544c92556519e3487c88b14a3bf0ffff24bcbec7a8008b9537",
+            "qrels.tsv": "ae3a43d5bb341f5ff6a7b42b2b04c1d426f8ba2f60b95d79a0b9e7eb748ec602",
+            "queries.jsonl": "1120f822bff809872f54d618223c5f30330ec71b8014b9dca6d7c7140edbfdd8"}),
+        (("--clusters", 3, "--docs-per-cluster", 1, "--queries-per-cluster", 4,
+          "--vocab-per-cluster", 10, "--noise-rate", 0.3), {
+            "corpus.jsonl": "de2a185a399ad07a06d3614751d23c79645359defaca453e890e8bb606acf77b",
+            "neg_queries.jsonl": "51ad7ee9ccac5979c709201937c7914b56a18934abdcbadc06fc2aaccfa03c4a",
+            "qrels.tsv": "ca1698fec691683e8e556ac8262953287cbc9bf8b29bc50688b490f7752560b6",
+            "queries.jsonl": "cc2014d9b80e2c7af6814a536c0b4ac31316edcb0f3b47ca02072488fee2a2e9"}),
+        (("--clusters", 1, "--docs-per-cluster", 5, "--queries-per-cluster", 4,
+          "--vocab-per-cluster", 10), {
+            "corpus.jsonl": "608616f94024ea3d24ec5ba8dda79b9f46b72378b9ea8b5c7ecf4c58fd742aaa",
+            "neg_queries.jsonl": "b92e9f5532f958bf5f31b7631f7349f1e01c695285c25551e051092f0176fffd",
+            "qrels.tsv": "3dd5a770d42a52515bc903f9edb8c763a07a43391c14b2ac4e4688caffc0d9c8",
+            "queries.jsonl": "6451268763ba4568cceae6d60326cd3da3d2b30f21124ddd3d5df08dcfe8ff4d"}),
+        (("--clusters", 2, "--vocab-per-cluster", 1, "--docs-per-cluster", 4,
+          "--queries-per-cluster", 3, "--doc-words", 8, "--query-words", 4, "--noise-rate", 0.5), {
+            "corpus.jsonl": "dfb3c77ef33ada7e365d02609229e92fdc591d593aebf7401af43f770ce3d70d",
+            "neg_queries.jsonl": "b2355ee7e2a54925623be7e33403e86f24650e71454be4541e2a1e80f171c270",
+            "qrels.tsv": "bd00c365da8045c7f01cca9f7dd65b8a65540c75f1dd47de7f27ed435bfd245f",
+            "queries.jsonl": "3bba8fca1903227e73e91293cc51873a5840e22f0c27746dd3174e426f328b0a"}),
+        (("--clusters", 3, "--docs-per-cluster", 4, "--queries-per-cluster", 2,
+          "--vocab-per-cluster", 10, "--neg-queries-per-doc", 3, "--noise-rate", 0), {
+            "corpus.jsonl": "b72c79a98285f3d944be44c29870b5e2e3ca9ca5d5226cb6cf8b798d7936142f",
+            "neg_queries.jsonl": "c3949fe74d141fd0b174f56a65c6eb951db331a20d0276b145f58be4dafd1afe",
+            "qrels.tsv": "b62ab8715e63753af3360da135e1a8dfd90012034e5f1fd58f4a8eb2044c3a9c",
+            "queries.jsonl": "15fc1896448549f28f1bbacf4cd4c29ff19d21611cb6a1a1abf5420ad4a0272e"}),
+    ], ids=["query-words-eq-doc-words", "one-doc-per-cluster", "one-cluster-small",
+            "one-word-other-pool", "three-neg-queries-no-noise"])
+    def test_one_value_draws_pinned(self, tmp_path, flags, expected):
+        # sha256 recorded from numpy's own calls, before synth replayed the query
+        # and vocabulary draws in bulk; each spec has a draw of one value (which
+        # reads nothing), a run without random() or a run without a noise swap
+        assert run_cli("synth", *flags, "--seed", 0, "--outdir", tmp_path) == 0
+        assert read_hashes(tmp_path) == expected
+
     def test_no_flags_write_the_default_spec(self, tmp_path):
         assert run_cli("synth", "--outdir", tmp_path / "cli") == 0
         dataset = synth_generate(SynthSpec(), 0)
@@ -246,16 +286,30 @@ def mined_dir(synth_dir, tmp_path):
 
 
 class TestTrain:
-    def test_zero_epochs_checkpoint_equals_init(self, mined_dir, tmp_path):
+    @pytest.mark.parametrize("refresh", [False, True], ids=["train-file", "refresh-per-epoch"])
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, mined_dir, synth_dir, tmp_path, capsys, epochs,
+                                       refresh):
+        # TrainConfig(epochs=0) returns the initial parameters; the CLI refuses
+        # a run that trains nothing instead of writing them as a checkpoint
+        data = (["--refresh-per-epoch", "--corpus", synth_dir / "corpus.jsonl",
+                 "--queries", synth_dir / "queries.jsonl", "--qrels", synth_dir / "qrels.tsv"]
+                if refresh else ["--train-file", mined_dir / "train.jsonl"])
         out = tmp_path / "t0"
-        assert run_cli("train", "--train-file", mined_dir / "train.jsonl",
-                       "--init-seed", 7, *ENC_FLAGS, "--epochs", 0,
-                       "--seed", 1, "--outdir", out) == 0
-        params, config = load_checkpoint(out / "checkpoint.json")
-        from retrieval_lab.encoder import init_params
-        fresh = init_params(config, 7)
-        for name, t in fresh.named_tensors().items():
-            assert params.named_tensors()[name].tobytes() == t.tobytes()
+        assert run_cli("train", *data, "--init-seed", 7, *ENC_FLAGS, "--epochs", epochs,
+                       "--seed", 1, "--outdir", out) == 1
+        assert capsys.readouterr().err == "error: epochs must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--learning-rate", "nan", "learning_rate"), ("--learning-rate", "inf", "learning_rate"),
+        ("--tau", "inf", "tau"), ("--tau", "nan", "tau")])
+    def test_non_finite_setting_rejected(self, mined_dir, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "t0"
+        assert run_cli("train", "--train-file", mined_dir / "train.jsonl", "--init-seed", 7,
+                       *ENC_FLAGS, flag, value, "--outdir", out) == 1
+        assert capsys.readouterr().err == f"error: {name} must be a finite number > 0\n"
+        assert not out.exists()
 
     def test_rerun_identical_checkpoint_hash(self, mined_dir, tmp_path):
         hashes = []

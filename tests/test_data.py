@@ -1,4 +1,4 @@
-import contextlib
+import string
 from collections import Counter
 from unittest import mock
 
@@ -14,7 +14,8 @@ from retrieval_lab.data import (
     SynthSpec,
     TrainingExample,
     _as_text,
-    _Draws,
+    _make_vocabulary,
+    _sample_queries,
     _sample_words,
     load_corpus,
     load_neg_query_map,
@@ -116,6 +117,14 @@ class TestQrels:
     def test_rejects_graded_relevance(self):
         with pytest.raises(ValueError, match="0 or 1"):
             Qrels().set("q", "d", 2)
+
+    @pytest.mark.parametrize("rel", ["+1", " 1", "01", "0_1", "\uff11", "2", "-0", "1.0", ""])
+    def test_relevance_is_exactly_0_or_1(self, tmp_path, rel):
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"q1\td1\t1\nq1\td2\t{rel}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_qrels(path)
+        assert str(err.value) == f"{path}:2: relevance must be 0 or 1, got {rel!r}"
 
     def test_bad_line_cites_number(self, tmp_path):
         path = tmp_path / "qrels.tsv"
@@ -489,96 +498,216 @@ class TestSampleWordsBulkRead:
         assert redrawn  # each redraw went through the per-word path
 
 
-def call(gen, op):
-    """One ``random()``, ``integers(low, high)`` or ``choice(n, k, replace=False)``."""
-    name, *args = op
-    if name == "random":
-        return gen.random()
-    if name == "integers":
-        return int(gen.integers(*args))
-    n, k = args
-    return [int(i) for i in gen.choice(n, size=k, replace=False)]
+def reference_vocabulary(spec, rng):
+    """The per-word draws that ``_make_vocabulary`` reads in bulk: the oracle."""
+    taken, clusters = set(), []
+    for _ in range(spec.num_clusters):
+        words = []
+        while len(words) < spec.vocab_per_cluster:
+            length = int(rng.integers(4, 8))
+            word = "".join(string.ascii_lowercase[rng.integers(0, 26)] for _ in range(length))
+            if word not in taken:
+                taken.add(word)
+                words.append(word)
+        clusters.append(words)
+    return clusters
 
 
-def assert_draws_match_numpy(seed, warm_draws, ops):
-    """``_Draws`` returns numpy's own results for ``ops`` and leaves the generator
-    where numpy's calls leave it."""
+def reference_queries(first_doc, targets, docs, all_words, spec, rng):
+    """The per-query draws that ``_sample_queries`` reads in bulk: the oracle."""
+    v, texts, chosen = spec.vocab_per_cluster, [], []
+    for first in first_doc:
+        doc = int(first) + (int(rng.integers(0, spec.docs_per_cluster)) if targets else 0)
+        c = doc // spec.docs_per_cluster
+        other = list(all_words[:c * v]) + list(all_words[(c + 1) * v:])
+        picked = rng.choice(len(docs[doc]), size=spec.query_words, replace=False)
+        texts.append(" ".join([other[int(rng.integers(0, len(other)))]
+                               if other and rng.random() < spec.noise_rate else docs[doc][i]
+                               for i in picked]))
+        chosen.append(doc)
+    return texts, chosen
+
+
+class CountingGenerator:
+    """A numpy ``Generator`` that counts the calls made through it; bulk reads
+    go to ``bit_generator``, which is not counted."""
+
+    def __init__(self, rng):
+        self.bit_generator, self._rng, self.calls = rng.bit_generator, rng, 0
+
+    def __getattr__(self, name):  # reached only for names __init__ did not set
+        self.calls += 1
+        return getattr(self._rng, name)
+
+
+def assert_replays_match_numpy(spec, seed, warm_draws):
+    """``spec``'s vocabulary, then its training and neg-map query runs, equal
+    numpy's own calls on a twin generator, which ends where numpy leaves it.
+    Returns the numpy calls each replay made itself (only on a redraw, or for
+    choice's tail shuffle). Documents are rows of distinct words."""
     replayed, numpy_rng = warm_twins(seed, warm_draws)
-    with _Draws(replayed) as draws:
-        got = [call(draws, op) for op in ops]
-    assert got == [call(numpy_rng, op) for op in ops]
+    counted = CountingGenerator(replayed)
+    assert _make_vocabulary(spec, counted) == reference_vocabulary(spec, numpy_rng)
+    calls = [counted.calls]
+    n_docs = spec.num_clusters * spec.docs_per_cluster
+    docs = np.array([vocab(f"d{i}w", spec.doc_words) for i in range(n_docs)], dtype=object)
+    all_words = np.array(vocab("v", spec.num_clusters * spec.vocab_per_cluster), dtype=object)
+    for first_doc, targets in [
+            (np.arange(spec.num_clusters).repeat(spec.queries_per_cluster)
+             * spec.docs_per_cluster, True),
+            (np.arange(n_docs).repeat(spec.neg_queries_per_doc), False)]:
+        counted.calls = 0
+        assert (_sample_queries(first_doc, targets, docs, all_words, spec, counted)
+                == reference_queries(first_doc, targets, docs, all_words, spec, numpy_rng))
+        calls.append(counted.calls)
     assert_same_generator(replayed, numpy_rng)
+    return calls
 
 
-def choice_op(n_values):
-    return n_values.flatmap(lambda n: st.tuples(st.just("choice"), st.just(n),
-                                                 st.integers(0, min(n, 400))))
+def force_redraws(monkeypatch):
+    """Make ``_lemire`` report two draws mid-read as redrawn, so that the bulk
+    replays make numpy's own calls there and then read on in bulk."""
+    lemire = data._lemire
+
+    def flagged(values, n):
+        got, redrawn = lemire(values, n)
+        redrawn[len(redrawn) // 2:len(redrawn) // 2 + 2] = True
+        return got, redrawn
+
+    monkeypatch.setattr(data, "_lemire", flagged)
 
 
-draw_ops = st.lists(st.one_of(
-    st.just(("random",)),
-    st.tuples(st.just("integers"), st.integers(0, 10), st.integers(1, 2**32)).map(
-        lambda t: (t[0], t[1], t[1] + t[2])),
-    st.tuples(st.just("integers"), st.just(0), st.sampled_from([2**31 + 1, 2**32 - 1])),
-    choice_op(st.integers(1, 60)),
-    # either side of numpy's switch from Floyd's sampler to the tail shuffle
-    choice_op(st.integers(10001, 10400)),
-), max_size=8)
+def count_calls(monkeypatch, name):
+    """A list that gains an entry at each call of ``data.<name>``."""
+    calls, func = [], getattr(data, name)
+    monkeypatch.setattr(data, name, lambda *args: calls.append(1) or func(*args))
+    return calls
+
+
+def query_spec(doc_words, query_words):
+    return SynthSpec(num_clusters=2, docs_per_cluster=1, queries_per_cluster=2,
+                     vocab_per_cluster=3, noise_rate=0.3, doc_words=doc_words,
+                     query_words=query_words)
+
+
+# one spec per draw of one value (Floyd's first pick at query_words == doc_words,
+# the target at one document per cluster, the swap from a one-word pool), per
+# run without random() (one cluster) and per run without a noise swap
+EDGE_SPECS = {
+    "query_words_eq_doc_words": SynthSpec(num_clusters=3, docs_per_cluster=4,
+                                          vocab_per_cluster=8, doc_words=6, query_words=6),
+    "one_doc_per_cluster": SynthSpec(num_clusters=3, docs_per_cluster=1, noise_rate=0.3),
+    "one_cluster": SynthSpec(num_clusters=1, docs_per_cluster=5),
+    "one_word_other_pool": SynthSpec(num_clusters=2, vocab_per_cluster=1, docs_per_cluster=4,
+                                     doc_words=8, query_words=4, noise_rate=0.5),
+    "no_noise": SynthSpec(num_clusters=3, docs_per_cluster=4, neg_queries_per_doc=3,
+                          noise_rate=0.0),
+}
 
 
 class TestDrawsReplayNumpy:
+    """The bulk replays of the vocabulary and query draws, ``_make_vocabulary``
+    and ``_sample_queries``, against numpy's own calls on twin generators."""
+
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), warm_draws=st.integers(0, 3), ops=draw_ops)
-    def test_interleaved_calls(self, seed, warm_draws, ops):
-        assert_draws_match_numpy(seed, warm_draws, ops)
+    @given(seed=st.integers(0, 2**32 - 1), warm_draws=st.integers(0, 3),
+           sizes=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 4),
+                           st.integers(1, 12), st.integers(1, 12), st.integers(1, 3)),
+           query_share=st.floats(0.0, 1.0), noise_rate=st.floats(0.0, 0.99))
+    def test_interleaved_calls(self, seed, warm_draws, sizes, query_share, noise_rate):
+        clusters, docs, queries, vocab_size, doc_words, neg_queries = sizes
+        spec = SynthSpec(num_clusters=clusters, docs_per_cluster=docs,
+                         queries_per_cluster=queries, vocab_per_cluster=vocab_size,
+                         noise_rate=noise_rate, doc_words=doc_words,
+                         query_words=max(1, round(query_share * doc_words)),
+                         neg_queries_per_doc=neg_queries)
+        assert_replays_match_numpy(spec, seed, warm_draws)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), warm_draws=st.integers(0, 1),
+           n=st.one_of(st.integers(2, 2**32), st.sampled_from([2**31 + 1, 2**32 - 1, 2**32])))
+    def test_lemire_matches_integers(self, seed, warm_draws, n):
+        replayed, numpy_rng = warm_twins(seed, warm_draws)
+        value = replayed.integers(0, 2**32, dtype=np.uint64)  # one 32-bit draw, as drawn
+        got, redrawn = data._lemire(np.array([value], dtype=np.uint64), n)
+        want = numpy_rng.integers(0, n)
+        # numpy read one value unless it rejected it and drew again
+        assert (replayed.bit_generator.state == numpy_rng.bit_generator.state) != redrawn[0]
+        assert redrawn[0] or got[0] == want
 
     @pytest.mark.parametrize("warm_draws", [0, 1])
     @pytest.mark.parametrize("seed", range(4))
     def test_one_value_range_draws_nothing(self, seed, warm_draws):
-        assert_draws_match_numpy(seed, warm_draws, [("integers", 0, 1), ("integers", 5, 6),
-                                                    ("choice", 1, 1)])
+        spec = SynthSpec(num_clusters=2, docs_per_cluster=1, vocab_per_cluster=1,
+                         doc_words=4, query_words=4, noise_rate=0.5)
+        assert assert_replays_match_numpy(spec, seed, warm_draws) == [0, 0, 0]
+        # every query draw of this spec has one value: nothing is read
+        spec = SynthSpec(num_clusters=1, docs_per_cluster=1, doc_words=1, query_words=1)
         rng = warm_twins(seed, warm_draws)[0]
         before = rng.bit_generator.state
-        with _Draws(rng) as draws:
-            assert (draws.integers(0, 1), draws.choice(1, size=1, replace=False)) == (0, [0])
+        docs, all_words = np.array([["w"]], dtype=object), np.array(["v"] * 40, dtype=object)
+        assert (_sample_queries(np.zeros(3, dtype=int), True, docs, all_words, spec, rng)
+                == (["w"] * 3, [0] * 3))
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("spec", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_edge_branches(self, seed, warm_draws, spec):
+        assert assert_replays_match_numpy(spec, seed, warm_draws) == [0, 0, 0]
+
+    @pytest.mark.parametrize("seed", [1, 2027])
+    def test_benchmark_spec_reads_in_bulk_only(self, seed):
+        spec = SynthSpec(num_clusters=100, docs_per_cluster=50, queries_per_cluster=20,
+                         vocab_per_cluster=40)
+        assert assert_replays_match_numpy(spec, seed, 0) == [0, 0, 0]
 
     @pytest.mark.parametrize("warm_draws", [0, 1])
     @pytest.mark.parametrize("seed", range(10))
-    def test_lemire_redraw(self, seed, warm_draws):
-        n, calls = 2**31 + 1, 40
-        assert_draws_match_numpy(seed, warm_draws, [("integers", 0, n)] * calls)
-        rng = warm_twins(seed, warm_draws)[0]
-        with _Draws(rng) as draws:
-            next64, words = draws._next64, []
-            draws._next64 = lambda: words.append(1) or next64()
-            for _ in range(calls):
-                draws.integers(0, n)
-        # without a redraw, 40 32-bit values take 20 words (or 20 and the buffered one)
-        assert len(words) > calls // 2
+    def test_lemire_redraw(self, seed, warm_draws, monkeypatch):
+        force_redraws(monkeypatch)
+        spec = SynthSpec(num_clusters=3, docs_per_cluster=4, queries_per_cluster=5,
+                         vocab_per_cluster=6, noise_rate=0.4)
+        # each replay made numpy's own calls at a redraw, and read on in bulk after it
+        assert all(assert_replays_match_numpy(spec, seed, warm_draws))
+
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    def test_vocabulary_drops_a_repeated_word(self, warm_draws):
+        spec, seed = SynthSpec(num_clusters=20, vocab_per_cluster=40), 34
+        assert assert_replays_match_numpy(spec, seed, warm_draws)[0] == 0
+        rng, total = warm_twins(seed, warm_draws)[0], 20 * 40
+        drawn = ["".join(string.ascii_lowercase[rng.integers(0, 26)]
+                         for _ in range(int(rng.integers(4, 8)))) for _ in range(total + 1)]
+        assert len(set(drawn)) == total  # the vocabulary draws one word twice
 
     @pytest.mark.parametrize("n,k", [(30, 5), (10000, 9000), (10001, 200)],
                              ids=["floyd_small", "floyd_n_10000", "floyd_k_n_over_50"])
     @pytest.mark.parametrize("warm_draws", [0, 1])
     @pytest.mark.parametrize("seed", range(2))
-    def test_choice_floyd(self, seed, warm_draws, n, k):
-        assert_draws_match_numpy(seed, warm_draws, [("choice", n, k), ("random",)])
+    def test_choice_floyd(self, seed, warm_draws, n, k, monkeypatch):
+        # ranges near 10,000 are redrawn now and then (in the neg-map run of
+        # floyd_n_10000 at seed 1 after one 32-bit draw), so calls are not
+        # counted; but the bulk read runs
+        runs = count_calls(monkeypatch, "_query_run")
+        assert_replays_match_numpy(query_spec(n, k), seed, warm_draws)
+        assert runs
 
     @pytest.mark.parametrize("n,k", [(10001, 201), (20000, 20000)],
                              ids=["tail_k_over_n_over_50", "tail_all"])
     @pytest.mark.parametrize("warm_draws", [0, 1])
     @pytest.mark.parametrize("seed", range(2))
-    def test_choice_tail_shuffle(self, seed, warm_draws, n, k):
-        assert_draws_match_numpy(seed, warm_draws, [("choice", n, k), ("random",)])
-
-    def test_choice_with_replacement_rejected(self):
-        with _Draws(np.random.default_rng(0)) as draws, pytest.raises(NotImplementedError):
-            draws.choice(5, size=2, replace=True)
+    def test_choice_tail_shuffle(self, seed, warm_draws, n, k, monkeypatch):
+        # numpy's own calls make every query
+        runs = count_calls(monkeypatch, "_query_run")
+        calls = assert_replays_match_numpy(query_spec(n, k), seed, warm_draws)
+        assert calls[0] == 0 and all(calls[1:]) and not runs
 
 
 def numpy_synth(spec, seed):
-    """``synth_generate`` with every ``_Draws`` block making numpy's own calls."""
-    with mock.patch.object(data, "_Draws", contextlib.nullcontext):
+    """``synth_generate`` with every bulk replay swapped for numpy's own calls."""
+    with mock.patch.multiple(data, _make_vocabulary=reference_vocabulary,
+                             _sample_words=reference_sample_words,
+                             _sample_queries=reference_queries):
         return synth_generate(spec, seed)
 
 

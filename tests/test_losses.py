@@ -365,6 +365,11 @@ class TestValidation:
             ContrastiveBatch(random_unit(rng, 8), random_unit(rng, 8),
                              [random_unit(rng, 8)], [[random_unit(rng, 6)]])
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf"), 0.0, -0.05])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        with pytest.raises(ValueError, match=r"^tau must be a finite number > 0$"):
+            LossConfig(tau=tau)
+
     def test_loss_config_bounds(self):
         with pytest.raises(ValueError):
             LossConfig(tau=0.0)

@@ -255,6 +255,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="nonempty"):
             train(params, config, [], TrainConfig())
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match=r"^learning_rate must be a finite number > 0$"):
+            TrainConfig(learning_rate=lr)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
