@@ -221,8 +221,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
         fh.write("step,loss\n")
         for step, loss in enumerate(result.loss_trace):
             fh.write(f"{step},{loss!r}\n")
-    per_epoch = max(1, len(result.loss_trace) // max(cfg.epochs, 1))
-    last_epoch = result.loss_trace[-per_epoch:] if result.loss_trace else []
+    last_epoch = result.loss_trace[-(len(result.loss_trace) // cfg.epochs):]
     manifest = {
         "config": {
             "encoder": config.to_dict(),
@@ -239,9 +238,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
         "seed": cfg.seed,
         "dataset_sha256": dataset_hash,
         "final_metrics": {
-            "final_loss": result.loss_trace[-1] if result.loss_trace else None,
-            "mean_loss_last_epoch": (sum(last_epoch) / len(last_epoch)
-                                     if last_epoch else None),
+            "final_loss": result.loss_trace[-1],
+            "mean_loss_last_epoch": sum(last_epoch) / len(last_epoch),
         },
         "loss_trace_path": "loss_trace.csv",
     }

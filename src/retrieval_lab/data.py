@@ -320,12 +320,12 @@ def _resume(bitgen, saved: dict, raw, reads: int, pos, draws: int) -> None:
     bitgen.random_raw(reads + (draws + 1 - has) // 2, output=False)
 
 
-def _make_vocabulary(spec: SynthSpec, rng) -> list[list[str]]:
-    """Disjoint per-cluster word lists of random lowercase strings. Per word,
-    numpy's ``integers(4, 8)`` length and as many ``integers(0, 26)`` letters,
-    replayed from one ``random_raw`` read per run of words between redraws; a
-    redrawn word makes numpy's own calls. A word drawn before is dropped."""
-    total, v = spec.num_clusters * spec.vocab_per_cluster, spec.vocab_per_cluster
+def _make_vocabulary(spec: SynthSpec, rng) -> list[str]:
+    """Distinct random lowercase words, cluster c's in the c-th block of vocab_per_cluster.
+    Per word, numpy's ``integers(4, 8)`` length and as many ``integers(0, 26)``
+    letters, replayed from one ``random_raw`` read per run of words between
+    redraws; a redrawn word makes numpy's own calls. A word drawn before is dropped."""
+    total = spec.num_clusters * spec.vocab_per_cluster
     bitgen, words = rng.bit_generator, {}  # insertion-ordered set
     while len(words) < total:
         n, saved = 8 * (total - len(words)), bitgen.state  # a word takes 5 to 8 draws
@@ -348,8 +348,62 @@ def _make_vocabulary(spec: SynthSpec, rng) -> list[list[str]]:
             length = int(rng.integers(4, 8))
             words.setdefault("".join(string.ascii_lowercase[rng.integers(0, 26)]
                                      for _ in range(length)))
-    words = list(words)
-    return [words[c * v:(c + 1) * v] for c in range(spec.num_clusters)]
+    return list(words)
+
+
+def _row_run(m: int, fixed, words: int, quiet: int, n_other: int, noise_rate: float, rng):
+    """Up to ``m`` rows of draws from one ``random_raw`` read, up to the first row
+    numpy redraws, where the generator is left. A row draws ``integers(0, n)``
+    for each n in ``fixed``, then per word a ``random()`` when n_other > 0 and
+    ``integers(0, n_other)`` if that is below noise_rate (a noisy word), else
+    ``integers(0, quiet)``; a range of one value reads nothing. Returns each
+    row's draws (fixed, then one per word) and its noisy words."""
+    f, cols = len(fixed), len(fixed) + words
+    noise, swap, keep = int(n_other > 0), int(n_other > 1), int(quiet > 1)
+    per = sum(n > 1 for n in fixed)  # 32-bit draws before a row's first random()
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    has = saved["has_uint32"]
+    raw = bitgen.random_raw(m * words * noise + (m * (per + words * max(swap, keep)) + 1) // 2)
+    noisy = np.zeros(m * words, dtype=bool)
+    if noise:
+        # word k's random() reads raw[k + (c + 1 - has) // 2] after c 32-bit draws:
+        # per for each row up to its own, and those of the earlier words
+        k = np.arange(m * words)
+        bits, twice = _uniform(raw) < noise_rate, 2 * k + (k // words + 1) * per + 1 - has
+        if swap == keep:  # every word makes as many 32-bit draws: closed form
+            noisy = bits[(twice + k * swap) >> 1]
+        else:  # only the noisy words (swap) or only the others (keep) draw
+            bits, hits, s = bits.tolist(), [], 0
+            for t in twice.tolist():
+                hits.append(bits[(t + s) >> 1])
+                s += swap if hits[-1] else keep
+            noisy = np.array(hits, dtype=bool)
+    noisy = noisy.reshape(m, words)
+    ranges = np.hstack([np.tile(np.array(fixed, dtype=np.uint64), (m, 1)),
+                        np.where(noisy, n_other, quiet).astype(np.uint64)])
+    cells = np.flatnonzero(ranges > 1)
+    rows = np.arange(m)[:, None] * words  # random() calls before each row
+    reads = noise * np.hstack([np.repeat(rows, f, 1), rows + np.arange(1, words + 1)])
+    values, pos = _halves(raw, reads.ravel()[cells], has, saved["uinteger"])
+    got, redrawn = _lemire(values, ranges.ravel()[cells])
+    r = int(cells[np.argmax(redrawn)]) // cols if redrawn.any() else m
+    done = int(np.searchsorted(cells, r * cols))
+    _resume(bitgen, saved, raw, r * words * noise, pos, done)
+    draws = np.zeros(r * cols, dtype=np.int64)
+    draws[cells[:done]] = got[:done]
+    return draws.reshape(r, cols), noisy[:r]
+
+
+def _replay(count: int, run, one) -> list:
+    """``count`` rows: ``run(i)`` reads rows from row i on in bulk, up to the first
+    one numpy redraws, and ``one(i)`` makes row i with numpy's own calls."""
+    rows: list = []
+    while len(rows) < count:
+        rows += run(len(rows))
+        if len(rows) < count:
+            rows.append(one(len(rows)))
+    return rows
 
 
 def _draw_word(own: list[str], other: list[str], noise_rate: float, rng) -> str:
@@ -357,31 +411,26 @@ def _draw_word(own: list[str], other: list[str], noise_rate: float, rng) -> str:
     return pool[int(rng.integers(0, len(pool)))]
 
 
-def _sample_words(own: list[str], other: list[str], count: int,
-                  noise_rate: float, rng) -> list[str]:
-    """``count`` calls of ``_draw_word``, bit for bit and generator state after
-    included, vectorized from one ``random_raw`` read per run of words between
-    redraws. A redrawn word goes through ``_draw_word``, and so does every word
-    when a pool has one word."""
-    if 1 in (len(own), len(other)):
-        return [_draw_word(own, other, noise_rate, rng) for _ in range(count)]
-    bitgen, noise = rng.bit_generator, int(bool(other))
-    words: list[str] = []
-    while len(words) < count:
-        n, saved = count - len(words), bitgen.state
-        has, k = saved["has_uint32"], np.arange(n)
-        raw = bitgen.random_raw(n * noise + (n + 1 - has) // 2)
-        # word k's random() comes after k random() calls and k 32-bit draws
-        values, pos = _halves(raw, (k + 1) * noise, has, saved["uinteger"])
-        noisy = (_uniform(raw[k + (k + 1 - has) // 2]) < noise_rate if noise
-                 else np.zeros(n, dtype=bool))
-        picks, redrawn = _lemire(values, np.where(noisy, len(other), len(own)).astype(np.uint64))
-        r = int(np.argmax(redrawn)) if redrawn.any() else n
-        words += [(other if z else own)[i] for z, i in zip(noisy[:r].tolist(), picks[:r].tolist())]
-        _resume(bitgen, saved, raw, r * noise, pos, r)
-        if r < n:  # numpy redraws word r
-            words.append(_draw_word(own, other, noise_rate, rng))
-    return words
+def _sample_docs(vocabulary, spec: SynthSpec, rng):
+    """Every document's ``doc_words`` words, one row each, in cluster order: per
+    word ``_draw_word`` from its cluster's block of ``vocabulary`` (own) and the
+    rest (other), read as rows by ``_row_run``."""
+    v, per = spec.vocab_per_cluster, spec.docs_per_cluster
+    n_docs = spec.num_clusters * per
+
+    def run(first):
+        draws, noisy = _row_run(n_docs - first, [], spec.doc_words, v, len(vocabulary) - v,
+                                spec.noise_rate, rng)
+        c = (first + np.arange(len(draws)))[:, None] // per  # each document's cluster
+        # an other-pool draw skips the cluster's own block of the vocabulary
+        return vocabulary[np.where(noisy, draws + v * (draws >= c * v), c * v + draws)].tolist()
+
+    def one(doc):
+        block = np.s_[doc // per * v:(doc // per + 1) * v]
+        own, other = vocabulary[block].tolist(), np.delete(vocabulary, block).tolist()
+        return [_draw_word(own, other, spec.noise_rate, rng) for _ in range(spec.doc_words)]
+
+    return np.array(_replay(n_docs, run, one), dtype=object)
 
 
 def _query_from_doc(doc_words: list[str], other: list[str], spec: SynthSpec, rng) -> str:
@@ -392,91 +441,46 @@ def _query_from_doc(doc_words: list[str], other: list[str], spec: SynthSpec, rng
                      for i in picked])
 
 
-def _sample_queries(first_doc, targets: bool, docs, all_words, spec: SynthSpec, rng):
+def _sample_queries(first_doc, targets: bool, docs, vocabulary, spec: SynthSpec, rng):
     """``_query_from_doc`` of document first_doc[i] + t for each i, t drawn first
     by ``integers(0, docs_per_cluster)`` if ``targets`` else 0: the texts and the
-    documents, bit for bit and generator state after included. ``docs`` holds
-    each document's words as a row, ``all_words`` the cluster vocabularies in
-    turn. Runs of queries between redraws are read in bulk by ``_query_run``; a
-    redrawn query, and every query when ``choice`` would not use Floyd's
-    sampler, makes numpy's own calls."""
-    texts: list[str] = []
-    chosen: list[int] = []
-    floyd = spec.doc_words <= 10000 or spec.query_words <= spec.doc_words // 50
-    while len(texts) < len(first_doc):
-        if floyd:
-            run = _query_run(first_doc[len(texts):], targets, docs, all_words, spec, rng)
-            texts += run[0]
-            chosen += run[1]
-        if len(texts) < len(first_doc):
-            doc = int(first_doc[len(texts)])
-            doc += int(rng.integers(0, spec.docs_per_cluster)) if targets else 0
-            v, c = spec.vocab_per_cluster, doc // spec.docs_per_cluster
-            other = np.delete(all_words, np.s_[c * v:(c + 1) * v]).tolist()
-            texts.append(_query_from_doc(docs[doc].tolist(), other, spec, rng))
-            chosen.append(doc)
-    return texts, chosen
-
-
-def _query_run(first_doc, targets: bool, docs, all_words, spec: SynthSpec, rng):
-    """``_sample_queries`` up to the first query numpy redraws, vectorized from
-    one ``random_raw`` read; the generator is left at the start of that query.
-
-    A query's 32-bit draws are its target, Floyd's picks (``integers(0, j + 1)``
-    for j from doc_words - query_words up; a repeated pick takes j instead), their
-    shuffle (``integers(0, i + 1)`` for i from query_words - 1 down to 1) and, per
-    word, after a ``random()`` when other clusters exist, a swap
-    ``integers(0, len(other))`` if that is below noise_rate. A draw of one value
-    reads nothing."""
+    documents (``docs`` holds their words as rows). A query's ``_row_run`` row
+    draws the target, Floyd's picks (``integers(0, j + 1)`` for j from doc_words
+    - query_words up; a repeated pick takes j), their shuffle (``integers(0, i)``
+    for i from query_words down to 2), then per word a noise swap. Where
+    ``choice`` would not use Floyd's sampler, numpy's own calls make every query."""
     d, q, v = spec.doc_words, spec.query_words, spec.vocab_per_cluster
-    n_other = v * (spec.num_clusters - 1)
-    # one column per draw of a query: target, Floyd's picks, shuffle, then swaps
-    ranges = np.array([spec.docs_per_cluster] * targets + list(range(d - q + 1, d + 1))
-                      + list(range(q, 1, -1)) + [n_other] * q, dtype=np.uint64)
-    m, cols, fixed = len(first_doc), len(ranges), len(ranges) - q
-    drawn, noise, swap = ranges > 1, int(n_other > 0), int(n_other > 1)
-    per = int(drawn[:fixed].sum())  # 32-bit draws before a query's first random()
-    bitgen = rng.bit_generator
-    saved = bitgen.state
-    has = saved["has_uint32"]
-    raw = bitgen.random_raw(m * q * noise + (m * (per + q * swap) + 1) // 2)
-    noisy = np.zeros(m * q, dtype=bool)
-    if noise:
-        # word k's random() reads raw[k + (c + s) // 2], after c = per * (its query + 1)
-        # fixed draws and s - 1 + has swaps: only the noisy words move later draws
-        k = np.arange(m * q)
-        bits, hits, s = (_uniform(raw) < spec.noise_rate).tolist(), [], 1 - has
-        for word, twice in enumerate((2 * k + (k // q + 1) * per).tolist()):
-            if bits[(twice + s) >> 1]:
-                hits.append(word)
-                s += swap
-        noisy[hits] = True
-    noisy = noisy.reshape(m, q)
-    cells = np.flatnonzero(drawn & np.hstack([np.ones((m, fixed), dtype=bool), noisy]))
-    rows = np.arange(m)[:, None] * q  # random() calls before each query
-    reads = noise * np.hstack([np.repeat(rows, fixed, 1), rows + np.arange(1, q + 1)])
-    values, pos = _halves(raw, reads.ravel()[cells], has, saved["uinteger"])
-    got, redrawn = _lemire(values, ranges[cells % cols])
-    r = int(cells[np.argmax(redrawn)]) // cols if redrawn.any() else m
-    done = int(np.searchsorted(cells, r * cols))
-    _resume(bitgen, saved, raw, r * q * noise, pos, done)
+    fixed = ([spec.docs_per_cluster] * targets + list(range(d - q + 1, d + 1))
+             + list(range(q, 1, -1)))
+    floyd = d <= 10000 or q <= d // 50
 
-    draws = np.zeros(r * cols, dtype=np.int64)
-    draws[cells[:done]] = got[:done]
-    draws = draws.reshape(r, cols)
-    doc, at = first_doc[:r] + (draws[:, 0] if targets else 0), np.arange(r)
-    picks, seen = draws[:, targets:targets + q].copy(), np.zeros((r, d), dtype=bool)
-    for j in range(q):
-        picks[:, j] = np.where(seen[at, picks[:, j]], d - q + j, picks[:, j])
-        seen[at, picks[:, j]] = True
-    for j, col in zip(range(q - 1, 0, -1), range(targets + q, fixed)):
-        to = draws[:, col]
-        picks[at, j], picks[at, to] = picks[at, to], picks[:, j].copy()
-    words, noisy = docs[doc[:, None], picks], noisy[:r]
-    other = draws[:, fixed:][noisy]  # index into the query's other_words
-    own = doc[np.nonzero(noisy)[0]] // spec.docs_per_cluster * v  # its cluster's first word
-    words[noisy] = all_words[other + v * (other >= own)]
-    return list(map(" ".join, words.tolist())), doc.tolist()
+    def run(first):
+        if not floyd:
+            return []
+        draws, noisy = _row_run(len(first_doc) - first, fixed, q, 1, len(vocabulary) - v,
+                                spec.noise_rate, rng)
+        r = len(draws)
+        doc, at = first_doc[first:first + r] + (draws[:, 0] if targets else 0), np.arange(r)
+        picks, seen = draws[:, targets:targets + q].copy(), np.zeros((r, d), dtype=bool)
+        for j in range(q):
+            picks[:, j] = np.where(seen[at, picks[:, j]], d - q + j, picks[:, j])
+            seen[at, picks[:, j]] = True
+        for j, col in zip(range(q - 1, 0, -1), range(targets + q, len(fixed))):
+            to = draws[:, col]
+            picks[at, j], picks[at, to] = picks[at, to], picks[:, j].copy()
+        words = docs[doc[:, None], picks]
+        other, c = draws[:, len(fixed):][noisy], doc[np.nonzero(noisy)[0]] // spec.docs_per_cluster
+        words[noisy] = vocabulary[other + v * (other >= c * v)]
+        return list(zip(map(" ".join, words.tolist()), doc.tolist()))
+
+    def one(i):
+        doc = int(first_doc[i]) + (int(rng.integers(0, spec.docs_per_cluster)) if targets else 0)
+        c = doc // spec.docs_per_cluster
+        other = np.delete(vocabulary, np.s_[c * v:(c + 1) * v]).tolist()
+        return _query_from_doc(docs[doc].tolist(), other, spec, rng), doc
+
+    texts, chosen = zip(*_replay(len(first_doc), run, one))
+    return list(texts), list(chosen)
 
 
 def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
@@ -487,28 +491,11 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     neg-query map covers every document.
     """
     rng = make_rng(seed)
-    cluster_vocab = _make_vocabulary(spec, rng)
-    all_words = [w for words in cluster_vocab for w in words]
-    # other_words[c]: every word outside cluster c, in all_words order; the
-    # clusters are disjoint blocks of vocab_per_cluster words in all_words
-    v = spec.vocab_per_cluster
-    other_words = [all_words[:c * v] + all_words[(c + 1) * v:] for c in range(spec.num_clusters)]
+    vocabulary = np.array(_make_vocabulary(spec, rng), dtype=object)
+    docs = _sample_docs(vocabulary, spec, rng)
+    corpus = [Document(f"d{i:05d}", " ".join(words)) for i, words in enumerate(docs.tolist())]
 
-    corpus: list[Document] = []
-    doc_words: list[str] = []
-    for c in range(spec.num_clusters):
-        cluster_words = _sample_words(cluster_vocab[c], other_words[c],
-                                      spec.docs_per_cluster * spec.doc_words, spec.noise_rate, rng)
-        doc_words += cluster_words
-        for j in range(spec.docs_per_cluster):
-            words = cluster_words[j * spec.doc_words:(j + 1) * spec.doc_words]
-            corpus.append(Document(f"d{c * spec.docs_per_cluster + j:05d}", " ".join(words)))
-    docs = np.fromiter(doc_words, dtype=object, count=len(doc_words)).reshape(
-        len(corpus), spec.doc_words)
-    vocabulary = np.array(all_words, dtype=object)
-
-    first_doc = spec.docs_per_cluster * np.arange(spec.num_clusters).repeat(
-        spec.queries_per_cluster)
+    first_doc = np.arange(0, len(corpus), spec.docs_per_cluster).repeat(spec.queries_per_cluster)
     texts, targets = _sample_queries(first_doc, True, docs, vocabulary, spec, rng)
     queries = [Query(f"q{i:04d}", text) for i, text in enumerate(texts)]
     qrels = Qrels({(query.id, corpus[doc].id): 1 for query, doc in zip(queries, targets)})

@@ -15,8 +15,8 @@ from retrieval_lab.data import (
     TrainingExample,
     _as_text,
     _make_vocabulary,
+    _sample_docs,
     _sample_queries,
-    _sample_words,
     load_corpus,
     load_neg_query_map,
     load_qrels,
@@ -398,7 +398,7 @@ class TestSynthGenerate:
 
 
 def reference_sample_words(own, other, count, noise_rate, rng):
-    """The per-word draws that ``_sample_words`` reads in bulk: the oracle."""
+    """The per-word draws of document words that ``_row_run`` reads as rows: the oracle."""
     words = []
     for _ in range(count):
         pool = other if (other and rng.random() < noise_rate) else own
@@ -420,11 +420,27 @@ def warm_twins(seed, warm_draws):
     return rngs
 
 
-def assert_bulk_matches_reference(seed, own, other, count, noise_rate, warm_draws):
+def row_run_words(own, other, count, noise_rate, rng, words):
+    """``count`` document words (a multiple of ``words``) as ``_replay`` makes them
+    from ``_row_run`` rows of ``words`` words, with ``quiet`` = len(own) and
+    n_other = len(other); a redrawn row draws each word by ``_draw_word``."""
+    def run(first):
+        draws, noisy = data._row_run(count // words - first, [], words, len(own), len(other),
+                                     noise_rate, rng)
+        return [[(other if z else own)[i] for z, i in zip(*row)]
+                for row in zip(noisy.tolist(), draws.tolist())]
+
+    def one(_):
+        return [data._draw_word(own, other, noise_rate, rng) for _ in range(words)]
+
+    return [word for row in data._replay(count // words, run, one) for word in row]
+
+
+def assert_bulk_matches_reference(seed, own, other, count, noise_rate, warm_draws, words=1):
     """Equal words, equal generator state after (the 32-bit buffer too) and equal
     draws after that; ``warm_draws`` 32-bit draws first set ``has_uint32`` when odd."""
     rngs = warm_twins(seed, warm_draws)
-    assert (_sample_words(own, other, count, noise_rate, rngs[0])
+    assert (row_run_words(own, other, count, noise_rate, rngs[0], words)
             == reference_sample_words(own, other, count, noise_rate, rngs[1]))
     assert_same_generator(*rngs)
 
@@ -446,19 +462,25 @@ def vocab(prefix, n):
 
 
 class TestSampleWordsBulkRead:
+    """Document rows of ``_row_run`` against per-word numpy draws, with pools no
+    ``SynthSpec`` makes: a range of 2**31 + 1 that numpy redraws about half the
+    time, and an own pool larger than the other pool."""
+
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            own_size=st.integers(1, 60),
            other=st.one_of(st.integers(0, 300).map(lambda n: vocab("x", n)),
                            st.just(REDRAW_POOL)),
            redraw_own=st.booleans(),
-           count=st.integers(0, 120),
+           rows=st.integers(0, 40),
+           words=st.integers(1, 4),
            noise_rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
            warm_draws=st.integers(0, 3))
-    def test_equals_per_word_draws(self, seed, own_size, other, redraw_own, count,
+    def test_equals_per_word_draws(self, seed, own_size, other, redraw_own, rows, words,
                                    noise_rate, warm_draws):
         own = REDRAW_POOL if redraw_own else vocab("o", own_size)
-        assert_bulk_matches_reference(seed, own, other, count, noise_rate, warm_draws)
+        assert_bulk_matches_reference(seed, own, other, rows * words, noise_rate, warm_draws,
+                                      words)
 
     @pytest.mark.parametrize("warm_draws", [0, 1], ids=["has_uint32_unset", "has_uint32_set"])
     @pytest.mark.parametrize("count", [29, 30], ids=["odd_count", "even_count"])
@@ -480,7 +502,8 @@ class TestSampleWordsBulkRead:
     ], ids=["one_word_own", "one_word_other", "one_word_both", "one_word_own_no_other"])
     @pytest.mark.parametrize("seed", range(5))
     def test_one_word_pool(self, seed, own, other):
-        assert_bulk_matches_reference(seed, own, other, 30, 0.5, seed % 2)
+        # one pool of one word and the other larger: the scan places each random()
+        assert_bulk_matches_reference(seed, own, other, 30, 0.5, seed % 2, words=2)
 
     @pytest.mark.parametrize("own,other", [
         (REDRAW_POOL, []),
@@ -489,28 +512,32 @@ class TestSampleWordsBulkRead:
     ], ids=["redraw_own_no_other", "redraw_own", "redraw_other"])
     @pytest.mark.parametrize("seed", range(5))
     def test_lemire_redraw(self, seed, own, other, monkeypatch):
-        from retrieval_lab import data
-        redrawn = []
-        draw_word = data._draw_word
-        monkeypatch.setattr(data, "_draw_word",
-                            lambda *args: redrawn.append(1) or draw_word(*args))
-        assert_bulk_matches_reference(seed, own, other, 60, 0.5, seed % 2)
-        assert redrawn  # each redraw went through the per-word path
+        redrawn = count_calls(monkeypatch, "_draw_word")
+        assert_bulk_matches_reference(seed, own, other, 60, 0.5, seed % 2, words=2)
+        assert redrawn  # each redrawn row went through the per-word path
 
 
 def reference_vocabulary(spec, rng):
     """The per-word draws that ``_make_vocabulary`` reads in bulk: the oracle."""
-    taken, clusters = set(), []
-    for _ in range(spec.num_clusters):
-        words = []
-        while len(words) < spec.vocab_per_cluster:
-            length = int(rng.integers(4, 8))
-            word = "".join(string.ascii_lowercase[rng.integers(0, 26)] for _ in range(length))
-            if word not in taken:
-                taken.add(word)
-                words.append(word)
-        clusters.append(words)
-    return clusters
+    taken, words = set(), []
+    while len(words) < spec.num_clusters * spec.vocab_per_cluster:
+        length = int(rng.integers(4, 8))
+        word = "".join(string.ascii_lowercase[rng.integers(0, 26)] for _ in range(length))
+        if word not in taken:
+            taken.add(word)
+            words.append(word)
+    return words
+
+
+def reference_docs(vocabulary, spec, rng):
+    """The per-word draws that ``_sample_docs`` reads as rows: the oracle."""
+    v, rows = spec.vocab_per_cluster, []
+    for c in range(spec.num_clusters):
+        own = list(vocabulary[c * v:(c + 1) * v])
+        other = list(vocabulary[:c * v]) + list(vocabulary[(c + 1) * v:])
+        rows += [reference_sample_words(own, other, spec.doc_words, spec.noise_rate, rng)
+                 for _ in range(spec.docs_per_cluster)]
+    return np.array(rows, dtype=object)
 
 
 def reference_queries(first_doc, targets, docs, all_words, spec, rng):
@@ -541,17 +568,22 @@ class CountingGenerator:
 
 
 def assert_replays_match_numpy(spec, seed, warm_draws):
-    """``spec``'s vocabulary, then its training and neg-map query runs, equal
-    numpy's own calls on a twin generator, which ends where numpy leaves it.
-    Returns the numpy calls each replay made itself (only on a redraw, or for
-    choice's tail shuffle). Documents are rows of distinct words."""
+    """``spec``'s vocabulary, documents, training queries and neg-map queries, in
+    that order, equal numpy's own calls on a twin generator, which ends where
+    numpy leaves it. Returns the numpy calls each replay made itself (only on a
+    redraw, or for choice's tail shuffle). The replays draw from a vocabulary of
+    distinct words, and the queries quote documents of distinct words."""
     replayed, numpy_rng = warm_twins(seed, warm_draws)
     counted = CountingGenerator(replayed)
     assert _make_vocabulary(spec, counted) == reference_vocabulary(spec, numpy_rng)
     calls = [counted.calls]
+    all_words = np.array(vocab("v", spec.num_clusters * spec.vocab_per_cluster), dtype=object)
+    counted.calls = 0
+    assert (_sample_docs(all_words, spec, counted).tolist()
+            == reference_docs(all_words, spec, numpy_rng).tolist())
+    calls.append(counted.calls)
     n_docs = spec.num_clusters * spec.docs_per_cluster
     docs = np.array([vocab(f"d{i}w", spec.doc_words) for i in range(n_docs)], dtype=object)
-    all_words = np.array(vocab("v", spec.num_clusters * spec.vocab_per_cluster), dtype=object)
     for first_doc, targets in [
             (np.arange(spec.num_clusters).repeat(spec.queries_per_cluster)
              * spec.docs_per_cluster, True),
@@ -578,10 +610,16 @@ def force_redraws(monkeypatch):
 
 
 def count_calls(monkeypatch, name):
-    """A list that gains an entry at each call of ``data.<name>``."""
+    """A list that gains the arguments of each call of ``data.<name>``."""
     calls, func = [], getattr(data, name)
-    monkeypatch.setattr(data, name, lambda *args: calls.append(1) or func(*args))
+    monkeypatch.setattr(data, name, lambda *args: calls.append(args) or func(*args))
     return calls
+
+
+def query_runs(row_runs):
+    """The ``_row_run`` calls among ``row_runs`` that read queries: a query row
+    has fixed draws (Floyd's picks at least), a document row none."""
+    return [args for args in row_runs if args[1]]
 
 
 def query_spec(doc_words, query_words):
@@ -591,8 +629,11 @@ def query_spec(doc_words, query_words):
 
 
 # one spec per draw of one value (Floyd's first pick at query_words == doc_words,
-# the target at one document per cluster, the swap from a one-word pool), per
-# run without random() (one cluster) and per run without a noise swap
+# the target at one document per cluster, the swap from a one-word pool, a
+# document's own word from a one-word pool), per run without random() (one
+# cluster) and per run without a noise swap. one_word_own_pool is the only
+# document case where words draw unequal numbers of values (a noisy word one,
+# the others none), so the only one whose random() positions take the scan.
 EDGE_SPECS = {
     "query_words_eq_doc_words": SynthSpec(num_clusters=3, docs_per_cluster=4,
                                           vocab_per_cluster=8, doc_words=6, query_words=6),
@@ -602,12 +643,15 @@ EDGE_SPECS = {
                                      doc_words=8, query_words=4, noise_rate=0.5),
     "no_noise": SynthSpec(num_clusters=3, docs_per_cluster=4, neg_queries_per_doc=3,
                           noise_rate=0.0),
+    "one_word_own_pool": SynthSpec(num_clusters=3, vocab_per_cluster=1, docs_per_cluster=4,
+                                   doc_words=8, query_words=4, noise_rate=0.5),
 }
 
 
 class TestDrawsReplayNumpy:
-    """The bulk replays of the vocabulary and query draws, ``_make_vocabulary``
-    and ``_sample_queries``, against numpy's own calls on twin generators."""
+    """The bulk replays of the vocabulary, document and query draws,
+    ``_make_vocabulary``, ``_sample_docs`` and ``_sample_queries``, against
+    numpy's own calls on twin generators."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), warm_draws=st.integers(0, 3),
@@ -640,13 +684,17 @@ class TestDrawsReplayNumpy:
     def test_one_value_range_draws_nothing(self, seed, warm_draws):
         spec = SynthSpec(num_clusters=2, docs_per_cluster=1, vocab_per_cluster=1,
                          doc_words=4, query_words=4, noise_rate=0.5)
-        assert assert_replays_match_numpy(spec, seed, warm_draws) == [0, 0, 0]
-        # every query draw of this spec has one value: nothing is read
-        spec = SynthSpec(num_clusters=1, docs_per_cluster=1, doc_words=1, query_words=1)
+        assert assert_replays_match_numpy(spec, seed, warm_draws) == [0, 0, 0, 0]
+        # every document and query draw of this spec has one value: nothing is read
+        spec = SynthSpec(num_clusters=1, docs_per_cluster=1, vocab_per_cluster=1,
+                         doc_words=2, query_words=1)
         rng = warm_twins(seed, warm_draws)[0]
         before = rng.bit_generator.state
-        docs, all_words = np.array([["w"]], dtype=object), np.array(["v"] * 40, dtype=object)
-        assert (_sample_queries(np.zeros(3, dtype=int), True, docs, all_words, spec, rng)
+        vocabulary = np.array(["w"], dtype=object)
+        docs = _sample_docs(vocabulary, spec, rng)
+        assert docs.tolist() == [["w", "w"]]
+        spec = SynthSpec(num_clusters=1, docs_per_cluster=1, doc_words=1, query_words=1)
+        assert (_sample_queries(np.zeros(3, dtype=int), True, docs[:, :1], vocabulary, spec, rng)
                 == (["w"] * 3, [0] * 3))
         assert rng.bit_generator.state == before
 
@@ -654,13 +702,25 @@ class TestDrawsReplayNumpy:
     @pytest.mark.parametrize("warm_draws", [0, 1])
     @pytest.mark.parametrize("seed", range(2))
     def test_edge_branches(self, seed, warm_draws, spec):
-        assert assert_replays_match_numpy(spec, seed, warm_draws) == [0, 0, 0]
+        assert assert_replays_match_numpy(spec, seed, warm_draws) == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("seed", [1, 2027])
     def test_benchmark_spec_reads_in_bulk_only(self, seed):
         spec = SynthSpec(num_clusters=100, docs_per_cluster=50, queries_per_cluster=20,
                          vocab_per_cluster=40)
-        assert assert_replays_match_numpy(spec, seed, 0) == [0, 0, 0]
+        assert assert_replays_match_numpy(spec, seed, 0) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("sizes", [(100, 50, 20), (10, 50, 10), (100, 5, 1)],
+                             ids=["retrieve-5k", "train-dense-clp", "train-moe-wide"])
+    @pytest.mark.parametrize("seed", [1, 2027])
+    def test_benchmark_synth_makes_no_numpy_call(self, seed, sizes, monkeypatch):
+        # the synth sizes of perfbench/run.py's workloads: a redraw or a draw
+        # that leaves the bulk reads would show here as a Generator method call
+        made, make_rng = [], data.make_rng
+        monkeypatch.setattr(data, "make_rng",
+                            lambda s: made.append(CountingGenerator(make_rng(s))) or made[-1])
+        synth_generate(SynthSpec(*sizes, vocab_per_cluster=40), seed)
+        assert [rng.calls for rng in made] == [0]
 
     @pytest.mark.parametrize("warm_draws", [0, 1])
     @pytest.mark.parametrize("seed", range(10))
@@ -688,25 +748,25 @@ class TestDrawsReplayNumpy:
         # ranges near 10,000 are redrawn now and then (in the neg-map run of
         # floyd_n_10000 at seed 1 after one 32-bit draw), so calls are not
         # counted; but the bulk read runs
-        runs = count_calls(monkeypatch, "_query_run")
+        runs = count_calls(monkeypatch, "_row_run")
         assert_replays_match_numpy(query_spec(n, k), seed, warm_draws)
-        assert runs
+        assert query_runs(runs)
 
     @pytest.mark.parametrize("n,k", [(10001, 201), (20000, 20000)],
                              ids=["tail_k_over_n_over_50", "tail_all"])
     @pytest.mark.parametrize("warm_draws", [0, 1])
     @pytest.mark.parametrize("seed", range(2))
     def test_choice_tail_shuffle(self, seed, warm_draws, n, k, monkeypatch):
-        # numpy's own calls make every query
-        runs = count_calls(monkeypatch, "_query_run")
+        # numpy's own calls make every query; the documents are read in bulk
+        runs = count_calls(monkeypatch, "_row_run")
         calls = assert_replays_match_numpy(query_spec(n, k), seed, warm_draws)
-        assert calls[0] == 0 and all(calls[1:]) and not runs
+        assert calls[:2] == [0, 0] and all(calls[2:]) and not query_runs(runs)
 
 
 def numpy_synth(spec, seed):
     """``synth_generate`` with every bulk replay swapped for numpy's own calls."""
     with mock.patch.multiple(data, _make_vocabulary=reference_vocabulary,
-                             _sample_words=reference_sample_words,
+                             _sample_docs=reference_docs,
                              _sample_queries=reference_queries):
         return synth_generate(spec, seed)
 
