@@ -6,6 +6,9 @@ File formats (all UTF-8):
   train.jsonl                   {"query", "pos": [...], "neg": [...], "neg_queries": [[...], ...]}
   neg_queries.jsonl             {"doc_id": "...", "queries": [...]} per line
 
+A JSONL line is byte-equal to ``json.dumps(obj, sort_keys=True, ensure_ascii=False)``,
+built from the strings of ``json.encoder.encode_basestring`` that json.dumps uses.
+
 The generator builds clustered bag-of-words data: clusters own disjoint
 vocabularies, queries quote words from their relevant document, and every
 document gets standalone queries of its own so it can serve as somebody
@@ -14,9 +17,11 @@ else's hard negative with known positive queries attached.
 
 from __future__ import annotations
 
+import functools
 import json
 import string
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -84,22 +89,24 @@ class TrainingExample:
             if any(len(qs) < 1 for qs in self.neg_queries):
                 raise ValueError("each neg_queries entry needs at least one query")
 
-    def to_dict(self) -> dict:
-        d = {"query": self.query, "pos": self.pos, "neg": self.neg}
-        if self.neg_queries is not None:
-            d["neg_queries"] = self.neg_queries
-        return d
-
 
 def _read_jsonl(path: str | Path):
+    """(line number, object) of each nonblank line; only ``"\\n"`` ends a line."""
+    decode = json.JSONDecoder().raw_decode
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            body = line.strip(" \t\r\n")  # what json.loads skips around the value
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
+                obj, end = decode(body)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(body):  # rejected: json.loads words the error
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise ValueError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
             if not isinstance(obj, dict):
                 raise ValueError(
                     f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
@@ -134,17 +141,15 @@ def load_queries(path: str | Path) -> list[Query]:
     return _load_id_text(path, Query)
 
 
-def _write_jsonl(path: str | Path, objects) -> None:
-    """One ``json.dumps(obj, sort_keys=True, ensure_ascii=False)`` line per object,
-    through one encoder for the whole file."""
-    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-    with _atomic_open(path) as fh:
-        for obj in objects:
-            fh.write(encode(obj) + "\n")
+def _array(texts, quote=encode_basestring) -> str:
+    """``json.dumps(texts, ensure_ascii=False)`` of a list of strings."""
+    return "[" + ", ".join(map(quote, texts)) + "]"
 
 
 def save_id_text(items, path: str | Path) -> None:
-    _write_jsonl(path, ({"id": item.id, "text": item.text} for item in items))
+    q = encode_basestring
+    with _atomic_open(path) as fh:
+        fh.writelines(f'{{"id": {q(item.id)}, "text": {q(item.text)}}}\n' for item in items)
 
 
 def _read_tsv(path: str | Path, fields: int):
@@ -228,7 +233,16 @@ def load_train_set(path: str | Path) -> list[TrainingExample]:
 
 
 def save_train_set(examples: list[TrainingExample], path: str | Path) -> None:
-    _write_jsonl(path, (ex.to_dict() for ex in examples))
+    q = functools.cache(encode_basestring)  # a text recurs across examples; encode it once
+
+    def line(ex: TrainingExample) -> str:
+        neg_queries = ("" if ex.neg_queries is None else
+                       f'"neg_queries": [{", ".join(_array(qs, q) for qs in ex.neg_queries)}], ')
+        return (f'{{"neg": {_array(ex.neg, q)}, {neg_queries}'
+                f'"pos": {_array(ex.pos, q)}, "query": {q(ex.query)}}}\n')
+
+    with _atomic_open(path) as fh:
+        fh.writelines(map(line, examples))
 
 
 def load_neg_query_map(path: str | Path) -> dict[str, list[str]]:
@@ -250,8 +264,9 @@ def load_neg_query_map(path: str | Path) -> dict[str, list[str]]:
 
 
 def save_neg_query_map(mapping: dict[str, list[str]], path: str | Path) -> None:
-    _write_jsonl(path, ({"doc_id": doc_id, "queries": mapping[doc_id]}
-                        for doc_id in sorted(mapping)))
+    with _atomic_open(path) as fh:
+        fh.writelines(f'{{"doc_id": {encode_basestring(doc_id)}, '
+                      f'"queries": {_array(mapping[doc_id])}}}\n' for doc_id in sorted(mapping))
 
 
 @dataclass(frozen=True)

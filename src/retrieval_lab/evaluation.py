@@ -102,9 +102,14 @@ def save_run(run: RetrievalRun, path: str | Path) -> None:
 def load_run(path: str | Path) -> RetrievalRun:
     run: RetrievalRun = {}
     ranked: set[tuple[str, str]] = set()  # (query_id, doc_id) pairs read so far
-    for lineno, (qid, rank, doc_id, score) in _read_tsv(path, 4):
+    for lineno, (qid, rank_text, doc_id, score_text) in _read_tsv(path, 4):
         try:
-            rank, score = int(rank), float(score)
+            rank, score = int(rank_text), float(score_text)
+            # int() and float() also take signs, spaces, "_", other scripts' digits, nan, inf
+            if not (rank_text.isascii() and rank_text.isdigit()):
+                raise ValueError(f"rank must be decimal digits, got {rank_text!r}")
+            if not math.isfinite(score) or score_text.strip("0123456789.eE+-"):
+                raise ValueError(f"score must be a finite decimal number, got {score_text!r}")
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from err
         entries = run.setdefault(qid, [])

@@ -227,6 +227,22 @@ class TestMine:
             assert ex.neg_queries is not None
             assert len(ex.neg_queries) == len(ex.neg)
 
+    @pytest.mark.parametrize("strategy, expected", [
+        ("random", "3a311618d58591b4f4eb31ab2bdcda6d0fb4e7a0bdcf4fdd1c59f5c16917bedd"),
+        ("ance", "12c90835c5ead0233fc011b4d8cb9c9b75be3d09e14f91bc65ef64d7420af232"),
+    ])
+    def test_train_set_bytes_pinned(self, synth_dir, tmp_path, strategy, expected):
+        # sha256 recorded from train.jsonl written by json.dumps per example;
+        # the train-set writer must not alter a single byte
+        flags = (["--seed", 3] if strategy == "random" else
+                 ["--init-seed", 1, *ENC_FLAGS, "--neg-query-map", synth_dir / "neg_queries.jsonl"])
+        out = tmp_path / "mined"
+        assert run_cli("mine", "--strategy", strategy, "--k", 4, *flags,
+                       "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv", "--outdir", out) == 0
+        assert hashlib.sha256((out / "train.jsonl").read_bytes()).hexdigest() == expected
+
     def test_unknown_positive_nonzero_exit(self, synth_dir, tmp_path, capsys):
         bad_qrels = tmp_path / "bad.tsv"
         bad_qrels.write_text("q0000\tdoes-not-exist\t1\n")

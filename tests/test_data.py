@@ -1,10 +1,11 @@
+import json
 import string
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from retrieval_lab import data
@@ -291,6 +292,134 @@ def test_text_without_words_cites_line(tmp_path, loader, line, field):
     path.write_text(first + "\n" + line + "\n")
     with pytest.raises(ValueError, match=rf"f\.jsonl:2: {field}.* has no word characters: "):
         loader(path)
+
+
+# characters a JSON writer or a line reader could get wrong: quotes, escapes,
+# controls, Unicode line breaks, a BOM and a character outside the BMP
+_TRICKY = st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\r", "\t", "\x0b",
+                           "\x0c", "\x85", "\u2028", "\u2029", "\ufeff", "\u3000", "\U0001f600",
+                           "\U0001d518", "\u00e9", " ", "a"])
+_CHARS = _TRICKY | st.characters(exclude_categories=["Cs"])
+# an id is any nonempty string; a text needs a word character to load
+_IDS = st.text(_CHARS, min_size=1, max_size=8)
+_TEXTS = st.tuples(st.text(_CHARS, max_size=8), st.text(_CHARS, max_size=8)).map("w".join)
+
+
+def _example(query, pos, negs):
+    """A training example with ``neg_queries`` when every negative has queries."""
+    neg = [text for text, _ in negs]
+    neg_queries = [qs for _, qs in negs]
+    return TrainingExample(query=query, pos=pos, neg=neg,
+                           neg_queries=neg_queries if all(neg_queries) else None)
+
+
+_EXAMPLES = st.builds(_example, _TEXTS, st.lists(_TEXTS, min_size=1, max_size=3),
+                      st.lists(st.tuples(_TEXTS, st.lists(_TEXTS, max_size=2)), max_size=3))
+
+
+def dumps_lines(objects) -> bytes:
+    return "".join(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n"
+                   for obj in objects).encode("utf-8")
+
+
+def train_dict(ex: TrainingExample) -> dict:
+    d = {"query": ex.query, "pos": ex.pos, "neg": ex.neg}
+    if ex.neg_queries is not None:
+        d["neg_queries"] = ex.neg_queries
+    return d
+
+
+class TestJsonlWriterBytes:
+    """Every JSONL writer's bytes equal ``json.dumps(obj, sort_keys=True,
+    ensure_ascii=False)`` plus ``\\n`` per object, and load back unchanged."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(items=st.dictionaries(_IDS, _TEXTS, max_size=6))
+    def test_id_text(self, tmp_path, items):
+        docs = [Document(doc_id, text) for doc_id, text in items.items()]
+        path = tmp_path / "corpus.jsonl"
+        save_id_text(docs, path)
+        assert path.read_bytes() == dumps_lines({"id": d.id, "text": d.text} for d in docs)
+        assert load_corpus(path) == docs
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mapping=st.dictionaries(_IDS, st.lists(_TEXTS, min_size=1, max_size=3), max_size=5))
+    def test_neg_query_map(self, tmp_path, mapping):
+        path = tmp_path / "neg_queries.jsonl"
+        save_neg_query_map(mapping, path)
+        assert path.read_bytes() == dumps_lines(
+            {"doc_id": doc_id, "queries": mapping[doc_id]} for doc_id in sorted(mapping))
+        assert load_neg_query_map(path) == mapping
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(examples=st.lists(_EXAMPLES, max_size=4), shared=_TEXTS)
+    def test_train_set(self, tmp_path, examples, shared):
+        # a text repeated within and across lines, with and without neg_queries
+        examples += [TrainingExample(shared, [shared, shared], [shared], [[shared]]),
+                     TrainingExample(shared, [shared], [shared])]
+        path = tmp_path / "train.jsonl"
+        save_train_set(examples, path)
+        assert path.read_bytes() == dumps_lines(map(train_dict, examples))
+        assert load_train_set(path) == examples
+
+
+def _corpus_file(tmp_path, content: bytes):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(content)
+    return path
+
+
+class TestJsonlLines:
+    """A JSONL line ends only at ``\\n`` after universal-newline translation."""
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_lone_cr_end_a_line(self, tmp_path, end):
+        path = _corpus_file(tmp_path, f'{{"id": "a", "text": "x"}}{end}{end}'
+                                      f'{{"id": "b", "text": "y"}}{end}oops{end}'.encode())
+        with pytest.raises(ValueError, match=r"corpus\.jsonl:4: malformed JSON "
+                                             r"\(Expecting value\)$"):
+            load_corpus(path)
+        path.write_bytes(path.read_bytes().replace(f"oops{end}".encode(), b""))
+        assert load_corpus(path) == [Document("a", "x"), Document("b", "y")]
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+    def test_unicode_line_breaks_stay_in_the_text(self, tmp_path, char):
+        path = _corpus_file(tmp_path, f'{{"id": "a", "text": "x{char}y"}}\n'
+                                      f'{{"id": "b", "text": "z"}}\n'.encode())
+        assert load_corpus(path) == [Document("a", f"x{char}y"), Document("b", "z")]
+
+    @pytest.mark.parametrize("blank", [" ", "\x0b", "\u3000", "\t \x0c", ""])
+    def test_whitespace_line_is_skipped(self, tmp_path, blank):
+        path = _corpus_file(tmp_path, f'{{"id": "a", "text": "x"}}\n{blank}\n'
+                                      f'{{"id": "b", "text": "y"}}\nnull\n'.encode())
+        with pytest.raises(ValueError, match=r"corpus\.jsonl:4: expected a JSON object, "
+                                             r"got NoneType$"):
+            load_corpus(path)
+
+    def test_surrounding_json_whitespace_is_accepted(self, tmp_path):
+        path = _corpus_file(tmp_path, b' \t{"id": "a", "text": "x"}\t \r\n')
+        assert load_corpus(path) == [Document("a", "x")]
+
+    @pytest.mark.parametrize("content, lineno, message", [
+        ('{"id": "a",\n"text": "x"}\n', 1, "Expecting property name enclosed in double quotes"),
+        ('{"id": "a", "text": "x\ny"}\n', 1, "Invalid control character at"),
+        ('{"id": "a", "text": "x"}\n{"id": "b", "text": "y', 2, "Unterminated string starting at"),
+        ('{"id": "a", "text": "x"}{"id": "b", "text": "y"}\n', 1, "Extra data"),
+        ('{"id": "a", "text": "x"}\n{"id": "b", "text": "y"} ,\n', 2, "Extra data"),
+        ('{"id": "a", "text": "x"}\n{"id": "b", "text": "y"}\x0b\n', 2, "Extra data"),
+        ('\ufeff{"id": "a", "text": "x"}\n', 1, "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ('{"id": "a", "text": "x"}\nnot json\n{"id": "a", "text": "x"}\n', 2,
+         "Expecting value"),
+    ], ids=["split-record", "newline-in-string", "unterminated-last-line", "two-records",
+            "trailing-garbage", "trailing-vertical-tab", "bom", "first-fault-wins"])
+    def test_malformed_line_cites_its_number(self, tmp_path, content, lineno, message):
+        path = _corpus_file(tmp_path, content.encode())
+        with pytest.raises(ValueError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{path}:{lineno}: malformed JSON ({message})"
 
 
 @given(st.text(alphabet=" _-.!\t\u00e9\u0130\u00b2\u2160\u0300\u00aaa1", max_size=6))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,29 @@ class TestRunDump:
         with pytest.raises(ValueError, match=r"run\.tsv:1: could not convert string to float"):
             load_run(tmp_path / "run.tsv")
 
+
+    @pytest.mark.parametrize("rank", ["+1", " 1", "1 ", "\u0661", "1_0"])
+    def test_rank_that_is_not_plain_digits_names_line(self, tmp_path, rank):
+        # int() reads each of these as a number
+        (tmp_path / "run.tsv").write_text(f"q0\t1\td1\t0.9\nq1\t{rank}\td1\t0.9\n")
+        with pytest.raises(ValueError, match=rf"run\.tsv:2: rank must be decimal digits, "
+                                             rf"got {re.escape(repr(rank))}$"):
+            load_run(tmp_path / "run.tsv")
+
+    @pytest.mark.parametrize("score", ["nan", "-inf", "Infinity", "1e999", "1_0.5", " 0.5",
+                                       "0.5 ", "\u0660.5"])
+    def test_score_that_is_not_a_finite_decimal_names_line(self, tmp_path, score):
+        # float() reads each of these as a number
+        (tmp_path / "run.tsv").write_text(f"q1\t1\td1\t0.9\nq1\t2\td2\t{score}\n")
+        with pytest.raises(ValueError, match=rf"run\.tsv:2: score must be a finite decimal "
+                                             rf"number, got {re.escape(repr(score))}$"):
+            load_run(tmp_path / "run.tsv")
+
+    def test_every_saved_score_loads(self, tmp_path):
+        scores = [-0.0, 0.0, 1e-300, -2.5e-07, 1e16, 0.1 + 0.2, 5e-324, -1.7976931348623157e308]
+        run = {"q1": [(f"d{i}", score) for i, score in enumerate(scores)]}
+        save_run(run, tmp_path / "run.tsv")
+        assert load_run(tmp_path / "run.tsv") == run
 
     def test_repeated_doc_in_a_ranking_names_line(self, tmp_path):
         # counted twice, d1 would score nDCG@10 = 1.63 for q1
