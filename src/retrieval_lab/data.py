@@ -12,14 +12,15 @@ built from the strings of ``json.encoder.encode_basestring`` that json.dumps use
 The generator builds clustered bag-of-words data: clusters own disjoint
 vocabularies, queries quote words from their relevant document, and every
 document gets standalone queries of its own so it can serve as somebody
-else's hard negative with known positive queries attached.
+else's hard negative with known positive queries attached. Each kind of draw
+(vocabulary, documents, training queries, neg-map queries) comes from its own
+child stream of the seed, as whole vectorized numpy arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import string
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -300,202 +301,40 @@ class SynthDataset:
     neg_query_map: dict[str, list[str]]
 
 
-def _uniform(raw):
-    """numpy's ``random()`` of each 64-bit word: (r >> 11) * 2**-53."""
-    return (raw >> 11) * 2.0**-53
-
-
-def _lemire(values, n):
-    """numpy's ``integers(0, n)`` of each 32-bit value by Lemire's method: the
-    results, and where numpy would reject the value and draw another."""
-    m = values * n
-    return m >> 32, (m & 0xFFFFFFFF) < (2**32 - n) % n
-
-
-def _halves(raw, reads, has: int, buffered: int):
-    """PCG64's 32-bit draws, in stream order, from ``raw`` (64-bit words read in
-    bulk) when draw c comes after reads[c] ``random()`` calls: the values, and
-    the index in ``raw`` of each one's word (-1 for the value buffered on entry).
-    A draw splits the next word and buffers its high half, or takes the buffered
-    half; ``random()`` takes a whole word and leaves the buffer alone."""
-    t = np.arange(len(reads)) - has  # -1: the buffered value; even t splits a word
-    pos = np.where(t < 0, -1, reads[t - t % 2 + has] + t // 2)
-    word = np.append(raw, np.uint64(buffered) << 32)[pos]
-    return np.where(t % 2, word >> 32, word & 0xFFFFFFFF), pos
-
-
-def _resume(bitgen, saved: dict, raw, reads: int, pos, draws: int) -> None:
-    """Set PCG64 where numpy's calls leave it after ``reads`` ``random()`` and the
-    first ``draws`` 32-bit draws of ``_halves`` from state ``saved``."""
-    has, last = saved["has_uint32"], saved["uinteger"]
-    if draws and pos[draws - 1] >= 0:  # the buffer holds the last split word's high half
-        last = int(raw[pos[draws - 1]] >> 32)
-    bitgen.state = {**saved, "has_uint32": (draws - has) % 2, "uinteger": last}
-    # unlike advance(), random_raw keeps the buffer
-    bitgen.random_raw(reads + (draws + 1 - has) // 2, output=False)
-
-
-def _make_vocabulary(spec: SynthSpec, rng) -> list[str]:
-    """Distinct random lowercase words, cluster c's in the c-th block of vocab_per_cluster.
-    Per word, numpy's ``integers(4, 8)`` length and as many ``integers(0, 26)``
-    letters, replayed from one ``random_raw`` read per run of words between
-    redraws; a redrawn word makes numpy's own calls. A word drawn before is dropped."""
+def _make_vocabulary(spec: SynthSpec, rng) -> np.ndarray:
+    """Distinct lowercase words of 4 to 7 letters, cluster c's in the c-th block of
+    vocab_per_cluster: per word an ``integers(4, 8)`` length and 7
+    ``integers(97, 123)`` letter codes, of which the first length are kept. A word
+    drawn before is dropped, and as many words as are missing are drawn again."""
     total = spec.num_clusters * spec.vocab_per_cluster
-    bitgen, words = rng.bit_generator, {}  # insertion-ordered set
+    words: dict[str, None] = {}  # insertion-ordered set
     while len(words) < total:
-        n, saved = 8 * (total - len(words)), bitgen.state  # a word takes 5 to 8 draws
-        raw = bitgen.random_raw((n + 1 - saved["has_uint32"]) // 2)
-        values, pos = _halves(raw, np.zeros(n, dtype=np.int64), saved["has_uint32"],
-                              saved["uinteger"])
-        length = (_lemire(values, 4)[0] + 4).tolist()  # 4 divides 2**32: never redrawn
-        codes, redrawn = _lemire(values, 26)
-        text = (codes + 97).astype(np.uint8).tobytes().decode()  # one letter per draw
-        redrawn = np.flatnonzero(redrawn).tolist()
-        p = redraw = 0
-        while len(words) < total and p + 8 <= n:
-            end = p + 1 + length[p]
-            if redraw := any(p < i < end for i in redrawn):
-                break
-            words.setdefault(text[p + 1:end])
-            p = end
-        _resume(bitgen, saved, raw, 0, pos, p)
-        if redraw:
-            length = int(rng.integers(4, 8))
-            words.setdefault("".join(string.ascii_lowercase[rng.integers(0, 26)]
-                                     for _ in range(length)))
-    return list(words)
+        n = total - len(words)
+        lengths = rng.integers(4, 8, size=n).tolist()
+        text = rng.integers(97, 123, size=(n, 7), dtype=np.uint8).tobytes().decode()
+        words.update(dict.fromkeys(text[7 * i:7 * i + k] for i, k in enumerate(lengths)))
+    return np.array(list(words), dtype=object)
 
 
-def _row_run(m: int, fixed, words: int, quiet: int, n_other: int, noise_rate: float, rng):
-    """Up to ``m`` rows of draws from one ``random_raw`` read, up to the first row
-    numpy redraws, where the generator is left. A row draws ``integers(0, n)``
-    for each n in ``fixed``, then per word a ``random()`` when n_other > 0 and
-    ``integers(0, n_other)`` if that is below noise_rate (a noisy word), else
-    ``integers(0, quiet)``; a range of one value reads nothing. Returns each
-    row's draws (fixed, then one per word) and its noisy words."""
-    f, cols = len(fixed), len(fixed) + words
-    noise, swap, keep = int(n_other > 0), int(n_other > 1), int(quiet > 1)
-    per = sum(n > 1 for n in fixed)  # 32-bit draws before a row's first random()
-    bitgen = rng.bit_generator
-    saved = bitgen.state
-    has = saved["has_uint32"]
-    raw = bitgen.random_raw(m * words * noise + (m * (per + words * max(swap, keep)) + 1) // 2)
-    noisy = np.zeros(m * words, dtype=bool)
-    if noise:
-        # word k's random() reads raw[k + (c + 1 - has) // 2] after c 32-bit draws:
-        # per for each row up to its own, and those of the earlier words
-        k = np.arange(m * words)
-        bits, twice = _uniform(raw) < noise_rate, 2 * k + (k // words + 1) * per + 1 - has
-        if swap == keep:  # every word makes as many 32-bit draws: closed form
-            noisy = bits[(twice + k * swap) >> 1]
-        else:  # only the noisy words (swap) or only the others (keep) draw
-            bits, hits, s = bits.tolist(), [], 0
-            for t in twice.tolist():
-                hits.append(bits[(t + s) >> 1])
-                s += swap if hits[-1] else keep
-            noisy = np.array(hits, dtype=bool)
-    noisy = noisy.reshape(m, words)
-    ranges = np.hstack([np.tile(np.array(fixed, dtype=np.uint64), (m, 1)),
-                        np.where(noisy, n_other, quiet).astype(np.uint64)])
-    cells = np.flatnonzero(ranges > 1)
-    rows = np.arange(m)[:, None] * words  # random() calls before each row
-    reads = noise * np.hstack([np.repeat(rows, f, 1), rows + np.arange(1, words + 1)])
-    values, pos = _halves(raw, reads.ravel()[cells], has, saved["uinteger"])
-    got, redrawn = _lemire(values, ranges.ravel()[cells])
-    r = int(cells[np.argmax(redrawn)]) // cols if redrawn.any() else m
-    done = int(np.searchsorted(cells, r * cols))
-    _resume(bitgen, saved, raw, r * words * noise, pos, done)
-    draws = np.zeros(r * cols, dtype=np.int64)
-    draws[cells[:done]] = got[:done]
-    return draws.reshape(r, cols), noisy[:r]
+def _add_noise(words, doc, spec: SynthSpec, rng):
+    """``words`` (vocabulary indices, one row per document in ``doc``) with each
+    word where ``random() < noise_rate`` swapped for an ``integers(0, V - v)``
+    word shifted past its document's cluster block (V words, v per cluster).
+    With one cluster there is no other word, and nothing is drawn."""
+    if spec.num_clusters == 1:
+        return words
+    v = spec.vocab_per_cluster
+    noisy = rng.random(words.shape) < spec.noise_rate
+    other = rng.integers(0, (spec.num_clusters - 1) * v, size=words.shape)
+    block = (doc // spec.docs_per_cluster * v)[:, None]
+    return np.where(noisy, other + v * (other >= block), words)
 
 
-def _replay(count: int, run, one) -> list:
-    """``count`` rows: ``run(i)`` reads rows from row i on in bulk, up to the first
-    one numpy redraws, and ``one(i)`` makes row i with numpy's own calls."""
-    rows: list = []
-    while len(rows) < count:
-        rows += run(len(rows))
-        if len(rows) < count:
-            rows.append(one(len(rows)))
-    return rows
-
-
-def _draw_word(own: list[str], other: list[str], noise_rate: float, rng) -> str:
-    pool = other if (other and rng.random() < noise_rate) else own
-    return pool[int(rng.integers(0, len(pool)))]
-
-
-def _sample_docs(vocabulary, spec: SynthSpec, rng):
-    """Every document's ``doc_words`` words, one row each, in cluster order: per
-    word ``_draw_word`` from its cluster's block of ``vocabulary`` (own) and the
-    rest (other), read as rows by ``_row_run``."""
-    v, per = spec.vocab_per_cluster, spec.docs_per_cluster
-    n_docs = spec.num_clusters * per
-
-    def run(first):
-        draws, noisy = _row_run(n_docs - first, [], spec.doc_words, v, len(vocabulary) - v,
-                                spec.noise_rate, rng)
-        c = (first + np.arange(len(draws)))[:, None] // per  # each document's cluster
-        # an other-pool draw skips the cluster's own block of the vocabulary
-        return vocabulary[np.where(noisy, draws + v * (draws >= c * v), c * v + draws)].tolist()
-
-    def one(doc):
-        block = np.s_[doc // per * v:(doc // per + 1) * v]
-        own, other = vocabulary[block].tolist(), np.delete(vocabulary, block).tolist()
-        return [_draw_word(own, other, spec.noise_rate, rng) for _ in range(spec.doc_words)]
-
-    return np.array(_replay(n_docs, run, one), dtype=object)
-
-
-def _query_from_doc(doc_words: list[str], other: list[str], spec: SynthSpec, rng) -> str:
-    """Short query quoting the document, with noise words swapped in."""
-    picked = rng.choice(len(doc_words), size=spec.query_words, replace=False)
-    return " ".join([other[int(rng.integers(0, len(other)))]
-                     if other and rng.random() < spec.noise_rate else doc_words[i]
-                     for i in picked])
-
-
-def _sample_queries(first_doc, targets: bool, docs, vocabulary, spec: SynthSpec, rng):
-    """``_query_from_doc`` of document first_doc[i] + t for each i, t drawn first
-    by ``integers(0, docs_per_cluster)`` if ``targets`` else 0: the texts and the
-    documents (``docs`` holds their words as rows). A query's ``_row_run`` row
-    draws the target, Floyd's picks (``integers(0, j + 1)`` for j from doc_words
-    - query_words up; a repeated pick takes j), their shuffle (``integers(0, i)``
-    for i from query_words down to 2), then per word a noise swap. Where
-    ``choice`` would not use Floyd's sampler, numpy's own calls make every query."""
-    d, q, v = spec.doc_words, spec.query_words, spec.vocab_per_cluster
-    fixed = ([spec.docs_per_cluster] * targets + list(range(d - q + 1, d + 1))
-             + list(range(q, 1, -1)))
-    floyd = d <= 10000 or q <= d // 50
-
-    def run(first):
-        if not floyd:
-            return []
-        draws, noisy = _row_run(len(first_doc) - first, fixed, q, 1, len(vocabulary) - v,
-                                spec.noise_rate, rng)
-        r = len(draws)
-        doc, at = first_doc[first:first + r] + (draws[:, 0] if targets else 0), np.arange(r)
-        picks, seen = draws[:, targets:targets + q].copy(), np.zeros((r, d), dtype=bool)
-        for j in range(q):
-            picks[:, j] = np.where(seen[at, picks[:, j]], d - q + j, picks[:, j])
-            seen[at, picks[:, j]] = True
-        for j, col in zip(range(q - 1, 0, -1), range(targets + q, len(fixed))):
-            to = draws[:, col]
-            picks[at, j], picks[at, to] = picks[at, to], picks[:, j].copy()
-        words = docs[doc[:, None], picks]
-        other, c = draws[:, len(fixed):][noisy], doc[np.nonzero(noisy)[0]] // spec.docs_per_cluster
-        words[noisy] = vocabulary[other + v * (other >= c * v)]
-        return list(zip(map(" ".join, words.tolist()), doc.tolist()))
-
-    def one(i):
-        doc = int(first_doc[i]) + (int(rng.integers(0, spec.docs_per_cluster)) if targets else 0)
-        c = doc // spec.docs_per_cluster
-        other = np.delete(vocabulary, np.s_[c * v:(c + 1) * v]).tolist()
-        return _query_from_doc(docs[doc].tolist(), other, spec, rng), doc
-
-    texts, chosen = zip(*_replay(len(first_doc), run, one))
-    return list(texts), list(chosen)
+def _quote(doc, docs, spec: SynthSpec, rng):
+    """One query per document in ``doc``: the words at the first query_words
+    columns of ``argsort(random())`` over its row of ``docs``, with noise."""
+    picks = np.argsort(rng.random((len(doc), spec.doc_words)), axis=1)[:, :spec.query_words]
+    return _add_noise(docs[doc[:, None], picks], doc, spec, rng)
 
 
 def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
@@ -504,18 +343,32 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     Cluster vocabularies are disjoint; every query's relevant document is in
     its cluster and contributes the query's words (minus noise). The
     neg-query map covers every document.
-    """
-    rng = make_rng(seed)
-    vocabulary = np.array(_make_vocabulary(spec, rng), dtype=object)
-    docs = _sample_docs(vocabulary, spec, rng)
-    corpus = [Document(f"d{i:05d}", " ".join(words)) for i, words in enumerate(docs.tolist())]
 
-    first_doc = np.arange(0, len(corpus), spec.docs_per_cluster).repeat(spec.queries_per_cluster)
-    texts, targets = _sample_queries(first_doc, True, docs, vocabulary, spec, rng)
-    queries = [Query(f"q{i:04d}", text) for i, text in enumerate(texts)]
-    qrels = Qrels({(query.id, corpus[doc].id): 1 for query, doc in zip(queries, targets)})
-    per_doc = spec.neg_queries_per_doc
-    first_doc = np.arange(len(corpus)).repeat(per_doc)
-    texts, _ = _sample_queries(first_doc, False, docs, vocabulary, spec, rng)
-    neg_query_map = {doc.id: texts[i * per_doc:(i + 1) * per_doc] for i, doc in enumerate(corpus)}
+    Each kind of draw has its own child stream of ``SeedSequence(seed)``, in
+    this order: vocabulary, documents, training queries, neg-map queries. A
+    new kind of draw takes the next child: ``spawn`` children do not depend on
+    how many are spawned, so it moves no existing file's bytes. The bytes do
+    depend on the algorithms of numpy's ``Generator``; the pinned bundle
+    hashes in the tests catch a change there.
+    """
+    vocab_rng, doc_rng, query_rng, neg_rng = map(make_rng, np.random.SeedSequence(seed).spawn(4))
+    vocabulary = _make_vocabulary(spec, vocab_rng)
+
+    def texts(words):
+        return list(map(" ".join, vocabulary[words].tolist()))
+
+    v, per = spec.vocab_per_cluster, spec.docs_per_cluster
+    doc = np.arange(spec.num_clusters * per)
+    own = (doc // per * v)[:, None] + doc_rng.integers(0, v, size=(len(doc), spec.doc_words))
+    docs = _add_noise(own, doc, spec, doc_rng)
+    corpus = [Document(f"d{i:05d}", text) for i, text in enumerate(texts(docs))]
+
+    first = np.arange(0, len(corpus), per).repeat(spec.queries_per_cluster)
+    targets = first + query_rng.integers(0, per, size=len(first))
+    queries = [Query(f"q{i:04d}", text)
+               for i, text in enumerate(texts(_quote(targets, docs, spec, query_rng)))]
+    qrels = Qrels({(query.id, corpus[t].id): 1 for query, t in zip(queries, targets.tolist())})
+    k = spec.neg_queries_per_doc
+    neg = texts(_quote(doc.repeat(k), docs, spec, neg_rng))
+    neg_query_map = {d.id: neg[i * k:(i + 1) * k] for i, d in enumerate(corpus)}
     return SynthDataset(corpus, queries, qrels, neg_query_map)

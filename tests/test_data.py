@@ -1,7 +1,8 @@
 import json
-import string
+import math
+import re
 from collections import Counter
-from unittest import mock
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,6 @@ from retrieval_lab.data import (
     SynthSpec,
     TrainingExample,
     _as_text,
-    _make_vocabulary,
-    _sample_docs,
-    _sample_queries,
     load_corpus,
     load_neg_query_map,
     load_qrels,
@@ -30,6 +28,7 @@ from retrieval_lab.data import (
     synth_generate,
 )
 from retrieval_lab.encoder import _words
+from retrieval_lab.numerics import make_rng
 
 
 class TestIdTextLoaders:
@@ -432,6 +431,76 @@ def test_word_check_agrees_with_the_tokenizer(text):
         assert _words(text) != []
 
 
+# the edge cases of the bundles pinned in tests/test_cli.py: a document longer
+# than 10,000 words, draws of one value (one document per cluster, one-word
+# pools), one cluster (no noise word exists), query_words == doc_words, several
+# neg queries per document and zero noise
+EDGE_SPECS = {
+    "10001-doc-words": SynthSpec(num_clusters=1, docs_per_cluster=1, queries_per_cluster=2,
+                                 doc_words=10001, query_words=201),
+    "noise-swaps": SynthSpec(num_clusters=2, docs_per_cluster=2, queries_per_cluster=1,
+                             vocab_per_cluster=3, noise_rate=0.5, neg_queries_per_doc=3),
+    "query-words-eq-doc-words": SynthSpec(num_clusters=3, docs_per_cluster=4,
+                                          queries_per_cluster=3, vocab_per_cluster=8,
+                                          doc_words=6, query_words=6, noise_rate=0.3),
+    "one-doc-per-cluster": SynthSpec(num_clusters=3, docs_per_cluster=1, queries_per_cluster=4,
+                                     vocab_per_cluster=10, noise_rate=0.3),
+    "one-cluster": SynthSpec(num_clusters=1, docs_per_cluster=5, queries_per_cluster=4,
+                             vocab_per_cluster=10),
+    "one-word-other-pool": SynthSpec(num_clusters=2, vocab_per_cluster=1, docs_per_cluster=4,
+                                     queries_per_cluster=3, doc_words=8, query_words=4,
+                                     noise_rate=0.5),
+    "one-word-vocabularies": SynthSpec(num_clusters=2, vocab_per_cluster=1, doc_words=1,
+                                       query_words=1, noise_rate=0.9),
+    "three-neg-queries-no-noise": SynthSpec(num_clusters=3, docs_per_cluster=4,
+                                            queries_per_cluster=2, vocab_per_cluster=10,
+                                            neg_queries_per_doc=3, noise_rate=0.0),
+}
+
+
+def word_clusters(spec, seed) -> dict[str, int]:
+    """word -> its cluster, from the vocabulary that synth_generate draws from
+    the first child stream of SeedSequence(seed)."""
+    rng = make_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    vocabulary = data._make_vocabulary(spec, rng).tolist()
+    return {word: i // spec.vocab_per_cluster for i, word in enumerate(vocabulary)}
+
+
+def cluster(doc_id: str, spec) -> int:
+    return int(doc_id[1:]) // spec.docs_per_cluster
+
+
+def quoted_pairs(ds):
+    """(words, id of the document quoted) of every training and neg-map query."""
+    for query in ds.queries:
+        (doc_id,) = ds.qrels.relevant_docs(query.id)
+        yield query.text.split(), doc_id
+    for doc_id, texts in ds.neg_query_map.items():
+        for text in texts:
+            yield text.split(), doc_id
+
+
+def save_bundle(ds, outdir) -> dict[str, bytes]:
+    outdir.mkdir()
+    save_id_text(ds.corpus, outdir / "corpus.jsonl")
+    save_id_text(ds.queries, outdir / "queries.jsonl")
+    save_qrels(ds.qrels, outdir / "qrels.tsv")
+    save_neg_query_map(ds.neg_query_map, outdir / "neg_queries.jsonl")
+    return {path.name: path.read_bytes() for path in outdir.iterdir()}
+
+
+class ScriptedGenerator:
+    """A stand-in for numpy's Generator whose ``integers`` calls return the
+    given arrays in turn, and record their ranges and sizes."""
+
+    def __init__(self, *draws):
+        self.draws, self.calls = list(draws), []
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        self.calls.append((low, high, size))
+        return np.array(self.draws.pop(0), dtype=dtype)
+
+
 class TestSynthGenerate:
     def test_reproducible_per_seed(self):
         spec = SynthSpec(num_clusters=3, docs_per_cluster=4, queries_per_cluster=2,
@@ -464,13 +533,15 @@ class TestSynthGenerate:
         for q in ds.queries:
             assert ds.qrels.relevant_docs(q.id)
 
-    def test_neg_query_map_covers_every_doc(self):
-        spec = SynthSpec(num_clusters=3, docs_per_cluster=6, queries_per_cluster=2,
-                         vocab_per_cluster=15, noise_rate=0.1, neg_queries_per_doc=2)
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(num_clusters=3, docs_per_cluster=6, queries_per_cluster=2,
+                  vocab_per_cluster=15, noise_rate=0.1, neg_queries_per_doc=2),
+        *EDGE_SPECS.values()], ids=["two-neg-queries", *EDGE_SPECS])
+    def test_neg_query_map_covers_every_doc(self, spec):
         ds = synth_generate(spec, 13)
-        assert set(ds.neg_query_map) == {d.id for d in ds.corpus}
+        assert list(ds.neg_query_map) == [d.id for d in ds.corpus]
         for queries in ds.neg_query_map.values():
-            assert len(queries) == 2
+            assert len(queries) == spec.neg_queries_per_doc
             assert all(q for q in queries)
 
     def test_single_cluster_bow_retrieval_trivially_easy(self):
@@ -525,402 +596,74 @@ class TestSynthGenerate:
                 wins += 1
         assert wins / len(ds.queries) > 0.95
 
-
-def reference_sample_words(own, other, count, noise_rate, rng):
-    """The per-word draws of document words that ``_row_run`` reads as rows: the oracle."""
-    words = []
-    for _ in range(count):
-        pool = other if (other and rng.random() < noise_rate) else own
-        words.append(pool[int(rng.integers(0, len(pool)))])
-    return words
-
-
-# Lemire's method redraws a 32-bit value v when (v * n) mod 2**32 < (2**32 - n) mod n;
-# for this pool the bound is 2**31 - 1, so about half of all draws are redrawn.
-REDRAW_POOL = range(2**31 + 1)
-
-
-def warm_twins(seed, warm_draws):
-    """Two equal generators after ``warm_draws`` 32-bit draws (odd sets ``has_uint32``)."""
-    rngs = [np.random.default_rng(seed) for _ in range(2)]
-    for rng in rngs:
-        rng.integers(0, 7, size=warm_draws)
-    assert rngs[0].bit_generator.state["has_uint32"] == warm_draws % 2
-    return rngs
-
-
-def row_run_words(own, other, count, noise_rate, rng, words):
-    """``count`` document words (a multiple of ``words``) as ``_replay`` makes them
-    from ``_row_run`` rows of ``words`` words, with ``quiet`` = len(own) and
-    n_other = len(other); a redrawn row draws each word by ``_draw_word``."""
-    def run(first):
-        draws, noisy = data._row_run(count // words - first, [], words, len(own), len(other),
-                                     noise_rate, rng)
-        return [[(other if z else own)[i] for z, i in zip(*row)]
-                for row in zip(noisy.tolist(), draws.tolist())]
-
-    def one(_):
-        return [data._draw_word(own, other, noise_rate, rng) for _ in range(words)]
-
-    return [word for row in data._replay(count // words, run, one) for word in row]
-
-
-def assert_bulk_matches_reference(seed, own, other, count, noise_rate, warm_draws, words=1):
-    """Equal words, equal generator state after (the 32-bit buffer too) and equal
-    draws after that; ``warm_draws`` 32-bit draws first set ``has_uint32`` when odd."""
-    rngs = warm_twins(seed, warm_draws)
-    assert (row_run_words(own, other, count, noise_rate, rngs[0], words)
-            == reference_sample_words(own, other, count, noise_rate, rngs[1]))
-    assert_same_generator(*rngs)
-
-
-def assert_same_generator(got_rng, want_rng):
-    """Equal PCG64 state, equal 32-bit buffer and equal draws after that."""
-    got, want = got_rng.bit_generator.state, want_rng.bit_generator.state
-    assert got["state"] == want["state"]
-    assert got["has_uint32"] == want["has_uint32"]
-    if want["has_uint32"]:
-        assert got["uinteger"] == want["uinteger"]
-    for _ in range(3):
-        assert got_rng.integers(0, 1000) == want_rng.integers(0, 1000)
-        assert got_rng.random() == want_rng.random()
-
-
-def vocab(prefix, n):
-    return [f"{prefix}{i}" for i in range(n)]
-
-
-class TestSampleWordsBulkRead:
-    """Document rows of ``_row_run`` against per-word numpy draws, with pools no
-    ``SynthSpec`` makes: a range of 2**31 + 1 that numpy redraws about half the
-    time, and an own pool larger than the other pool."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           own_size=st.integers(1, 60),
-           other=st.one_of(st.integers(0, 300).map(lambda n: vocab("x", n)),
-                           st.just(REDRAW_POOL)),
-           redraw_own=st.booleans(),
-           rows=st.integers(0, 40),
-           words=st.integers(1, 4),
-           noise_rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
-           warm_draws=st.integers(0, 3))
-    def test_equals_per_word_draws(self, seed, own_size, other, redraw_own, rows, words,
-                                   noise_rate, warm_draws):
-        own = REDRAW_POOL if redraw_own else vocab("o", own_size)
-        assert_bulk_matches_reference(seed, own, other, rows * words, noise_rate, warm_draws,
-                                      words)
-
-    @pytest.mark.parametrize("warm_draws", [0, 1], ids=["has_uint32_unset", "has_uint32_set"])
-    @pytest.mark.parametrize("count", [29, 30], ids=["odd_count", "even_count"])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_entry_buffer_and_count_parity(self, seed, count, warm_draws):
-        assert_bulk_matches_reference(seed, vocab("o", 40), vocab("x", 360), count, 0.3,
-                                      warm_draws)
-
-    @pytest.mark.parametrize("warm_draws", [0, 1])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_empty_other_draws_no_noise(self, seed, warm_draws):
-        assert_bulk_matches_reference(seed, vocab("o", 40), [], 31, 0.5, warm_draws)
-
-    @pytest.mark.parametrize("own,other", [
-        (vocab("o", 1), vocab("x", 5)),
-        (vocab("o", 5), vocab("x", 1)),
-        (vocab("o", 1), vocab("x", 1)),
-        (vocab("o", 1), []),
-    ], ids=["one_word_own", "one_word_other", "one_word_both", "one_word_own_no_other"])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_one_word_pool(self, seed, own, other):
-        # one pool of one word and the other larger: the scan places each random()
-        assert_bulk_matches_reference(seed, own, other, 30, 0.5, seed % 2, words=2)
-
-    @pytest.mark.parametrize("own,other", [
-        (REDRAW_POOL, []),
-        (REDRAW_POOL, vocab("x", 50)),
-        (vocab("o", 50), REDRAW_POOL),
-    ], ids=["redraw_own_no_other", "redraw_own", "redraw_other"])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_lemire_redraw(self, seed, own, other, monkeypatch):
-        redrawn = count_calls(monkeypatch, "_draw_word")
-        assert_bulk_matches_reference(seed, own, other, 60, 0.5, seed % 2, words=2)
-        assert redrawn  # each redrawn row went through the per-word path
-
-
-def reference_vocabulary(spec, rng):
-    """The per-word draws that ``_make_vocabulary`` reads in bulk: the oracle."""
-    taken, words = set(), []
-    while len(words) < spec.num_clusters * spec.vocab_per_cluster:
-        length = int(rng.integers(4, 8))
-        word = "".join(string.ascii_lowercase[rng.integers(0, 26)] for _ in range(length))
-        if word not in taken:
-            taken.add(word)
-            words.append(word)
-    return words
-
-
-def reference_docs(vocabulary, spec, rng):
-    """The per-word draws that ``_sample_docs`` reads as rows: the oracle."""
-    v, rows = spec.vocab_per_cluster, []
-    for c in range(spec.num_clusters):
-        own = list(vocabulary[c * v:(c + 1) * v])
-        other = list(vocabulary[:c * v]) + list(vocabulary[(c + 1) * v:])
-        rows += [reference_sample_words(own, other, spec.doc_words, spec.noise_rate, rng)
-                 for _ in range(spec.docs_per_cluster)]
-    return np.array(rows, dtype=object)
-
-
-def reference_queries(first_doc, targets, docs, all_words, spec, rng):
-    """The per-query draws that ``_sample_queries`` reads in bulk: the oracle."""
-    v, texts, chosen = spec.vocab_per_cluster, [], []
-    for first in first_doc:
-        doc = int(first) + (int(rng.integers(0, spec.docs_per_cluster)) if targets else 0)
-        c = doc // spec.docs_per_cluster
-        other = list(all_words[:c * v]) + list(all_words[(c + 1) * v:])
-        picked = rng.choice(len(docs[doc]), size=spec.query_words, replace=False)
-        texts.append(" ".join([other[int(rng.integers(0, len(other)))]
-                               if other and rng.random() < spec.noise_rate else docs[doc][i]
-                               for i in picked]))
-        chosen.append(doc)
-    return texts, chosen
-
-
-class CountingGenerator:
-    """A numpy ``Generator`` that counts the calls made through it; bulk reads
-    go to ``bit_generator``, which is not counted."""
-
-    def __init__(self, rng):
-        self.bit_generator, self._rng, self.calls = rng.bit_generator, rng, 0
-
-    def __getattr__(self, name):  # reached only for names __init__ did not set
-        self.calls += 1
-        return getattr(self._rng, name)
-
-
-def assert_replays_match_numpy(spec, seed, warm_draws):
-    """``spec``'s vocabulary, documents, training queries and neg-map queries, in
-    that order, equal numpy's own calls on a twin generator, which ends where
-    numpy leaves it. Returns the numpy calls each replay made itself (only on a
-    redraw, or for choice's tail shuffle). The replays draw from a vocabulary of
-    distinct words, and the queries quote documents of distinct words."""
-    replayed, numpy_rng = warm_twins(seed, warm_draws)
-    counted = CountingGenerator(replayed)
-    assert _make_vocabulary(spec, counted) == reference_vocabulary(spec, numpy_rng)
-    calls = [counted.calls]
-    all_words = np.array(vocab("v", spec.num_clusters * spec.vocab_per_cluster), dtype=object)
-    counted.calls = 0
-    assert (_sample_docs(all_words, spec, counted).tolist()
-            == reference_docs(all_words, spec, numpy_rng).tolist())
-    calls.append(counted.calls)
-    n_docs = spec.num_clusters * spec.docs_per_cluster
-    docs = np.array([vocab(f"d{i}w", spec.doc_words) for i in range(n_docs)], dtype=object)
-    for first_doc, targets in [
-            (np.arange(spec.num_clusters).repeat(spec.queries_per_cluster)
-             * spec.docs_per_cluster, True),
-            (np.arange(n_docs).repeat(spec.neg_queries_per_doc), False)]:
-        counted.calls = 0
-        assert (_sample_queries(first_doc, targets, docs, all_words, spec, counted)
-                == reference_queries(first_doc, targets, docs, all_words, spec, numpy_rng))
-        calls.append(counted.calls)
-    assert_same_generator(replayed, numpy_rng)
-    return calls
-
-
-def force_redraws(monkeypatch):
-    """Make ``_lemire`` report two draws mid-read as redrawn, so that the bulk
-    replays make numpy's own calls there and then read on in bulk."""
-    lemire = data._lemire
-
-    def flagged(values, n):
-        got, redrawn = lemire(values, n)
-        redrawn[len(redrawn) // 2:len(redrawn) // 2 + 2] = True
-        return got, redrawn
-
-    monkeypatch.setattr(data, "_lemire", flagged)
-
-
-def count_calls(monkeypatch, name):
-    """A list that gains the arguments of each call of ``data.<name>``."""
-    calls, func = [], getattr(data, name)
-    monkeypatch.setattr(data, name, lambda *args: calls.append(args) or func(*args))
-    return calls
-
-
-def query_runs(row_runs):
-    """The ``_row_run`` calls among ``row_runs`` that read queries: a query row
-    has fixed draws (Floyd's picks at least), a document row none."""
-    return [args for args in row_runs if args[1]]
-
-
-def query_spec(doc_words, query_words):
-    return SynthSpec(num_clusters=2, docs_per_cluster=1, queries_per_cluster=2,
-                     vocab_per_cluster=3, noise_rate=0.3, doc_words=doc_words,
-                     query_words=query_words)
-
-
-# one spec per draw of one value (Floyd's first pick at query_words == doc_words,
-# the target at one document per cluster, the swap from a one-word pool, a
-# document's own word from a one-word pool), per run without random() (one
-# cluster) and per run without a noise swap. one_word_own_pool is the only
-# document case where words draw unequal numbers of values (a noisy word one,
-# the others none), so the only one whose random() positions take the scan.
-EDGE_SPECS = {
-    "query_words_eq_doc_words": SynthSpec(num_clusters=3, docs_per_cluster=4,
-                                          vocab_per_cluster=8, doc_words=6, query_words=6),
-    "one_doc_per_cluster": SynthSpec(num_clusters=3, docs_per_cluster=1, noise_rate=0.3),
-    "one_cluster": SynthSpec(num_clusters=1, docs_per_cluster=5),
-    "one_word_other_pool": SynthSpec(num_clusters=2, vocab_per_cluster=1, docs_per_cluster=4,
-                                     doc_words=8, query_words=4, noise_rate=0.5),
-    "no_noise": SynthSpec(num_clusters=3, docs_per_cluster=4, neg_queries_per_doc=3,
-                          noise_rate=0.0),
-    "one_word_own_pool": SynthSpec(num_clusters=3, vocab_per_cluster=1, docs_per_cluster=4,
-                                   doc_words=8, query_words=4, noise_rate=0.5),
-}
-
-
-class TestDrawsReplayNumpy:
-    """The bulk replays of the vocabulary, document and query draws,
-    ``_make_vocabulary``, ``_sample_docs`` and ``_sample_queries``, against
-    numpy's own calls on twin generators."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), warm_draws=st.integers(0, 3),
-           sizes=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 4),
-                           st.integers(1, 12), st.integers(1, 12), st.integers(1, 3)),
-           query_share=st.floats(0.0, 1.0), noise_rate=st.floats(0.0, 0.99))
-    def test_interleaved_calls(self, seed, warm_draws, sizes, query_share, noise_rate):
-        clusters, docs, queries, vocab_size, doc_words, neg_queries = sizes
-        spec = SynthSpec(num_clusters=clusters, docs_per_cluster=docs,
-                         queries_per_cluster=queries, vocab_per_cluster=vocab_size,
-                         noise_rate=noise_rate, doc_words=doc_words,
-                         query_words=max(1, round(query_share * doc_words)),
-                         neg_queries_per_doc=neg_queries)
-        assert_replays_match_numpy(spec, seed, warm_draws)
-
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), warm_draws=st.integers(0, 1),
-           n=st.one_of(st.integers(2, 2**32), st.sampled_from([2**31 + 1, 2**32 - 1, 2**32])))
-    def test_lemire_matches_integers(self, seed, warm_draws, n):
-        replayed, numpy_rng = warm_twins(seed, warm_draws)
-        value = replayed.integers(0, 2**32, dtype=np.uint64)  # one 32-bit draw, as drawn
-        got, redrawn = data._lemire(np.array([value], dtype=np.uint64), n)
-        want = numpy_rng.integers(0, n)
-        # numpy read one value unless it rejected it and drew again
-        assert (replayed.bit_generator.state == numpy_rng.bit_generator.state) != redrawn[0]
-        assert redrawn[0] or got[0] == want
-
-    @pytest.mark.parametrize("warm_draws", [0, 1])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_one_value_range_draws_nothing(self, seed, warm_draws):
-        spec = SynthSpec(num_clusters=2, docs_per_cluster=1, vocab_per_cluster=1,
-                         doc_words=4, query_words=4, noise_rate=0.5)
-        assert assert_replays_match_numpy(spec, seed, warm_draws) == [0, 0, 0, 0]
-        # every document and query draw of this spec has one value: nothing is read
-        spec = SynthSpec(num_clusters=1, docs_per_cluster=1, vocab_per_cluster=1,
-                         doc_words=2, query_words=1)
-        rng = warm_twins(seed, warm_draws)[0]
-        before = rng.bit_generator.state
-        vocabulary = np.array(["w"], dtype=object)
-        docs = _sample_docs(vocabulary, spec, rng)
-        assert docs.tolist() == [["w", "w"]]
-        spec = SynthSpec(num_clusters=1, docs_per_cluster=1, doc_words=1, query_words=1)
-        assert (_sample_queries(np.zeros(3, dtype=int), True, docs[:, :1], vocabulary, spec, rng)
-                == (["w"] * 3, [0] * 3))
-        assert rng.bit_generator.state == before
+    @pytest.mark.parametrize("spec", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
+    def test_cluster_vocabularies_disjoint(self, spec):
+        clusters = word_clusters(spec, 3)
+        assert len(clusters) == spec.num_clusters * spec.vocab_per_cluster  # distinct words
+        assert all(re.fullmatch("[a-z]{4,7}", word) for word in clusters)
+        ds = synth_generate(spec, 3)
+        texts = [d.text for d in ds.corpus] + [q.text for q in ds.queries]
+        texts += [text for queries in ds.neg_query_map.values() for text in queries]
+        assert {word for text in texts for word in text.split()} <= clusters.keys()
 
     @pytest.mark.parametrize("spec", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
-    @pytest.mark.parametrize("warm_draws", [0, 1])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_edge_branches(self, seed, warm_draws, spec):
-        assert assert_replays_match_numpy(spec, seed, warm_draws) == [0, 0, 0, 0]
+    @pytest.mark.parametrize("seed", range(3))
+    def test_query_words_quote_distinct_document_positions(self, spec, seed):
+        # what the document's words cannot cover, each at a position of its
+        # own, is noise: words of another cluster
+        clusters, ds = word_clusters(spec, seed), synth_generate(spec, seed)
+        docs = {doc.id: doc.text.split() for doc in ds.corpus}
+        for query, doc_id in quoted_pairs(ds):
+            assert len(query) == spec.query_words
+            leftover = Counter(query) - Counter(docs[doc_id])
+            assert all(clusters[word] != cluster(doc_id, spec) for word in leftover)
+        for i, query in enumerate(ds.queries):  # a training query quotes its cluster's document
+            (doc_id,) = ds.qrels.relevant_docs(query.id)
+            assert cluster(doc_id, spec) == i // spec.queries_per_cluster
 
-    @pytest.mark.parametrize("seed", [1, 2027])
-    def test_benchmark_spec_reads_in_bulk_only(self, seed):
-        spec = SynthSpec(num_clusters=100, docs_per_cluster=50, queries_per_cluster=20,
-                         vocab_per_cluster=40)
-        assert assert_replays_match_numpy(spec, seed, 0) == [0, 0, 0, 0]
+    @pytest.mark.parametrize("spec", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
+    def test_noise_share_within_binomial_bounds(self, spec):
+        # over 100 seeds, a document word is another cluster's with probability
+        # p = noise_rate (0 with one cluster). Given the documents, a query word
+        # is with e = f + (1 - f) * p, f that share of its document's words; the
+        # picks of one query are drawn without replacement, so a query's count
+        # varies at most as a binomial one does
+        p = spec.noise_rate if spec.num_clusters > 1 else 0.0
+        doc_noise = doc_words = query_noise = 0
+        mean = var = 0.0
+        for seed in range(100):
+            clusters, ds = word_clusters(spec, seed), synth_generate(spec, seed)
+            noise = {doc.id: sum(clusters[word] != cluster(doc.id, spec)
+                                 for word in doc.text.split()) for doc in ds.corpus}
+            doc_noise += sum(noise.values())
+            doc_words += len(ds.corpus) * spec.doc_words
+            for query, doc_id in quoted_pairs(ds):
+                f = noise[doc_id] / spec.doc_words
+                e = f + (1 - f) * p
+                query_noise += sum(clusters[word] != cluster(doc_id, spec) for word in query)
+                mean += len(query) * e
+                var += len(query) * e * (1 - e)
+        assert abs(doc_noise - doc_words * p) <= 5 * math.sqrt(doc_words * p * (1 - p))
+        assert abs(query_noise - mean) <= 5 * math.sqrt(var)
 
-    @pytest.mark.parametrize("sizes", [(100, 50, 20), (10, 50, 10), (100, 5, 1)],
-                             ids=["retrieve-5k", "train-dense-clp", "train-moe-wide"])
-    @pytest.mark.parametrize("seed", [1, 2027])
-    def test_benchmark_synth_makes_no_numpy_call(self, seed, sizes, monkeypatch):
-        # the synth sizes of perfbench/run.py's workloads: a redraw or a draw
-        # that leaves the bulk reads would show here as a Generator method call
-        made, make_rng = [], data.make_rng
-        monkeypatch.setattr(data, "make_rng",
-                            lambda s: made.append(CountingGenerator(make_rng(s))) or made[-1])
-        synth_generate(SynthSpec(*sizes, vocab_per_cluster=40), seed)
-        assert [rng.calls for rng in made] == [0]
+    @pytest.mark.parametrize("spec", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
+    def test_each_draw_kind_keeps_its_own_stream(self, spec, tmp_path):
+        base = save_bundle(synth_generate(spec, 6), tmp_path / "base")
+        more_queries = replace(spec, queries_per_cluster=spec.queries_per_cluster + 2)
+        bundle = save_bundle(synth_generate(more_queries, 6), tmp_path / "queries")
+        assert bundle["queries.jsonl"] != base["queries.jsonl"]
+        for name in ("corpus.jsonl", "neg_queries.jsonl"):
+            assert bundle[name] == base[name]
+        more_neg = replace(spec, neg_queries_per_doc=spec.neg_queries_per_doc + 1)
+        bundle = save_bundle(synth_generate(more_neg, 6), tmp_path / "neg")
+        assert bundle["neg_queries.jsonl"] != base["neg_queries.jsonl"]
+        for name in ("corpus.jsonl", "queries.jsonl", "qrels.tsv"):
+            assert bundle[name] == base[name]
 
-    @pytest.mark.parametrize("warm_draws", [0, 1])
-    @pytest.mark.parametrize("seed", range(10))
-    def test_lemire_redraw(self, seed, warm_draws, monkeypatch):
-        force_redraws(monkeypatch)
-        spec = SynthSpec(num_clusters=3, docs_per_cluster=4, queries_per_cluster=5,
-                         vocab_per_cluster=6, noise_rate=0.4)
-        # each replay made numpy's own calls at a redraw, and read on in bulk after it
-        assert all(assert_replays_match_numpy(spec, seed, warm_draws))
-
-    @pytest.mark.parametrize("warm_draws", [0, 1])
-    def test_vocabulary_drops_a_repeated_word(self, warm_draws):
-        spec, seed = SynthSpec(num_clusters=20, vocab_per_cluster=40), 34
-        assert assert_replays_match_numpy(spec, seed, warm_draws)[0] == 0
-        rng, total = warm_twins(seed, warm_draws)[0], 20 * 40
-        drawn = ["".join(string.ascii_lowercase[rng.integers(0, 26)]
-                         for _ in range(int(rng.integers(4, 8)))) for _ in range(total + 1)]
-        assert len(set(drawn)) == total  # the vocabulary draws one word twice
-
-    @pytest.mark.parametrize("n,k", [(30, 5), (10000, 9000), (10001, 200)],
-                             ids=["floyd_small", "floyd_n_10000", "floyd_k_n_over_50"])
-    @pytest.mark.parametrize("warm_draws", [0, 1])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_choice_floyd(self, seed, warm_draws, n, k, monkeypatch):
-        # ranges near 10,000 are redrawn now and then (in the neg-map run of
-        # floyd_n_10000 at seed 1 after one 32-bit draw), so calls are not
-        # counted; but the bulk read runs
-        runs = count_calls(monkeypatch, "_row_run")
-        assert_replays_match_numpy(query_spec(n, k), seed, warm_draws)
-        assert query_runs(runs)
-
-    @pytest.mark.parametrize("n,k", [(10001, 201), (20000, 20000)],
-                             ids=["tail_k_over_n_over_50", "tail_all"])
-    @pytest.mark.parametrize("warm_draws", [0, 1])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_choice_tail_shuffle(self, seed, warm_draws, n, k, monkeypatch):
-        # numpy's own calls make every query; the documents are read in bulk
-        runs = count_calls(monkeypatch, "_row_run")
-        calls = assert_replays_match_numpy(query_spec(n, k), seed, warm_draws)
-        assert calls[:2] == [0, 0] and all(calls[2:]) and not query_runs(runs)
-
-
-def numpy_synth(spec, seed):
-    """``synth_generate`` with every bulk replay swapped for numpy's own calls."""
-    with mock.patch.multiple(data, _make_vocabulary=reference_vocabulary,
-                             _sample_docs=reference_docs,
-                             _sample_queries=reference_queries):
-        return synth_generate(spec, seed)
-
-
-class TestSynthEqualsNumpyDraws:
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           sizes=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 4),
-                           st.integers(1, 12), st.integers(1, 12), st.integers(1, 3)),
-           query_share=st.floats(0.0, 1.0),
-           noise_rate=st.floats(0.0, 0.99))
-    def test_small_specs(self, seed, sizes, query_share, noise_rate):
-        clusters, docs, queries, vocab, doc_words, neg_queries = sizes
-        spec = SynthSpec(num_clusters=clusters, docs_per_cluster=docs,
-                         queries_per_cluster=queries, vocab_per_cluster=vocab,
-                         noise_rate=noise_rate, doc_words=doc_words,
-                         query_words=max(1, round(query_share * doc_words)),
-                         neg_queries_per_doc=neg_queries)
-        assert synth_generate(spec, seed) == numpy_synth(spec, seed)
-
-    @pytest.mark.parametrize("spec", [
-        SynthSpec(num_clusters=1, docs_per_cluster=1, doc_words=10001, query_words=201,
-                  queries_per_cluster=2),
-        SynthSpec(num_clusters=3, docs_per_cluster=6, queries_per_cluster=2,
-                  vocab_per_cluster=15),
-    ], ids=["tail_shuffle", "acceptance_like"])
-    def test_named_specs(self, spec):
-        assert synth_generate(spec, 1) == numpy_synth(spec, 1)
+    def test_vocabulary_redraws_a_repeated_word(self):
+        spec = SynthSpec(num_clusters=1, vocab_per_cluster=3)
+        rng = ScriptedGenerator([4, 4, 5], [list(b"abcdxyz"), list(b"abcdqrs"), list(b"efghijk")],
+                                [7], [list(b"zzzzzzz")])
+        # the second word repeats the first: it is dropped, and one word drawn again
+        assert data._make_vocabulary(spec, rng).tolist() == ["abcd", "efghi", "zzzzzzz"]
+        assert rng.calls == [(4, 8, 3), (97, 123, (3, 7)), (4, 8, 1), (97, 123, (1, 7))]
