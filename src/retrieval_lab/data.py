@@ -330,6 +330,15 @@ def _add_noise(words, doc, spec: SynthSpec, rng):
     return np.where(noisy, other + v * (other >= block), words)
 
 
+def _documents(spec: SynthSpec, rng):
+    """Vocabulary indices of every document, one row each: doc_words
+    ``integers(0, v)`` words of its cluster's block, then noise."""
+    doc = np.arange(spec.num_clusters * spec.docs_per_cluster)
+    own = (doc // spec.docs_per_cluster * spec.vocab_per_cluster)[:, None]
+    own = own + rng.integers(0, spec.vocab_per_cluster, size=(len(doc), spec.doc_words))
+    return _add_noise(own, doc, spec, rng)
+
+
 def _quote(doc, docs, spec: SynthSpec, rng):
     """One query per document in ``doc``: the words at the first query_words
     columns of ``argsort(random())`` over its row of ``docs``, with noise."""
@@ -357,10 +366,8 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthDataset:
     def texts(words):
         return list(map(" ".join, vocabulary[words].tolist()))
 
-    v, per = spec.vocab_per_cluster, spec.docs_per_cluster
-    doc = np.arange(spec.num_clusters * per)
-    own = (doc // per * v)[:, None] + doc_rng.integers(0, v, size=(len(doc), spec.doc_words))
-    docs = _add_noise(own, doc, spec, doc_rng)
+    docs = _documents(spec, doc_rng)
+    doc, per = np.arange(len(docs)), spec.docs_per_cluster
     corpus = [Document(f"d{i:05d}", text) for i, text in enumerate(texts(docs))]
 
     first = np.arange(0, len(corpus), per).repeat(spec.queries_per_cluster)

@@ -69,10 +69,7 @@ class TestSynth:
             "queries.jsonl": "10405380ba9d1f6956262b3ec73c6bca88846ab73cc9c0f201f6554070e4cfad",
         }
 
-    # the benchmark's three synth sizes, then one spec per edge case: a document
-    # longer than 10,000 words, draws of one value (one document per cluster,
-    # one-word pools), one cluster (no noise word exists), query_words ==
-    # doc_words, several neg queries per document and zero noise
+    # the benchmark's three synth sizes, one cluster and one-word vocabularies
     @pytest.mark.parametrize("flags,expected", [
         (("--clusters", 100, "--docs-per-cluster", 50, "--queries-per-cluster", 20,
           "--vocab-per-cluster", 40, "--seed", 1), {
@@ -103,6 +100,15 @@ class TestSynth:
             "neg_queries.jsonl": "fff8caadabe747217da9b48465c3412ce9f73c121cb9416c09e27d62fee6447e",
             "qrels.tsv": "573b0fcab4461183099e289747fc4f7dfd38fb662011b4914b579e541eb2b17a",
             "queries.jsonl": "d3cc88c760c01e18bb1ee7639db729b699935e3d62e8c92223ca9f7b312c5678"}),
+    ], ids=["retrieve-5k", "train-dense-clp", "train-moe-wide", "one-cluster",
+            "one-word-vocabularies"])
+    def test_bundle_bytes_pinned_across_specs(self, tmp_path, flags, expected):
+        # sha256 of each spec's files: regression pins of this generator under
+        # numpy 2.4, like test_bundle_bytes_pinned
+        assert run_cli("synth", *flags, "--outdir", tmp_path) == 0
+        assert read_hashes(tmp_path) == expected
+
+    @pytest.mark.parametrize("flags,expected", [
         (("--clusters", 1, "--docs-per-cluster", 1, "--doc-words", 10001, "--query-words", 201,
           "--queries-per-cluster", 2, "--seed", 0), {
             "corpus.jsonl": "9dbd5cba44b9d8e0c14b241e00639600dda5b463e31f78c8dabab0f3beacbcb6",
@@ -127,6 +133,16 @@ class TestSynth:
             "neg_queries.jsonl": "c2bdeb941c237b9b80b28033feb53644734d141a830516744da49a60f827dc98",
             "qrels.tsv": "caf051c7cfc597b9f0c3331787d99681fece0b64500f4fbdcd3d3e136d1e2a77",
             "queries.jsonl": "abe91c50483079a3a81abc717cebfc9f84572c00a2219d3bf9267947fbd85f68"}),
+    ], ids=["tail-shuffle-seed0", "tail-shuffle-seed1", "noise-swaps-seed0", "noise-swaps-seed1"])
+    def test_query_draws_pinned(self, tmp_path, flags, expected):
+        # regression pins of the query draws, like test_bundle_bytes_pinned: a
+        # document longer than 10,000 words with 201 picked (the ids name the
+        # branch numpy's choice() would take there; the query draw does not call
+        # choice()), and noise swaps at noise_rate 0.5 with three neg queries
+        assert run_cli("synth", *flags, "--outdir", tmp_path) == 0
+        assert read_hashes(tmp_path) == expected
+
+    @pytest.mark.parametrize("flags,expected", [
         (("--clusters", 3, "--docs-per-cluster", 4, "--queries-per-cluster", 3,
           "--vocab-per-cluster", 8, "--doc-words", 6, "--query-words", 6, "--noise-rate", 0.3,
           "--seed", 0), {
@@ -159,14 +175,13 @@ class TestSynth:
             "neg_queries.jsonl": "dac3e30d835a4deab823d2decbc5ac4a0400c3f01b9274f4f51ee6dc260b0247",
             "qrels.tsv": "3be04a8f339f3ec6755b85a3002abf94bdba7a5418dab5a884a4c66a26e621f5",
             "queries.jsonl": "85cb6278fdd54992bb95b4ace071e58eaf46a38b273d83fccdab05da2a3c3a61"}),
-    ], ids=["retrieve-5k", "train-dense-clp", "train-moe-wide", "one-cluster",
-            "one-word-vocabularies", "10001-doc-words-seed0", "10001-doc-words-seed1",
-            "noise-swaps-seed0", "noise-swaps-seed1", "query-words-eq-doc-words",
-            "one-doc-per-cluster", "one-cluster-small", "one-word-other-pool",
-            "three-neg-queries-no-noise"])
-    def test_bundle_bytes_pinned_across_specs(self, tmp_path, flags, expected):
-        # sha256 of each spec's files: regression pins of this generator under
-        # numpy 2.4, like test_bundle_bytes_pinned
+    ], ids=["query-words-eq-doc-words", "one-doc-per-cluster", "one-cluster-small",
+            "one-word-other-pool", "three-neg-queries-no-noise"])
+    def test_one_value_draws_pinned(self, tmp_path, flags, expected):
+        # regression pins, like test_bundle_bytes_pinned, of specs with a draw of
+        # one value (all pick keys ranked at query_words == doc_words, a target
+        # among one document per cluster, a swap from a one-word pool), a run
+        # without noise draws (one cluster) or a run without a noise swap
         assert run_cli("synth", *flags, "--outdir", tmp_path) == 0
         assert read_hashes(tmp_path) == expected
 

@@ -13,6 +13,8 @@ from retrieval_lab import data
 from retrieval_lab.data import (
     Document,
     Qrels,
+    Query,
+    SynthDataset,
     SynthSpec,
     TrainingExample,
     _as_text,
@@ -489,6 +491,14 @@ def save_bundle(ds, outdir) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in outdir.iterdir()}
 
 
+def assert_neg_query_map_covers_every_doc(spec):
+    ds = synth_generate(spec, 13)
+    assert list(ds.neg_query_map) == [d.id for d in ds.corpus]
+    for queries in ds.neg_query_map.values():
+        assert len(queries) == spec.neg_queries_per_doc
+        assert all(q for q in queries)
+
+
 class ScriptedGenerator:
     """A stand-in for numpy's Generator whose ``integers`` calls return the
     given arrays in turn, and record their ranges and sizes."""
@@ -533,16 +543,14 @@ class TestSynthGenerate:
         for q in ds.queries:
             assert ds.qrels.relevant_docs(q.id)
 
-    @pytest.mark.parametrize("spec", [
-        SynthSpec(num_clusters=3, docs_per_cluster=6, queries_per_cluster=2,
-                  vocab_per_cluster=15, noise_rate=0.1, neg_queries_per_doc=2),
-        *EDGE_SPECS.values()], ids=["two-neg-queries", *EDGE_SPECS])
-    def test_neg_query_map_covers_every_doc(self, spec):
-        ds = synth_generate(spec, 13)
-        assert list(ds.neg_query_map) == [d.id for d in ds.corpus]
-        for queries in ds.neg_query_map.values():
-            assert len(queries) == spec.neg_queries_per_doc
-            assert all(q for q in queries)
+    def test_neg_query_map_covers_every_doc(self):
+        spec = SynthSpec(num_clusters=3, docs_per_cluster=6, queries_per_cluster=2,
+                         vocab_per_cluster=15, noise_rate=0.1, neg_queries_per_doc=2)
+        assert_neg_query_map_covers_every_doc(spec)
+
+    @pytest.mark.parametrize("spec", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
+    def test_neg_query_map_covers_every_doc_of_edge_specs(self, spec):
+        assert_neg_query_map_covers_every_doc(spec)
 
     def test_single_cluster_bow_retrieval_trivially_easy(self):
         spec = SynthSpec(num_clusters=1, docs_per_cluster=8, queries_per_cluster=4,
@@ -667,3 +675,329 @@ class TestSynthGenerate:
         # the second word repeats the first: it is dropped, and one word drawn again
         assert data._make_vocabulary(spec, rng).tolist() == ["abcd", "efghi", "zzzzzzz"]
         assert rng.calls == [(4, 8, 3), (97, 123, (3, 7)), (4, 8, 1), (97, 123, (1, 7))]
+
+
+# Per-word reference draws: the oracle of the bulk draws in data.py. Each
+# makes numpy's scalar calls, one word at a time, in the order the data.py
+# docstrings give for the whole arrays: all of a step's random() keys or
+# integers() before the next step's. The one exception is the letter codes,
+# which numpy's uint8 draws take four to a 32-bit value within one call: the
+# oracle draws them in one call too, and cuts the words out of them itself.
+def reference_vocabulary(spec, rng):
+    total, words = spec.num_clusters * spec.vocab_per_cluster, []
+    while len(words) < total:
+        n = total - len(words)
+        lengths = [int(rng.integers(4, 8)) for _ in range(n)]
+        codes = rng.integers(97, 123, size=7 * n, dtype=np.uint8).tolist()
+        for i, length in enumerate(lengths):
+            word = "".join(map(chr, codes[7 * i:7 * i + length]))
+            if word not in words:
+                words.append(word)
+    return words
+
+
+def reference_noise(rows, clusters, spec, rng):
+    """``rows`` of vocabulary indices, the i-th of cluster ``clusters[i]``, with a
+    word where random() < noise_rate swapped for a word of the other clusters'
+    pool, picked by integers(0, pool size). One cluster has no pool: no draw."""
+    if spec.num_clusters == 1:
+        return rows
+    v = spec.vocab_per_cluster
+    noisy = [[rng.random() < spec.noise_rate for _ in row] for row in rows]
+    picks = [[int(rng.integers(0, (spec.num_clusters - 1) * v)) for _ in row] for row in rows]
+    out = []
+    for row, c, swaps, pick in zip(rows, clusters, noisy, picks):
+        # the pool, as two ranges: the words before cluster c's block and after it
+        before, after = range(c * v), range((c + 1) * v, spec.num_clusters * v)
+        out.append([(before[i] if i < len(before) else after[i - len(before)]) if swap else word
+                    for word, swap, i in zip(row, swaps, pick)])
+    return out
+
+
+def reference_docs(spec, rng):
+    v, per = spec.vocab_per_cluster, spec.docs_per_cluster
+    clusters = [i // per for i in range(spec.num_clusters * per)]
+    rows = [[c * v + int(rng.integers(0, v)) for _ in range(spec.doc_words)] for c in clusters]
+    return reference_noise(rows, clusters, spec, rng)
+
+
+def reference_quotes(doc, docs, spec, rng):
+    """A query of each document in ``doc``: the query_words positions of its row
+    in ``docs`` with the smallest random() keys, smallest first, with noise."""
+    rows = []
+    for d in doc:
+        keys = [rng.random() for _ in range(spec.doc_words)]
+        picked = sorted(range(spec.doc_words), key=keys.__getitem__)[:spec.query_words]
+        rows.append([docs[d][i] for i in picked])
+    return reference_noise(rows, [d // spec.docs_per_cluster for d in doc], spec, rng)
+
+
+def reference_synth(spec, seed):
+    """``synth_generate`` from the per-word reference draws."""
+    vocab_rng, doc_rng, query_rng, neg_rng = map(make_rng, np.random.SeedSequence(seed).spawn(4))
+    vocabulary = reference_vocabulary(spec, vocab_rng)
+
+    def texts(rows):
+        return [" ".join(vocabulary[word] for word in row) for row in rows]
+
+    docs, per = reference_docs(spec, doc_rng), spec.docs_per_cluster
+    corpus = [Document(f"d{i:05d}", text) for i, text in enumerate(texts(docs))]
+    targets = [c * per + int(query_rng.integers(0, per))
+               for c in range(spec.num_clusters) for _ in range(spec.queries_per_cluster)]
+    queries = [Query(f"q{i:04d}", text)
+               for i, text in enumerate(texts(reference_quotes(targets, docs, spec, query_rng)))]
+    k = spec.neg_queries_per_doc
+    neg = texts(reference_quotes([d for d in range(len(docs)) for _ in range(k)], docs, spec,
+                                 neg_rng))
+    return SynthDataset(
+        corpus, queries, Qrels({(q.id, corpus[t].id): 1 for q, t in zip(queries, targets)}),
+        {d.id: neg[i * k:(i + 1) * k] for i, d in enumerate(corpus)})
+
+
+def warm_twins(seed, warm_draws):
+    """Two equal generators after ``warm_draws`` 32-bit draws: an odd number
+    leaves half of a 64-bit value buffered (``has_uint32``) for the next one."""
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    for rng in rngs:
+        rng.integers(0, 7, size=warm_draws)
+    assert rngs[0].bit_generator.state["has_uint32"] == warm_draws % 2
+    return rngs
+
+
+def assert_same_generator(got_rng, want_rng):
+    """Equal PCG64 state, equal 32-bit buffer and equal draws after that."""
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for _ in range(3):
+        assert got_rng.integers(0, 1000) == want_rng.integers(0, 1000)
+        assert got_rng.random() == want_rng.random()
+
+
+class CountingGenerator:
+    """A numpy ``Generator`` that counts the calls made through it."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, 0
+
+    def __getattr__(self, name):  # reached only for names __init__ did not set
+        self.calls += 1
+        return getattr(self._rng, name)
+
+    def take(self):
+        calls, self.calls = self.calls, 0
+        return calls
+
+
+def bulk_calls(spec):
+    """The Generator calls of the documents, training queries and neg-map
+    queries: one array draw each of own words or pick keys, and a random() and
+    an integers() array for the noise where another cluster exists."""
+    noise = 2 if spec.num_clusters > 1 else 0
+    return [1 + noise] * 3
+
+
+def assert_draws_match_reference(spec, seed, warm_draws):
+    """``spec``'s vocabulary, documents, training queries and neg-map queries,
+    drawn in that order from one generator, equal the reference draws on a twin
+    generator, which ends in the same state. The training queries quote
+    targets drawn apart. Returns the Generator calls of each of the four."""
+    bulk, reference = warm_twins(seed, warm_draws)
+    counted, calls = CountingGenerator(bulk), []
+    assert data._make_vocabulary(spec, counted).tolist() == reference_vocabulary(spec, reference)
+    calls.append(counted.take())
+    docs = data._documents(spec, counted)
+    want = reference_docs(spec, reference)
+    assert docs.tolist() == want
+    calls.append(counted.take())
+    n_docs, per = len(want), spec.docs_per_cluster
+    first = np.arange(0, n_docs, per).repeat(spec.queries_per_cluster)
+    targets = first + np.random.default_rng(seed).integers(0, per, size=len(first))
+    for doc in (targets, np.arange(n_docs).repeat(spec.neg_queries_per_doc)):
+        assert (data._quote(doc, docs, spec, counted).tolist()
+                == reference_quotes(doc.tolist(), want, spec, reference))
+        calls.append(counted.take())
+    assert_same_generator(bulk, reference)
+    return calls
+
+
+# one spec per draw of one value (the first pick key's rank at query_words ==
+# doc_words, a target among one document per cluster, a swap from a one-word
+# pool, a document's own word from a one-word block), per run without noise
+# draws (one cluster) and per run without a noise swap
+BRANCH_SPECS = {
+    "query_words_eq_doc_words": SynthSpec(num_clusters=3, docs_per_cluster=4,
+                                          vocab_per_cluster=8, doc_words=6, query_words=6),
+    "one_doc_per_cluster": SynthSpec(num_clusters=3, docs_per_cluster=1, noise_rate=0.3),
+    "one_cluster": SynthSpec(num_clusters=1, docs_per_cluster=5),
+    "one_word_other_pool": SynthSpec(num_clusters=2, vocab_per_cluster=1, docs_per_cluster=4,
+                                     doc_words=8, query_words=4, noise_rate=0.5),
+    "no_noise": SynthSpec(num_clusters=3, docs_per_cluster=4, neg_queries_per_doc=3,
+                          noise_rate=0.0),
+    "one_word_own_pool": SynthSpec(num_clusters=3, vocab_per_cluster=1, docs_per_cluster=4,
+                                   doc_words=8, query_words=4, noise_rate=0.5),
+}
+
+small_specs = st.builds(
+    lambda sizes, query_share, noise_rate: SynthSpec(
+        *sizes[:4], noise_rate=noise_rate, doc_words=sizes[4],
+        query_words=max(1, round(query_share * sizes[4])), neg_queries_per_doc=sizes[5]),
+    st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 4), st.integers(1, 12),
+              st.integers(1, 12), st.integers(1, 3)),
+    st.floats(0.0, 1.0), st.floats(0.0, 0.99))
+
+
+class TestDrawsReplayNumpy:
+    """The bulk draws of the vocabulary, the documents and the queries,
+    ``_make_vocabulary``, ``_documents`` and ``_quote``, against the per-word
+    reference draws on twin generators."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), warm_draws=st.integers(0, 3), spec=small_specs)
+    def test_interleaved_calls(self, seed, warm_draws, spec):
+        assert assert_draws_match_reference(spec, seed, warm_draws)[1:] == bulk_calls(spec)
+
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_value_range_draws_nothing(self, seed, warm_draws):
+        spec = SynthSpec(num_clusters=2, docs_per_cluster=1, vocab_per_cluster=1,
+                         doc_words=4, query_words=4, noise_rate=0.5)
+        assert assert_draws_match_reference(spec, seed, warm_draws) == [2, 3, 3, 3]
+        # every own word of this spec is a draw of one value: the documents read nothing
+        spec = SynthSpec(num_clusters=1, docs_per_cluster=1, vocab_per_cluster=1,
+                         doc_words=2, query_words=1)
+        rng, twin = warm_twins(seed, warm_draws)
+        docs = data._documents(spec, rng)
+        assert docs.tolist() == [[0, 0]]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # a query of a one-word document reads its pick key and nothing else
+        spec = SynthSpec(num_clusters=1, docs_per_cluster=1, doc_words=1, query_words=1)
+        assert data._quote(np.zeros(3, dtype=int), docs[:, :1], spec, rng).tolist() == [[0]] * 3
+        twin.random(3)
+        assert_same_generator(rng, twin)
+
+    @pytest.mark.parametrize("spec", BRANCH_SPECS.values(), ids=BRANCH_SPECS.keys())
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_edge_branches(self, seed, warm_draws, spec):
+        assert assert_draws_match_reference(spec, seed, warm_draws) == [2, *bulk_calls(spec)]
+
+    @pytest.mark.parametrize("seed", [1, 2027])
+    def test_benchmark_spec_reads_in_bulk_only(self, seed):
+        # the synth size of perfbench/run.py's retrieve-5k workload: each part
+        # makes as many Generator calls as at any size; the 4,000 words of the
+        # vocabulary may repeat one, which costs a round of two calls
+        spec = SynthSpec(num_clusters=100, docs_per_cluster=50, queries_per_cluster=20,
+                         vocab_per_cluster=40)
+        vocabulary, *rest = assert_draws_match_reference(spec, seed, 0)
+        assert rest == [3, 3, 3]
+        assert vocabulary in (2, 4)
+
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    def test_vocabulary_drops_a_repeated_word(self, warm_draws):
+        # at these seeds the first round of 800 words draws one word twice
+        spec, seed = SynthSpec(num_clusters=20, vocab_per_cluster=40), [0, 7][warm_draws]
+        bulk, reference = warm_twins(seed, warm_draws)
+        counted = CountingGenerator(bulk)
+        vocabulary = data._make_vocabulary(spec, counted).tolist()
+        assert vocabulary == reference_vocabulary(spec, reference)
+        assert len(set(vocabulary)) == 800
+        assert counted.calls == 4  # a second round drew the dropped word again
+        assert_same_generator(bulk, reference)
+
+
+class TestSynthEqualsNumpyDraws:
+    """``synth_generate`` against ``reference_synth``: the same child streams,
+    read by the per-word reference draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), spec=small_specs)
+    def test_small_specs(self, seed, spec):
+        assert synth_generate(spec, seed) == reference_synth(spec, seed)
+
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(num_clusters=1, docs_per_cluster=1, doc_words=10001, query_words=201,
+                  queries_per_cluster=2),
+        SynthSpec(num_clusters=3, docs_per_cluster=6, queries_per_cluster=2,
+                  vocab_per_cluster=15),
+    ], ids=["tail_shuffle", "acceptance_like"])
+    def test_named_specs(self, spec):
+        # tail_shuffle: a document longer than 10,000 words with 201 picked
+        assert synth_generate(spec, 1) == reference_synth(spec, 1)
+
+
+# Lemire's method redraws a 32-bit value v when (v * n) mod 2**32 < (2**32 - n) mod n;
+# for a range of n = 2**31 + 1 the bound is 2**31 - 1, so about half of all draws
+# are redrawn.
+REDRAW_POOL = 2**31 + 1
+
+
+def pool_spec(own, clusters, count, words=1, noise_rate=0.5):
+    """Documents of ``count`` words in all, ``words`` a row, from blocks of ``own``
+    words in ``clusters`` clusters: the other pool has (clusters - 1) * own."""
+    return SynthSpec(num_clusters=clusters, vocab_per_cluster=own,
+                     docs_per_cluster=count // words // clusters, doc_words=words,
+                     query_words=1, noise_rate=noise_rate)
+
+
+def assert_docs_match_reference(spec, seed, warm_draws):
+    rng, twin = warm_twins(seed, warm_draws)
+    docs = data._documents(spec, rng)
+    assert docs.tolist() == reference_docs(spec, twin)
+    assert_same_generator(rng, twin)
+    return docs
+
+
+class TestSampleWordsBulkRead:
+    """Document rows of ``_documents`` against the per-word reference draws,
+    with blocks no vocabulary of a test's size has: of 2**31 + 1 words, a
+    range that numpy redraws about half the time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           own=st.one_of(st.integers(1, 60), st.just(REDRAW_POOL)),
+           clusters=st.integers(1, 6),
+           per=st.integers(1, 8),
+           words=st.integers(1, 4),
+           noise_rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           warm_draws=st.integers(0, 3))
+    def test_equals_per_word_draws(self, seed, own, clusters, per, words, noise_rate,
+                                   warm_draws):
+        spec = pool_spec(own, clusters, clusters * per * words, words, noise_rate)
+        assert_docs_match_reference(spec, seed, warm_draws)
+
+    @pytest.mark.parametrize("warm_draws", [0, 1], ids=["has_uint32_unset", "has_uint32_set"])
+    @pytest.mark.parametrize("count", [29, 30], ids=["odd_count", "even_count"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_entry_buffer_and_count_parity(self, seed, count, warm_draws):
+        # 9 documents of count words: an odd count of own words leaves half a
+        # 64-bit value for the noise picks, or uses up the half left before
+        spec = pool_spec(40, 9, 9 * count, count, 0.3)
+        assert_docs_match_reference(spec, seed, warm_draws)
+
+    @pytest.mark.parametrize("warm_draws", [0, 1])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_empty_other_draws_no_noise(self, seed, warm_draws):
+        spec = pool_spec(40, 1, 31, noise_rate=0.5)
+        docs = assert_docs_match_reference(spec, seed, warm_draws)
+        rng = warm_twins(seed, warm_draws)[0]
+        assert (docs == rng.integers(0, 40, size=(31, 1))).all()  # the own words and no more
+
+    @pytest.mark.parametrize("own,clusters", [(1, 6), (1, 2), (1, 1)],
+                             ids=["one_word_own", "one_word_both", "one_word_own_no_other"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_word_pool(self, seed, own, clusters):
+        spec = pool_spec(own, clusters, 30 * clusters, words=2)
+        assert_docs_match_reference(spec, seed, seed % 2)
+
+    @pytest.mark.parametrize("clusters", [1, 2], ids=["redraw_own_no_other", "redraw_own"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lemire_redraw(self, seed, clusters):
+        n, spec = 60 * clusters, pool_spec(REDRAW_POOL, clusters, 60 * clusters, words=2)
+        assert_docs_match_reference(spec, seed, seed % 2)
+        # numpy redrew: the draws took more 32-bit values than one a word
+        rng, twin = warm_twins(seed, seed % 2)
+        data._documents(spec, rng)
+        twin.integers(0, 2**32, size=n, dtype=np.uint64)
+        if clusters > 1:
+            twin.random(n)
+            twin.integers(0, 2**32, size=n, dtype=np.uint64)
+        assert rng.bit_generator.state != twin.bit_generator.state
