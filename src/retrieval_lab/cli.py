@@ -199,21 +199,21 @@ def cmd_train(ns: argparse.Namespace) -> int:
         stop_grad_neg_queries=ns.stop_grad_neg_queries,
     )
 
-    dataset: list[data_mod.TrainingExample] = []
-    refresh_fn = None
     if ns.refresh_per_epoch:
         mine = _miner(ns)
 
-        def refresh_fn(current_params):
+        def examples(current_params):
             return mine(current_params, config)
 
-        dataset_hash = _sha256(Path(ns.corpus))
+        digests = [_sha256(Path(path)) for path in
+                   (ns.corpus, ns.queries, ns.qrels, ns.neg_query_map) if path]
+        dataset_hash = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
     else:
         train_file = _require_file(ns.train_file, "train file")
-        dataset = data_mod.load_train_set(train_file)
+        examples = data_mod.load_train_set(train_file)
         dataset_hash = _sha256(train_file)
 
-    result = training.train(params, config, dataset, cfg, refresh_fn=refresh_fn)
+    result = training.train(params, config, examples, cfg)
 
     outdir = _outdir(ns)
     save_checkpoint(result.params, config, outdir / "checkpoint.json")

@@ -9,19 +9,21 @@ the learning-rate scale does not change with the accumulation count. A
 partial group left over at the end of an epoch still steps, averaged over
 its actual size.
 
-Freezing is done by skipping: the group's gradient dict holds only the
-tensors the freeze mode leaves trainable, so the backward never computes a
-frozen tensor's gradient and Adam never touches it. Within a trainable
-tensor Adam updates only the rows that have ever had a nonzero gradient
-(for the embedding, the ids the training texts use); every other row would
-move by exactly zero, so the result equals dense Adam bit for bit.
+Freezing is done by skipping: the gradient dict and Adam's moments exist
+only for the tensors the freeze mode leaves trainable, so the backward
+never computes a frozen tensor's gradient and Adam never touches it. Within
+a trainable tensor Adam updates only the rows a group wrote (for the
+embedding, the ids the training texts use); every other row would move by
+exactly zero, so the result equals dense Adam bit for bit.
 
-Groups tokenize through the encoder's word -> id memo, one per vocabulary
-size for the whole process, so a word is hashed once however many groups
-and re-mines use it. The gradient dict is allocated once per run. A group
+The examples are a list, or a function of the live params called at each
+epoch's start (re-mining). Groups tokenize through the encoder's process-wide
+word -> id memo, so a word is hashed once however many groups and re-mines
+use it. The gradient dict and the moments are made once per run by
+``np.zeros``, so a row no group writes is never filled in memory. A group
 writes only its distinct token ids' rows of the embedding gradient, so the
-averaging, Adam's search for newly touched rows and the zeroing after the
-step cover those rows, and every other trainable tensor in full.
+averaging, the row marking and the zeroing after the step cover those rows,
+and every other trainable tensor in full.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .encoder import (
     _forward,
     encode,  # unused here; perfbench/tracer.py wraps training.encode
     encode_with_grad,  # unused here; perfbench/tracer.py wraps training.encode_with_grad
-    zero_grads,
+    zero_grads,  # unused here; perfbench/tracer.py wraps training.zero_grads
 )
 from .losses import ContrastiveBatch, LossConfig, cl_loss_grad, clp_loss_grad
 from .losses import cl_loss, clp_loss  # unused here; perfbench/tracer.py wraps both
@@ -78,7 +80,7 @@ class TrainConfig:
 @dataclass
 class OptimizerState:
     """Adam first/second moment accumulators, the step counter and, per tensor,
-    the rows that have ever had a nonzero gradient (the only rows Adam moves)."""
+    the rows a group wrote (the only rows Adam moves)."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -86,8 +88,9 @@ class OptimizerState:
     touched: dict[str, np.ndarray] = field(default_factory=dict)
 
     @staticmethod
-    def init(params: EncoderParams) -> "OptimizerState":
-        return OptimizerState(m=zero_grads(params), v=zero_grads(params))
+    def init(tensors: dict[str, np.ndarray]) -> "OptimizerState":
+        return OptimizerState(m={name: np.zeros(t.shape) for name, t in tensors.items()},
+                              v={name: np.zeros(t.shape) for name, t in tensors.items()})
 
 
 @dataclass
@@ -101,11 +104,11 @@ def adam_step(params: EncoderParams, grads: dict[str, np.ndarray],
               written: dict[str, np.ndarray] | None = None) -> tuple[EncoderParams, OptimizerState]:
     """One bias-corrected Adam update, applied in place to the tensors in ``grads``.
 
-    A row whose gradient, ``m`` and ``v`` have always been zero would move
-    by exactly ``lr * 0 / (0 + eps) = +0``, so only rows that have ever had
-    a nonzero gradient are updated; the result equals the dense update bit
+    ``written`` may name, per tensor, the only rows of ``grads`` that are not
+    +0.0 (default: every row). A row whose gradient, ``m`` and ``v`` have
+    always been +0.0 moves by exactly ``lr * 0 / (0 + eps) = +0``, so only
+    rows ever written are updated; the result equals the dense update bit
     for bit. Tensors missing from ``grads`` are frozen and skipped.
-    ``written`` may name, per tensor, the only rows that can be nonzero.
     """
     state.step += 1
     t = state.step
@@ -114,9 +117,7 @@ def adam_step(params: EncoderParams, grads: dict[str, np.ndarray],
     tensors = params.named_tensors()
     for name, g in grads.items():
         touched = state.touched.setdefault(name, np.zeros(len(g), dtype=bool))
-        hint = (written or {}).get(name, slice(None))
-        part = g[hint]
-        touched[hint] |= np.any(part.reshape(len(part), -1) != 0, axis=1)
+        touched[(written or {}).get(name, slice(None))] = True
         rows = slice(None) if touched.all() else np.flatnonzero(touched)
         g, m, v = g[rows], state.m[name][rows], state.v[name][rows]
         m *= ADAM_BETA1
@@ -191,36 +192,29 @@ def _group_grads(params: EncoderParams, config: EncoderConfig,
 
 
 def train(params: EncoderParams, config: EncoderConfig,
-          dataset: list[TrainingExample], cfg: TrainConfig,
-          refresh_fn: Callable[[EncoderParams], list[TrainingExample]] | None = None,
-          ) -> TrainResult:
+          examples: list[TrainingExample] | Callable[[EncoderParams], list[TrainingExample]],
+          cfg: TrainConfig) -> TrainResult:
     """Run the fine-tuning loop and return trained params plus the loss trace.
 
-    Examples are visited in seeded-shuffled order each epoch. ``refresh_fn``,
-    when given, re-builds the dataset from the current parameters at the
-    start of every epoch (explicit re-mining); optimizer state persists
-    across the refresh.
+    Examples are visited in seeded-shuffled order each epoch. ``examples``
+    is the training set, or a function that re-builds it from the live
+    params at the start of every epoch (explicit re-mining); optimizer
+    state persists across epochs. A list is checked before any work.
     """
-    if not dataset and refresh_fn is None:
-        raise ValueError("dataset must be nonempty")
-    if cfg.loss == "clp":
-        _require_neg_queries(dataset)
+    remine = callable(examples)
+    if not remine:
+        _checked(examples, cfg)
 
     params = params.copy()
     params.check_shapes(config)
     tensors = params.named_tensors()
-    accum = {name: np.zeros_like(tensors[name]) for name in _trainable(tensors, cfg.freeze)}
-    state = OptimizerState.init(params)
+    accum = {name: np.zeros(tensors[name].shape) for name in _trainable(tensors, cfg.freeze)}
+    state = OptimizerState.init(accum)
     rng = make_rng(cfg.seed)
     trace: list[float] = []
 
     for _ in range(cfg.epochs):
-        if refresh_fn is not None:
-            dataset = refresh_fn(params)
-            if not dataset:
-                raise ValueError("refresh_fn returned an empty dataset")
-            if cfg.loss == "clp":
-                _require_neg_queries(dataset)
+        dataset = _checked(examples(params), cfg) if remine else examples
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), cfg.grad_accum_steps):
             group = [dataset[int(idx)] for idx in order[start:start + cfg.grad_accum_steps]]
@@ -243,8 +237,13 @@ def _optimizer_step(params: EncoderParams, accum: dict[str, np.ndarray], uniq: n
         g[written.get(name, slice(None))] = 0.0
 
 
-def _require_neg_queries(dataset: list[TrainingExample]) -> None:
-    for i, ex in enumerate(dataset):
-        if ex.neg and ex.neg_queries is None:
-            raise ValueError(
-                f"loss 'clp' needs neg_queries on every example; missing at index {i}")
+def _checked(dataset: list[TrainingExample], cfg: TrainConfig) -> list[TrainingExample]:
+    """``dataset``, once it is nonempty and, for CLP, has every negative's queries."""
+    if not dataset:
+        raise ValueError("training examples must be nonempty")
+    if cfg.loss == "clp":
+        for i, ex in enumerate(dataset):
+            if ex.neg and ex.neg_queries is None:
+                raise ValueError(
+                    f"loss 'clp' needs neg_queries on every example; missing at index {i}")
+    return dataset

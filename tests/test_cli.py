@@ -482,6 +482,43 @@ class TestTrain:
         assert manifest["final_metrics"]["mean_loss_last_epoch"] == pytest.approx(
             sum(last_epoch) / len(last_epoch), rel=1e-15)
 
+    @pytest.mark.parametrize("changed", ["qrels.tsv", "neg_queries.jsonl"])
+    def test_refresh_dataset_hash_covers_every_miner_input(self, synth_dir, tmp_path, changed):
+        # re-mined examples depend on the corpus, the queries, the qrels and
+        # the neg-query map, so the recorded hash is the sha256 of their
+        # sha256 hex digests, in that order
+        names = ["corpus.jsonl", "queries.jsonl", "qrels.tsv", "neg_queries.jsonl"]
+
+        def dataset_sha256(out):
+            assert run_cli("train", "--refresh-per-epoch", "--preset", "ance-clp",
+                           "--k", 3, "--init-seed", 7, *ENC_FLAGS,
+                           "--corpus", synth_dir / "corpus.jsonl",
+                           "--queries", synth_dir / "queries.jsonl",
+                           "--qrels", synth_dir / "qrels.tsv",
+                           "--neg-query-map", synth_dir / "neg_queries.jsonl",
+                           "--epochs", 1, "--learning-rate", 1e-3, "--seed", 4,
+                           "--outdir", out) == 0
+            return json.loads((out / "run.json").read_text())["dataset_sha256"]
+
+        def expected():
+            digests = "".join(hashlib.sha256((synth_dir / name).read_bytes()).hexdigest()
+                              for name in names)
+            return hashlib.sha256(digests.encode("ascii")).hexdigest()
+
+        before = dataset_sha256(tmp_path / "a")
+        assert before == expected()
+        path = synth_dir / changed
+        lines = path.read_text().splitlines(keepends=True)
+        if changed == "qrels.tsv":
+            lines.pop()  # drop the last judgment
+        else:  # one more word in the last document's first own query
+            entry = json.loads(lines.pop())
+            entry["queries"][0] += " extra"
+            lines.append(json.dumps(entry) + "\n")
+        path.write_text("".join(lines))
+        after = dataset_sha256(tmp_path / "b")
+        assert after == expected() != before
+
     def test_refresh_rejects_unknown_strategy_from_config(self, synth_dir, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"strategy": "bogus"}))

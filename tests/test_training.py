@@ -60,7 +60,7 @@ class TestAdamStep:
     def test_zero_gradients_leave_params_unchanged(self):
         params, config = tiny_encoder()
         before = params_bytes(params)
-        state = OptimizerState.init(params)
+        state = OptimizerState.init(params.named_tensors())
         adam_step(params, zero_grads(params), state, lr=0.1)
         assert params_bytes(params) == before
         assert state.step == 1
@@ -69,7 +69,7 @@ class TestAdamStep:
         params, config = tiny_encoder()
         grads = {name: np.full_like(t, 3.0) for name, t in params.named_tensors().items()}
         before = {name: t.copy() for name, t in params.named_tensors().items()}
-        state = OptimizerState.init(params)
+        state = OptimizerState.init(params.named_tensors())
         adam_step(params, grads, state, lr=0.01)
         for name, t in params.named_tensors().items():
             np.testing.assert_allclose(before[name] - t, 0.01, rtol=1e-6)
@@ -83,7 +83,7 @@ class TestAdamStep:
         params.b_up[:] = 0.0
         params.w_down[:] = 0.0
         params.b_down[:] = 1.0  # the scalar under optimization
-        state = OptimizerState.init(params)
+        state = OptimizerState.init(params.named_tensors())
         expected = [0.9000000005, 0.8004122286917928, 0.7015862729460303]
         for want in expected:
             grads = zero_grads(params)
@@ -204,7 +204,7 @@ class TestTrain:
         changed = [name for name in after if after[name] != before[name]]
         assert changed  # the trainable set did move
 
-    def test_refresh_fn_called_each_epoch(self):
+    def test_examples_function_called_each_epoch(self):
         params, config = tiny_encoder()
         calls = []
 
@@ -213,7 +213,7 @@ class TestTrain:
             return tiny_dataset(n=2)
 
         cfg = TrainConfig(learning_rate=1e-3, epochs=3, seed=6)
-        result = train(params, config, [], cfg, refresh_fn=refresh)
+        result = train(params, config, refresh, cfg)
         assert calls == [0, 1, 2]
         assert len(result.loss_trace) == 6
 
@@ -254,6 +254,21 @@ class TestTrain:
         params, config = tiny_encoder()
         with pytest.raises(ValueError, match="nonempty"):
             train(params, config, [], TrainConfig())
+
+    def test_examples_function_result_checked_each_epoch(self):
+        # the second call returns what a list would be refused for
+        params, config = tiny_encoder()
+        cfg = TrainConfig(learning_rate=1e-3, epochs=2, loss="clp", seed=6)
+        for bad, match in (([], "nonempty"), (tiny_dataset(with_neg_queries=False), "neg_queries")):
+            calls = []
+
+            def remine(current):
+                calls.append(current.embedding.copy())
+                return tiny_dataset() if len(calls) == 1 else bad
+
+            with pytest.raises(ValueError, match=match):
+                train(params, config, remine, cfg)
+            assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3])
     def test_learning_rate_must_be_finite_and_positive(self, lr):
@@ -332,8 +347,8 @@ def reference_clp_step(params, config, group, cfg):
         for text, upstream in pairs:
             encode_with_grad(params, config, text, upstream, accum)
     mean = {name: g / len(group) for name, g in accum.items()}
-    adam_step(params, apply_freeze(mean, cfg.freeze), OptimizerState.init(params),
-              cfg.learning_rate)
+    adam_step(params, apply_freeze(mean, cfg.freeze),
+              OptimizerState.init(params.named_tensors()), cfg.learning_rate)
     return params, losses
 
 
@@ -407,17 +422,17 @@ def assert_same_bits(actual, expected, name):
     assert np.array_equal(np.signbit(actual), np.signbit(expected)), name
 
 
-def reference_train(params, config, dataset, cfg, refresh_fn=None):
+def reference_train(params, config, examples, cfg):
     """train() the old way: a full zero_grads dict per group, g / count,
-    apply_freeze and dense Adam over every tensor."""
+    apply_freeze and dense Adam over every tensor. ``examples`` is a list or
+    a function of the live params called at each epoch's start."""
     params = params.copy()
     tensors = params.named_tensors()
     m, v = zero_grads(params), zero_grads(params)
     rng = make_rng(cfg.seed)
     trace, t = [], 0
     for _ in range(cfg.epochs):
-        if refresh_fn is not None:
-            dataset = refresh_fn(params)
+        dataset = examples(params) if callable(examples) else examples
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), cfg.grad_accum_steps):
             group = [dataset[int(i)] for i in order[start:start + cfg.grad_accum_steps]]
@@ -431,6 +446,15 @@ def reference_train(params, config, dataset, cfg, refresh_fn=None):
 
 class TestSparseAdam:
     def test_ever_touched_rows_match_dense_oracle(self):
+        self.check_sporadic_rows(hinted=False)
+
+    def test_written_rows_match_dense_oracle(self):
+        # each step names the rows it wrote; step 3 names every row, so
+        # rows 2, 3 and 5 are written with +0.0 and must still not move
+        self.check_sporadic_rows(hinted=True)
+
+    @staticmethod
+    def check_sporadic_rows(hinted):
         # Row 1's gradients 1, 2 then -0.9, -1.8 cancel its m to exactly 0
         # while v stays positive, so a "m is nonzero now" rule would stop
         # decaying v before its next gradient at step 40. (Plain decay does
@@ -443,7 +467,7 @@ class TestSparseAdam:
         oracle = params.copy()
         expected = oracle.named_tensors()
         m, v = zero_grads(oracle), zero_grads(oracle)
-        state = OptimizerState.init(params)
+        state = OptimizerState.init(params.named_tensors())
         rng = make_rng(7)
         sporadic = {2: [1.0, 2.0], 3: [-0.9, -1.8], 40: None, 7_200: None}
         for t in range(1, 7_301):
@@ -453,7 +477,8 @@ class TestSparseAdam:
                 g[4, 0] = -1.5
             if t in sporadic:
                 g[1] = sporadic[t] if sporadic[t] else rng.standard_normal(2)
-            adam_step(params, {"embedding": g}, state, lr=1e-3)
+            written = {"embedding": np.flatnonzero(g.any(axis=1) | (t == 3))} if hinted else None
+            adam_step(params, {"embedding": g}, state, lr=1e-3, written=written)
             dense_adam(expected, {**zero_grads(oracle), "embedding": g}, m, v, t, 1e-3)
             if t == 3:
                 assert np.all(m["embedding"][1] == 0.0) and np.all(v["embedding"][1] > 0.0)
@@ -470,7 +495,8 @@ class TestSparseAdam:
         ones = {name: np.ones_like(t) for name, t in params.named_tensors().items()}
         trainable = [name for name, g in apply_freeze(ones, freeze).items() if g.any()]
         zeroed, left_out = params.copy(), params.copy()
-        state_zeroed, state_left_out = OptimizerState.init(zeroed), OptimizerState.init(left_out)
+        state_zeroed = OptimizerState.init(zeroed.named_tensors())
+        state_left_out = OptimizerState.init(left_out.named_tensors())
         rng = make_rng(3)
         for _ in range(5):
             grads = {name: rng.standard_normal(t.shape) * (rng.random(t.shape) < 0.3)
@@ -504,10 +530,9 @@ class TestTrainMatchesFullPath:
         dataset = tiny_dataset(n=6)  # groups of 4 and 2: the partial group steps too
         cfg = TrainConfig(learning_rate=1e-2, epochs=2, grad_accum_steps=4, loss="clp",
                           loss_cfg=LossConfig(lam=0.3), freeze=freeze, seed=5)
-        result = train(params, config, dataset, cfg,
-                       refresh_fn=_ance_refresh(config) if refresh else None)
-        expected, trace = reference_train(params, config, dataset, cfg,
-                                          refresh_fn=_ance_refresh(config) if refresh else None)
+        result = train(params, config, _ance_refresh(config) if refresh else dataset, cfg)
+        expected, trace = reference_train(params, config,
+                                          _ance_refresh(config) if refresh else dataset, cfg)
         assert result.loss_trace == trace
         for name, tensor in result.params.named_tensors().items():
             assert_same_bits(tensor, expected.named_tensors()[name], name)
@@ -546,3 +571,64 @@ class TestTrainMatchesFullPath:
         assert result.loss_trace == trace
         for name, tensor in result.params.named_tensors().items():
             assert_same_bits(tensor, expected.named_tensors()[name], name)
+
+
+class TestOptimizerAllocation:
+    @pytest.mark.parametrize("moe, freeze, expected", [
+        (False, FreezeMode.FULL, ["embedding", "w_up", "b_up", "w_down", "b_down"]),
+        (False, FreezeMode.INTERMEDIATE_ONLY, ["w_up", "b_up"]),
+        (True, FreezeMode.FULL,
+         ["embedding", "w_up.0", "b_up.0", "w_up.1", "b_up.1", "w_down", "b_down", "gate"]),
+        (True, FreezeMode.INTERMEDIATE_ONLY, ["w_up.0", "b_up.0", "w_up.1", "b_up.1"]),
+        (True, FreezeMode.MOE_ONLY, ["w_up.0", "b_up.0", "w_up.1", "b_up.1", "gate"])])
+    def test_moments_only_for_trainable_tensors(self, monkeypatch, moe, freeze, expected):
+        params, config = tiny_encoder(moe=moe)
+        init, states = OptimizerState.init, []
+
+        def recording(tensors):
+            states.append(init(tensors))
+            return states[-1]
+
+        monkeypatch.setattr(OptimizerState, "init", staticmethod(recording))
+        cfg = TrainConfig(learning_rate=1e-3, epochs=2, freeze=freeze, seed=1)
+        train(params, config, tiny_dataset(), cfg)
+        (state,) = states
+        assert training._trainable(params.named_tensors(), freeze) == expected
+        assert list(state.m) == list(state.v) == list(state.touched) == expected
+        for name in expected:
+            shape = params.named_tensors()[name].shape
+            assert state.m[name].shape == state.v[name].shape == shape, name
+        assert state.step == 4  # 6 examples in groups of 4 and 2, twice
+
+
+class TestEpochPrefix:
+    @pytest.mark.parametrize("remine", [False, True], ids=["list", "re-mining"])
+    @pytest.mark.parametrize("moe, freeze", [(False, FreezeMode.FULL),
+                                             (True, FreezeMode.MOE_ONLY)])
+    def test_first_epochs_equal_a_shorter_run(self, monkeypatch, moe, freeze, remine):
+        # the params after epoch e of a 3-epoch run, taken after that epoch's
+        # last Adam step, and the trace up to there equal an e-epoch run
+        params, config = tiny_encoder(moe=moe, seed=2)
+        dataset = tiny_dataset(n=6)
+
+        def run(epochs):
+            cfg = TrainConfig(learning_rate=1e-2, epochs=epochs, grad_accum_steps=4, loss="clp",
+                              loss_cfg=LossConfig(lam=0.3), freeze=freeze, seed=5)
+            return train(params, config, _ance_refresh(config) if remine else dataset, cfg)
+
+        adam, after_step = training.adam_step, []
+
+        def recording(params, *args, **kwargs):
+            out = adam(params, *args, **kwargs)
+            after_step.append(params_bytes(params))
+            return out
+
+        monkeypatch.setattr(training, "adam_step", recording)
+        full = run(3)
+        assert len(full.loss_trace) == 3 * 6 and len(after_step) == 3 * 2
+        assert after_step[-1] == params_bytes(full.params)
+        for e in (1, 2):
+            short = run(e)
+            assert full.loss_trace[:6 * e] == short.loss_trace, e
+            assert after_step[2 * e - 1] == params_bytes(short.params), e
+        assert after_step[1] != after_step[3] != after_step[5]  # every epoch moved the params
