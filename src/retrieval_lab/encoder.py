@@ -324,8 +324,9 @@ def _forward(params: EncoderParams, config: EncoderConfig,
     # (n, 1, d) @ (n, d, 1): matmul takes each row's vector-vector product with
     # the dot that ``row @ row`` (and so l2_normalize) uses, in one call
     norms = np.sqrt(np.matmul(pool[:, None, :], pool[:, :, None])[:, 0, 0])
-    if not np.all(norms >= NORM_FLOOR):
-        raise ValueError(f"cannot normalize: pool norm {norms.min()} below floor {NORM_FLOOR}")
+    bad = ~((norms >= NORM_FLOOR) & (norms < np.inf))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"cannot normalize: pool norm {norms[bad][0]} outside [{NORM_FLOOR}, inf)")
     pool /= norms[:, None]
     ctx.update(norms=norms, out=pool)
     return pool, ctx

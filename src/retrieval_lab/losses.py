@@ -3,11 +3,12 @@
 Two losses: the standard softmax cross-entropy contrastive loss over
 (query, positive, hard negatives), and a penalty-augmented variant that
 additionally keeps each hard negative close to its own positive queries.
-Both operate purely on embeddings; encoding happens elsewhere. Each loss has
-one implementation, its gradient call, which computes the loss in the same
-pass and returns it as ``BatchGrads.loss``; ``cl_loss``/``clp_loss`` read
-that field. Every embedding has unit norm (one row-wise check per field), so
-a cosine is a dot product: the scores are ``[pos; negs] @ q``, the penalty is
+Both operate purely on embeddings and share one implementation,
+``_group_loss_grad``: the losses of a stack of equal-shape examples and
+their analytic gradients, from one pass. Training calls it once per run of
+such examples; ``cl_loss_grad``/``clp_loss_grad`` are its one-example calls
+on a ``ContrastiveBatch``, which checks that every row has unit norm. So a
+cosine is a dot product: the scores are ``[pos; negs] @ q``, the penalty is
 ``mean_j (1 - mean(Q_j @ n_j))``, and a score ``s = a · b`` with upstream
 ``g`` sends ``g (b - s a)`` to ``a``, the partial of cosine at unit norm.
 """
@@ -128,58 +129,63 @@ def clp_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:
     return clp_loss_grad(batch, cfg).loss
 
 
-def _penalty_rows(batch: ContrastiveBatch) -> tuple[np.ndarray, ...]:
-    """The penalty with one row per (negative, own query) pair: the negative
-    index of each row, that negative, the query, their cosine and its weight
-    ``1 / (k m_j)``, so that the penalty is ``weights @ (1 - sims)``."""
-    counts = np.array([len(qs) for qs in batch.neg_query_embs], dtype=np.intp)
-    owner = np.repeat(np.arange(counts.size), counts)
-    negs = batch.neg_embs[owner]
-    queries = np.vstack([batch.neg_embs[:0], *batch.neg_query_embs])  # (0, d) when k = 0
-    sims = np.einsum("ij,ij->i", negs, queries)
-    return owner, negs, queries, sims, 1.0 / (counts.size * counts[owner])
+def _group_loss_grad(vecs: np.ndarray, k: int, counts: list[int] | None,
+                     cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Losses ``(B,)`` and gradients w.r.t. ``vecs``, a ``(B, 2 + k + M, d)``
+    stack of equal-shape examples: a query, positive, k negatives, then M own
+    queries, ``counts[j]`` for negative j. ``counts`` None or ``lam == 0``
+    gives CL. Each product is one dot or gemv per example, as for one alone."""
+    q, docs = vecs[:, 0], vecs[:, 1:2 + k]
+    scores = np.matmul(docs, q[:, :, None])[:, :, 0]
+    z = scores / cfg.tau
+    m = z.max(axis=1)  # subtracted so that extreme temperatures stay finite
+    e = np.exp(z - m[:, None])
+    total = e.sum(axis=1)
+    # d loss / d score_i = (p_i - 1[i == 0]) / tau
+    ds = e / total[:, None]
+    ds[:, 0] -= 1.0
+    ds /= cfg.tau
+    ups = np.zeros_like(vecs)
+    ups[:, 0] = (np.matmul(ds[:, None], docs)[:, 0]
+                 - np.matmul(ds[:, None], scores[:, :, None])[:, 0] * q)
+    ups[:, 1:2 + k] = ds[:, :, None] * (q[:, None] - scores[:, :, None] * docs)
+    losses = m + np.log(total) - z[:, 0]
+    if counts is None or cfg.lam == 0.0:
+        return losses, ups
+    # one penalty row per (negative, own query) pair, weighted 1 / (k m_j)
+    owner = np.repeat(np.arange(k), counts)
+    negs, queries = docs[:, 1 + owner], vecs[:, 2 + k:]
+    sims = np.einsum("bij,bij->bi", negs, queries)
+    weights = 1.0 / (k * np.repeat(counts, counts))
+    penalty = np.matmul(weights, (1.0 - sims)[:, :, None])[:, 0]
+    losses = (1.0 - cfg.lam) * losses + cfg.lam * penalty
+    ups[:, :2 + k] *= 1.0 - cfg.lam
+    dsim = (-cfg.lam * weights)[:, None]  # d loss / d sim of each row
+    np.add.at(ups, (np.arange(len(vecs))[:, None], 2 + owner),
+              dsim * (queries - sims[:, :, None] * negs))
+    ups[:, 2 + k:] = dsim * (negs - sims[:, :, None] * queries)
+    return losses, ups
+
+
+def _one_example(batch: ContrastiveBatch, counts: list[int] | None, cfg: LossConfig) -> BatchGrads:
+    """``_group_loss_grad`` on ``batch`` alone, as ``BatchGrads``."""
+    k, own = len(batch.neg_embs), batch.neg_query_embs if counts is not None else []
+    rows = np.vstack([batch.query_emb, batch.pos_emb, batch.neg_embs, *own])
+    losses, ups = _group_loss_grad(rows[None], k, counts, cfg)
+    # one (m_j, d) block per negative; the piece after the last end is empty
+    neg_query_embs = None if counts is None else np.split(ups[0, 2 + k:], np.cumsum(counts))[:-1]
+    return BatchGrads(ups[0, 0], ups[0, 1], ups[0, 2:2 + k], neg_query_embs, loss=float(losses[0]))
 
 
 def cl_loss_grad(batch: ContrastiveBatch, cfg: LossConfig) -> BatchGrads:
-    """cl_loss and its analytic gradients w.r.t. query, positive and negatives; the
-    log-sum-exp subtracts the max so extreme temperatures stay finite."""
-    q = batch.query_emb
-    docs = np.vstack([batch.pos_emb, batch.neg_embs])
-    scores = docs @ q
-    z = scores / cfg.tau
-    m = float(np.max(z))
-    e = np.exp(z - m)
-    total = np.sum(e)
-    # d loss / d score_i = (p_i - 1[i == 0]) / tau
-    ds = e / total
-    ds[0] -= 1.0
-    ds /= cfg.tau
-    d_docs = ds[:, None] * (q - scores[:, None] * docs)
-    return BatchGrads(ds @ docs - (ds @ scores) * q, d_docs[0], d_docs[1:],
-                      loss=m + float(np.log(total)) - float(z[0]))
+    """cl_loss and its analytic gradients w.r.t. query, positive and negatives."""
+    return _one_example(batch, None, cfg)
 
 
 def clp_loss_grad(batch: ContrastiveBatch, cfg: LossConfig) -> BatchGrads:
     """clp_loss and its analytic gradients; negatives receive contributions
-    from both the contrastive term and the penalty term.
-
-    With lam == 0 the contrastive loss and gradients are returned untouched
-    (bit-identical to cl_loss_grad) and all negative-query gradients are zero.
-    """
+    from both the contrastive term and the penalty term. At lam == 0 they are
+    cl_loss_grad's bit for bit, and every negative-query gradient is zero."""
     if batch.neg_query_embs is None or any(len(qs) == 0 for qs in batch.neg_query_embs):
         raise ValueError("CLP requires negative-query embeddings")
-    grads = cl_loss_grad(batch, cfg)
-    if cfg.lam == 0.0:
-        grads.neg_query_embs = [np.zeros_like(qs) for qs in batch.neg_query_embs]
-        return grads
-
-    owner, negs, queries, sims, weights = _penalty_rows(batch)
-    grads.loss = (1.0 - cfg.lam) * grads.loss + cfg.lam * float(weights @ (1.0 - sims))
-    for g in (grads.query_emb, grads.pos_emb, grads.neg_embs):
-        g *= 1.0 - cfg.lam
-    ds = (-cfg.lam * weights)[:, None]  # d loss / d sim of each row
-    np.add.at(grads.neg_embs, owner, ds * (queries - sims[:, None] * negs))
-    # one (m_j, d) block per negative; the piece after the last end is empty
-    ends = np.cumsum([len(qs) for qs in batch.neg_query_embs])
-    grads.neg_query_embs = np.split(ds * (negs - sims[:, None] * queries), ends)[:-1]
-    return grads
+    return _one_example(batch, [len(qs) for qs in batch.neg_query_embs], cfg)

@@ -2,12 +2,12 @@
 
 Examples are taken ``grad_accum_steps`` at a time. Parameters do not change
 inside such a group, so every text of the group goes through one encoder
-forward, each example's loss gradients are taken with respect to its
-texts' embeddings, and one encoder backward adds the whole group's
-gradients. They are averaged over the group before the optimizer step, so
-the learning-rate scale does not change with the accumulation count. A
-partial group left over at the end of an epoch still steps, averaged over
-its actual size.
+forward, each run of examples with equal shapes (negatives and own queries
+per negative) goes through one loss call on its stacked embeddings, and one
+encoder backward adds the whole group's gradients. They are averaged over
+the group before the optimizer step, so the learning-rate scale does not
+change with the accumulation count. A partial group left over at the end of
+an epoch still steps, averaged over its actual size.
 
 Freezing is done by skipping: the gradient dict and Adam's moments exist
 only for the tensors the freeze mode leaves trainable, so the backward
@@ -29,6 +29,7 @@ and every other trainable tensor in full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -44,8 +45,9 @@ from .encoder import (
     encode_with_grad,  # unused here; perfbench/tracer.py wraps training.encode_with_grad
     zero_grads,  # unused here; perfbench/tracer.py wraps training.zero_grads
 )
-from .losses import ContrastiveBatch, LossConfig, cl_loss_grad, clp_loss_grad
+from .losses import LossConfig, _group_loss_grad
 from .losses import cl_loss, clp_loss  # unused here; perfbench/tracer.py wraps both
+from .losses import cl_loss_grad, clp_loss_grad  # unused here; perfbench/tracer.py wraps both
 from .numerics import make_rng
 
 ADAM_BETA1 = 0.9
@@ -147,27 +149,6 @@ def apply_freeze(grads: dict[str, np.ndarray], mode: FreezeMode) -> dict[str, np
     return {name: (g if name in kept else np.zeros_like(g)) for name, g in grads.items()}
 
 
-def _example_loss(example: TrainingExample, vecs: np.ndarray, cfg: TrainConfig,
-                  use_penalty: bool) -> tuple[float, np.ndarray]:
-    """Loss of one example and its gradients w.r.t. ``vecs``, the encodings of
-    its query, positive, negatives and (with the penalty) the negatives' queries."""
-    k = len(example.neg)
-    neg_query_rows = vecs[2 + k:]
-    neg_query_embs = None
-    if use_penalty:
-        # one block per negative; the piece after the last end is empty
-        ends = np.cumsum([len(qs) for qs in example.neg_queries])
-        neg_query_embs = np.split(neg_query_rows, ends)[:-1]
-    batch = ContrastiveBatch(vecs[0], vecs[1], vecs[2:2 + k], neg_query_embs)
-    # CLP at lam == 0 is CL bit for bit, so the penalty-free call serves it.
-    bgrads = (clp_loss_grad if use_penalty else cl_loss_grad)(batch, cfg.loss_cfg)
-    upstreams = [bgrads.query_emb, bgrads.pos_emb, bgrads.neg_embs]
-    if use_penalty:
-        upstreams += ([np.zeros_like(neg_query_rows)] if cfg.stop_grad_neg_queries
-                      else bgrads.neg_query_embs)
-    return bgrads.loss, np.vstack(upstreams)
-
-
 def _group_grads(params: EncoderParams, config: EncoderConfig,
                  group: list[TrainingExample], cfg: TrainConfig, grads: dict[str, np.ndarray],
                  first_step: int) -> tuple[list[float], np.ndarray]:
@@ -175,19 +156,29 @@ def _group_grads(params: EncoderParams, config: EncoderConfig,
     wrote (the group's distinct token ids); adds the group's gradients into
     ``grads``."""
     use_penalty = cfg.loss == "clp" and cfg.loss_cfg.lam != 0.0
-    layout = [[ex.query, ex.pos[0], *ex.neg,
-               *(q for qs in (ex.neg_queries if use_penalty else []) for q in qs)]
-              for ex in group]
-    vecs, ctx = _forward(params, config, [text for texts in layout for text in texts])
-    losses, upstreams, row = [], [], 0
-    for step, (example, texts) in enumerate(zip(group, layout), start=first_step):
-        loss, ups = _example_loss(example, vecs[row:row + len(texts)], cfg, use_penalty)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss at example step {step}")
-        losses.append(loss)
-        upstreams.append(ups)
-        row += len(texts)
-    _backward(params, ctx, np.vstack(upstreams), grads)
+    texts, shapes = [], []
+    for ex in group:
+        # without negatives the penalty is 0, so such an example trains as CL
+        counts = [len(qs) for qs in ex.neg_queries] if use_penalty and ex.neg else None
+        own = [q for qs in ex.neg_queries for q in qs] if counts else []
+        texts += [ex.query, ex.pos[0], *ex.neg, *own]
+        shapes.append((len(ex.neg), counts))
+    vecs, ctx = _forward(params, config, texts)
+    upstreams, losses, row = np.empty_like(vecs), [], 0
+    for (k, counts), run in groupby(shapes):  # one loss call per run of equal shapes
+        n, width = len(list(run)), 2 + k + sum(counts or ())
+        block = slice(row, row + n * width)
+        run_losses, ups = _group_loss_grad(vecs[block].reshape(n, width, -1), k, counts,
+                                           cfg.loss_cfg)
+        if cfg.stop_grad_neg_queries:
+            ups[:, 2 + k:] = 0.0
+        upstreams[block] = ups.reshape(n * width, -1)
+        losses += run_losses.tolist()
+        row += n * width
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        raise RuntimeError(f"non-finite loss at example step {first_step + bad[0]}")
+    _backward(params, ctx, upstreams, grads)
     return losses, ctx["uniq"]
 
 

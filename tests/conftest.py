@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference oracles and instance generators.
+"""Shared test helpers: finite-difference oracles, the per-example loss
+reference and instance generators.
 
 Finite differences are only a valid oracle where the function is smooth, so
 the random-instance generators reject draws that land too close to a relu
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from retrieval_lab.encoder import EncoderConfig, MoEConfig, encode, init_params, tokenize
+from retrieval_lab.losses import BatchGrads, ContrastiveBatch, LossConfig
 from retrieval_lab.numerics import as_vector, make_rng
 
 # pytest's ``pythonpath`` setting reaches this process only; export src/ so
@@ -83,6 +85,48 @@ def softmax_temperature(scores, tau: float) -> np.ndarray:
     z = z - np.max(z)
     e = np.exp(z)
     return e / np.sum(e)
+
+
+def reference_cl_loss_grad(batch: ContrastiveBatch, cfg: LossConfig) -> BatchGrads:
+    """The per-example CL loss and gradients, written out for one example: the
+    reference the stacked ``losses._group_loss_grad`` must match bit for bit."""
+    q = batch.query_emb
+    docs = np.vstack([batch.pos_emb, batch.neg_embs])
+    scores = docs @ q
+    z = scores / cfg.tau
+    m = float(np.max(z))
+    e = np.exp(z - m)
+    total = np.sum(e)
+    ds = e / total
+    ds[0] -= 1.0
+    ds /= cfg.tau
+    d_docs = ds[:, None] * (q - scores[:, None] * docs)
+    return BatchGrads(ds @ docs - (ds @ scores) * q, d_docs[0], d_docs[1:],
+                      loss=m + float(np.log(total)) - float(z[0]))
+
+
+def reference_clp_loss_grad(batch: ContrastiveBatch, cfg: LossConfig) -> BatchGrads:
+    """The per-example CLP loss and gradients; at lam == 0 the CL ones with zero
+    negative-query gradients."""
+    grads = reference_cl_loss_grad(batch, cfg)
+    if cfg.lam == 0.0:
+        grads.neg_query_embs = [np.zeros_like(qs) for qs in batch.neg_query_embs]
+        return grads
+    # one row per (negative, own query) pair, weighted 1 / (k m_j)
+    counts = np.array([len(qs) for qs in batch.neg_query_embs], dtype=np.intp)
+    owner = np.repeat(np.arange(counts.size), counts)
+    negs = batch.neg_embs[owner]
+    queries = np.vstack([batch.neg_embs[:0], *batch.neg_query_embs])
+    sims = np.einsum("ij,ij->i", negs, queries)
+    weights = 1.0 / (counts.size * counts[owner])
+    grads.loss = (1.0 - cfg.lam) * grads.loss + cfg.lam * float(weights @ (1.0 - sims))
+    for g in (grads.query_emb, grads.pos_emb, grads.neg_embs):
+        g *= 1.0 - cfg.lam
+    ds = (-cfg.lam * weights)[:, None]
+    np.add.at(grads.neg_embs, owner, ds * (queries - sims[:, None] * negs))
+    ends = np.cumsum(counts)
+    grads.neg_query_embs = np.split(ds * (negs - sims[:, None] * queries), ends)[:-1]
+    return grads
 
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:

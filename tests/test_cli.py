@@ -435,6 +435,16 @@ class TestTrain:
         assert err == (f"error: {train_file}:1: invalid training example "
                        "(query must be a string, got list)\n")
 
+    def test_clp_example_without_negatives_trains_as_cl(self, tmp_path):
+        # its penalty has no rows, and with only the positive to score, the
+        # contrastive loss is log(1) = 0
+        train_file = tmp_path / "train.jsonl"
+        train_file.write_text('{"query": "alpha beta", "pos": ["alpha beta gamma"]}\n')
+        out = tmp_path / "x"
+        assert run_cli("train", "--loss", "clp", "--train-file", train_file, *ENC_FLAGS,
+                       "--outdir", out) == 0
+        assert (out / "loss_trace.csv").read_text() == "step,loss\n0,0.0\n"
+
     def test_refresh_per_epoch(self, synth_dir, tmp_path):
         out = tmp_path / "t5"
         assert run_cli("train", "--refresh-per-epoch", "--strategy", "ance",

@@ -156,6 +156,14 @@ class TestEncode:
         with pytest.raises(ValueError, match="empty input"):
             encode(params, config, "...")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_pool_norm_raises(self):
+        # the pool norms overflow to inf, which would divide every row to zeros
+        params, config = _dense_instance(3)
+        params.embedding *= 1e200
+        with pytest.raises(ValueError, match=r"^cannot normalize: pool norm inf outside"):
+            encode_texts(params, config, ["alpha beta", "gamma"])
+
     def test_matches_straight_line_oracle(self):
         params, config = _dense_instance(42)
         vec = encode(params, config, "abc")

@@ -20,7 +20,8 @@ from retrieval_lab.numerics import (
     make_rng,
 )
 
-from conftest import random_unit, rel_error, softmax_temperature
+from conftest import (random_unit, reference_cl_loss_grad, reference_clp_loss_grad, rel_error,
+                      softmax_temperature)
 
 FD_STEP = 1e-6
 
@@ -470,3 +471,18 @@ class TestRaggedNegQueries:
         batch = ragged_batch(0)
         assert batch.neg_embs.shape == (3, 8)
         assert [len(qs) for qs in batch.neg_query_embs] == [1, 3, 2]
+
+
+class TestPublicCallsMatchReference:
+    """The public calls are one-example calls of the stacked implementation and
+    give the per-example formulas' numbers bit for bit."""
+
+    def test_bitwise(self):
+        for seed in range(60):
+            counts = make_rng(seed).integers(1, 4, size=seed % 6).tolist()
+            batch = ragged_batch(seed, counts=counts, dim=(8, 64)[seed % 2])
+            cfg = LossConfig(tau=(1e-3, 0.05, 2.0)[seed % 3], lam=(0.0, 0.1, 0.3, 1.0)[seed % 4])
+            for got, want in ((cl_loss_grad(batch, cfg), reference_cl_loss_grad(batch, cfg)),
+                              (clp_loss_grad(batch, cfg), reference_clp_loss_grad(batch, cfg))):
+                assert got.loss == want.loss, seed
+                assert _flatten(got).tobytes() == _flatten(want).tobytes(), seed

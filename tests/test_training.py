@@ -14,7 +14,7 @@ from retrieval_lab.encoder import (
     zero_grads,
 )
 from retrieval_lab.encoder import FreezeMode
-from retrieval_lab.losses import (ContrastiveBatch, LossConfig, cl_loss_grad, clp_loss,
+from retrieval_lab.losses import (ContrastiveBatch, LossConfig, _group_loss_grad, clp_loss,
                                   clp_loss_grad)
 from retrieval_lab.numerics import make_rng
 from retrieval_lab.training import (
@@ -25,7 +25,8 @@ from retrieval_lab.training import (
     train,
 )
 
-from conftest import token_rows
+from conftest import (FD_STEP, random_unit, reference_cl_loss_grad, reference_clp_loss_grad,
+                      rel_error, token_rows)
 
 
 def tiny_dataset(n=6, with_neg_queries=True, seed=0):
@@ -329,6 +330,57 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty input"):
             train(params, config, dataset, cfg)
 
+
+def random_group(seed):
+    """A random accumulation group, a unit vector for each of its texts and a
+    config: 1-8 examples, 0-11 negatives with 1-3 own queries each, d 8 or 64.
+    A quarter of the groups mix two example shapes."""
+    rng = make_rng(seed)
+    dim = int(rng.choice([8, 64]))
+
+    def shape():
+        k = int(rng.integers(0, 12))
+        return k, rng.integers(1, 4, size=k).tolist()
+
+    shapes = [shape(), shape()] if rng.random() < 0.25 else [shape()]
+    group, vecs = [], {}
+    for i in range(int(rng.integers(1, 9))):
+        k, counts = shapes[int(rng.integers(len(shapes)))]
+        neg_queries = [[f"e{i}n{j}q{r}" for r in range(c)] for j, c in enumerate(counts)]
+        if k == 0 and rng.random() < 0.5:
+            neg_queries = None
+        ex = TrainingExample(query=f"e{i}q", pos=[f"e{i}p"],
+                             neg=[f"e{i}n{j}" for j in range(k)], neg_queries=neg_queries)
+        group.append(ex)
+        for text in [ex.query, ex.pos[0], *ex.neg, *(q for qs in neg_queries or [] for q in qs)]:
+            vecs[text] = random_unit(rng, dim)
+    cfg = TrainConfig(loss=str(rng.choice(["cl", "clp"])),
+                      loss_cfg=LossConfig(tau=float(rng.choice([1e-3, 0.05, 2.0])),
+                                          lam=float(rng.choice([0.0, 0.1, 0.3, 1.0]))),
+                      stop_grad_neg_queries=bool(rng.integers(2)))
+    return group, vecs, cfg
+
+
+def reference_group(group, vecs, cfg):
+    """Each example's loss, and the upstream of each text, from one reference
+    loss call per example. An example without negatives but with
+    ``neg_queries == []`` takes the CLP reference."""
+    use_penalty = cfg.loss == "clp" and cfg.loss_cfg.lam != 0.0
+    losses, ups = [], {}
+    for ex in group:
+        neg_queries = ex.neg_queries if use_penalty else None
+        batch = ContrastiveBatch(vecs[ex.query], vecs[ex.pos[0]], [vecs[t] for t in ex.neg],
+                                 None if neg_queries is None else
+                                 [[vecs[q] for q in qs] for qs in neg_queries])
+        loss_grad = reference_cl_loss_grad if neg_queries is None else reference_clp_loss_grad
+        g = loss_grad(batch, cfg.loss_cfg)
+        losses.append(g.loss)
+        ups.update({ex.query: g.query_emb, ex.pos[0]: g.pos_emb, **dict(zip(ex.neg, g.neg_embs))})
+        for texts, rows in zip(neg_queries or [], g.neg_query_embs or []):
+            ups.update(zip(texts, np.zeros_like(rows) if cfg.stop_grad_neg_queries else rows))
+    return losses, ups
+
+
 def reference_clp_step(params, config, group, cfg):
     """One optimizer step built from per-text encode / encode_with_grad calls."""
     params = params.copy()
@@ -371,19 +423,78 @@ class TestGroupPass:
 
     def test_nonfinite_loss_names_its_example_step(self, monkeypatch):
         params, config = tiny_encoder()
-        calls = []
+        seen = 0
 
-        def nan_at_step_5(batch, cfg):
-            calls.append(None)
-            grads = cl_loss_grad(batch, cfg)
-            if len(calls) == 6:
-                grads.loss = float("nan")
-            return grads
+        def nan_at_steps_5_and_7(vecs, k, counts, cfg):
+            nonlocal seen
+            losses, ups = _group_loss_grad(vecs, k, counts, cfg)
+            for step in (5, 7):
+                if seen <= step < seen + len(losses):
+                    losses[step - seen] = float("nan")
+            seen += len(losses)
+            return losses, ups
 
-        monkeypatch.setattr(training, "cl_loss_grad", nan_at_step_5)
+        monkeypatch.setattr(training, "_group_loss_grad", nan_at_steps_5_and_7)
         cfg = TrainConfig(learning_rate=1e-3, epochs=1, grad_accum_steps=4, seed=1)
         with pytest.raises(RuntimeError, match="non-finite loss at example step 5$"):
-            train(params, config, tiny_dataset(n=6), cfg)
+            train(params, config, tiny_dataset(n=8), cfg)
+
+    def test_losses_and_upstreams_match_per_example_reference(self, monkeypatch):
+        # the encoder is replaced by a table of random unit vectors, one per
+        # text, and the backward by a recorder of the upstreams it is given
+        seen = {}
+
+        def forward(params, config, texts):
+            seen["texts"] = texts
+            return np.array([seen["vecs"][t] for t in texts]), {"uniq": None}
+
+        def backward(params, ctx, upstreams, grads):
+            seen["upstreams"] = upstreams
+
+        monkeypatch.setattr(training, "_forward", forward)
+        monkeypatch.setattr(training, "_backward", backward)
+        mixed = 0
+        for seed in range(300):
+            group, seen["vecs"], cfg = random_group(seed)
+            mixed += len({len(ex.neg) for ex in group}) > 1
+            losses, _ = training._group_grads(None, None, group, cfg, {}, 0)
+            want_losses, want_ups = reference_group(group, seen["vecs"], cfg)
+            assert np.array(losses).tobytes() == np.array(want_losses).tobytes(), seed
+            assert sorted(seen["texts"]) == sorted(want_ups), seed
+            want = np.array([want_ups[t] for t in seen["texts"]])
+            assert seen["upstreams"].tobytes() == want.tobytes(), seed
+        assert mixed >= 30
+
+    def test_mixed_group_matches_finite_differences(self):
+        params, config = tiny_encoder(seed=6)
+        group = tiny_dataset(n=4)
+        # k = 4 with one own query per negative, k = 4 with 1, 2 or 3, k = 2,
+        # and no negatives at all
+        group[1].neg_queries = [qs * (1 + j % 3) for j, qs in enumerate(group[1].neg_queries)]
+        group[2].neg, group[2].neg_queries = group[2].neg[:2], group[2].neg_queries[:2]
+        group[3].neg, group[3].neg_queries = [], None
+        cfg = TrainConfig(loss="clp", loss_cfg=LossConfig(lam=0.3))
+        tensors = params.named_tensors()
+        grads = {name: np.zeros_like(t) for name, t in tensors.items()}
+        _, uniq = training._group_grads(params, config, group, cfg, grads, 0)
+
+        def total_loss():
+            return sum(training._group_grads(params, config, group, cfg, {}, 0)[0])
+
+        used = set(uniq.tolist())
+        for name, tensor in tensors.items():
+            fd = np.zeros_like(tensor)
+            for at in np.ndindex(tensor.shape):
+                if name == "embedding" and at[0] not in used:
+                    continue  # no text of the group uses this row
+                orig = tensor[at]
+                tensor[at] = orig + FD_STEP
+                up = total_loss()
+                tensor[at] = orig - FD_STEP
+                down = total_loss()
+                tensor[at] = orig
+                fd[at] = (up - down) / (2 * FD_STEP)
+            assert rel_error(grads[name], fd) < 1e-6, name
 
     @pytest.mark.parametrize("moe", [False, True])
     def test_ragged_neg_queries_match_per_text_reference(self, moe):
