@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import (NORM_FLOOR, _atomic_open, _reading, as_matrix, as_vector, make_rng,
+from .numerics import (_atomic_open, _reading, as_matrix, as_vector, make_rng, row_norms,
                        seeded_init)
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
@@ -258,9 +258,7 @@ def moe_intermediate_forward(x: np.ndarray, params: EncoderParams,
     """
     if config.moe is None or not params.is_moe:
         raise ValueError("MoE is not enabled for this encoder")
-    x = as_vector(x, "x")
-    if x.shape[0] != config.d_model:
-        raise ValueError(f"x has dimension {x.shape[0]}, expected {config.d_model}")
+    x = as_vector(x, "x", config.d_model)
     layer = _intermediate(params, config, x[None, :])
     return layer["h"][0], int(layer["route"][0]), float(layer["pe"][0])
 
@@ -321,12 +319,7 @@ def _forward(params: EncoderParams, config: EncoderConfig,
     table += params.b_down
     table += x
     pool = _mean_rows(table, inv, lengths)
-    # (n, 1, d) @ (n, d, 1): matmul takes each row's vector-vector product with
-    # the dot that ``row @ row`` (and so l2_normalize) uses, in one call
-    norms = np.sqrt(np.matmul(pool[:, None, :], pool[:, :, None])[:, 0, 0])
-    bad = ~((norms >= NORM_FLOOR) & (norms < np.inf))  # NaN fails both comparisons
-    if bad.any():
-        raise ValueError(f"cannot normalize: pool norm {norms[bad][0]} outside [{NORM_FLOOR}, inf)")
+    norms = row_norms(pool, "pool")
     pool /= norms[:, None]
     ctx.update(norms=norms, out=pool)
     return pool, ctx
@@ -414,9 +407,7 @@ def encode_with_grad(
     gradients are added into ``grads`` when given (and that dict returned),
     else into a fresh zero dict. Experts no token routed to get no gradient.
     """
-    upstream = as_vector(upstream, "upstream")
-    if upstream.shape[0] != config.d_model:
-        raise ValueError(f"upstream has dimension {upstream.shape[0]}, expected {config.d_model}")
+    upstream = as_vector(upstream, "upstream", config.d_model)
     if grads is None:
         grads = zero_grads(params)
     out, ctx = _forward(params, config, [text])

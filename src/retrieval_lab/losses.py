@@ -21,11 +21,10 @@ import numpy as np
 
 from .numerics import (
     as_vector,
+    check_unit,
     cosine_similarity,  # unused here; perfbench/tracer.py wraps losses.cosine_similarity
     cosine_similarity_grad,  # unused here; perfbench/tracer.py wraps losses.cosine_similarity_grad
 )
-
-_UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,9 @@ class ContrastiveBatch:
         self.query_emb = as_vector(self.query_emb, "query_emb")
         dim = self.query_emb.shape[0]
         self.pos_emb = _matrix([self.pos_emb], dim, "pos_emb")[0]
-        _check_unit(np.stack([self.query_emb, self.pos_emb]), ("query_emb", "pos_emb").__getitem__)
+        check_unit(np.stack([self.query_emb, self.pos_emb]), ("query_emb", "pos_emb").__getitem__)
         self.neg_embs = _matrix(self.neg_embs, dim, "neg_embs")
-        _check_unit(self.neg_embs, "neg_embs[{}]".format)
+        check_unit(self.neg_embs, "neg_embs[{}]".format)
         if self.neg_query_embs is not None:
             if len(self.neg_query_embs) != len(self.neg_embs):
                 raise ValueError("neg_query_embs must have one entry list per negative")
@@ -76,7 +75,7 @@ class ContrastiveBatch:
                 j = int(np.searchsorted(starts, i, side="right")) - 1
                 return f"neg_query_embs[{j}][{i - starts[j]}]"
 
-            _check_unit(np.vstack([self.neg_embs[:0], *self.neg_query_embs]), row_name)
+            check_unit(np.vstack([self.neg_embs[:0], *self.neg_query_embs]), row_name)
 
 
 @dataclass
@@ -102,17 +101,6 @@ def _matrix(rows, dim: int, name: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[1] != dim:
         raise ValueError(f"{name} must hold vectors of dimension {dim}, got shape {m.shape}")
     return m
-
-
-def _check_unit(m: np.ndarray, row_name) -> None:
-    """Raise for the first row of ``m`` that is non-finite or not of unit norm."""
-    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))
-    if bad.size:
-        i = int(bad[0])
-        if not np.all(np.isfinite(m[i])):
-            raise ValueError(f"{row_name(i)} contains non-finite entries")
-        raise ValueError(f"{row_name(i)} must be unit norm, got |v| = {norms[i]}")
 
 
 def cl_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:

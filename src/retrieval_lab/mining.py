@@ -22,7 +22,7 @@ import numpy as np
 from .data import Document, Qrels, Query, TrainingExample
 from .encoder import encode  # unused here; perfbench/tracer.py wraps mining.encode
 from .encoder import EncoderConfig, EncoderParams, encode_texts
-from .numerics import NORM_FLOOR, as_vector
+from .numerics import as_matrix, as_vector, check_unit, row_norms
 
 log = logging.getLogger(__name__)
 
@@ -47,9 +47,7 @@ class DenseIndex:
             raise ValueError("doc_ids must be unique")
         if self.vectors.shape != (len(self.doc_ids), self.dim):
             raise ValueError("vectors shape inconsistent with doc_ids/dim")
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):
-            raise ValueError("index vectors must be unit norm")
+        check_unit(self.vectors, lambda i: f"index vector {self.doc_ids[i]!r}")
         n = len(self.doc_ids)
         self._row_of = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
         # Position of each row in ascending doc-id (str) order: the tie-break key.
@@ -108,18 +106,8 @@ def search_many(index: DenseIndex, query_vecs, k: int) -> list[RankedList]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    queries = np.asarray(query_vecs, dtype=np.float64)
-    if queries.ndim != 2:
-        raise ValueError(f"query_vecs must be 2-D, got shape {queries.shape}")
-    if queries.shape[1] != index.dim:
-        raise ValueError(f"query dimension {queries.shape[1]} != index dimension {index.dim}")
-    if not np.all(np.isfinite(queries)):
-        raise ValueError("query_vecs contains non-finite entries")
-    # (n, 1, d) @ (n, d, 1): each row's ``q @ q``, the dot np.linalg.norm takes, in one call
-    norms = np.sqrt(np.matmul(queries[:, None, :], queries[:, :, None])[:, 0, 0])
-    if not np.all(norms >= NORM_FLOOR):
-        raise ValueError("cannot search with a zero-norm query")
-    queries = queries / norms[:, None]
+    queries = as_matrix(query_vecs, "query_vecs", index.dim)
+    queries = queries / row_norms(queries, "query")[:, None]
     n = len(index)
     keep = min(k, n)
     if keep == 0:  # an empty index
@@ -156,7 +144,7 @@ def _block_top(scores: np.ndarray, keep: int, id_rank: np.ndarray) -> tuple[list
 
 def search_top_k(index: DenseIndex, query_vec, k: int) -> RankedList:
     """Exact top-k by cosine for one query; see ``search_many``."""
-    return search_many(index, as_vector(query_vec, "query_vec")[None, :], k)[0]
+    return search_many(index, as_vector(query_vec, "query_vec", index.dim)[None, :], k)[0]
 
 
 def mine_ance_negatives_many(index: DenseIndex, params: EncoderParams, config: EncoderConfig,

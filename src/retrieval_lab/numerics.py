@@ -5,6 +5,11 @@ Vectors are 1-D ``numpy.float64`` arrays, matrices 2-D row-major. All
 numeric operations are pure functions; random state is carried explicitly by a
 ``numpy.random.Generator`` seeded with PCG64 (numpy's ``default_rng``),
 which produces the same stream on every platform for a given seed.
+
+This module owns the vector contract every other module checks through:
+``as_vector``/``as_matrix`` for shape, width and finiteness, ``row_norms``
+for a norm that can be divided by (in ``[NORM_FLOOR, inf)``), and
+``check_unit`` for rows that must already have unit norm.
 """
 
 from __future__ import annotations
@@ -16,9 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-# l2_normalize refuses inputs whose norm falls below this floor: emitting
-# denormal-scaled garbage would poison every downstream cosine.
+# row_norms refuses a norm below this floor, or one that is not finite:
+# dividing by it would emit denormal-scaled garbage, or zeros where the norm
+# overflows, and poison every downstream cosine.
 NORM_FLOOR = 1e-30
+# check_unit's tolerance on |norm - 1|.
+_UNIT_TOL = 1e-9
 
 
 def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -26,28 +34,59 @@ def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Validate and convert to a finite 1-D float64 array."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if v.size == 0:
+def as_vector(values, name: str = "vector", dim: int | None = None) -> np.ndarray:
+    """Validate and convert to a finite 1-D float64 array of ``dim`` entries
+    (any positive number when None)."""
+    return _checked(values, 1, name, dim)
+
+
+def as_matrix(values, name: str = "matrix", dim: int | None = None) -> np.ndarray:
+    """Validate and convert to a finite 2-D float64 array of ``dim`` columns
+    (any positive number when None). It may have no rows."""
+    return _checked(values, 2, name, dim)
+
+
+def _checked(values, ndim: int, name: str, dim: int | None) -> np.ndarray:
+    a = np.asarray(values, dtype=np.float64)
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    width = a.shape[-1]
+    if width == 0:
         raise ValueError(f"{name} must have dimension > 0")
-    if not np.all(np.isfinite(v)):
+    if dim is not None and width != dim:
+        raise ValueError(f"{name} has dimension {width}, expected {dim}")
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
-    return v
+    return a
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a finite 2-D float64 array."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"{name} must have positive dimensions, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
+def _norms(m: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm. (n, 1, d) @ (n, d, 1): matmul takes each row's
+    vector-vector product with the dot that ``row @ row`` uses, in one call."""
+    return np.sqrt(np.matmul(m[:, None, :], m[:, :, None])[:, 0, 0])
+
+
+def row_norms(m: np.ndarray, what: str) -> np.ndarray:
+    """Each row's L2 norm, raising unless every one can be divided by: in
+    ``[NORM_FLOOR, inf)``. A finite row whose norm overflows would otherwise
+    divide to zeros. ``what`` names the rows in the message."""
+    norms = _norms(m)
+    bad = ~((norms >= NORM_FLOOR) & (norms < np.inf))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"cannot normalize: {what} norm {norms[bad][0]} outside [{NORM_FLOOR}, inf)")
+    return norms
+
+
+def check_unit(m: np.ndarray, row_name) -> None:
+    """Raise for the first row of ``m`` that is non-finite or not of unit norm
+    (within ``_UNIT_TOL``); ``row_name(i)`` names row ``i`` in the message."""
+    norms = _norms(m)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))
+    if bad.size:
+        i = int(bad[0])
+        if not np.all(np.isfinite(m[i])):
+            raise ValueError(f"{row_name(i)} contains non-finite entries")
+        raise ValueError(f"{row_name(i)} must be unit norm, got |v| = {norms[i]}")
 
 
 def _checked_pair(a, b) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -55,10 +94,7 @@ def _checked_pair(a, b) -> tuple[np.ndarray, np.ndarray, float, float]:
     b = as_vector(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
-        raise ValueError("cosine undefined for zero-norm input")
+    na, nb = row_norms(np.stack([a, b]), "input")
     return a, b, na, nb
 
 
@@ -80,15 +116,6 @@ def cosine_similarity_grad(a, b) -> tuple[np.ndarray, np.ndarray]:
     da = (ub - cos * ua) / na
     db = (ua - cos * ub) / nb
     return da, db
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale a vector to unit L2 norm, preserving direction."""
-    v = as_vector(v, "v")
-    n = float(np.linalg.norm(v))
-    if n < NORM_FLOOR:
-        raise ValueError(f"cannot normalize: norm {n} below floor {NORM_FLOOR}")
-    return v / n
 
 
 def seeded_init(rng: np.random.Generator, rows: int, cols: int, scale: float) -> np.ndarray:

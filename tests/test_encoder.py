@@ -203,6 +203,11 @@ class TestMoEForward:
         with pytest.raises(ValueError, match="MoE"):
             moe_intermediate_forward(np.zeros(4), params, config)
 
+    def test_rejects_wrong_width(self):
+        params, config = _moe_instance(2)
+        with pytest.raises(ValueError, match=r"^x has dimension 5, expected 4$"):
+            moe_intermediate_forward(np.ones(5), params, config)
+
     def test_saturated_gate_matches_selected_expert(self):
         params, config = _moe_instance(3)
         x = make_rng(5).standard_normal(4)
@@ -263,6 +268,11 @@ class TestEncodeWithGrad:
         _, grads = encode_with_grad(params, config, text, np.zeros(8))
         for g in grads.values():
             assert np.all(g == 0.0)
+
+    def test_rejects_wrong_width_upstream(self):
+        params, config, text, _ = encoder_instance(0, moe=False)
+        with pytest.raises(ValueError, match=r"^upstream has dimension 7, expected 8$"):
+            encode_with_grad(params, config, text, np.ones(7))
 
     def test_returns_forward_output(self):
         params, config, text, upstream = encoder_instance(1, moe=False)

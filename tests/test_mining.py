@@ -73,6 +73,21 @@ class TestBuildIndex:
             build_index([], params, config)
 
 
+class TestDenseIndexRows:
+    def test_names_first_non_unit_row(self):
+        vectors = np.eye(3)
+        vectors[1] *= 2.0
+        vectors[2] *= 3.0
+        with pytest.raises(ValueError, match=r"^index vector 'd0001' must be unit norm, got \|v\| = 2\.0$"):
+            DenseIndex(["d0000", "d0001", "d0002"], vectors, 3)
+
+    def test_names_first_non_finite_row(self):
+        vectors = np.eye(3)
+        vectors[2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^index vector 'd0002' contains non-finite entries$"):
+            DenseIndex(["d0000", "d0001", "d0002"], vectors, 3)
+
+
 class TestSearchTopK:
     def test_k_at_least_corpus_size_ranks_everything(self):
         corpus, params, config = small_setup()
@@ -119,6 +134,13 @@ class TestSearchTopK:
         index = build_index(corpus, params, config)
         with pytest.raises(ValueError, match="dimension"):
             search_top_k(index, np.ones(5), 3)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_query_norm_raises(self):
+        # finite entries whose norm overflows to inf would score every document 0.0
+        index = DenseIndex(["a", "b", "c"], np.eye(3), 3)
+        with pytest.raises(ValueError, match=r"^cannot normalize: query norm inf outside"):
+            search_top_k(index, [0.0, 1e200, 1e200], 3)
 
     def test_scores_descending(self):
         corpus, params, config = small_setup(seed=8)
@@ -311,6 +333,13 @@ class TestSearchMany:
         index, _ = duplicate_row_index(n=20, copies=(1, 2))
         assert search_many(index, np.empty((0, 64)), 5) == []
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_query_norm_among_good_rows_raises(self):
+        index = DenseIndex(["a", "b", "c"], np.eye(3), 3)
+        queries = np.array([[1.0, 0.0, 0.0], [0.0, 1e200, 1e200], [0.0, 0.0, 2.0]])
+        with pytest.raises(ValueError, match=r"^cannot normalize: query norm inf outside"):
+            search_many(index, queries, 2)
+
     def test_empty_index_gives_empty_rankings(self):
         index = DenseIndex([], np.empty((0, 4)), 4)
         assert search_many(index, np.ones((2, 4)), 3) == [[], []]
@@ -319,7 +348,8 @@ class TestSearchMany:
         (np.ones((2, 8)), 0, "k must be"),
         (np.ones((2, 5)), 3, "dimension"),
         (np.ones(8), 3, "2-D"),
-        (np.zeros((2, 8)), 3, "zero-norm"),
+        pytest.param(np.zeros((2, 8)), 3, r"^cannot normalize: query norm 0\.0 outside",
+                     id="queries3-3-zero-norm"),
         (np.full((1, 8), np.nan), 3, "non-finite"),
     ])
     def test_bad_input_rejected(self, queries, k, match):

@@ -11,10 +11,13 @@ from retrieval_lab.data import Document, save_id_text
 from retrieval_lab.evaluation import save_run
 from retrieval_lab.numerics import (
     _atomic_open,
+    as_matrix,
+    as_vector,
+    check_unit,
     cosine_similarity,
     cosine_similarity_grad,
-    l2_normalize,
     make_rng,
+    row_norms,
     seeded_init,
 )
 
@@ -41,8 +44,15 @@ class TestCosineSimilarity:
             cosine_similarity([1, 0], [1, 0, 0])
 
     def test_zero_norm(self):
-        with pytest.raises(ValueError, match="zero-norm"):
+        with pytest.raises(ValueError, match=r"^cannot normalize: input norm 0\.0 outside"):
             cosine_similarity([0, 0], [1, 0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("fn", [cosine_similarity, cosine_similarity_grad])
+    def test_overflowing_norm_raises(self, fn):
+        # finite entries whose norm overflows to inf would divide to zeros
+        with pytest.raises(ValueError, match=r"^cannot normalize: input norm inf outside"):
+            fn([1e200, 1e200], [1.0, 1.0])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -118,29 +128,41 @@ class TestSoftmaxTemperature:
         assert abs(out.sum() - 1.0) <= 1e-12
 
 
-class TestL2Normalize:
-    def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
+class TestVectorContract:
+    def test_widths_checked(self):
+        assert as_vector([1.0, 2.0], "v", 2).shape == (2,)
+        with pytest.raises(ValueError, match=r"^v has dimension 3, expected 2$"):
+            as_vector([1.0, 2.0, 3.0], "v", 2)
+        with pytest.raises(ValueError, match=r"^m has dimension 3, expected 2$"):
+            as_matrix(np.ones((2, 3)), "m", 2)
+        with pytest.raises(ValueError, match=r"^m must have dimension > 0$"):
+            as_matrix(np.ones((2, 0)), "m")
 
-    def test_idempotent_on_unit(self):
-        v = l2_normalize(make_rng(2).standard_normal(5))
-        np.testing.assert_allclose(l2_normalize(v), v, atol=1e-15)
+    def test_matrix_may_have_no_rows(self):
+        m = as_matrix(np.empty((0, 8)), "m", 8)
+        assert m.shape == (0, 8)
+        assert row_norms(m, "m").shape == (0,)
 
-    def test_unit_norm_output(self):
-        for seed in range(20):
-            v = make_rng(seed).standard_normal(7) * 100
-            assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) <= 1e-12
+    def test_matrix_rejects_non_finite(self):
+        with pytest.raises(ValueError, match=r"^m contains non-finite entries$"):
+            as_matrix([[1.0, np.inf]], "m")
 
-    def test_norm_floor(self):
-        # below the documented 1e-30 floor the call must fail loudly
-        with pytest.raises(ValueError, match="floor"):
-            l2_normalize([1e-200, 0.0])
-        out = l2_normalize([1e-20, 0.0])  # above the floor: rescales fine
-        np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
+    def test_row_norms_match_per_row_dot(self):
+        m = make_rng(3).standard_normal((5, 7))
+        assert row_norms(m, "m").tolist() == [math.sqrt(row @ row) for row in m]
 
-    def test_zero_vector(self):
-        with pytest.raises(ValueError):
-            l2_normalize([0.0, 0.0])
+    @pytest.mark.parametrize("row, shown", [([0.0, 1e-31], "1e-31"), ([np.nan, 1.0], "nan")])
+    def test_row_norms_name_the_first_bad_norm(self, row, shown):
+        with pytest.raises(ValueError, match=rf"^cannot normalize: m norm {shown} outside \[1e-30, inf\)$"):
+            row_norms(np.array([[1.0, 0.0], row]), "m")
+
+    def test_check_unit_names_first_bad_row(self):
+        m = np.array([[1.0, 0.0], [0.0, 2.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match=r"^row 1 must be unit norm, got \|v\| = 2\.0$"):
+            check_unit(m, "row {}".format)
+        with pytest.raises(ValueError, match=r"^row 1 contains non-finite entries$"):
+            check_unit(m[[0, 2]], "row {}".format)
+        check_unit(m[:1], "row {}".format)
 
 
 class TestSeededInit:
