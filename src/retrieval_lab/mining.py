@@ -1,15 +1,14 @@
-"""Exact dense indexing and the two negative-sampling strategies.
+"""Exact dense indexing and the one negative sampler.
 
 The index is a plain id -> unit-vector table scanned exhaustively; at desk
 scale exactness beats any approximate structure and makes oracle testing
-trivial. ``search_many`` scores a block of queries against every document
-with one matmul, at most ``_BLOCK_SCORES`` scores per block, and ranks the
-whole block with one lexsort by (row, descending score, ascending doc id),
-with no per-row loop. Hard negatives come from the
-top-ranked documents outside each query's relevant set under the current
-model; random negatives are a uniform sample of the documents outside it.
-The single-query functions are one-query calls of the batched ones, and
-``mine_dataset`` turns judged queries into training examples with either.
+trivial. Search and both negative strategies are one blocked top-k over a
+key per (query, document), ``_top_k``; when mining, a query's relevant
+documents key -inf and are dropped. Search and hard (ANCE) negatives key by
+cosine under the current model, ties by doc id; random negatives key by one
+uniform draw per document, ties by corpus position, a uniform sample of the
+documents outside the relevant set. The single-query functions are one-query
+calls of the batched ones; ``mine_dataset`` builds training examples.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ log = logging.getLogger(__name__)
 RankedList = list[tuple[str, float]]
 
 DEFAULT_NEGATIVES = 10
-# Scores per search block: bounds the (queries, docs) score matrix and the
-# copy np.partition makes of it (2**18 float64 = 2 MiB each).
+# Keys per top-k block: bounds the (queries, docs) key matrix and the copy
+# np.partition makes of it (2**18 float64 = 2 MiB each).
 _BLOCK_SCORES = 1 << 18
 
 
@@ -45,6 +44,7 @@ class DenseIndex:
     def __post_init__(self):
         if len(self.doc_ids) != len(set(self.doc_ids)):
             raise ValueError("doc_ids must be unique")
+        self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.shape != (len(self.doc_ids), self.dim):
             raise ValueError("vectors shape inconsistent with doc_ids/dim")
         check_unit(self.vectors, lambda i: f"index vector {self.doc_ids[i]!r}")
@@ -56,7 +56,7 @@ class DenseIndex:
         # BLAS gives equal rows different last bits depending on where they
         # sit in its tiles. With duplicate rows, score the distinct ones and
         # expand, so that equal documents tie exactly and rank by id.
-        rows = np.ascontiguousarray(self.vectors, dtype=np.float64)
+        rows = np.ascontiguousarray(self.vectors)
         _, first, inverse = np.unique(rows.view(np.dtype((np.void, 8 * self.dim))).ravel(),
                                       return_index=True, return_inverse=True)
         self._distinct = (rows[first], inverse) if len(first) < n else None
@@ -95,49 +95,62 @@ def build_index(corpus: list[Document], params: EncoderParams,
 
 
 def search_many(index: DenseIndex, query_vecs, k: int) -> list[RankedList]:
-    """Exact top-k by cosine for each row of query_vecs, ties by ascending doc_id.
+    """Exact top-k by cosine for each row of query_vecs, ties by ascending
+    doc_id: one ``_top_k`` pass keyed by the cosines."""
+    return _search(index, query_vecs, k, [])
 
-    Scores ``_BLOCK_SCORES // len(index)`` queries per matmul. One partition
-    finds every row's k-th highest score, and every document scoring at least
-    that much is a candidate, so boundary ties resolve by id exactly as a
-    full sort would. One lexsort orders the block's candidates by (row,
-    descending score, ascending doc id), and each row keeps its first
-    ``min(k, len(index))``.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+
+def _search(index: DenseIndex, query_vecs, k: int, excluded: list[list[int]]) -> list[RankedList]:
+    """``_top_k`` over the cosines of the normalized queries with every document."""
     queries = as_matrix(query_vecs, "query_vecs", index.dim)
     queries = queries / row_norms(queries, "query")[:, None]
-    n = len(index)
-    keep = min(k, n)
-    if keep == 0:  # an empty index
-        return [[] for _ in queries]
-    block = max(1, _BLOCK_SCORES // n)
+    return _top_k(lambda start, stop: index.scores(queries[start:stop]), len(queries), k,
+                  index.doc_ids, index._id_rank, excluded)
+
+
+def _top_k(keys, n_rows: int, k: int, labels: list[str], tie_rank: np.ndarray,
+           excluded: list[list[int]]) -> list[RankedList]:
+    """Each row's first k labels, with their keys, by (descending key,
+    ascending ``tie_rank``), outside the columns ``excluded[i]`` lists (none
+    when ``excluded`` is empty): those key -inf, rank last and are dropped.
+    ``keys(start, stop)`` gives rows [start, stop)'s key matrix; it is called
+    in row order, ``_BLOCK_SCORES // len(labels)`` rows at a time."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    keep = min(k, len(labels))
+    if keep == 0:  # nothing to rank
+        return [[] for _ in range(n_rows)]
+    block = max(1, _BLOCK_SCORES // len(labels))
     ranked: list[RankedList] = []
-    for start in range(0, len(queries), block):
-        cols, values = _block_top(index.scores(queries[start:start + block]), keep, index._id_rank)
-        pairs = list(zip(map(index.doc_ids.__getitem__, cols), values))
-        ranked += [pairs[i:i + keep] for i in range(0, len(pairs), keep)]
+    for start in range(0, n_rows, block):
+        stop = min(start + block, n_rows)
+        cols, values = _block_top(keys(start, stop), keep, tie_rank, excluded[start:stop])
+        pairs = list(zip(map(labels.__getitem__, cols), values))
+        ranked += [[p for p in pairs[i:i + keep] if p[1] > -np.inf]
+                   for i in range(0, len(pairs), keep)]
     return ranked
 
 
-def _block_top(scores: np.ndarray, keep: int, id_rank: np.ndarray) -> tuple[list, list]:
-    """Each row's first ``keep`` columns by (descending score, ascending
-    ``id_rank``) and their scores, row after row.
-
-    Every array of a block dies on return, before the next block's score
-    matrix is allocated; small arrays left alive across blocks would pin
-    holes in the heap and hold it resident for the rest of the process.
-    """
-    n = scores.shape[1]
-    kth = np.partition(scores, n - keep, axis=1)[:, n - keep]  # keep == n: the row minimum
-    # every (row, col) scoring at least its row's k-th score, row-major
-    rows, cols = np.divmod(np.flatnonzero(scores >= kth[:, None]), n)
-    cand = scores[rows, cols]
-    order = np.lexsort((id_rank[cols], -cand, rows))
+def _block_top(keys: np.ndarray, keep: int, tie_rank: np.ndarray,
+               excluded: list[list[int]]) -> tuple[list, list]:
+    """Each row's first ``keep`` columns by (descending key, ascending
+    ``tie_rank``) and their keys, row after row, once row i's ``excluded[i]``
+    columns are set to -inf in place. One partition finds each row's k-th
+    key and every column at or above it is a candidate, so boundary ties
+    resolve by ``tie_rank`` as a full sort would. Every array dies on return,
+    before the next block's keys are allocated; small arrays left alive
+    across blocks would pin holes in the heap and hold it resident."""
+    keys[[i for i, cols in enumerate(excluded) for _ in cols],
+         [col for cols in excluded for col in cols]] = -np.inf
+    n = keys.shape[1]
+    kth = np.partition(keys, n - keep, axis=1)[:, n - keep]  # keep == n: the row minimum
+    # every (row, col) keying at least its row's k-th key, row-major
+    rows, cols = np.divmod(np.flatnonzero(keys >= kth[:, None]), n)
+    cand = keys[rows, cols]
+    order = np.lexsort((tie_rank[cols], -cand, rows))
     # ``rows`` is sorted and stays so under ``order``: row i's candidates start
     # at its first entry
-    first = np.searchsorted(rows, np.arange(len(scores)))
+    first = np.searchsorted(rows, np.arange(len(keys)))
     kept = order[(first[:, None] + np.arange(keep)).ravel()]
     return cols[kept].tolist(), cand[kept].tolist()
 
@@ -153,24 +166,18 @@ def mine_ance_negatives_many(index: DenseIndex, params: EncoderParams, config: E
     """For each query, its k most similar documents outside its excluded set.
 
     ``excluded[i]`` holds query i's relevant (positive) doc ids. All queries
-    are encoded in one pass and searched in one call; each retrieves
-    k + len(excluded[i]) documents and drops the excluded ones, so it gets k
-    negatives whenever the corpus has them. Order stays descending by
-    similarity.
+    are encoded in one pass and ranked in one ``_top_k`` pass by
+    ``search_many``'s keys, the excluded documents keyed -inf, so each gets k
+    negatives whenever the corpus has them.
     """
     if len(excluded) != len(queries):
         raise ValueError(f"{len(excluded)} excluded sets for {len(queries)} queries")
-    for skip in excluded:
-        for doc_id in skip:
-            if doc_id not in index:
-                raise ValueError(f"unknown positive_id {doc_id!r}")
-    depth = k + max(map(len, excluded), default=0)
-    ranked = search_many(index, encode_texts(params, config, queries), depth)
-    negatives = []
-    for ranking, skip in zip(ranked, excluded):
-        top = ranking[:k + len(skip)]
-        negatives.append([doc_id for doc_id, _ in top if doc_id not in skip][:k])
-    return negatives
+    try:
+        columns = [[index._row_of[doc_id] for doc_id in skip] for skip in excluded]
+    except KeyError as err:
+        raise ValueError(f"unknown positive_id {err.args[0]!r}") from None
+    ranked = _search(index, encode_texts(params, config, queries), k, columns)
+    return [[doc_id for doc_id, _ in ranking] for ranking in ranked]
 
 
 def mine_ance_negatives(index: DenseIndex, params: EncoderParams, config: EncoderConfig,
@@ -183,24 +190,19 @@ def mine_random_negatives_many(corpus_ids: list[str], excluded: list[set[str]], 
                                rng: np.random.Generator) -> list[list[str]]:
     """For each excluded set, a uniform sample of k other ids without replacement.
 
-    Ids must be unique; excluded ids outside the corpus are ignored. When
-    fewer than k other documents exist, all of them are returned in shuffled
-    order. Draws index the corpus without the excluded ids: with excluded
-    positions p_0 < p_1 < ..., pool index j is corpus index
-    j + #{i : p_i - i <= j}, so no per-query pool is built.
+    Each sample is the top k, outside the set, of one ``rng.random()`` key per
+    corpus id, ties by corpus position (the top k of i.i.d. uniform keys is a
+    uniform draw; Kool et al., arXiv 1903.06059). Keys are drawn row-major:
+    set i takes draws [i * n, (i + 1) * n) for n ids, whatever the block
+    size. Ids must be unique; excluded ids outside the corpus are ignored;
+    when fewer than k ids remain, all are returned, in key order.
     """
-    position = {doc_id: i for i, doc_id in enumerate(corpus_ids)}
-    samples = []
-    for skip in excluded:
-        skipped = np.array(sorted(position[d] for d in skip if d in position), dtype=np.int64)
-        size = len(corpus_ids) - len(skipped)
-        if size <= k:
-            chosen = rng.permutation(size)
-        else:
-            chosen = rng.choice(size, size=k, replace=False)
-        rows = chosen + np.searchsorted(skipped - np.arange(len(skipped)), chosen, side="right")
-        samples.append([corpus_ids[j] for j in rows.tolist()])
-    return samples
+    column = {doc_id: i for i, doc_id in enumerate(corpus_ids)}
+    n = len(corpus_ids)
+    ranked = _top_k(lambda start, stop: rng.random((stop - start, n)), len(excluded), k,
+                    corpus_ids, np.arange(n),
+                    [[column[d] for d in skip if d in column] for skip in excluded])
+    return [[doc_id for doc_id, _ in ranking] for ranking in ranked]
 
 
 def mine_random_negatives(corpus_ids: list[str], positive_id: str, k: int,
@@ -219,8 +221,6 @@ def mine_dataset(corpus: list[Document], queries: list[Query], qrels: Qrels,
     skipped with a warning."""
     if strategy not in ("ance", "random"):
         raise ValueError(f"strategy must be 'ance' or 'random', got {strategy!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     doc_by_id = {doc.id: doc for doc in corpus}
     mineable = []  # (query, its relevant doc ids)
     for query in queries:

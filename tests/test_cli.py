@@ -10,15 +10,23 @@ import pytest
 from retrieval_lab import cli
 from retrieval_lab.data import (
     SynthSpec,
+    TrainingExample,
+    load_corpus,
+    load_qrels,
+    load_queries,
     load_train_set,
     save_id_text,
     save_neg_query_map,
     save_qrels,
+    save_train_set,
     synth_generate,
 )
 from retrieval_lab.encoder import CHECKPOINT_FORMAT, EncoderConfig, load_checkpoint
 from retrieval_lab.losses import LossConfig
+from retrieval_lab.numerics import make_rng
 from retrieval_lab.training import TrainConfig
+
+from test_mining import random_negatives_oracle
 
 
 def run_cli(*args):
@@ -233,14 +241,15 @@ class TestMine:
             assert len(ex.neg_queries) == len(ex.neg)
 
     @pytest.mark.parametrize("strategy, expected", [
-        ("random", "aab334bd7e154125acfd47a8ff72d4aecd3d7eeccce43a62b445c4267d3e7350"),
+        ("random", "83c28e5751a617419c63b050f1bf16cf82779f0746727e439d2153d45e774819"),
         ("ance", "79cd2fdddf965c5bf1e6beb1f940b0061a27ef5e4aa923be52b2c62349fd6091"),
     ], ids=["random", "ance"])
     def test_train_set_bytes_pinned(self, synth_dir, tmp_path, strategy, expected):
         # sha256 of the mined examples, each rendered apart from save_train_set
         # as json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n" (with
         # "neg_queries" only when set): the train-set writer must match it byte
-        # for byte
+        # for byte. The random pin is the sha256 of the keys-oracle file that
+        # test_random_train_set_equals_keys_oracle writes, rendered that way.
         flags = (["--seed", 3] if strategy == "random" else
                  ["--init-seed", 1, *ENC_FLAGS, "--neg-query-map", synth_dir / "neg_queries.jsonl"])
         out = tmp_path / "mined"
@@ -249,6 +258,29 @@ class TestMine:
                        "--queries", synth_dir / "queries.jsonl",
                        "--qrels", synth_dir / "qrels.tsv", "--outdir", out) == 0
         assert hashlib.sha256((out / "train.jsonl").read_bytes()).hexdigest() == expected
+
+    def test_random_train_set_equals_keys_oracle(self, synth_dir, tmp_path):
+        # the file test_train_set_bytes_pinned[random] pins: each judged
+        # query's negatives from the keys oracle, written by save_train_set
+        corpus = load_corpus(synth_dir / "corpus.jsonl")
+        qrels = load_qrels(synth_dir / "qrels.tsv")
+        text_of = {doc.id: doc.text for doc in corpus}
+        rng = make_rng(3)
+        examples = []
+        for query in load_queries(synth_dir / "queries.jsonl"):
+            relevant = qrels.relevant_docs(query.id)
+            assert relevant
+            negatives = random_negatives_oracle([doc.id for doc in corpus], relevant, 4, rng)
+            examples.append(TrainingExample(query=query.text,
+                                            pos=[text_of[d] for d in sorted(relevant)],
+                                            neg=[text_of[d] for d in negatives]))
+        save_train_set(examples, tmp_path / "oracle.jsonl")
+        out = tmp_path / "mined"
+        assert run_cli("mine", "--strategy", "random", "--k", 4, "--seed", 3,
+                       "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv", "--outdir", out) == 0
+        assert (out / "train.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
 
     def test_unknown_positive_nonzero_exit(self, synth_dir, tmp_path, capsys):
         bad_qrels = tmp_path / "bad.tsv"

@@ -87,6 +87,21 @@ class TestDenseIndexRows:
         with pytest.raises(ValueError, match=r"^index vector 'd0002' contains non-finite entries$"):
             DenseIndex(["d0000", "d0001", "d0002"], vectors, 3)
 
+    def test_list_of_rows_searches_like_the_array(self):
+        vectors = make_rng(7).standard_normal((6, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        ids = [f"d{i}" for i in range(6)]
+        from_list = DenseIndex(ids, vectors.tolist(), 3)
+        from_array = DenseIndex(ids, vectors, 3)
+        assert from_list.vectors.tobytes() == from_array.vectors.tobytes()
+        queries = make_rng(8).standard_normal((4, 3))
+        assert search_many(from_list, queries, 4) == search_many(from_array, queries, 4)
+        assert DenseIndex(["a"], [[1.0]], 1).vector("a").tolist() == [1.0]
+
+    def test_list_of_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="vectors shape inconsistent"):
+            DenseIndex(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], 3)
+
 
 class TestSearchTopK:
     def test_k_at_least_corpus_size_ranks_everything(self):
@@ -194,6 +209,13 @@ class TestMineAnce:
         with pytest.raises(ValueError, match="unknown positive_id"):
             mine_ance_negatives(index, params, config, "text", "nope", k=5)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        corpus, params, config = small_setup()
+        index = build_index(corpus, params, config)
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            mine_ance_negatives(index, params, config, corpus[0].text, corpus[0].id, k)
+
 
 class TestIndexStaleness:
     def test_index_is_a_snapshot_and_remining_reflects_new_params(self):
@@ -256,11 +278,12 @@ class TestMineRandom:
 
 
 def random_negatives_oracle(corpus_ids, excluded, k, rng):
-    """The list-comprehension pool sampler: every id outside ``excluded``, then one draw."""
-    pool = [doc_id for doc_id in corpus_ids if doc_id not in excluded]
-    if len(pool) <= k:
-        return [pool[i] for i in rng.permutation(len(pool))]
-    return [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
+    """The keys oracle, ranked in plain Python: one ``rng.random()`` key per
+    corpus id, then the ids outside ``excluded`` by (descending key, corpus
+    position), first k kept."""
+    keys = rng.random(len(corpus_ids))
+    outside = [i for i, doc_id in enumerate(corpus_ids) if doc_id not in excluded]
+    return [corpus_ids[i] for i in sorted(outside, key=lambda i: (-keys[i], i))[:k]]
 
 
 def duplicate_row_index(n=1003, copies=(3, 501, 1001), dim=64, seed=31):
@@ -371,14 +394,21 @@ class TestMineAnceMany:
         for query, positive, negatives in zip(queries, positives, got):
             assert negatives == mine_ance_negatives(index, params, config, query, positive, k=7)
 
-    def test_several_relevant_docs_fill_k(self):
+    def test_several_relevant_docs_fill_k(self, monkeypatch):
         corpus, params, config = small_setup(seed=15, n_docs=50)
         index = build_index(corpus, params, config)
-        query = random_text(make_rng(45), 5)
-        ranking = brute_force_ranking(index, encode(params, config, query))
-        relevant = {ranking[0][0], ranking[2][0], ranking[5][0]}
-        got = mine_ance_negatives_many(index, params, config, [query], [relevant], k=10)
-        assert got == [[d for d, _ in ranking if d not in relevant][:10]]
+        monkeypatch.setattr(mining, "_BLOCK_SCORES", 2 * len(index))  # 2 queries per block
+        rng = make_rng(45)
+        queries = [random_text(rng, 5) for _ in range(5)]
+        rankings = [[d for d, _ in brute_force_ranking(index, encode(params, config, q))]
+                    for q in queries]
+        # several relevant docs at scattered ranks, a set that leaves only 3
+        # documents, fewer than k, and an empty set
+        excluded = [{r[0], r[2], r[5]} for r in rankings[:3]] + [set(rankings[3][3:]), set()]
+        got = mine_ance_negatives_many(index, params, config, queries, excluded, k=10)
+        assert got == [[d for d in ranking if d not in skip][:10]
+                       for ranking, skip in zip(rankings, excluded)]
+        assert [len(negatives) for negatives in got] == [10, 10, 10, 3, 10]
 
     def test_mine_dataset_fills_k_with_several_relevant_docs(self):
         corpus, params, config = small_setup(seed=16, n_docs=40)
@@ -454,3 +484,22 @@ class TestMineRandomMany:
             got = mine_random_negatives_many(ids, excluded, k, make_rng(seed))
             oracle_rng = make_rng(seed)
             assert got == [random_negatives_oracle(ids, skip, k, oracle_rng) for skip in excluded]
+
+    def test_draws_do_not_depend_on_block_size(self, monkeypatch):
+        ids = [f"d{i}" for i in range(5)]
+        excluded = [{"d0"}, {"d1", "d3"}, set(), {"d4", "absent"}, set(ids) - {"d2"},
+                    set(ids), {"d0", "d4"}]
+        oracle_rng = make_rng(11)
+        want = [random_negatives_oracle(ids, skip, 3, oracle_rng) for skip in excluded]
+        # 1, 2 and all 7 sets per block
+        for block_scores in (1, 12, mining._BLOCK_SCORES):
+            monkeypatch.setattr(mining, "_BLOCK_SCORES", block_scores)
+            rng = make_rng(11)
+            assert mine_random_negatives_many(ids, excluded, 3, rng) == want
+            # one key per corpus id per set, no more
+            assert rng.random() == make_rng(11).random(len(ids) * len(excluded) + 1)[-1]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            mine_random_negatives([f"d{i}" for i in range(5)], "d0", k, make_rng(0))
