@@ -294,7 +294,7 @@ def _table_rows(texts: list[str],
     for i, text in enumerate(texts):
         text_ids = list(map(word_id, _words(text)))
         if not text_ids:
-            raise ValueError("empty input")
+            raise ValueError(f"empty input: texts[{i}] has no words: {text!r}")
         flat += text_ids
         lengths[i] = len(text_ids)
     ids = np.array(flat, dtype=np.intp)

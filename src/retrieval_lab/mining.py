@@ -6,9 +6,9 @@ trivial. Search and both negative strategies are one blocked top-k over a
 key per (query, document), ``_top_k``; when mining, a query's relevant
 documents key -inf and are dropped. Search and hard (ANCE) negatives key by
 cosine under the current model, ties by doc id; random negatives key by one
-uniform draw per document, ties by corpus position, a uniform sample of the
-documents outside the relevant set. The single-query functions are one-query
-calls of the batched ones; ``mine_dataset`` builds training examples.
+uniform draw per document, ties by corpus position. Both strategies follow
+one id rule, ``_columns``: a relevant id outside the corpus raises, as does a
+repeated corpus id. ``mine_dataset`` builds training examples.
 """
 
 from __future__ import annotations
@@ -97,12 +97,11 @@ def build_index(corpus: list[Document], params: EncoderParams,
 def search_many(index: DenseIndex, query_vecs, k: int) -> list[RankedList]:
     """Exact top-k by cosine for each row of query_vecs, ties by ascending
     doc_id: one ``_top_k`` pass keyed by the cosines."""
-    return _search(index, query_vecs, k, [])
+    return _search(index, as_matrix(query_vecs, "query_vecs", index.dim), k, [])
 
 
-def _search(index: DenseIndex, query_vecs, k: int, excluded: list[list[int]]) -> list[RankedList]:
-    """``_top_k`` over the cosines of the normalized queries with every document."""
-    queries = as_matrix(query_vecs, "query_vecs", index.dim)
+def _search(index: DenseIndex, queries, k: int, excluded: list[list[int]]) -> list[RankedList]:
+    """``_top_k`` over the cosines of the checked query rows, normalized, with every document."""
     queries = queries / row_norms(queries, "query")[:, None]
     return _top_k(lambda start, stop: index.scores(queries[start:stop]), len(queries), k,
                   index.doc_ids, index._id_rank, excluded)
@@ -157,26 +156,29 @@ def _block_top(keys: np.ndarray, keep: int, tie_rank: np.ndarray,
 
 def search_top_k(index: DenseIndex, query_vec, k: int) -> RankedList:
     """Exact top-k by cosine for one query; see ``search_many``."""
-    return search_many(index, as_vector(query_vec, "query_vec", index.dim)[None, :], k)[0]
+    return _search(index, as_vector(query_vec, "query_vec", index.dim)[None, :], k, [])[0]
+
+
+def _columns(row_of: dict[str, int], excluded: list[set[str]]) -> list[list[int]]:
+    """Each excluded set's corpus columns under ``row_of``; an unknown id raises."""
+    try:
+        return [[row_of[doc_id] for doc_id in skip] for skip in excluded]
+    except KeyError as err:
+        raise ValueError(f"unknown positive_id {err.args[0]!r}") from None
 
 
 def mine_ance_negatives_many(index: DenseIndex, params: EncoderParams, config: EncoderConfig,
                              queries: list[str], excluded: list[set[str]],
                              k: int = DEFAULT_NEGATIVES) -> list[list[str]]:
-    """For each query, its k most similar documents outside its excluded set.
-
-    ``excluded[i]`` holds query i's relevant (positive) doc ids. All queries
-    are encoded in one pass and ranked in one ``_top_k`` pass by
-    ``search_many``'s keys, the excluded documents keyed -inf, so each gets k
-    negatives whenever the corpus has them.
-    """
+    """For each query, its k most similar documents outside its excluded set,
+    its relevant (positive) doc ids: all queries are encoded in one pass and
+    ranked in one ``_top_k`` pass by ``search_many``'s keys, so each gets k
+    negatives whenever the corpus has them."""
     if len(excluded) != len(queries):
         raise ValueError(f"{len(excluded)} excluded sets for {len(queries)} queries")
-    try:
-        columns = [[index._row_of[doc_id] for doc_id in skip] for skip in excluded]
-    except KeyError as err:
-        raise ValueError(f"unknown positive_id {err.args[0]!r}") from None
-    ranked = _search(index, encode_texts(params, config, queries), k, columns)
+    columns = _columns(index._row_of, excluded)
+    ranked = _search(index, as_matrix(encode_texts(params, config, queries), "query_vecs",
+                                      index.dim), k, columns)
     return [[doc_id for doc_id, _ in ranking] for ranking in ranked]
 
 
@@ -194,14 +196,17 @@ def mine_random_negatives_many(corpus_ids: list[str], excluded: list[set[str]], 
     corpus id, ties by corpus position (the top k of i.i.d. uniform keys is a
     uniform draw; Kool et al., arXiv 1903.06059). Keys are drawn row-major:
     set i takes draws [i * n, (i + 1) * n) for n ids, whatever the block
-    size. Ids must be unique; excluded ids outside the corpus are ignored;
-    when fewer than k ids remain, all are returned, in key order.
+    size. Ids follow the one id rule (see the module docstring); when fewer
+    than k ids remain, all are returned, in key order.
     """
-    column = {doc_id: i for i, doc_id in enumerate(corpus_ids)}
+    row_of = {doc_id: i for i, doc_id in enumerate(corpus_ids)}
     n = len(corpus_ids)
+    if len(row_of) < n:  # name the first id met twice, as build_index does
+        seen = set()
+        repeated = next(d for d in corpus_ids if d in seen or seen.add(d))
+        raise ValueError(f"duplicate doc_id {repeated!r}")
     ranked = _top_k(lambda start, stop: rng.random((stop - start, n)), len(excluded), k,
-                    corpus_ids, np.arange(n),
-                    [[column[d] for d in skip if d in column] for skip in excluded])
+                    corpus_ids, np.arange(n), _columns(row_of, excluded))
     return [[doc_id for doc_id, _ in ranking] for ranking in ranked]
 
 
@@ -230,18 +235,16 @@ def mine_dataset(corpus: list[Document], queries: list[Query], qrels: Qrels,
             continue
         unknown = sorted(d for d in relevant if d not in doc_by_id)
         if unknown:
-            raise ValueError(f"qrels references unknown doc_id {unknown[0]!r} "
-                             f"for query {query.id}")
+            raise ValueError(f"qrels references unknown doc_id {unknown[0]!r} for query {query.id}")
         mineable.append((query, relevant))
     if not mineable:
         raise ValueError("no mineable queries (qrels empty or ids mismatched)")
     excluded = [relevant for _, relevant in mineable]
     if strategy == "ance":
-        neg_lists = mine_ance_negatives_many(build_index(corpus, params, config), params,
-                                             config, [query.text for query, _ in mineable],
-                                             excluded, k)
+        neg_lists = mine_ance_negatives_many(build_index(corpus, params, config), params, config,
+                                             [query.text for query, _ in mineable], excluded, k)
     else:
-        neg_lists = mine_random_negatives_many(list(doc_by_id), excluded, k, rng)
+        neg_lists = mine_random_negatives_many([doc.id for doc in corpus], excluded, k, rng)
     examples = []
     for (query, relevant), neg_ids in zip(mineable, neg_lists):
         neg_queries = None
@@ -250,10 +253,7 @@ def mine_dataset(corpus: list[Document], queries: list[Query], qrels: Qrels,
             if missing:
                 raise ValueError(f"neg-query map missing entries for {missing[:3]}")
             neg_queries = [neg_query_map[nid] for nid in neg_ids]
-        examples.append(TrainingExample(
-            query=query.text,
-            pos=[doc_by_id[d].text for d in sorted(relevant)],
-            neg=[doc_by_id[nid].text for nid in neg_ids],
-            neg_queries=neg_queries,
-        ))
+        pos = [doc_by_id[d].text for d in sorted(relevant)]
+        neg = [doc_by_id[nid].text for nid in neg_ids]
+        examples.append(TrainingExample(query=query.text, pos=pos, neg=neg, neg_queries=neg_queries))
     return examples

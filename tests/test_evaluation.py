@@ -107,6 +107,15 @@ class TestEvaluate:
         assert "qq" not in report.per_query
         assert any("qq" in rec.message for rec in caplog.records)
 
+    def test_judged_doc_missing_from_corpus_counts_as_never_retrieved(self):
+        # as in trec_eval: it enters the ideal DCG and is never in the ranking
+        params, config, corpus, queries, qrels = verbatim_setup()
+        qrels.set("q0", "gone", 1)
+        report = evaluate(params, config, corpus, queries, qrels, k=5)
+        assert report.per_query["q0"] == pytest.approx(1.0 / (1.0 + 1.0 / math.log2(3)),
+                                                       abs=1e-12)
+        assert report.per_query["q1"] == pytest.approx(1.0)
+
     def test_deterministic(self):
         params, config, corpus, queries, qrels = verbatim_setup()
         a = evaluate(params, config, corpus, queries, qrels, k=5)

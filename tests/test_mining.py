@@ -72,6 +72,12 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="nonempty"):
             build_index([], params, config)
 
+    def test_text_without_words_names_it(self):
+        corpus, params, config = small_setup(n_docs=3)
+        corpus[1] = Document("d0", "!!!")
+        with pytest.raises(ValueError, match=r"^empty input: texts\[1\] has no words: '!!!'$"):
+            build_index(corpus, params, config)
+
 
 class TestDenseIndexRows:
     def test_names_first_non_unit_row(self):
@@ -156,6 +162,15 @@ class TestSearchTopK:
         index = DenseIndex(["a", "b", "c"], np.eye(3), 3)
         with pytest.raises(ValueError, match=r"^cannot normalize: query norm inf outside"):
             search_top_k(index, [0.0, 1e200, 1e200], 3)
+
+    def test_query_checked_once(self, monkeypatch):
+        index = DenseIndex(["a", "b"], np.eye(2), 2)
+        monkeypatch.setattr(mining, "as_matrix", None)  # search_top_k must not reach it
+        assert search_top_k(index, [0.0, 2.0], 2) == [("b", 1.0), ("a", 0.0)]
+        with pytest.raises(ValueError, match=r"^query_vec has dimension 3, expected 2$"):
+            search_top_k(index, [1.0, 0.0, 0.0], 2)
+        with pytest.raises(ValueError, match=r"^query_vec must be 1-D"):
+            search_top_k(index, [[1.0, 0.0]], 2)
 
     def test_scores_descending(self):
         corpus, params, config = small_setup(seed=8)
@@ -445,7 +460,7 @@ class TestMineRandomMany:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_pool_oracle(self, seed):
         ids = [f"d{i:02d}" for i in range(12)]
-        positives = ["d00", "d11", "d05", "absent", "d07", "d00"]
+        positives = ["d00", "d11", "d05", "d09", "d07", "d00"]
         for k in (1, 5, 10, 11, 12, 20):
             got = mine_random_negatives_many(ids, [{p} for p in positives], k, make_rng(seed))
             oracle_rng = make_rng(seed)
@@ -478,7 +493,7 @@ class TestMineRandomMany:
     @pytest.mark.parametrize("seed", range(5))
     def test_excluded_sets_match_pool_oracle(self, seed):
         ids = [f"d{i:02d}" for i in range(12)]
-        excluded = [{"d00", "d11", "d05"}, {"d03", "absent"}, set(), {"d01", "d02", "d03"},
+        excluded = [{"d00", "d11", "d05"}, {"d03"}, set(), {"d01", "d02", "d03"},
                     set(ids) - {"d06"}, set(ids)]
         for k in (1, 3, 8, 9, 12, 20):
             got = mine_random_negatives_many(ids, excluded, k, make_rng(seed))
@@ -487,7 +502,7 @@ class TestMineRandomMany:
 
     def test_draws_do_not_depend_on_block_size(self, monkeypatch):
         ids = [f"d{i}" for i in range(5)]
-        excluded = [{"d0"}, {"d1", "d3"}, set(), {"d4", "absent"}, set(ids) - {"d2"},
+        excluded = [{"d0"}, {"d1", "d3"}, set(), {"d4"}, set(ids) - {"d2"},
                     set(ids), {"d0", "d4"}]
         oracle_rng = make_rng(11)
         want = [random_negatives_oracle(ids, skip, 3, oracle_rng) for skip in excluded]
@@ -503,3 +518,59 @@ class TestMineRandomMany:
     def test_k_below_one_rejected(self, k):
         with pytest.raises(ValueError, match=r"^k must be >= 1$"):
             mine_random_negatives([f"d{i}" for i in range(5)], "d0", k, make_rng(0))
+
+
+def mine_by(strategy, corpus_ids, excluded, k, rng):
+    """``strategy``'s batched miner over the documents ``corpus_ids``."""
+    if strategy == "random":
+        return mine_random_negatives_many(corpus_ids, excluded, k, rng)
+    corpus, params, config = small_setup(n_docs=len(corpus_ids))
+    index = DenseIndex(corpus_ids, build_index(corpus, params, config).vectors, config.d_model)
+    return mine_ance_negatives_many(index, params, config, ["a b"] * len(excluded), excluded, k)
+
+
+class TestOneIdRule:
+    """Both strategies resolve doc ids alike: a repeated corpus id and an
+    excluded id outside the corpus raise, and an excluded id is never mined."""
+
+    @pytest.mark.parametrize("strategy", ["ance", "random"])
+    def test_unknown_excluded_id_raises(self, strategy):
+        rng = make_rng(3)
+        with pytest.raises(ValueError, match=r"^unknown positive_id 'nope'$"):
+            mine_by(strategy, ["a", "b", "c"], [{"a"}, {"b", "nope"}], 2, rng)
+        assert rng.random() == make_rng(3).random()  # raised before any draw
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("skip", [{"c"}, {"a"}])
+    def test_repeated_id_raises_rather_than_mining_it(self, skip, seed):
+        # excluding one row of a repeated id must not let its other row be drawn
+        with pytest.raises(ValueError, match=r"^duplicate doc_id 'a'$"):
+            mine_random_negatives_many(["a", "a", "b", "c"], [skip], 3, make_rng(seed))
+
+    def test_repeated_id_named_as_build_index_names_it(self):
+        corpus, params, config = small_setup(n_docs=4)
+        ids = ["x", "b", "b", "x"]
+        corpus = [Document(doc_id, doc.text) for doc_id, doc in zip(ids, corpus)]
+        with pytest.raises(ValueError, match=r"^duplicate doc_id 'b'$"):
+            build_index(corpus, params, config)
+        with pytest.raises(ValueError, match=r"^duplicate doc_id 'b'$"):
+            mine_random_negatives_many(ids, [set()], 2, make_rng(0))
+
+    @pytest.mark.parametrize("strategy", ["ance", "random"])
+    def test_mine_dataset_rejects_repeated_corpus_id(self, strategy):
+        corpus, params, config = small_setup(n_docs=4)
+        corpus[1] = Document(corpus[0].id, corpus[1].text)
+        qrels = Qrels()
+        qrels.set("q0", corpus[2].id, 1)
+        with pytest.raises(ValueError, match=rf"^duplicate doc_id '{corpus[0].id}'$"):
+            mine_dataset(corpus, [Query("q0", "a b")], qrels, None, params, config,
+                         strategy, 2, make_rng(0))
+
+    @pytest.mark.parametrize("strategy", ["ance", "random"])
+    def test_excluded_ids_never_mined(self, strategy):
+        ids = [f"d{i:02d}" for i in range(12)]
+        rng = make_rng(5)
+        excluded = [{ids[i] for i in rng.permutation(12)[:rng.integers(0, 13)]}
+                    for _ in range(40)]
+        for skip, negatives in zip(excluded, mine_by(strategy, ids, excluded, 12, make_rng(6))):
+            assert sorted(negatives) == sorted(set(ids) - skip)

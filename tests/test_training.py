@@ -330,6 +330,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty input"):
             train(params, config, dataset, cfg)
 
+    def test_query_without_words_is_named(self):
+        params, config = tiny_encoder()
+        dataset = tiny_dataset(n=4)
+        dataset[1].query = "?!"
+        cfg = TrainConfig(learning_rate=1e-3, epochs=1, grad_accum_steps=1, loss="cl", seed=1)
+        # one example per group, so the query is the group's first text
+        with pytest.raises(ValueError, match=r"^empty input: texts\[0\] has no words: '\?!'$"):
+            train(params, config, dataset, cfg)
+
 
 def random_group(seed):
     """A random accumulation group, a unit vector for each of its texts and a
