@@ -72,7 +72,11 @@ class Qrels:
 
 @dataclass
 class TrainingExample:
-    """(query, positives, mined negatives, negatives' own positive queries)."""
+    """(query, positives, mined negatives, negatives' own positive queries).
+
+    Training uses ``pos[0]`` only. ``mine_dataset`` writes every relevant
+    document, sorted by id; the others only keep their documents out of the
+    negatives."""
 
     query: str
     pos: list[str]

@@ -26,7 +26,7 @@ import hashlib
 import json
 import re
 from copy import deepcopy
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -84,6 +84,9 @@ class EncoderConfig:
     @staticmethod
     def from_dict(d: dict) -> "EncoderConfig":
         moe = d.get("moe")
+        unknown = sorted(d.keys() - {f.name for f in fields(EncoderConfig)})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         return EncoderConfig(
             vocab_size=d["vocab_size"],
             d_model=d["d_model"],
@@ -447,7 +450,10 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
     with _reading(path) as doc:
         if doc.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-        config = EncoderConfig.from_dict(doc["config"])
+        try:
+            config = EncoderConfig.from_dict(doc["config"])
+        except ValueError as err:  # a bad value, or a key no config has
+            raise ValueError(f"{path}: config: {err}") from err
 
         def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
             entry = doc["tensors"].get(name)

@@ -156,30 +156,30 @@ def compare_methods(reports: list[EvalReport]) -> tuple[str, str]:
 
     Returns (markdown, tsv). Rows keep first-seen method order; columns are
     sorted dataset names plus the arithmetic mean. Markdown bolds each
-    column's maximum. Every method must cover the same dataset set.
+    column's maximum. Reports must share one k, and methods one dataset set.
     """
     if not reports:
         raise ValueError("need at least one report")
-    methods: list[str] = []
-    cells: dict[str, dict[str, float]] = {}
+    cells: dict[str, dict[str, float]] = {}  # method -> dataset -> score, first-seen order
     for rep in reports:
-        if rep.method not in cells:
-            methods.append(rep.method)
-            cells[rep.method] = {}
-        if rep.dataset in cells[rep.method]:
+        if rep.k != reports[0].k:
+            raise ValueError(f"report ({rep.method!r}, {rep.dataset!r}) scores nDCG@{rep.k}, "
+                             f"the first report nDCG@{reports[0].k}")
+        row = cells.setdefault(rep.method, {})
+        if rep.dataset in row:
             raise ValueError(f"duplicate report for ({rep.method!r}, {rep.dataset!r})")
-        cells[rep.method][rep.dataset] = rep.mean_ndcg
+        row[rep.dataset] = rep.mean_ndcg
 
-    datasets = sorted(cells[methods[0]])
-    for method in methods:
-        if sorted(cells[method]) != datasets:
+    datasets = sorted(cells[reports[0].method])
+    for method, row in cells.items():
+        if sorted(row) != datasets:
             raise ValueError(
-                f"method {method!r} covers datasets {sorted(cells[method])}, "
+                f"method {method!r} covers datasets {sorted(row)}, "
                 f"expected {datasets}")
 
     rows = []
-    for method in methods:
-        values = [cells[method][ds] for ds in datasets]
+    for method, row in cells.items():
+        values = [row[ds] for ds in datasets]
         rows.append((method, values + [sum(values) / len(values)]))
 
     columns = datasets + ["average"]

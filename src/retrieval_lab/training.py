@@ -16,21 +16,23 @@ a trainable tensor Adam updates only the rows a group wrote (for the
 embedding, the ids the training texts use); every other row would move by
 exactly zero, so the result equals dense Adam bit for bit.
 
-The examples are a list, or a function of the live params called at each
-epoch's start (re-mining). Groups tokenize through the encoder's process-wide
-word -> id memo, so a word is hashed once however many groups and re-mines
-use it. The gradient dict and the moments are made once per run by
-``np.zeros``, so a row no group writes is never filled in memory. A group
-writes only its distinct token ids' rows of the embedding gradient, so the
-averaging, the row marking and the zeroing after the step cover those rows,
-and every other trainable tensor in full.
+``steps`` trains the params in place and yields after each optimizer step;
+``train`` runs it to the end on a copy. The examples are a list, or a
+function of the live params called at each epoch's start (re-mining).
+Groups tokenize through the encoder's process-wide word -> id memo, so a
+word is hashed once however many groups and re-mines use it. The gradient
+dict and the moments are made once per run by ``np.zeros``, so a row no
+group writes is never filled in memory. A group writes only its distinct
+token ids' rows of the embedding gradient, so the averaging, the row marking
+and the zeroing after the step cover those rows, and every other trainable
+tensor in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -182,50 +184,48 @@ def _group_grads(params: EncoderParams, config: EncoderConfig,
     return losses, ctx["uniq"]
 
 
-def train(params: EncoderParams, config: EncoderConfig,
+def steps(params: EncoderParams, config: EncoderConfig,
           examples: list[TrainingExample] | Callable[[EncoderParams], list[TrainingExample]],
-          cfg: TrainConfig) -> TrainResult:
-    """Run the fine-tuning loop and return trained params plus the loss trace.
+          cfg: TrainConfig) -> Iterator[tuple[int, list[float]]]:
+    """Train ``params`` in place, yielding ``(epoch, losses)`` after each optimizer step.
 
-    Examples are visited in seeded-shuffled order each epoch. ``examples``
-    is the training set, or a function that re-builds it from the live
-    params at the start of every epoch (explicit re-mining); optimizer
-    state persists across epochs. A list is checked before any work.
+    ``epoch`` counts from 0; ``losses`` are the group's, in visiting order
+    (seeded-shuffled each epoch). The params read at a yield include that
+    step, so after epoch ``e``'s last step they equal an ``epochs=e + 1`` run.
+    ``examples`` is the training set, or a function that re-builds it from the
+    live params at each epoch's start (re-mining); optimizer state persists
+    across epochs. Nothing runs before the first ``next()``, and each epoch's
+    set is checked before its first group.
     """
-    remine = callable(examples)
-    if not remine:
-        _checked(examples, cfg)
-
-    params = params.copy()
     params.check_shapes(config)
     tensors = params.named_tensors()
     accum = {name: np.zeros(tensors[name].shape) for name in _trainable(tensors, cfg.freeze)}
     state = OptimizerState.init(accum)
     rng = make_rng(cfg.seed)
-    trace: list[float] = []
-
-    for _ in range(cfg.epochs):
-        dataset = _checked(examples(params), cfg) if remine else examples
+    seen = 0
+    for epoch in range(cfg.epochs):
+        dataset = _checked(examples(params) if callable(examples) else examples, cfg)
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), cfg.grad_accum_steps):
             group = [dataset[int(idx)] for idx in order[start:start + cfg.grad_accum_steps]]
-            losses, uniq = _group_grads(params, config, group, cfg, accum, len(trace))
-            trace += losses
-            _optimizer_step(params, accum, uniq, len(group), state, cfg)
+            losses, uniq = _group_grads(params, config, group, cfg, accum, seen)
+            seen += len(group)
+            written = {"embedding": uniq}
+            for name, g in accum.items():
+                g[written.get(name, slice(None))] /= len(group)
+            adam_step(params, accum, state, cfg.learning_rate, written)
+            for name, g in accum.items():
+                g[written.get(name, slice(None))] = 0.0
+            yield epoch, losses
+
+
+def train(params: EncoderParams, config: EncoderConfig,
+          examples: list[TrainingExample] | Callable[[EncoderParams], list[TrainingExample]],
+          cfg: TrainConfig) -> TrainResult:
+    """Run ``steps`` to the end on a copy of ``params``; return the copy and every loss."""
+    params = params.copy()
+    trace = [loss for _, losses in steps(params, config, examples, cfg) for loss in losses]
     return TrainResult(params=params, loss_trace=trace)
-
-
-def _optimizer_step(params: EncoderParams, accum: dict[str, np.ndarray], uniq: np.ndarray,
-                    count: int, state: OptimizerState, cfg: TrainConfig) -> None:
-    """Adam on the group's mean gradient, then zero what the group wrote into
-    ``accum``: the embedding's ``uniq`` rows (every other row is +0.0 already)
-    and every other tensor in full."""
-    written = {"embedding": uniq}
-    for name, g in accum.items():
-        g[written.get(name, slice(None))] /= count
-    adam_step(params, accum, state, cfg.learning_rate, written)
-    for name, g in accum.items():
-        g[written.get(name, slice(None))] = 0.0
 
 
 def _checked(dataset: list[TrainingExample], cfg: TrainConfig) -> list[TrainingExample]:

@@ -627,6 +627,18 @@ class TestEvalAndCompare:
         assert table[0] == "method\tsynth\taverage"
         assert len(table) == 3
 
+    def test_compare_reports_of_different_k_fail(self, tmp_path, capsys):
+        # nDCG@5 and nDCG@50 are different measures; one table would rank them as one
+        reports = []
+        for k, score in ((5, 0.5), (50, 0.7)):
+            reports.append(tmp_path / f"report{k}.json")
+            reports[-1].write_text(json.dumps({"dataset": "synth", "k": k, "mean_ndcg": score,
+                                               "method": f"at{k}", "per_query": {}}))
+        assert run_cli("compare", *reports, "--outdir", tmp_path / "cmp") == 1
+        assert capsys.readouterr().err == (
+            "error: report ('at50', 'synth') scores nDCG@50, the first report nDCG@5\n")
+        assert not (tmp_path / "cmp").exists()
+
     def test_compare_without_reports_fails(self, tmp_path, capsys):
         assert run_cli("compare", "--outdir", tmp_path / "c") == 1
         assert "at least one" in capsys.readouterr().err

@@ -819,6 +819,29 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("experts, edit, message", [
+        (None, lambda doc: doc["config"].update(d_intermediate=3),
+         "d_intermediate must be >= d_model"),
+        (2, lambda doc: doc["config"]["moe"].update(experts_per_token=2),
+         "only experts_per_token == 1 is supported"),
+        (2, lambda doc: doc["config"]["moe"].update(num_experts=0),
+         "num_experts must be positive"),
+        (None, lambda doc: doc["config"].update(extra=3), r"unknown keys \['extra'\]"),
+        (2, lambda doc: doc["config"].update(zeta=None, alpha=1),
+         r"unknown keys \['alpha', 'zeta'\]"),
+    ], ids=["d_intermediate_below_d_model", "two_experts_per_token", "no_experts",
+            "unknown_key", "unknown_keys_under_moe"])
+    def test_bad_config_names_file(self, tmp_path, experts, edit, message):
+        params, config = (_dense_instance(48) if experts is None
+                          else _moe_instance(48, experts=experts))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, config, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: config: {message}$"):
+            load_checkpoint(path)
+
     def test_config_without_d_model(self, tmp_path):
         path, doc = self._doc(tmp_path)
         del doc["config"]["d_model"]

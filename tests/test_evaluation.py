@@ -299,6 +299,13 @@ class TestCompareMethods:
         with pytest.raises(ValueError, match="datasets"):
             compare_methods(reports)
 
+    def test_reports_of_different_k_rejected(self):
+        # nDCG@5 and nDCG@50 are different measures; one table would rank them as one
+        reports = [EvalReport("m1", "a", 5, {}, 0.5), EvalReport("m2", "a", 50, {}, 0.7)]
+        with pytest.raises(ValueError, match=r"^report \('m2', 'a'\) scores nDCG@50, "
+                                             r"the first report nDCG@5$"):
+            compare_methods(reports)
+
     def test_golden_two_method_table(self):
         reports = [
             EvalReport("random-dataset", "synth", 5, {}, 0.41231),

@@ -752,3 +752,43 @@ class TestEpochPrefix:
             assert full.loss_trace[:6 * e] == short.loss_trace, e
             assert after_step[2 * e - 1] == params_bytes(short.params), e
         assert after_step[1] != after_step[3] != after_step[5]  # every epoch moved the params
+
+    @pytest.mark.parametrize("remine", [False, True], ids=["list", "re-mining"])
+    @pytest.mark.parametrize("moe, freeze", [(False, FreezeMode.FULL),
+                                             (True, FreezeMode.MOE_ONLY)])
+    def test_steps_read_after_each_epoch_equal_a_shorter_run(self, moe, freeze, remine):
+        # the params read from steps at the last step of epoch e (counting
+        # from 1) and the losses up to there equal an e-epoch train() run
+        params, config = tiny_encoder(moe=moe, seed=2)
+        dataset = tiny_dataset(n=6)
+        before = params_bytes(params)
+
+        def cfg(epochs):
+            return TrainConfig(learning_rate=1e-2, epochs=epochs, grad_accum_steps=4, loss="clp",
+                               loss_cfg=LossConfig(lam=0.3), freeze=freeze, seed=5)
+
+        live, epochs, losses, after_epoch = params.copy(), [], [], {}
+        for epoch, group_losses in training.steps(
+                live, config, _ance_refresh(config) if remine else dataset, cfg(3)):
+            epochs.append(epoch)
+            losses += group_losses
+            after_epoch[epoch + 1] = params_bytes(live)  # the last write per epoch stays
+        assert epochs == [0, 0, 1, 1, 2, 2]  # 6 examples in groups of 4 and 2
+        for e in (1, 2, 3):
+            short = train(params, config, _ance_refresh(config) if remine else dataset, cfg(e))
+            assert losses[:6 * e] == short.loss_trace, e
+            assert after_epoch[e] == params_bytes(short.params), e
+        assert after_epoch[1] != after_epoch[2] != after_epoch[3]  # every epoch moved them
+        assert params_bytes(params) == before  # train() trained copies
+
+    def test_steps_is_lazy_and_checks_a_list_before_any_step(self):
+        params, config = tiny_encoder()
+        dataset = tiny_dataset()
+        dataset[3] = TrainingExample(query=dataset[3].query, pos=dataset[3].pos,
+                                     neg=dataset[3].neg)  # no neg_queries
+        before = params_bytes(params)
+        cfg = TrainConfig(learning_rate=1e-2, loss="clp", seed=0)
+        iterator = training.steps(params, config, dataset, cfg)
+        with pytest.raises(ValueError, match="neg_queries on every example; missing at index 3"):
+            next(iterator)
+        assert params_bytes(params) == before
