@@ -326,16 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Contrastive fine-tuning lab: synth, mine, train, eval, compare.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+    def command(name: str, func, summary: str, *, seeded: bool) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--seed", type=int, default=TrainConfig.seed, help="random seed")
+        if seeded:  # the commands that draw random numbers
+            p.add_argument("--seed", type=int, default=TrainConfig.seed, help="random seed")
         p.add_argument("--outdir", default=".", help="output directory")
         return p
 
-    p = command("synth", cmd_synth, "generate a synthetic corpus/queries/qrels bundle")
+    p = command("synth", cmd_synth, "generate a synthetic corpus/queries/qrels bundle", seeded=True)
     p.add_argument("--clusters", type=int, default=SynthSpec.num_clusters, help="topic clusters")
     p.add_argument("--docs-per-cluster", type=int, default=SynthSpec.docs_per_cluster,
                    help="documents per cluster")
@@ -350,11 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neg-queries-per-doc", type=int, default=SynthSpec.neg_queries_per_doc,
                    help="own queries per document in neg_queries.jsonl")
 
-    p = command("mine", cmd_mine, "write train.jsonl with mined negatives")
+    p = command("mine", cmd_mine, "write train.jsonl with mined negatives", seeded=True)
     _add_encoder_flags(p)
     _add_mining_flags(p)
 
-    p = command("train", cmd_train, "fine-tune and write checkpoint + run manifest")
+    p = command("train", cmd_train, "fine-tune and write checkpoint + run manifest", seeded=True)
     _add_encoder_flags(p)
     p.add_argument("--train-file", help="train.jsonl written by mine")
     p.add_argument("--loss", choices=["cl", "clp"], default=TrainConfig.loss,
@@ -377,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "(reads the bundle flags instead of --train-file)")
     _add_mining_flags(p)
 
-    p = command("eval", cmd_eval, "retrieve, score nDCG@k and write run + report")
+    p = command("eval", cmd_eval, "retrieve, score nDCG@k and write run + report", seeded=False)
     p.add_argument("--checkpoint", help="checkpoint to evaluate")
     _add_bundle_flags(p)
     p.add_argument("--k", type=int, default=5, help="ranking depth and nDCG cutoff")
     p.add_argument("--method", default="unnamed", help="method label for the report")
     p.add_argument("--dataset", default="dataset", help="dataset label for the report")
 
-    p = command("compare", cmd_compare, "combine eval reports into a method table")
+    p = command("compare", cmd_compare, "combine eval reports into a method table", seeded=False)
     p.add_argument("reports", nargs="*", help="report.json paths")
 
     return parser

@@ -9,6 +9,9 @@ File formats (all UTF-8):
 A JSONL line is byte-equal to ``json.dumps(obj, sort_keys=True, ensure_ascii=False)``,
 built from the strings of ``json.encoder.encode_basestring`` that json.dumps uses.
 
+One function per input rule: ``_read_jsonl`` prefixes ``path:line`` to every fault of a
+JSONL record, and ``_unique`` names a repeated key (id, doc_id, judgment) and both lines.
+
 The generator builds clustered bag-of-words data: clusters own disjoint
 vocabularies, queries quote words from their relevant document, and every
 document gets standalone queries of its own so it can serve as somebody
@@ -95,8 +98,9 @@ class TrainingExample:
                 raise ValueError("each neg_queries entry needs at least one query")
 
 
-def _read_jsonl(path: str | Path):
-    """(line number, object) of each nonblank line; only ``"\\n"`` ends a line."""
+def _read_jsonl(path: str | Path, parse):
+    """(line, ``parse(obj)``) per nonblank line's JSON object; only ``"\\n"`` ends a line. A fault
+    of the line or from ``parse`` (``KeyError``: a missing field) names ``path:line``."""
     decode = json.JSONDecoder().raw_decode
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -107,35 +111,41 @@ def _read_jsonl(path: str | Path):
                 obj, end = decode(body)
             except json.JSONDecodeError:
                 end = -1
-            if end != len(body):  # rejected: json.loads words the error
-                try:
+            try:
+                if end != len(body):  # rejected: json.loads words the error
                     obj = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise ValueError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
-            if not isinstance(obj, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
-            yield lineno, obj
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+                record = parse(obj)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
+            except KeyError as err:
+                raise ValueError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
+            yield lineno, record
+
+
+def _unique(path: str | Path, records, name: str, key):
+    """The (line number, record) pairs read from ``path``, passed on while no
+    ``key(record)`` repeats; a repeated one raises, naming it and both lines."""
+    first: dict = {}
+    for lineno, record in records:
+        if (k := key(record)) in first:
+            raise ValueError(f"{path}:{lineno}: duplicate {name} {k!r} "
+                             f"(first seen on line {first[k]})")
+        first[k] = lineno
+        yield lineno, record
 
 
 def _load_id_text(path: str | Path, cls):
-    items = []
-    seen: dict[str, int] = {}
-    for lineno, obj in _read_jsonl(path):
-        try:
-            item = cls(id=_as_id(obj["id"], "id"), text=_as_text(obj["text"], "text"))
-        except KeyError as err:
-            raise ValueError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from err
+    def parse(obj):
+        item = cls(id=_as_id(obj["id"], "id"), text=_as_text(obj["text"], "text"))
         if not item.id:
-            raise ValueError(f"{path}:{lineno}: id must be nonempty")
-        if item.id in seen:
-            raise ValueError(
-                f"{path}:{lineno}: duplicate id {item.id!r} (first seen on line {seen[item.id]})")
-        seen[item.id] = lineno
-        items.append(item)
-    return items
+            raise ValueError("id must be nonempty")
+        return item
+
+    return [item for _, item in _unique(path, _read_jsonl(path, parse), "id", lambda i: i.id)]
 
 
 def load_corpus(path: str | Path) -> list[Document]:
@@ -171,12 +181,8 @@ def _read_tsv(path: str | Path, fields: int):
 
 def load_qrels(path: str | Path) -> Qrels:
     qrels = Qrels()
-    seen: dict[tuple[str, str], int] = {}
-    for lineno, (qid, did, rel) in _read_tsv(path, 3):
-        if (qid, did) in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate judgment ({qid!r}, {did!r}) "
-                             f"(first seen on line {seen[qid, did]})")
-        seen[qid, did] = lineno
+    for lineno, (qid, did, rel) in _unique(path, _read_tsv(path, 3), "judgment",
+                                           lambda parts: (parts[0], parts[1])):
         if rel not in ("0", "1"):
             raise ValueError(f"{path}:{lineno}: relevance must be 0 or 1, got {rel!r}")
         qrels.set(qid, did, int(rel))
@@ -218,23 +224,22 @@ def _as_texts(value, name: str) -> list[str]:
 
 
 def load_train_set(path: str | Path) -> list[TrainingExample]:
-    examples = []
-    for lineno, obj in _read_jsonl(path):
+    def parse(obj):
         try:
             neg_queries = obj.get("neg_queries")
             if neg_queries is not None:
                 neg_queries = [_as_texts(qs, f"neg_queries[{j}]")
                                for j, qs in enumerate(_as_list(neg_queries, "neg_queries"))]
-            example = TrainingExample(
+            return TrainingExample(
                 query=_as_text(obj["query"], "query"),
                 pos=_as_texts(obj["pos"], "pos"),
                 neg=_as_texts(obj.get("neg", []), "neg"),
                 neg_queries=neg_queries,
             )
         except (KeyError, ValueError, TypeError) as err:
-            raise ValueError(f"{path}:{lineno}: invalid training example ({err})") from err
-        examples.append(example)
-    return examples
+            raise ValueError(f"invalid training example ({err})") from err
+
+    return [example for _, example in _read_jsonl(path, parse)]
 
 
 def save_train_set(examples: list[TrainingExample], path: str | Path) -> None:
@@ -252,20 +257,13 @@ def save_train_set(examples: list[TrainingExample], path: str | Path) -> None:
 
 def load_neg_query_map(path: str | Path) -> dict[str, list[str]]:
     """doc_id -> texts of that document's own positive queries."""
-    mapping: dict[str, list[str]] = {}
-    for lineno, obj in _read_jsonl(path):
-        doc_id = obj.get("doc_id")
-        queries = obj.get("queries")
+    def parse(obj):
+        doc_id, queries = obj.get("doc_id"), obj.get("queries")
         if doc_id in (None, "") or not queries:
-            raise ValueError(f"{path}:{lineno}: need nonempty doc_id and queries")
-        try:  # ids are read as _load_id_text reads them, so one matches its document's
-            doc_id, queries = _as_id(doc_id, "doc_id"), _as_texts(queries, "queries")
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from err
-        if doc_id in mapping:
-            raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-        mapping[doc_id] = queries
-    return mapping
+            raise ValueError("need nonempty doc_id and queries")
+        return _as_id(doc_id, "doc_id"), _as_texts(queries, "queries")  # read as corpus ids
+
+    return dict(e for _, e in _unique(path, _read_jsonl(path, parse), "doc_id", lambda e: e[0]))
 
 
 def save_neg_query_map(mapping: dict[str, list[str]], path: str | Path) -> None:

@@ -110,10 +110,11 @@ def tensor_layout(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return layout
 
 
-def _expert_names(config: EncoderConfig) -> list[tuple[str, str]]:
+@cache
+def _expert_names(config: EncoderConfig) -> tuple[tuple[str, str], ...]:
     """Each expert's (up-projection, bias) tensor names, in expert order."""
     suffixes = [""] if config.moe is None else [f".{e}" for e in range(config.moe.num_experts)]
-    return [(f"w_up{s}", f"b_up{s}") for s in suffixes]
+    return tuple((f"w_up{s}", f"b_up{s}") for s in suffixes)
 
 
 @dataclass
@@ -231,12 +232,12 @@ def _intermediate(params: EncoderParams, config: EncoderConfig, x: np.ndarray) -
     experts = [0]
     if params.is_moe:  # softmax gate, top-1 expert; argmax ties go to the lowest index
         logits = x @ params.gate
-        z = np.exp(logits - logits.max(axis=1, keepdims=True))
-        p = z / z.sum(axis=1, keepdims=True)
-        route = np.argmax(p, axis=1)
-        pe = p[np.arange(len(x)), route]  # gate probability of each row's expert
-        experts = np.unique(route)
-    groups = [(slice(None) if len(experts) == 1 else np.flatnonzero(route == e), *names[e])
+        z = np.exp(logits - logits.max(1, keepdims=True))
+        p = z / z.sum(1, keepdims=True)
+        route = p.argmax(1)
+        pe = p.max(1)  # gate probability of each row's expert: its largest
+        experts = np.bincount(route).nonzero()[0].tolist()
+    groups = [(slice(None) if len(experts) == 1 else (route == e).nonzero()[0], *names[e])
               for e in experts]
     h = None if len(groups) == 1 else np.empty((len(x), config.d_intermediate))
     for rows, w_name, b_name in groups:
@@ -292,18 +293,17 @@ def _table_rows(texts: list[str],
     distinct token ids, each token's index into them, text after text (as
     ``np.unique``'s inverse), and each text's token count."""
     word_id = _word_ids(config.vocab_size).__getitem__
-    lengths = np.empty(len(texts), dtype=np.intp)
-    flat: list[int] = []
+    flat, lengths = [], []  # token ids, text after text; each text's count
     for i, text in enumerate(texts):
         text_ids = list(map(word_id, _words(text)))
         if not text_ids:
             raise ValueError(f"empty input: texts[{i}] has no words: {text!r}")
         flat += text_ids
-        lengths[i] = len(text_ids)
+        lengths.append(len(text_ids))
     ids = np.array(flat, dtype=np.intp)
     present = np.zeros(config.vocab_size, dtype=bool)
     present[ids] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[ids], lengths
+    return present.nonzero()[0], (present.cumsum() - 1).take(ids), np.array(lengths, dtype=np.intp)
 
 
 def _forward(params: EncoderParams, config: EncoderConfig,
@@ -334,16 +334,17 @@ def _mean_rows(table: np.ndarray, inv: np.ndarray, lengths: np.ndarray) -> np.nd
     from +0.0 and adds the text's rows in order. Texts are pooled longest
     first, so at each position only the texts still running (a prefix) add a
     row, and the work grows with the total token count."""
-    order = np.argsort(-lengths, kind="stable")
-    starts, longest_first = (np.cumsum(lengths) - lengths)[order], lengths[order]
-    # running[p]: how many texts are longer than p, i.e. still running at position p
-    running = np.searchsorted(-longest_first, -np.arange(lengths.max(initial=0)))
+    order = (-lengths).argsort()  # equal lengths in any order: each text sums alone
+    starts = (lengths.cumsum() - lengths).take(order)
     pool = np.zeros((len(lengths), table.shape[1]))
-    for position, k in enumerate(running):
-        pool[:k] += table[inv[starts[:k] + position]]
-    pool /= longest_first[:, None]
+    running = len(lengths)
+    # ended[p]: how many texts have p tokens, so stop before position p
+    for position, ended in enumerate(np.bincount(lengths).tolist()[:-1]):
+        running -= ended
+        pool[:running] += table.take(inv.take(starts[:running] + position), axis=0)
     out = np.empty_like(pool)
     out[order] = pool
+    out /= lengths[:, None]  # in place: a fresh array per call costs page faults
     return out
 
 

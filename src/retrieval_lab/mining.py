@@ -6,9 +6,9 @@ trivial. Search and both negative strategies are one blocked top-k over a
 key per (query, document), ``_top_k``; when mining, a query's relevant
 documents key -inf and are dropped. Search and hard (ANCE) negatives key by
 cosine under the current model, ties by doc id; random negatives key by one
-uniform draw per document, ties by corpus position. Both strategies follow
-one id rule, ``_columns``: a relevant id outside the corpus raises, as does a
-repeated corpus id. ``mine_dataset`` builds training examples.
+uniform draw per document, ties by corpus position. One id -> row map, ``_rows``,
+names the first repeated doc id for the index and both strategies; ``_columns``
+rejects a relevant id outside it. ``mine_dataset`` builds training examples.
 """
 
 from __future__ import annotations
@@ -42,14 +42,12 @@ class DenseIndex:
     dim: int
 
     def __post_init__(self):
-        if len(self.doc_ids) != len(set(self.doc_ids)):
-            raise ValueError("doc_ids must be unique")
+        self._row_of = _rows(self.doc_ids)
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.shape != (len(self.doc_ids), self.dim):
             raise ValueError("vectors shape inconsistent with doc_ids/dim")
         check_unit(self.vectors, lambda i: f"index vector {self.doc_ids[i]!r}")
         n = len(self.doc_ids)
-        self._row_of = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
         # Position of each row in ascending doc-id (str) order: the tie-break key.
         self._id_rank = np.empty(n, dtype=np.int64)
         self._id_rank[sorted(range(n), key=self.doc_ids.__getitem__)] = np.arange(n)
@@ -83,11 +81,8 @@ def build_index(corpus: list[Document], params: EncoderParams,
     """Encode every document with the given parameters."""
     if not corpus:
         raise ValueError("corpus must be nonempty")
-    seen = set()
+    _rows([doc.id for doc in corpus])  # a repeated id fails before any encoding
     for doc in corpus:
-        if doc.id in seen:
-            raise ValueError(f"duplicate doc_id {doc.id!r}")
-        seen.add(doc.id)
         if not doc.text:
             raise ValueError(f"document {doc.id!r} has empty text")
     vectors = encode_texts(params, config, [doc.text for doc in corpus])
@@ -159,6 +154,15 @@ def search_top_k(index: DenseIndex, query_vec, k: int) -> RankedList:
     return _search(index, as_vector(query_vec, "query_vec", index.dim)[None, :], k, [])[0]
 
 
+def _rows(doc_ids: list[str]) -> dict[str, int]:
+    """Each id's row in ``doc_ids``; the first id met twice raises."""
+    row_of: dict[str, int] = {}
+    for i, doc_id in enumerate(doc_ids):
+        if row_of.setdefault(doc_id, i) != i:
+            raise ValueError(f"duplicate doc_id {doc_id!r}")
+    return row_of
+
+
 def _columns(row_of: dict[str, int], excluded: list[set[str]]) -> list[list[int]]:
     """Each excluded set's corpus columns under ``row_of``; an unknown id raises."""
     try:
@@ -199,14 +203,9 @@ def mine_random_negatives_many(corpus_ids: list[str], excluded: list[set[str]], 
     size. Ids follow the one id rule (see the module docstring); when fewer
     than k ids remain, all are returned, in key order.
     """
-    row_of = {doc_id: i for i, doc_id in enumerate(corpus_ids)}
     n = len(corpus_ids)
-    if len(row_of) < n:  # name the first id met twice, as build_index does
-        seen = set()
-        repeated = next(d for d in corpus_ids if d in seen or seen.add(d))
-        raise ValueError(f"duplicate doc_id {repeated!r}")
     ranked = _top_k(lambda start, stop: rng.random((stop - start, n)), len(excluded), k,
-                    corpus_ids, np.arange(n), _columns(row_of, excluded))
+                    corpus_ids, np.arange(n), _columns(_rows(corpus_ids), excluded))
     return [[doc_id for doc_id, _ in ranking] for ranking in ranked]
 
 

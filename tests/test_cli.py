@@ -715,6 +715,30 @@ class TestEntryPoint:
         with pytest.raises(SystemExit):
             cli.main(["train", "--preset", "bogus"])
 
+    @pytest.mark.parametrize("command", ["synth", "mine", "train", "eval", "compare"])
+    def test_help_lists_seed_where_the_command_draws(self, command, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([command, "--help"])
+        assert stop.value.code == 0
+        assert ("--seed" in capsys.readouterr().out) == (command in ("synth", "mine", "train"))
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_seed_rejected_where_nothing_draws(self, command, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([command, "--seed", "1"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_config_seed_still_loads_for_eval(self, synth_dir, trained_dir, tmp_path):
+        # "seed" is a key of synth, mine and train, so one config file serves all
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"seed": 3, "k": 5}))
+        assert run_cli("eval", "--config", config_path,
+                       "--checkpoint", trained_dir / "checkpoint.json",
+                       "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv", "--outdir", tmp_path / "e") == 0
+
 
 class TestConfigFileValidation:
     def test_unknown_key_rejected(self, mined_dir, tmp_path, capsys):

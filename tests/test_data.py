@@ -253,7 +253,8 @@ class TestNegQueryMap:
         mapping.write_text('{"doc_id": 5, "queries": ["q"]}\n')
         assert list(load_neg_query_map(mapping)) == [doc.id for doc in load_corpus(corpus)]
         mapping.write_text('{"doc_id": 5, "queries": ["q"]}\n{"doc_id": "5", "queries": ["r"]}\n')
-        with pytest.raises(ValueError, match=r"m\.jsonl:2: duplicate doc_id '5'$"):
+        with pytest.raises(ValueError,
+                           match=r"m\.jsonl:2: duplicate doc_id '5' \(first seen on line 1\)$"):
             load_neg_query_map(mapping)
 
 
