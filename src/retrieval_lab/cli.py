@@ -1,19 +1,20 @@
 """Command-line pipeline: synth, mine, train, eval, compare.
 
 Each flag declares its default once, from the dataclass field it sets where
-there is one. A JSON config file (--config), whose keys mirror the flag names
-and whose values have the flags' types, and a preset replace defaults: explicit
+there is one. A JSON config file (--config), whose keys are flag names and whose
+values fit the flags' types and choices, and a preset replace defaults: explicit
 flags win over preset values, which win over the config file. Every command is
-deterministic given identical inputs and seed, and writes a hashes.json
-manifest (sha256 per output file) into its output directory.
+deterministic given identical inputs and seed, and names each output once, to
+``_outputs``, which writes the hashes.json manifest (sha256 per output) last.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from . import data as data_mod
@@ -29,7 +30,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .losses import LossConfig
-from .numerics import _atomic_open, _reading, make_rng
+from .numerics import _atomic_open, _reading, _write_json, make_rng
 from .training import TrainConfig
 
 # Each preset pins {mining strategy, loss, freeze mode, MoE on/off}.
@@ -56,10 +57,20 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_hashes(outdir: Path, names: list[str]) -> None:
-    hashes = {name: _sha256(outdir / name) for name in sorted(names)}
-    with _atomic_open(outdir / "hashes.json") as fh:
-        fh.write(json.dumps(hashes, sort_keys=True, indent=2) + "\n")
+@contextmanager
+def _outputs(ns: argparse.Namespace):
+    """Yield ``out(name)``, output ``name``'s path in ``--outdir`` (created here); a clean
+    exit writes ``hashes.json`` over exactly the names given, a raise none."""
+    outdir = Path(ns.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths: dict[str, Path] = {}
+
+    def out(name: str) -> Path:
+        paths[name] = outdir / name
+        return paths[name]
+
+    yield out
+    _write_json(outdir / "hashes.json", {name: _sha256(path) for name, path in paths.items()})
 
 
 def _require_file(path_str: str | None, what: str) -> Path:
@@ -72,7 +83,10 @@ def _require_file(path_str: str | None, what: str) -> Path:
 
 
 def _config_value_fault(action: argparse.Action, value) -> str | None:
-    """What a config-file ``value`` for ``action``'s flag must be; None when it is that."""
+    """What a config-file ``value`` for ``action``'s flag must be; None when it is
+    that. A value outside the flag's choices fails, as argparse fails the flag."""
+    if action.choices is not None and value not in action.choices:
+        return f"one of {list(action.choices)}"
     if isinstance(action, argparse.BooleanOptionalAction):
         return None if isinstance(value, bool) else "true or false"
     if action.nargs == "*":
@@ -103,8 +117,6 @@ def _with_config_and_preset(parser: argparse.ArgumentParser, ns: argparse.Namesp
             if actions[key].type is float:  # argparse leaves a non-string default as it is
                 config[key] = float(value)
     preset = getattr(ns, "preset", None) or config.get("preset")
-    if preset is not None and preset not in PRESETS:
-        raise CliError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     if not config and preset is None:
         return ns
     sub.choices[ns.command].set_defaults(**{**config, **PRESETS.get(preset, {})})
@@ -120,12 +132,6 @@ def _load_or_init_params(ns: argparse.Namespace) -> tuple[EncoderParams, Encoder
     return init_params(config, ns.init_seed), config
 
 
-def _outdir(ns: argparse.Namespace) -> Path:
-    outdir = Path(ns.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
 def cmd_synth(ns: argparse.Namespace) -> int:
     spec = SynthSpec(
         num_clusters=ns.clusters,
@@ -137,14 +143,13 @@ def cmd_synth(ns: argparse.Namespace) -> int:
         query_words=ns.query_words,
         neg_queries_per_doc=ns.neg_queries_per_doc,
     )
-    outdir = _outdir(ns)
-    dataset = data_mod.synth_generate(spec, ns.seed)
-    data_mod.save_id_text(dataset.corpus, outdir / "corpus.jsonl")
-    data_mod.save_id_text(dataset.queries, outdir / "queries.jsonl")
-    data_mod.save_qrels(dataset.qrels, outdir / "qrels.tsv")
-    data_mod.save_neg_query_map(dataset.neg_query_map, outdir / "neg_queries.jsonl")
-    _write_hashes(outdir, ["corpus.jsonl", "queries.jsonl", "qrels.tsv", "neg_queries.jsonl"])
-    print(f"wrote {len(dataset.corpus)} docs, {len(dataset.queries)} queries to {outdir}")
+    with _outputs(ns) as out:
+        dataset = data_mod.synth_generate(spec, ns.seed)
+        data_mod.save_id_text(dataset.corpus, out("corpus.jsonl"))
+        data_mod.save_id_text(dataset.queries, out("queries.jsonl"))
+        data_mod.save_qrels(dataset.qrels, out("qrels.tsv"))
+        data_mod.save_neg_query_map(dataset.neg_query_map, out("neg_queries.jsonl"))
+    print(f"wrote {len(dataset.corpus)} docs, {len(dataset.queries)} queries to {Path(ns.outdir)}")
     return 0
 
 
@@ -173,10 +178,9 @@ def cmd_mine(ns: argparse.Namespace) -> int:
     mine = _miner(ns)
     params, config = _load_or_init_params(ns) if ns.strategy == "ance" else (None, None)
     examples = mine(params, config)
-    outdir = _outdir(ns)
-    data_mod.save_train_set(examples, outdir / "train.jsonl")
-    _write_hashes(outdir, ["train.jsonl"])
-    print(f"mined {len(examples)} training examples ({ns.strategy}) to {outdir}")
+    with _outputs(ns) as out:
+        data_mod.save_train_set(examples, out("train.jsonl"))
+    print(f"mined {len(examples)} training examples ({ns.strategy}) to {Path(ns.outdir)}")
     return 0
 
 
@@ -184,27 +188,19 @@ def cmd_train(ns: argparse.Namespace) -> int:
     if ns.epochs < 1:  # TrainConfig allows 0 epochs; a run that trains nothing is an error
         raise CliError("epochs must be >= 1")
     params, config = _load_or_init_params(ns)
-    try:
-        freeze_mode = FreezeMode(ns.freeze)
-    except ValueError:
-        raise CliError(f"unknown freeze mode {ns.freeze!r}") from None
     cfg = TrainConfig(
         learning_rate=ns.learning_rate,
         epochs=ns.epochs,
         grad_accum_steps=ns.grad_accum_steps,
         loss=ns.loss,
         loss_cfg=LossConfig(tau=ns.tau, lam=ns.penalty_weight),
-        freeze=freeze_mode,
+        freeze=FreezeMode(ns.freeze),
         seed=ns.seed,
         stop_grad_neg_queries=ns.stop_grad_neg_queries,
     )
 
     if ns.refresh_per_epoch:
-        mine = _miner(ns)
-
-        def examples(current_params):
-            return mine(current_params, config)
-
+        examples = partial(_miner(ns), config=config)  # params -> this epoch's examples
         digests = [_sha256(Path(path)) for path in
                    (ns.corpus, ns.queries, ns.qrels, ns.neg_query_map) if path]
         dataset_hash = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
@@ -215,39 +211,37 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
     result = training.train(params, config, examples, cfg)
 
-    outdir = _outdir(ns)
-    save_checkpoint(result.params, config, outdir / "checkpoint.json")
-    with _atomic_open(outdir / "loss_trace.csv") as fh:
-        fh.write("step,loss\n")
-        for step, loss in enumerate(result.loss_trace):
-            fh.write(f"{step},{loss!r}\n")
     last_epoch = result.loss_trace[-(len(result.loss_trace) // cfg.epochs):]
-    manifest = {
-        "config": {
-            "encoder": config.to_dict(),
-            "learning_rate": cfg.learning_rate,
-            "epochs": cfg.epochs,
-            "grad_accum_steps": cfg.grad_accum_steps,
-            "loss": cfg.loss,
-            "tau": cfg.loss_cfg.tau,
-            "penalty_weight": cfg.loss_cfg.lam,
-            "freeze": cfg.freeze.value,
-            "stop_grad_neg_queries": cfg.stop_grad_neg_queries,
-            "refresh_per_epoch": ns.refresh_per_epoch,
-        },
-        "seed": cfg.seed,
-        "dataset_sha256": dataset_hash,
-        "final_metrics": {
-            "final_loss": result.loss_trace[-1],
-            "mean_loss_last_epoch": sum(last_epoch) / len(last_epoch),
-        },
-        "loss_trace_path": "loss_trace.csv",
-    }
-    with _atomic_open(outdir / "run.json") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    _write_hashes(outdir, ["checkpoint.json", "loss_trace.csv", "run.json"])
+    with _outputs(ns) as out:
+        save_checkpoint(result.params, config, out("checkpoint.json"))
+        trace = out("loss_trace.csv")
+        with _atomic_open(trace) as fh:
+            fh.write("step,loss\n")
+            for step, loss in enumerate(result.loss_trace):
+                fh.write(f"{step},{loss!r}\n")
+        _write_json(out("run.json"), {
+            "config": {
+                "encoder": config.to_dict(),
+                "learning_rate": cfg.learning_rate,
+                "epochs": cfg.epochs,
+                "grad_accum_steps": cfg.grad_accum_steps,
+                "loss": cfg.loss,
+                "tau": cfg.loss_cfg.tau,
+                "penalty_weight": cfg.loss_cfg.lam,
+                "freeze": cfg.freeze.value,
+                "stop_grad_neg_queries": cfg.stop_grad_neg_queries,
+                "refresh_per_epoch": ns.refresh_per_epoch,
+            },
+            "seed": cfg.seed,
+            "dataset_sha256": dataset_hash,
+            "final_metrics": {
+                "final_loss": result.loss_trace[-1],
+                "mean_loss_last_epoch": sum(last_epoch) / len(last_epoch),
+            },
+            "loss_trace_path": trace.name,
+        })
     print(f"trained {cfg.epochs} epoch(s), {len(result.loss_trace)} examples seen; "
-          f"outputs in {outdir}")
+          f"outputs in {Path(ns.outdir)}")
     return 0
 
 
@@ -258,15 +252,14 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     run = evaluation.build_run(params, config, corpus, queries, ns.k)
     report = evaluation.score_run(run, qrels, ns.k, method=ns.method, dataset=ns.dataset)
 
-    outdir = _outdir(ns)
-    evaluation.save_run(run, outdir / "run.tsv")
-    evaluation.save_report(report, outdir / "report.json")
-    md_lines = [f"| query | nDCG@{ns.k} |", "|---|---|"]
-    md_lines += [f"| {qid} | {score:.4f} |" for qid, score in sorted(report.per_query.items())]
-    md_lines.append(f"| **mean** | **{report.mean_ndcg:.4f}** |")
-    with _atomic_open(outdir / "report.md") as fh:
-        fh.write("\n".join(md_lines) + "\n")
-    _write_hashes(outdir, ["run.tsv", "report.json", "report.md"])
+    with _outputs(ns) as out:
+        evaluation.save_run(run, out("run.tsv"))
+        evaluation.save_report(report, out("report.json"))
+        md_lines = [f"| query | nDCG@{ns.k} |", "|---|---|"]
+        md_lines += [f"| {qid} | {score:.4f} |" for qid, score in sorted(report.per_query.items())]
+        md_lines.append(f"| **mean** | **{report.mean_ndcg:.4f}** |")
+        with _atomic_open(out("report.md")) as fh:
+            fh.write("\n".join(md_lines) + "\n")
     print(f"mean nDCG@{ns.k} = {report.mean_ndcg:.4f} over {len(report.per_query)} queries")
     return 0
 
@@ -275,15 +268,11 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     if not ns.reports:
         raise CliError("compare needs at least one report.json path")
     reports = [evaluation.load_report(_require_file(p, "report")) for p in ns.reports]
-    try:
-        markdown, tsv = evaluation.compare_methods(reports)
-    except ValueError as err:
-        raise CliError(str(err)) from None
-    outdir = _outdir(ns)
-    for name, text in (("comparison.md", markdown), ("comparison.tsv", tsv)):
-        with _atomic_open(outdir / name) as fh:
-            fh.write(text)
-    _write_hashes(outdir, ["comparison.md", "comparison.tsv"])
+    markdown, tsv = evaluation.compare_methods(reports)
+    with _outputs(ns) as out:
+        for name, text in (("comparison.md", markdown), ("comparison.tsv", tsv)):
+            with _atomic_open(out(name)) as fh:
+                fh.write(text)
     print(markdown, end="")
     return 0
 

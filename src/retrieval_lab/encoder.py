@@ -460,7 +460,11 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
             entry = doc["tensors"].get(name)
             if entry is None:
                 raise ValueError(f"{path}: tensor {name!r} is missing")
-            raw, stored = base64.b64decode(entry["data"]), entry["shape"]
+            try:
+                raw = base64.b64decode(entry["data"])
+            except ValueError as err:  # binascii.Error, or text that is not ASCII
+                raise ValueError(f"{path}: tensor {name!r} data is not base64 ({err})") from err
+            stored = entry["shape"]
             if len(raw) != 8 * int(np.prod(stored)):
                 raise ValueError(f"{path}: tensor {name!r} has {len(raw)} bytes for shape {stored}")
             if stored != list(shape):

@@ -10,7 +10,6 @@ accumulated in query-id order so the result is order-independent.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -19,9 +18,9 @@ from pathlib import Path
 from .data import Document, Qrels, Query, _read_tsv
 from .encoder import encode  # unused here; perfbench/tracer.py wraps evaluation.encode
 from .encoder import EncoderConfig, EncoderParams, encode_texts
-from .mining import RankedList, build_index, search_many
+from .mining import RankedList, _rows, build_index, search_many
 from .mining import search_top_k  # unused here; perfbench/tracer.py wraps evaluation.search_top_k
-from .numerics import _atomic_open, _reading
+from .numerics import _atomic_open, _reading, _write_json
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +60,7 @@ def build_run(params: EncoderParams, config: EncoderConfig, corpus: list[Documen
 
     Queries are encoded in one pass and searched in blocks by ``search_many``.
     """
+    _rows([q.id for q in queries], "query id")  # a repeated id fails before any encoding
     index = build_index(corpus, params, config)
     ranked = search_many(index, encode_texts(params, config, [q.text for q in queries]), k)
     return {q.id: ranking for q, ranking in zip(queries, ranked)}
@@ -124,8 +124,7 @@ def load_run(path: str | Path) -> RetrievalRun:
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    with _atomic_open(path) as fh:
-        fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    _write_json(path, report.to_dict())
 
 
 def _is_number(value) -> bool:

@@ -7,8 +7,8 @@ key per (query, document), ``_top_k``; when mining, a query's relevant
 documents key -inf and are dropped. Search and hard (ANCE) negatives key by
 cosine under the current model, ties by doc id; random negatives key by one
 uniform draw per document, ties by corpus position. One id -> row map, ``_rows``,
-names the first repeated doc id for the index and both strategies; ``_columns``
-rejects a relevant id outside it. ``mine_dataset`` builds training examples.
+names the first repeated id for the index, both strategies and a run's queries;
+``_columns`` rejects a relevant id outside it. ``mine_dataset`` builds examples.
 """
 
 from __future__ import annotations
@@ -154,12 +154,12 @@ def search_top_k(index: DenseIndex, query_vec, k: int) -> RankedList:
     return _search(index, as_vector(query_vec, "query_vec", index.dim)[None, :], k, [])[0]
 
 
-def _rows(doc_ids: list[str]) -> dict[str, int]:
-    """Each id's row in ``doc_ids``; the first id met twice raises."""
+def _rows(ids: list[str], what: str = "doc_id") -> dict[str, int]:
+    """Each id's row in ``ids``; the first id met twice raises, named as ``what``."""
     row_of: dict[str, int] = {}
-    for i, doc_id in enumerate(doc_ids):
-        if row_of.setdefault(doc_id, i) != i:
-            raise ValueError(f"duplicate doc_id {doc_id!r}")
+    for i, key in enumerate(ids):
+        if row_of.setdefault(key, i) != i:
+            raise ValueError(f"duplicate {what} {key!r}")
     return row_of
 
 

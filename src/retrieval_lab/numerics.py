@@ -1,5 +1,6 @@
-"""Dense float64 primitives shared by every other module, plus the atomic
-file write every output goes through and the error wrapper of the JSON loaders.
+"""Dense float64 primitives shared by every other module, plus the atomic file
+write and the JSON-document writer every output goes through, and the error
+wrapper of the JSON loaders.
 
 Vectors are 1-D ``numpy.float64`` arrays, matrices 2-D row-major. All
 numeric operations are pure functions; random state is carried explicitly by a
@@ -139,6 +140,12 @@ def _atomic_open(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` atomically as one JSON document: sorted keys, indent 2, final newline."""
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 @contextmanager

@@ -570,7 +570,7 @@ class TestTrain:
                        "--queries", synth_dir / "queries.jsonl",
                        "--qrels", synth_dir / "qrels.tsv",
                        "--epochs", 1, "--outdir", tmp_path / "t6") == 1
-        assert "strategy must be" in capsys.readouterr().err
+        assert "'strategy' must be one of ['ance', 'random']" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -768,8 +768,14 @@ class TestConfigFileValidation:
         ('{"tau": "0.1"}', "'tau' must be a number"),
         ('{"corpus": 5}', "'corpus' must be a string"),
         ('{"reports": ["a", 1]}', "'reports' must be a list of strings"),
+        ('{"strategy": "bogus"}', "'strategy' must be one of ['ance', 'random']"),
+        ('{"loss": "bogus"}', "'loss' must be one of ['cl', 'clp']"),
+        ('{"freeze": "bogus"}',
+         "'freeze' must be one of ['full', 'intermediate_only', 'moe_only']"),
+        ('{"preset": "bogus"}', "'preset' must be one of ['ance-clp', 'ance-clp-intermediate', "
+                                "'ance-clp-moe-intermediate', 'ance-dataset', 'random-dataset']"),
     ], ids=["list", "string", "float", "bool", "null", "string_number", "int_path",
-            "int_report"])
+            "int_report", "strategy", "loss", "freeze", "preset"])
     def test_wrong_type_value_rejected(self, tmp_path, capsys, text, message):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(text)
@@ -785,6 +791,16 @@ class TestConfigFileValidation:
         assert run_cli("train", "--config", config_path, "--outdir", tmp_path / "t") == 1
         assert capsys.readouterr().err.startswith(f"error: {config_path}{message}")
 
+    @pytest.mark.parametrize("command", ["synth", "mine", "train", "eval", "compare"])
+    def test_value_outside_choices_rejected_for_every_command(self, tmp_path, capsys, command):
+        # "freeze" is a train flag; every command checks it, as it checks any key
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text('{"freeze": "bogus"}')
+        assert run_cli(command, "--config", config_path, "--outdir", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (f"error: config file {config_path}: 'freeze' must be "
+                                           "one of ['full', 'intermediate_only', 'moe_only']\n")
+        assert not (tmp_path / "o").exists()
+
     def test_keys_of_other_subcommands_accepted(self, synth_dir, tmp_path):
         # one config file can drive the whole pipeline; an integer fits a float flag
         config_path = tmp_path / "cfg.json"
@@ -792,6 +808,45 @@ class TestConfigFileValidation:
                                            "method": "m", "reports": [], "tau": 1}))
         assert run_cli("synth", "--config", config_path, "--docs-per-cluster", 2,
                        "--outdir", tmp_path / "s") == 0
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", ["synth", "mine", "train", "eval", "compare"])
+    def test_manifest_lists_exactly_the_files_written(self, synth_dir, mined_dir, trained_dir,
+                                                      tmp_path, command):
+        bundle = ("--corpus", synth_dir / "corpus.jsonl", "--queries", synth_dir / "queries.jsonl",
+                  "--qrels", synth_dir / "qrels.tsv")
+        evaluate = ("--checkpoint", trained_dir / "checkpoint.json", *bundle)
+        if command == "compare":
+            assert run_cli("eval", *evaluate, "--outdir", tmp_path / "e") == 0
+        args = {
+            "synth": ("--clusters", 2, "--docs-per-cluster", 3, "--queries-per-cluster", 1,
+                      "--vocab-per-cluster", 10),
+            "mine": ("--strategy", "random", "--k", 2, *bundle),
+            "train": ("--train-file", mined_dir / "train.jsonl", *ENC_FLAGS, "--epochs", 1),
+            "eval": evaluate,
+            "compare": (tmp_path / "e" / "report.json",),
+        }[command]
+        out = tmp_path / "out"
+        assert run_cli(command, *args, "--outdir", out) == 0
+        written = sorted(path.name for path in out.iterdir() if path.name != "hashes.json")
+        assert read_hashes(out) == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written}
+
+    def test_failed_output_writes_no_manifest(self, synth_dir, trained_dir, tmp_path, capsys,
+                                              monkeypatch):
+        def fail(report, path):
+            raise OSError("cannot write the report")
+
+        monkeypatch.setattr(cli.evaluation, "save_report", fail)
+        out = tmp_path / "eval"
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json",
+                       "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv", "--outdir", out) == 1
+        assert capsys.readouterr().err == "error: cannot write the report\n"
+        assert (out / "run.tsv").is_file()  # the output written before the failure stays
+        assert not (out / "hashes.json").exists()
 
 
 _PIPELINE = """

@@ -756,6 +756,17 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError, match=r"ckpt\.json: tensor 'b_up' holds non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("data, reason", [("abc", "Incorrect padding"),
+                                              ("AAAAéAAA", "only ASCII characters")],
+                             ids=["padding", "non_ascii"])
+    def test_payload_not_base64_names_file_and_tensor(self, tmp_path, data, reason):
+        path, doc = self._doc(tmp_path)
+        doc["tensors"]["b_up"]["data"] = data
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"ckpt\.json: tensor 'b_up' data is not base64 "
+                                             rf"\(.*{reason}.*\)$"):
+            load_checkpoint(path)
+
     def test_missing_tensor(self, tmp_path):
         path, doc = self._doc(tmp_path)
         del doc["tensors"]["embedding"]

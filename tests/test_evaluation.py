@@ -107,6 +107,17 @@ class TestEvaluate:
         assert "qq" not in report.per_query
         assert any("qq" in rec.message for rec in caplog.records)
 
+    def test_repeated_query_id_rejected_before_encoding(self, monkeypatch):
+        params, config, corpus, _, _ = verbatim_setup()
+
+        def never(*args, **kwargs):
+            raise AssertionError("encoded before the query ids were checked")
+
+        monkeypatch.setattr("retrieval_lab.evaluation.build_index", never)
+        monkeypatch.setattr("retrieval_lab.evaluation.encode_texts", never)
+        with pytest.raises(ValueError, match=r"^duplicate query id 'q'$"):
+            build_run(params, config, corpus, [Query("q", "one"), Query("q", "three")], k=5)
+
     def test_judged_doc_missing_from_corpus_counts_as_never_retrieved(self):
         # as in trec_eval: it enters the ideal DCG and is never in the ranking
         params, config, corpus, queries, qrels = verbatim_setup()
