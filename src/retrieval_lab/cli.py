@@ -1,11 +1,17 @@
 """Command-line pipeline: synth, mine, train, eval, compare.
 
 Each flag declares its default once, from the dataclass field it sets where
-there is one. A JSON config file (--config), whose keys are flag names and whose
-values fit the flags' types and choices, and a preset replace defaults: explicit
-flags win over preset values, which win over the config file. Every command is
+there is one, and a command builds each config dataclass from the flags named
+like its fields (``_settings``). Four fields map otherwise: ``num_clusters``
+from --clusters, ``loss_cfg`` from --tau and --penalty-weight, ``freeze`` from
+--freeze as a ``FreezeMode``, and ``moe`` from --moe and --num-experts.
+
+A JSON config file (--config), whose keys are flag names and whose values fit
+the flags' types and choices, and a preset replace defaults: explicit flags
+win over preset values, which win over the config file. Every command is
 deterministic given identical inputs and seed, and names each output once, to
-``_outputs``, which writes the hashes.json manifest (sha256 per output) last.
+``_outputs``, which removes the old hashes.json manifest (sha256 per output)
+first and writes the new one last.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import argparse
 import hashlib
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -60,9 +67,11 @@ def _sha256(path: Path) -> str:
 @contextmanager
 def _outputs(ns: argparse.Namespace):
     """Yield ``out(name)``, output ``name``'s path in ``--outdir`` (created here); a clean
-    exit writes ``hashes.json`` over exactly the names given, a raise none."""
+    exit writes ``hashes.json`` over exactly the names given, a raise none, and the
+    previous one is gone from the start."""
     outdir = Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "hashes.json").unlink(missing_ok=True)  # an old one would outlive a failed rerun
     paths: dict[str, Path] = {}
 
     def out(name: str) -> Path:
@@ -123,26 +132,23 @@ def _with_config_and_preset(parser: argparse.ArgumentParser, ns: argparse.Namesp
     return parser.parse_args(argv)
 
 
+def _settings(cls, ns: argparse.Namespace, **derived):
+    """Dataclass ``cls`` with each field read from the flag of its name, except the
+    fields given in ``derived``, which no flag of their name sets."""
+    return cls(**{f.name: getattr(ns, f.name) for f in fields(cls) if f.name not in derived},
+               **derived)
+
+
 def _load_or_init_params(ns: argparse.Namespace) -> tuple[EncoderParams, EncoderConfig]:
     if ns.checkpoint:
         return load_checkpoint(_require_file(ns.checkpoint, "checkpoint"))
-    config = EncoderConfig(vocab_size=ns.vocab_size, d_model=ns.d_model,
-                           d_intermediate=ns.d_intermediate,
-                           moe=MoEConfig(num_experts=ns.num_experts) if ns.moe else None)
+    config = _settings(EncoderConfig, ns,
+                       moe=MoEConfig(num_experts=ns.num_experts) if ns.moe else None)
     return init_params(config, ns.init_seed), config
 
 
 def cmd_synth(ns: argparse.Namespace) -> int:
-    spec = SynthSpec(
-        num_clusters=ns.clusters,
-        docs_per_cluster=ns.docs_per_cluster,
-        queries_per_cluster=ns.queries_per_cluster,
-        vocab_per_cluster=ns.vocab_per_cluster,
-        noise_rate=ns.noise_rate,
-        doc_words=ns.doc_words,
-        query_words=ns.query_words,
-        neg_queries_per_doc=ns.neg_queries_per_doc,
-    )
+    spec = _settings(SynthSpec, ns, num_clusters=ns.clusters)
     with _outputs(ns) as out:
         dataset = data_mod.synth_generate(spec, ns.seed)
         data_mod.save_id_text(dataset.corpus, out("corpus.jsonl"))
@@ -188,16 +194,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
     if ns.epochs < 1:  # TrainConfig allows 0 epochs; a run that trains nothing is an error
         raise CliError("epochs must be >= 1")
     params, config = _load_or_init_params(ns)
-    cfg = TrainConfig(
-        learning_rate=ns.learning_rate,
-        epochs=ns.epochs,
-        grad_accum_steps=ns.grad_accum_steps,
-        loss=ns.loss,
-        loss_cfg=LossConfig(tau=ns.tau, lam=ns.penalty_weight),
-        freeze=FreezeMode(ns.freeze),
-        seed=ns.seed,
-        stop_grad_neg_queries=ns.stop_grad_neg_queries,
-    )
+    cfg = _settings(TrainConfig, ns, loss_cfg=_settings(LossConfig, ns, lam=ns.penalty_weight),
+                    freeze=FreezeMode(ns.freeze))
 
     if ns.refresh_per_epoch:
         examples = partial(_miner(ns), config=config)  # params -> this epoch's examples
@@ -220,18 +218,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
             for step, loss in enumerate(result.loss_trace):
                 fh.write(f"{step},{loss!r}\n")
         _write_json(out("run.json"), {
-            "config": {
-                "encoder": config.to_dict(),
-                "learning_rate": cfg.learning_rate,
-                "epochs": cfg.epochs,
-                "grad_accum_steps": cfg.grad_accum_steps,
-                "loss": cfg.loss,
-                "tau": cfg.loss_cfg.tau,
-                "penalty_weight": cfg.loss_cfg.lam,
-                "freeze": cfg.freeze.value,
-                "stop_grad_neg_queries": cfg.stop_grad_neg_queries,
-                "refresh_per_epoch": ns.refresh_per_epoch,
-            },
+            "config": {"encoder": config.to_dict(), **{key: getattr(ns, key) for key in (
+                "learning_rate", "epochs", "grad_accum_steps", "loss", "tau", "penalty_weight",
+                "freeze", "stop_grad_neg_queries", "refresh_per_epoch")}},
             "seed": cfg.seed,
             "dataset_sha256": dataset_hash,
             "final_metrics": {

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
+    as_matrix,
     as_vector,
     check_unit,
     cosine_similarity,  # unused here; perfbench/tracer.py wraps losses.cosine_similarity
@@ -60,22 +61,18 @@ class ContrastiveBatch:
     def __post_init__(self):
         self.query_emb = as_vector(self.query_emb, "query_emb")
         dim = self.query_emb.shape[0]
-        self.pos_emb = _matrix([self.pos_emb], dim, "pos_emb")[0]
-        check_unit(np.stack([self.query_emb, self.pos_emb]), ("query_emb", "pos_emb").__getitem__)
-        self.neg_embs = _matrix(self.neg_embs, dim, "neg_embs")
-        check_unit(self.neg_embs, "neg_embs[{}]".format)
+        self.pos_emb = as_vector(self.pos_emb, "pos_emb", dim)
+        self.neg_embs = as_matrix(self.neg_embs, "neg_embs", dim)
         if self.neg_query_embs is not None:
             if len(self.neg_query_embs) != len(self.neg_embs):
                 raise ValueError("neg_query_embs must have one entry list per negative")
-            self.neg_query_embs = [_matrix(qs, dim, f"neg_query_embs[{j}]")
+            self.neg_query_embs = [as_matrix(qs, f"neg_query_embs[{j}]", dim)
                                    for j, qs in enumerate(self.neg_query_embs)]
-            starts = np.cumsum([0, *map(len, self.neg_query_embs)])
-
-            def row_name(i: int) -> str:
-                j = int(np.searchsorted(starts, i, side="right")) - 1
-                return f"neg_query_embs[{j}][{i - starts[j]}]"
-
-            check_unit(np.vstack([self.neg_embs[:0], *self.neg_query_embs]), row_name)
+        own = self.neg_query_embs or []
+        names = ["query_emb", "pos_emb", *map("neg_embs[{}]".format, range(len(self.neg_embs))),
+                 *(f"neg_query_embs[{j}][{i}]" for j, qs in enumerate(own) for i in range(len(qs)))]
+        check_unit(np.vstack([self.query_emb, self.pos_emb, self.neg_embs, *own]),
+                   names.__getitem__)
 
 
 @dataclass
@@ -88,19 +85,6 @@ class BatchGrads:
     neg_embs: np.ndarray
     neg_query_embs: list[np.ndarray] | None = None
     loss: float = float("nan")
-
-
-def _matrix(rows, dim: int, name: str) -> np.ndarray:
-    """``rows`` (a matrix or a list of vectors) as a float64 ``(n, dim)`` matrix."""
-    try:
-        m = np.asarray(rows, dtype=np.float64)
-    except ValueError:
-        raise ValueError(f"{name} holds vectors of unequal dimension") from None
-    if m.shape == (0,):
-        return m.reshape(0, dim)
-    if m.ndim != 2 or m.shape[1] != dim:
-        raise ValueError(f"{name} must hold vectors of dimension {dim}, got shape {m.shape}")
-    return m
 
 
 def cl_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:

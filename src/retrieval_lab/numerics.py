@@ -38,17 +38,25 @@ def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
 def as_vector(values, name: str = "vector", dim: int | None = None) -> np.ndarray:
     """Validate and convert to a finite 1-D float64 array of ``dim`` entries
     (any positive number when None)."""
-    return _checked(values, 1, name, dim)
+    return _checked(np.asarray(values, dtype=np.float64), 1, name, dim)
 
 
 def as_matrix(values, name: str = "matrix", dim: int | None = None) -> np.ndarray:
-    """Validate and convert to a finite 2-D float64 array of ``dim`` columns
-    (any positive number when None). It may have no rows."""
-    return _checked(values, 2, name, dim)
+    """Validate and convert a matrix or a list of vectors to a finite 2-D float64
+    array of ``dim`` columns (any positive number when None). It may have no
+    rows: an empty list becomes ``(0, dim)`` when ``dim`` is given."""
+    try:
+        a = np.asarray(values, dtype=np.float64)
+    except ValueError:
+        if len({np.shape(row) for row in values}) < 2:
+            raise
+        raise ValueError(f"{name} holds vectors of unequal dimension") from None
+    if a.shape == (0,) and dim is not None:
+        a = a.reshape(0, dim)
+    return _checked(a, 2, name, dim)
 
 
-def _checked(values, ndim: int, name: str, dim: int | None) -> np.ndarray:
-    a = np.asarray(values, dtype=np.float64)
+def _checked(a: np.ndarray, ndim: int, name: str, dim: int | None) -> np.ndarray:
     if a.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {a.shape}")
     width = a.shape[-1]
@@ -57,7 +65,8 @@ def _checked(values, ndim: int, name: str, dim: int | None) -> np.ndarray:
     if dim is not None and width != dim:
         raise ValueError(f"{name} has dimension {width}, expected {dim}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        row = f"[{np.flatnonzero(~np.isfinite(a).all(axis=1))[0]}]" if ndim == 2 else ""
+        raise ValueError(f"{name}{row} contains non-finite entries")
     return a
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,13 @@ from retrieval_lab.data import (
     save_train_set,
     synth_generate,
 )
-from retrieval_lab.encoder import CHECKPOINT_FORMAT, EncoderConfig, load_checkpoint
+from retrieval_lab.encoder import (
+    CHECKPOINT_FORMAT,
+    EncoderConfig,
+    FreezeMode,
+    MoEConfig,
+    load_checkpoint,
+)
 from retrieval_lab.losses import LossConfig
 from retrieval_lab.numerics import make_rng
 from retrieval_lab.training import TrainConfig
@@ -573,6 +580,103 @@ class TestTrain:
         assert "'strategy' must be one of ['ance', 'random']" in capsys.readouterr().err
 
 
+# flags that set each config field to a value other than its default, and that
+# value; MoEConfig.experts_per_token has no flag
+FIELD_FLAGS = {
+    (SynthSpec, "num_clusters"): (["--clusters", 3], 3),
+    (SynthSpec, "docs_per_cluster"): (["--docs-per-cluster", 7], 7),
+    (SynthSpec, "queries_per_cluster"): (["--queries-per-cluster", 3], 3),
+    (SynthSpec, "vocab_per_cluster"): (["--vocab-per-cluster", 12], 12),
+    (SynthSpec, "noise_rate"): (["--noise-rate", 0.25], 0.25),
+    (SynthSpec, "doc_words"): (["--doc-words", 12], 12),
+    (SynthSpec, "query_words"): (["--query-words", 4], 4),
+    (SynthSpec, "neg_queries_per_doc"): (["--neg-queries-per-doc", 2], 2),
+    (TrainConfig, "learning_rate"): (["--learning-rate", 0.5], 0.5),
+    (TrainConfig, "epochs"): (["--epochs", 3], 3),
+    (TrainConfig, "grad_accum_steps"): (["--grad-accum-steps", 2], 2),
+    (TrainConfig, "loss"): (["--loss", "clp"], "clp"),
+    (TrainConfig, "loss_cfg"): (["--tau", 0.2, "--penalty-weight", 0.3],
+                                LossConfig(tau=0.2, lam=0.3)),
+    (TrainConfig, "freeze"): (["--freeze", "intermediate_only"], FreezeMode.INTERMEDIATE_ONLY),
+    (TrainConfig, "seed"): (["--seed", 9], 9),
+    (TrainConfig, "stop_grad_neg_queries"): (["--stop-grad-neg-queries"], True),
+    (LossConfig, "tau"): (["--tau", 0.2], 0.2),
+    (LossConfig, "lam"): (["--penalty-weight", 0.3], 0.3),
+    (EncoderConfig, "vocab_size"): (["--vocab-size", 100], 100),
+    (EncoderConfig, "d_model"): (["--d-model", 12], 12),
+    (EncoderConfig, "d_intermediate"): (["--d-intermediate", 128], 128),
+    (EncoderConfig, "moe"): (["--moe"], MoEConfig()),
+    (MoEConfig, "num_experts"): (["--moe", "--num-experts", 3], 3),
+}
+CONFIG_FIELDS = [(cls, f.name) for cls in (SynthSpec, TrainConfig, LossConfig, EncoderConfig,
+                                           MoEConfig)
+                 for f in fields(cls) if (cls, f.name) != (MoEConfig, "experts_per_token")]
+
+
+class _Built(Exception):
+    """Raised by a stub in place of the library call a command hands its config to."""
+
+
+class TestSettings:
+    @pytest.mark.parametrize("cls,name", CONFIG_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in CONFIG_FIELDS])
+    def test_flag_sets_its_field(self, tmp_path, monkeypatch, cls, name):
+        flags, value = FIELD_FLAGS[cls, name]  # a field added without a flag fails here
+        assert getattr(cls(), name) != value
+
+        def stub(*args):
+            raise _Built(args)
+
+        train_file = tmp_path / "train.jsonl"
+        train_file.write_text('{"query": "alpha beta", "pos": ["alpha beta gamma"]}\n')
+        command, target, built = {
+            SynthSpec: ("synth", (cli.data_mod, "synth_generate"), lambda args: args[0]),
+            TrainConfig: ("train", (cli.training, "train"), lambda args: args[3]),
+            LossConfig: ("train", (cli.training, "train"), lambda args: args[3].loss_cfg),
+            EncoderConfig: ("train", (cli, "init_params"), lambda args: args[0]),
+            MoEConfig: ("train", (cli, "init_params"), lambda args: args[0].moe),
+        }[cls]
+        monkeypatch.setattr(*target, stub)
+        data = [] if command == "synth" else ["--train-file", train_file, *ENC_FLAGS]
+        with pytest.raises(_Built) as caught:
+            run_cli(command, *data, *flags, "--outdir", tmp_path / "out")
+        assert getattr(built(caught.value.args[0]), name) == value
+
+    def test_run_json_records_the_config_training_received(self, mined_dir, tmp_path,
+                                                           monkeypatch):
+        received = []
+        real_train = cli.training.train
+
+        def train(*args):
+            received.append(args[3])
+            return real_train(*args)
+
+        monkeypatch.setattr(cli.training, "train", train)
+        assert run_cli("train", "--train-file", mined_dir / "train.jsonl", *ENC_FLAGS,
+                       *(flag for cls, name in CONFIG_FIELDS if cls is TrainConfig
+                         for flag in FIELD_FLAGS[cls, name][0]),
+                       "--outdir", tmp_path / "t") == 0
+        [cfg] = received
+        default = TrainConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+        assert cfg.loss_cfg.tau != default.loss_cfg.tau
+        assert cfg.loss_cfg.lam != default.loss_cfg.lam
+        manifest = json.loads((tmp_path / "t" / "run.json").read_text())
+        assert manifest["config"] == {
+            "encoder": EncoderConfig(vocab_size=128, d_model=8, d_intermediate=16).to_dict(),
+            "learning_rate": cfg.learning_rate,
+            "epochs": cfg.epochs,
+            "grad_accum_steps": cfg.grad_accum_steps,
+            "loss": cfg.loss,
+            "tau": cfg.loss_cfg.tau,
+            "penalty_weight": cfg.loss_cfg.lam,
+            "freeze": cfg.freeze.value,
+            "stop_grad_neg_queries": cfg.stop_grad_neg_queries,
+            "refresh_per_epoch": False,
+        }
+        assert manifest["seed"] == cfg.seed
+
+
 @pytest.fixture
 def trained_dir(mined_dir, tmp_path):
     out = tmp_path / "trained"
@@ -846,6 +950,27 @@ class TestOutputs:
                        "--qrels", synth_dir / "qrels.tsv", "--outdir", out) == 1
         assert capsys.readouterr().err == "error: cannot write the report\n"
         assert (out / "run.tsv").is_file()  # the output written before the failure stays
+        assert not (out / "hashes.json").exists()
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, synth_dir, trained_dir, tmp_path,
+                                                   capsys, monkeypatch):
+        out = tmp_path / "eval"
+        bundle = ("--corpus", synth_dir / "corpus.jsonl", "--queries", synth_dir / "queries.jsonl",
+                  "--qrels", synth_dir / "qrels.tsv", "--outdir", out)
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json", *bundle) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        # a rerun that fails before its outputs start leaves the last run whole
+        assert run_cli("eval", "--checkpoint", tmp_path / "nope.json", *bundle) == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+        def fail(report, path):
+            raise OSError("cannot write the report")
+
+        monkeypatch.setattr(cli.evaluation, "save_report", fail)
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json", *bundle,
+                       "--k", 3) == 1
+        assert capsys.readouterr().err.endswith("error: cannot write the report\n")
+        assert (out / "run.tsv").read_bytes() != before["run.tsv"]  # rewritten at k = 3
         assert not (out / "hashes.json").exists()
 
 

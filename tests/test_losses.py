@@ -362,7 +362,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^neg_embs .*dimension"):
             ContrastiveBatch(random_unit(rng, 8), random_unit(rng, 8),
                              [random_unit(rng, 8), random_unit(rng, 6)])
-        with pytest.raises(ValueError, match=r"^neg_query_embs\[0\] .*dimension 8"):
+        with pytest.raises(ValueError, match=r"^neg_query_embs\[0\] has dimension 6, expected 8$"):
             ContrastiveBatch(random_unit(rng, 8), random_unit(rng, 8),
                              [random_unit(rng, 8)], [[random_unit(rng, 6)]])
 

@@ -144,8 +144,21 @@ class TestVectorContract:
         assert row_norms(m, "m").shape == (0,)
 
     def test_matrix_rejects_non_finite(self):
-        with pytest.raises(ValueError, match=r"^m contains non-finite entries$"):
+        with pytest.raises(ValueError, match=r"^m\[0\] contains non-finite entries$"):
             as_matrix([[1.0, np.inf]], "m")
+        with pytest.raises(ValueError, match=r"^m\[2\] contains non-finite entries$"):
+            as_matrix([[1.0, 0.0], [0.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]], "m")
+
+    def test_empty_list_takes_the_given_width(self):
+        assert as_matrix([], "m", 8).shape == (0, 8)
+        with pytest.raises(ValueError, match=r"^m must be 2-D, got shape \(0,\)$"):
+            as_matrix([], "m")
+
+    def test_ragged_list_named(self):
+        with pytest.raises(ValueError, match=r"^m holds vectors of unequal dimension$"):
+            as_matrix([[1.0, 0.0], [1.0]], "m")
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            as_matrix([["a", "b"], ["c", "d"]], "m")
 
     def test_row_norms_match_per_row_dot(self):
         m = make_rng(3).standard_normal((5, 7))

@@ -1,0 +1,90 @@
+"""Run every CLI command over one small bundle and list each hashes.json digest.
+
+    python tools/check_set.py OUTDIR
+
+Runs, in this process through ``cli.main`` and on the ``src/`` beside this
+script: synth; mine with ANCE, random and ANCE+MoE negatives; train for each
+preset, once from ``--train-file`` and once with ``--refresh-per-epoch``; eval
+of each trained checkpoint; compare of the eval reports. The flags sit at
+values other than their defaults, so each one reaches the bytes it sets.
+
+Prints ``<path> <sha256>`` for each command's ``hashes.json``, in run order
+and relative to OUTDIR (best a fresh directory), then the same for
+``stdout.txt``, the commands' captured stdout. Two runs of one tree, or of
+two trees, match exactly when their listings do: ``diff`` them. Exits 1 when
+a command fails.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from retrieval_lab import cli  # noqa: E402
+
+ENCODER = ["--init-seed", "3", "--vocab-size", "512", "--d-model", "16",
+           "--d-intermediate", "32", "--num-experts", "3"]
+BUNDLE = ["--corpus", "data/corpus.jsonl", "--queries", "data/queries.jsonl",
+          "--qrels", "data/qrels.tsv"]
+MINING = [*BUNDLE, "--neg-query-map", "data/neg_queries.jsonl", "--k", "3"]
+TRAINING = ["--epochs", "2", "--learning-rate", "0.01", "--grad-accum-steps", "3",
+            "--tau", "0.1", "--penalty-weight", "0.2", "--seed", "5"]
+# the mined set each preset trains from: its strategy, and MoE where it has one
+TRAIN_FILES = {"random-dataset": "mine-random", "ance-dataset": "mine-ance",
+               "ance-clp": "mine-ance", "ance-clp-intermediate": "mine-ance",
+               "ance-clp-moe-intermediate": "mine-ance-moe"}
+
+
+def commands() -> list[list[str]]:
+    steps = [
+        ["synth", "--clusters", "4", "--docs-per-cluster", "8", "--queries-per-cluster", "3",
+         "--vocab-per-cluster", "20", "--noise-rate", "0.2", "--doc-words", "20",
+         "--query-words", "4", "--neg-queries-per-doc", "2", "--seed", "7", "--outdir", "data"],
+        ["mine", "--strategy", "ance", *ENCODER, *MINING, "--outdir", "mine-ance"],
+        ["mine", "--strategy", "random", *MINING, "--seed", "2", "--outdir", "mine-random"],
+        ["mine", "--strategy", "ance", "--moe", *ENCODER, *MINING, "--outdir", "mine-ance-moe"],
+    ]
+    runs = []
+    for preset, mined in TRAIN_FILES.items():
+        for source, data in (("file", ["--train-file", f"{mined}/train.jsonl"]),
+                             ("refresh", ["--refresh-per-epoch", "--stop-grad-neg-queries",
+                                          *MINING])):
+            runs.append(f"train-{preset}-{source}")
+            steps.append(["train", "--preset", preset, *ENCODER, *TRAINING, *data,
+                          "--outdir", runs[-1]])
+    for run in runs:
+        steps.append(["eval", "--checkpoint", f"{run}/checkpoint.json", *BUNDLE, "--k", "4",
+                      "--method", run, "--dataset", "check-set", "--outdir", f"eval-{run}"])
+    steps.append(["compare", *(f"eval-{run}/report.json" for run in runs),
+                  "--outdir", "comparison"])
+    return steps
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(outdir)  # relative paths, so the outputs and stdout name no directory
+    stdout, steps = io.StringIO(), commands()
+    for step in steps:
+        with contextlib.redirect_stdout(stdout):
+            status = cli.main(step)
+        if status != 0:
+            print(f"check set: command failed: {' '.join(step)}", file=sys.stderr)
+            return 1
+    Path("stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+    for path in [*(Path(step[-1]) / "hashes.json" for step in steps), Path("stdout.txt")]:
+        print(path.as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
