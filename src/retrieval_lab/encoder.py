@@ -8,20 +8,25 @@ the dense layer is its one-expert case with no gate, so one function
 (``_intermediate``) runs both, and backprop is hand-derived once. Every
 tensor's name and shape is declared once, by ``tensor_layout``.
 
-Tokens never interact, so a token's output row depends on its id alone. A
-batch of texts goes through one table over its distinct ids (MoE: one gate
-matmul, then one up-projection matmul per expert), and backprop runs once
-over that table, adding into a caller-supplied gradient dict. An
-``encode_texts`` call, a whole corpus included, is one such batch, so the
-table has at most ``vocab_size`` rows. Text splits on whitespace when that
-gives the word-character runs, else by regex. Every word -> id lookup goes
-through one memo per vocabulary size, kept for the whole process, so a word
-is hashed once however many calls tokenize it.
+Tokens never interact, so a token's output row, its MoE route included,
+depends on its id alone. A batch of texts goes through one table over its
+distinct ids, and backprop runs once over that table, adding into a
+caller-supplied gradient dict. MoE keeps the table's rows expert-major, so
+each expert runs one matmul on one contiguous span; the gate runs on the
+id-sorted rows, and sums over rows run in id order. An ``encode_texts`` call,
+a whole corpus included, is one such batch, so the table has at most
+``vocab_size`` rows. A batch tokenizes each distinct text once, through a
+text memo of its own or the caller's (``training.steps`` keeps one per run).
+Text splits on whitespace when that gives the word-character runs, else by
+regex. Every word -> id lookup goes through one memo per vocabulary size,
+kept for the whole process, so a word is hashed once however many calls
+tokenize it.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import re
@@ -221,36 +226,40 @@ def _words(text: str) -> list[str]:
 
 
 def _intermediate(params: EncoderParams, config: EncoderConfig, x: np.ndarray) -> dict:
-    """The intermediate layer on the rows of ``x``: ``h``, each row's relu(x W_up
-    + b_up) through its top-1 expert times that expert's gate probability, plus
-    what ``_backward`` needs. One matmul per expert a row routed to; when one
-    expert holds every row, its product is ``h`` itself. The dense up-projection
-    is that one expert with no gate (``p``, ``route``, ``pe`` None), so unscaled.
+    """The intermediate layer on the id-sorted rows ``x``: ``h``, each row's relu(x
+    W_up + b_up) through its top-1 expert times that expert's gate probability,
+    plus what ``_backward`` needs. ``h`` is expert-major, row ``rank[i]`` holding
+    ``x[i]``'s (``xs = x[order]``), so each expert runs one matmul on its span
+    ``[a:b)``. The dense up-projection is the one expert of span ``[0:m)``, with no
+    gate (``p``, ``route``, ``pe`` None), so unscaled; rows already in expert
+    order stay put (``order`` and ``rank`` slice every row).
     """
     names = _expert_names(config)
     p = route = pe = None
-    experts = [0]
+    order = rank = slice(None)
+    ends = [len(x)]
     if params.is_moe:  # softmax gate, top-1 expert; argmax ties go to the lowest index
-        logits = x @ params.gate
+        logits = x @ params.gate  # on the id-sorted rows: its bits depend on row position
         z = np.exp(logits - logits.max(1, keepdims=True))
         p = z / z.sum(1, keepdims=True)
         route = p.argmax(1)
         pe = p.max(1)  # gate probability of each row's expert: its largest
-        experts = np.bincount(route).nonzero()[0].tolist()
-    groups = [(slice(None) if len(experts) == 1 else (route == e).nonzero()[0], *names[e])
-              for e in experts]
-    h = None if len(groups) == 1 else np.empty((len(x), config.d_intermediate))
-    for rows, w_name, b_name in groups:
-        u = x[rows] @ params._tensor(w_name)  # pre-activation
-        u += params._tensor(b_name)
-        if h is None:
-            h = u
-        else:
-            h[rows] = u
+        ends = np.bincount(route, minlength=len(names)).cumsum().tolist()
+        if np.any(route[1:] < route[:-1]):
+            order = route.argsort(kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+    spans = [(a, b, *name) for a, b, name in zip([0, *ends], ends, names) if a < b]
+    xs = x[order]
+    h = np.empty((len(x), config.d_intermediate))
+    for a, b, w_name, b_name in spans:
+        np.matmul(xs[a:b], params._tensor(w_name), out=h[a:b])  # pre-activation
+        h[a:b] += params._tensor(b_name)
     np.maximum(h, 0.0, out=h)
     if pe is not None:
-        h *= pe[:, None]
-    return {"h": h, "p": p, "route": route, "pe": pe, "groups": groups}
+        h *= pe[order][:, None]
+    return {"h": h, "p": p, "route": route, "pe": pe, "order": order, "rank": rank,
+            "spans": spans, "xs": xs}
 
 
 def moe_intermediate_forward(x: np.ndarray, params: EncoderParams,
@@ -287,15 +296,18 @@ def _word_ids(vocab_size: int) -> _WordIds:
     return _WordIds(vocab_size)
 
 
-def _table_rows(texts: list[str],
-                config: EncoderConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _table_rows(texts: list[str], config: EncoderConfig,
+                tokens: dict[str, list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of the texts' token table and how texts pool them: the sorted
     distinct token ids, each token's index into them, text after text (as
-    ``np.unique``'s inverse), and each text's token count."""
+    ``np.unique``'s inverse), and each text's token count. A text missing from
+    the ``tokens`` memo (text -> ids) is tokenized into it."""
     word_id = _word_ids(config.vocab_size).__getitem__
     flat, lengths = [], []  # token ids, text after text; each text's count
     for i, text in enumerate(texts):
-        text_ids = list(map(word_id, _words(text)))
+        text_ids = tokens.get(text)
+        if text_ids is None:
+            tokens[text] = text_ids = list(map(word_id, _words(text)))
         if not text_ids:
             raise ValueError(f"empty input: texts[{i}] has no words: {text!r}")
         flat += text_ids
@@ -306,22 +318,24 @@ def _table_rows(texts: list[str],
     return present.nonzero()[0], (present.cumsum() - 1).take(ids), np.array(lengths, dtype=np.intp)
 
 
-def _forward(params: EncoderParams, config: EncoderConfig,
-             texts: list[str]) -> tuple[np.ndarray, dict]:
+def _forward(params: EncoderParams, config: EncoderConfig, texts: list[str],
+             tokens: dict[str, list[int]] | None = None) -> tuple[np.ndarray, dict]:
     """Unit-norm encodings (len(texts), d_model) plus the context ``_backward`` needs.
 
     Each distinct token id goes through the token network once, so the table
-    has at most ``vocab_size`` rows; a text's pool is the mean of its rows of
-    that table.
+    has at most ``vocab_size`` rows, in ``_intermediate``'s expert-major order;
+    a text's pool is the mean of its rows of that table. ``tokens`` is the
+    text -> ids memo of ``_table_rows``, by default one for this call.
     """
-    uniq, inv, lengths = _table_rows(texts, config)
+    uniq, inv, lengths = _table_rows(texts, config, {} if tokens is None else tokens)
     x = params.embedding[uniq]  # (m, d_model), one row per distinct id
     ctx = _intermediate(params, config, x)
     ctx.update(uniq=uniq, inv=inv, lengths=lengths, x=x)
     table = ctx["h"] @ params.w_down
     table += params.b_down
-    table += x
-    pool = _mean_rows(table, inv, lengths)
+    table += ctx["xs"]
+    rank = ctx["rank"]
+    pool = _mean_rows(table, inv if isinstance(rank, slice) else rank.take(inv), lengths)
     norms = row_norms(pool, "pool")
     pool /= norms[:, None]
     ctx.update(norms=norms, out=pool)
@@ -354,9 +368,12 @@ def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
 
     A tensor missing from ``grads`` is frozen: its gradient is neither
     computed nor added as a key, and without ``embedding`` the whole
-    input-gradient chain is skipped.
+    input-gradient chain is skipped. Each expert reads its span of the
+    expert-major rows; every sum over rows runs in id order, as its bits
+    depend on the order.
     """
     out, lengths, inv, x, h = (ctx[k] for k in ("out", "lengths", "inv", "x", "h"))
+    xs, order, rank = ctx["xs"], ctx["order"], ctx["rank"]
 
     def add(name, grad):  # grad is a thunk, so a frozen tensor's gradient never runs
         if name in grads:
@@ -366,28 +383,32 @@ def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
     dpool = (upstreams - out * np.sum(out * upstreams, axis=1)[:, None]) / ctx["norms"][:, None]
     n, m = len(lengths), len(ctx["uniq"])
     counts = np.bincount(np.repeat(np.arange(n) * m, lengths) + inv, minlength=n * m)
-    dtable = counts.reshape(n, m).T.astype(np.float64) @ (dpool / lengths[:, None])
+    dtable = counts.reshape(n, m).T.astype(np.float64) @ (dpool / lengths[:, None])  # id order
     add("b_down", lambda: dtable.sum(axis=0))
-    add("w_down", lambda: h.T @ dtable)
-    dh = dtable @ params.w_down.T  # (m, d_intermediate)
+    add("w_down", lambda: h[rank].T @ dtable)
+    du = dtable[order] @ params.w_down.T  # dh, expert-major (m, d_intermediate)
     want_dx = "embedding" in grads
     p, pe = ctx["p"], ctx["pe"]
-    du = (h > 0) * (dh if pe is None else pe[:, None] * dh)  # h > 0 exactly where relu is
     dx = dtable  # the residual path; the gate and the experts add theirs
     if p is not None and (want_dx or "gate" in grads):
         # softmax jacobian row e: dp_e/dlogit_j = p_e (1[e==j] - p_j); h = p_e relu(u)
         onehot = ctx["route"][:, None] == np.arange(p.shape[1])
-        dlogits = np.sum(h * dh, axis=1)[:, None] * (onehot - p)
+        dlogits = np.sum(h * du, axis=1)[rank][:, None] * (onehot - p)
         add("gate", lambda: x.T @ dlogits)
         if want_dx:
             dx = dtable + dlogits @ params.gate.T
-    for rows, w_name, b_name in ctx["groups"]:
-        add(b_name, lambda: du[rows].sum(axis=0))
-        add(w_name, lambda: x[rows].T @ du[rows])
-        if want_dx:
-            dx[rows] += du[rows] @ params._tensor(w_name).T
+    if pe is not None:
+        du *= pe[order][:, None]
+    du *= h > 0  # h > 0 exactly where relu is
     if want_dx:
-        grads["embedding"][ctx["uniq"]] += dx  # ids are unique: no repeated-index scatter
+        dx = dx[order]
+    for a, b, w_name, b_name in ctx["spans"]:
+        add(b_name, lambda: du[a:b].sum(axis=0))
+        add(w_name, lambda: xs[a:b].T @ du[a:b])
+        if want_dx:
+            dx[a:b] += du[a:b] @ params._tensor(w_name).T
+    if want_dx:
+        grads["embedding"][ctx["uniq"][order]] += dx  # ids are unique: no repeated-index scatter
 
 
 def encode_texts(params: EncoderParams, config: EncoderConfig, texts: list[str]) -> np.ndarray:
@@ -425,9 +446,9 @@ def save_checkpoint(params: EncoderParams, config: EncoderConfig, path: str | Pa
     Tensor payloads are base64 of raw little-endian float64 bytes, so
     load(save(p)) round-trips bit-exactly and the file bytes are
     deterministic for identical params. Base64 never needs JSON escaping, so
-    the document is dumped with empty ``data`` strings and each payload is
-    written between the pieces, in sorted tensor-name order, never joined
-    into one string with them.
+    the document is dumped with empty ``data`` strings and each payload's
+    ASCII bytes are written between the pieces, in sorted tensor-name order,
+    never decoded to text or joined into one string with them.
     """
     params.check_shapes(config)
     named = params.named_tensors()
@@ -437,14 +458,14 @@ def save_checkpoint(params: EncoderParams, config: EncoderConfig, path: str | Pa
     pieces = json.dumps(doc, sort_keys=True, indent=2).split('"data": ""')
     if len(pieces) != len(named) + 1:
         raise ValueError(f"{len(pieces) - 1} data fields for {len(named)} tensors")
-    with _atomic_open(path) as fh:
-        fh.write(pieces[0])
+    with _atomic_open(path, binary=True) as fh:
+        fh.write(pieces[0].encode())
         for name, piece in zip(sorted(named), pieces[1:]):
             raw = np.ascontiguousarray(named[name], dtype="<f8").tobytes()
-            fh.write('"data": "')
-            fh.write(base64.b64encode(raw).decode("ascii"))
-            fh.write('"' + piece)
-        fh.write("\n")
+            fh.write(b'"data": "')
+            fh.write(binascii.b2a_base64(raw, newline=False))
+            fh.write(f'"{piece}'.encode())
+        fh.write(b"\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:

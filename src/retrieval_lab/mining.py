@@ -129,17 +129,21 @@ def _block_top(keys: np.ndarray, keep: int, tie_rank: np.ndarray,
                excluded: list[list[int]]) -> tuple[list, list]:
     """Each row's first ``keep`` columns by (descending key, ascending
     ``tie_rank``) and their keys, row after row, once row i's ``excluded[i]``
-    columns are set to -inf in place. One partition finds each row's k-th
-    key and every column at or above it is a candidate, so boundary ties
-    resolve by ``tie_rank`` as a full sort would. Every array dies on return,
+    columns are set to -inf in place. A row's threshold is the ``keep``-th
+    largest of its chunks' maxima: ``keep`` distinct keys reach it, so it is
+    at most the row's k-th key, and every column at or above it is a
+    candidate, so boundary ties resolve by ``tie_rank`` as a full sort would.
+    The maxima take no copy of the block. Every array dies on return,
     before the next block's keys are allocated; small arrays left alive
     across blocks would pin holes in the heap and hold it resident."""
     keys[[i for i, cols in enumerate(excluded) for _ in cols],
          [col for cols in excluded for col in cols]] = -np.inf
     n = keys.shape[1]
-    kth = np.partition(keys, n - keep, axis=1)[:, n - keep]  # keep == n: the row minimum
-    # every (row, col) keying at least its row's k-th key, row-major
-    rows, cols = np.divmod(np.flatnonzero(keys >= kth[:, None]), n)
+    chunks = min(n, max(keep, 64))  # keep == n: one column each, the threshold the row minimum
+    maxima = np.maximum.reduceat(keys, np.arange(chunks) * n // chunks, axis=1)
+    least = np.partition(maxima, chunks - keep, axis=1)[:, chunks - keep]
+    # every (row, col) keying at least its row's threshold, row-major
+    rows, cols = np.divmod(np.flatnonzero(keys >= least[:, None]), n)
     cand = keys[rows, cols]
     order = np.lexsort((tie_rank[cols], -cand, rows))
     # ``rows`` is sorted and stays so under ``order``: row i's candidates start

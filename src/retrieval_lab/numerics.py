@@ -136,14 +136,14 @@ def seeded_init(rng: np.random.Generator, rows: int, cols: int, scale: float) ->
 
 
 @contextmanager
-def _atomic_open(path: str | Path):
-    """Text handle on a temporary file beside ``path`` that replaces ``path`` in
-    one ``os.replace`` when the block exits cleanly and is removed when it raises,
-    so readers see the old file or the whole new one, never a partial write."""
+def _atomic_open(path: str | Path, binary: bool = False):
+    """Text (or ``binary``) handle on a temporary file beside ``path`` that replaces
+    ``path`` in one ``os.replace`` when the block exits cleanly and is removed when
+    it raises, so readers see the old file or the whole new one, never a partial write."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -19,8 +19,11 @@ exactly zero, so the result equals dense Adam bit for bit.
 ``steps`` trains the params in place and yields after each optimizer step;
 ``train`` runs it to the end on a copy. The examples are a list, or a
 function of the live params called at each epoch's start (re-mining).
-Groups tokenize through the encoder's process-wide word -> id memo, so a
-word is hashed once however many groups and re-mines use it. The gradient
+A run tokenizes each distinct training text once: its groups share one
+text -> token ids memo, made when the run starts and dropped with it, so it
+serves every epoch and re-mined set of the run but no later call. Words go
+through the encoder's process-wide word -> id memo, so a word is hashed once
+however many runs, groups and re-mines use it. The gradient
 dict and the moments are made once per run by ``np.zeros``, so a row no
 group writes is never filled in memory. A group writes only its distinct
 token ids' rows of the embedding gradient, so the averaging, the row marking
@@ -153,10 +156,11 @@ def apply_freeze(grads: dict[str, np.ndarray], mode: FreezeMode) -> dict[str, np
 
 def _group_grads(params: EncoderParams, config: EncoderConfig,
                  group: list[TrainingExample], cfg: TrainConfig, grads: dict[str, np.ndarray],
-                 first_step: int) -> tuple[list[float], np.ndarray]:
+                 first_step: int, tokens: dict[str, list[int]] | None = None
+                 ) -> tuple[list[float], np.ndarray]:
     """Losses of one accumulation group, and the embedding rows the backward
     wrote (the group's distinct token ids); adds the group's gradients into
-    ``grads``."""
+    ``grads``. ``tokens`` is the run's text -> token ids memo."""
     use_penalty = cfg.loss == "clp" and cfg.loss_cfg.lam != 0.0
     texts, shapes = [], []
     for ex in group:
@@ -165,7 +169,7 @@ def _group_grads(params: EncoderParams, config: EncoderConfig,
         own = [q for qs in ex.neg_queries for q in qs] if counts else []
         texts += [ex.query, ex.pos[0], *ex.neg, *own]
         shapes.append((len(ex.neg), counts))
-    vecs, ctx = _forward(params, config, texts)
+    vecs, ctx = _forward(params, config, texts, tokens)
     upstreams, losses, row = np.empty_like(vecs), [], 0
     for (k, counts), run in groupby(shapes):  # one loss call per run of equal shapes
         n, width = len(list(run)), 2 + k + sum(counts or ())
@@ -202,13 +206,13 @@ def steps(params: EncoderParams, config: EncoderConfig,
     accum = {name: np.zeros(tensors[name].shape) for name in _trainable(tensors, cfg.freeze)}
     state = OptimizerState.init(accum)
     rng = make_rng(cfg.seed)
-    seen = 0
+    seen, tokens = 0, {}  # tokens: text -> token ids, kept for this run only
     for epoch in range(cfg.epochs):
         dataset = _checked(examples(params) if callable(examples) else examples, cfg)
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), cfg.grad_accum_steps):
             group = [dataset[int(idx)] for idx in order[start:start + cfg.grad_accum_steps]]
-            losses, uniq = _group_grads(params, config, group, cfg, accum, seen)
+            losses, uniq = _group_grads(params, config, group, cfg, accum, seen, tokens)
             seen += len(group)
             written = {"embedding": uniq}
             for name, g in accum.items():

@@ -32,7 +32,7 @@ from retrieval_lab.encoder import (
     tokenize,
     zero_grads,
 )
-from retrieval_lab.numerics import make_rng
+from retrieval_lab.numerics import make_rng, row_norms
 
 from conftest import encoder_instance, finite_diff_params, random_text, rel_error, token_rows
 
@@ -577,12 +577,14 @@ class TestTokenTable:
         assert encode_texts(params, config, []).shape == (0, 4)
 
 
-def mean_pool_oracle(table, uniq, texts, config):
+def mean_pool_oracle(table, ctx, texts, config):
     """Per text: its rows of ``table`` averaged with ``.mean(axis=0)``, then scaled
-    by ``sqrt(row @ row)``."""
+    by ``sqrt(row @ row)``. ``table`` is in ``ctx``'s expert-major row order:
+    distinct id ``ctx["uniq"][i]`` is its row ``ctx["rank"][i]``."""
+    row_of = np.arange(len(ctx["uniq"]))[ctx["rank"]]
     rows = []
     for text in texts:
-        pool = table[np.searchsorted(uniq, tokenize(text, config))].mean(axis=0)
+        pool = table[row_of[np.searchsorted(ctx["uniq"], tokenize(text, config))]].mean(axis=0)
         rows.append(pool / np.sqrt(pool @ pool))
     return np.array(rows)
 
@@ -601,8 +603,8 @@ class TestOneTablePerCall:
         params, config = make(47, vocab=1024, d_model=16, d_int=32)
         texts = _wide_texts(47, 320)  # more than two of the 128-text blocks encode_texts once used
         out, ctx = _forward(params, config, texts)
-        table = ctx["h"] @ params.w_down + params.b_down + ctx["x"]
-        expected = mean_pool_oracle(table, ctx["uniq"], texts, config)
+        table = ctx["h"] @ params.w_down + params.b_down + ctx["xs"]
+        expected = mean_pool_oracle(table, ctx, texts, config)
         assert encode_texts(params, config, texts).tobytes() == expected.tobytes()
         assert out.tobytes() == expected.tobytes()
 
@@ -647,8 +649,8 @@ class TestOneTablePerCall:
             " ".join(f"w{int(i)}" for i in rng.integers(0, 2000, size=3000))]
         texts.insert(700, texts.pop())  # the long text among the short ones
         out, ctx = _forward(params, config, texts)
-        table = ctx["h"] @ params.w_down + params.b_down + ctx["x"]
-        assert out.tobytes() == mean_pool_oracle(table, ctx["uniq"], texts, config).tobytes()
+        table = ctx["h"] @ params.w_down + params.b_down + ctx["xs"]
+        assert out.tobytes() == mean_pool_oracle(table, ctx, texts, config).tobytes()
 
     def test_pooling_memory_grows_with_tokens_not_texts_times_longest(self):
         rng = make_rng(53)
@@ -730,6 +732,126 @@ class TestPartialBackward:
         _backward(params, _forward(params, config, _BATCH)[1],
                   np.ones((len(_BATCH), 8)), grads)
         assert grads == {}
+
+
+def _gather_scatter_forward(params, config, texts):
+    """The forward with id-ordered table rows: each expert gathers its rows of
+    ``x``, multiplies them and scatters the product into ``h``. Returns the
+    encodings and the context ``_gather_scatter_backward`` reads."""
+    uniq, inv, lengths = token_rows(texts, config)
+    x = params.embedding[uniq]
+    names = encoder._expert_names(config)
+    p = route = pe = None
+    experts = [0]
+    if params.is_moe:
+        logits = x @ params.gate
+        z = np.exp(logits - logits.max(1, keepdims=True))
+        p = z / z.sum(1, keepdims=True)
+        route = p.argmax(1)
+        pe = p.max(1)
+        experts = np.bincount(route).nonzero()[0].tolist()
+    groups = [(slice(None) if len(experts) == 1 else (route == e).nonzero()[0], *names[e])
+              for e in experts]
+    h = None if len(groups) == 1 else np.empty((len(x), config.d_intermediate))
+    for rows, w_name, b_name in groups:
+        u = x[rows] @ params._tensor(w_name)
+        u += params._tensor(b_name)
+        if h is None:
+            h = u
+        else:
+            h[rows] = u
+    np.maximum(h, 0.0, out=h)
+    if pe is not None:
+        h *= pe[:, None]
+    table = h @ params.w_down
+    table += params.b_down
+    table += x
+    pool = _mean_rows(table, inv, lengths)
+    norms = row_norms(pool, "pool")
+    pool /= norms[:, None]
+    return pool, dict(h=h, p=p, route=route, pe=pe, groups=groups, uniq=uniq, inv=inv,
+                      lengths=lengths, x=x, norms=norms, out=pool)
+
+
+def _gather_scatter_backward(params, ctx, upstreams, grads):
+    """``_backward`` on ``_gather_scatter_forward``'s id-ordered rows."""
+    out, lengths, inv, x, h = (ctx[k] for k in ("out", "lengths", "inv", "x", "h"))
+
+    def add(name, grad):
+        if name in grads:
+            grads[name] += grad()
+
+    dpool = (upstreams - out * np.sum(out * upstreams, axis=1)[:, None]) / ctx["norms"][:, None]
+    n, m = len(lengths), len(ctx["uniq"])
+    counts = np.bincount(np.repeat(np.arange(n) * m, lengths) + inv, minlength=n * m)
+    dtable = counts.reshape(n, m).T.astype(np.float64) @ (dpool / lengths[:, None])
+    add("b_down", lambda: dtable.sum(axis=0))
+    add("w_down", lambda: h.T @ dtable)
+    dh = dtable @ params.w_down.T
+    want_dx = "embedding" in grads
+    p, pe = ctx["p"], ctx["pe"]
+    du = (h > 0) * (dh if pe is None else pe[:, None] * dh)
+    dx = dtable
+    if p is not None and (want_dx or "gate" in grads):
+        onehot = ctx["route"][:, None] == np.arange(p.shape[1])
+        dlogits = np.sum(h * dh, axis=1)[:, None] * (onehot - p)
+        add("gate", lambda: x.T @ dlogits)
+        if want_dx:
+            dx = dtable + dlogits @ params.gate.T
+    for rows, w_name, b_name in ctx["groups"]:
+        add(b_name, lambda: du[rows].sum(axis=0))
+        add(w_name, lambda: x[rows].T @ du[rows])
+        if want_dx:
+            dx[rows] += du[rows] @ params._tensor(w_name).T
+    if want_dx:
+        grads["embedding"][ctx["uniq"]] += dx
+
+
+_ROUTINGS = [(None, "spread")] + [(e, r) for e in (1, 2, 3, 4)
+                                  for r in ("spread", "one_idle", "one_takes_all")
+                                  if e > 1 or r == "spread"]
+
+
+class TestExpertMajorTable:
+    @pytest.mark.parametrize("experts, routing", _ROUTINGS)
+    def test_bitwise_equal_to_gather_scatter_oracle(self, experts, routing):
+        config = EncoderConfig(vocab_size=256, d_model=8, d_intermediate=16,
+                               moe=None if experts is None else MoEConfig(experts))
+        params = init_params(config, 60)
+        if routing != "spread":  # a constant last input column carries a gate bias
+            params.embedding[:, -1] = 1.0
+            if routing == "one_idle":  # expert 1 never wins
+                params.gate[-1, 1] = -50.0
+            else:  # the last expert wins every row
+                params.gate[-1, -1] = 50.0
+        texts = _wide_texts(60, 80)
+        texts.insert(40, texts[3])  # a repeated text
+        out, ctx = _forward(params, config, texts)
+        want_out, want_ctx = _gather_scatter_forward(params, config, texts)
+        assert out.tobytes() == want_out.tobytes()
+        assert encode_texts(params, config, texts).tobytes() == want_out.tobytes()
+        loads = np.bincount(ctx["route"], minlength=experts) if experts else None
+        if routing == "spread" and (experts or 0) > 1:
+            assert isinstance(ctx["order"], np.ndarray)  # the rows were reordered
+            assert np.all(loads > 0)
+        elif routing == "one_idle":
+            assert loads[1] == 0 and loads.sum() == len(ctx["uniq"])
+        elif routing == "one_takes_all":
+            assert loads[-1] == len(ctx["uniq"])
+        upstreams = make_rng(61).standard_normal((len(texts), 8))
+        for subset in ("full", "intermediate_only", "moe_only"):
+            names = [name for name in params.named_tensors() if _SUBSETS[subset](name)]
+            grads = {name: np.zeros_like(params._tensor(name)) for name in names}
+            want = {name: np.zeros_like(params._tensor(name)) for name in names}
+            _backward(params, ctx, upstreams, grads)
+            _gather_scatter_backward(params, want_ctx, upstreams, want)
+            assert list(grads) == names
+            for name in names:
+                assert grads[name].tobytes() == want[name].tobytes(), (subset, name)
+                # zero only for an expert no row routed to, and for a gate of one expert
+                expert = name.partition(".")[2]
+                zero = loads[int(expert)] == 0 if expert else name == "gate" and experts == 1
+                assert np.any(grads[name] != 0.0) != zero, (subset, name)
 
 
 class TestCheckpointValidation:

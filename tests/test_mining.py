@@ -367,6 +367,30 @@ class TestSearchMany:
                            + [search_top_k(index, index.vectors[501], k)]):
                 assert [d for d, _ in ranked] == sorted(copy_ids)[:k]
 
+    @pytest.mark.parametrize("keep", [1, 5, 64, 65, 200, 999, 1000])
+    def test_block_top_equals_full_sort(self, keep):
+        # rows whose best keys crowd into one chunk of the threshold's maxima,
+        # rows of few distinct keys (ties across the boundary) and rows with
+        # excluded columns, against a full lexsort of every key
+        rng = make_rng(44)
+        n = 1000
+        keys = rng.standard_normal((6, n))
+        keys[0, 100:120] += 10.0
+        keys[1] = rng.integers(0, 3, size=n)
+        keys[2] = 0.0
+        keys[3, 990:] += 5.0
+        excluded = [[], [], [7, 8], [995, 0], [], list(range(0, n, 2))]
+        tie_rank = rng.permutation(n)
+        want = keys.copy()
+        for row, cols in enumerate(excluded):
+            want[row, cols] = -np.inf
+        cols, values = mining._block_top(keys, keep, tie_rank, excluded)
+        for row in range(len(keys)):
+            order = np.lexsort((tie_rank, -want[row]))[:keep]
+            got = slice(row * keep, (row + 1) * keep)
+            assert cols[got] == order.tolist(), row
+            assert values[got] == want[row, order].tolist(), row
+
     def test_zero_query_batch(self):
         index, _ = duplicate_row_index(n=20, copies=(1, 2))
         assert search_many(index, np.empty((0, 64)), 5) == []

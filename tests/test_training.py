@@ -9,6 +9,7 @@ from retrieval_lab.encoder import (
     EncoderConfig,
     MoEConfig,
     encode,
+    encode_texts,
     encode_with_grad,
     init_params,
     zero_grads,
@@ -301,6 +302,34 @@ class TestTrain:
                  for t in [ex.query, ex.pos[0], *ex.neg, *(q for qs in ex.neg_queries for q in qs)]]
         assert sorted(hashed) == sorted({w for t in texts for w in re.findall(r"\w+", t.lower())})
 
+    def test_each_distinct_text_tokenized_once_per_run(self, monkeypatch):
+        params, config = tiny_encoder(moe=True)
+        dataset = tiny_dataset(n=6)
+        words, tokenized = encoder._words, []
+
+        def counting(text):
+            tokenized.append(text)
+            return words(text)
+
+        def texts(examples):
+            return {t for ex in examples for t in [ex.query, ex.pos[0], *ex.neg,
+                                                   *(q for qs in ex.neg_queries for q in qs)]}
+
+        monkeypatch.setattr(encoder, "_words", counting)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=2, grad_accum_steps=2, loss="clp", seed=1)
+        for _ in range(2):  # the second run tokenizes every text again: no memo outlived the first
+            tokenized.clear()
+            train(params, config, dataset, cfg)
+            assert sorted(tokenized) == sorted(texts(dataset))
+        # re-mined sets, one per epoch, that share two examples
+        tokenized.clear()
+        sets = [dataset[:4], dataset[2:]]
+        train(params, config, lambda live: sets.pop(0), cfg)
+        assert sets == [] and sorted(tokenized) == sorted(texts(dataset))
+        tokenized.clear()
+        encode_texts(params, config, [dataset[0].query, dataset[0].query])
+        assert tokenized == [dataset[0].query]
+
     def test_group_token_rows_equal_the_tokenizer(self, monkeypatch):
         # groups repeat texts, and two texts take the regex path of the tokenizer
         params, config = tiny_encoder()
@@ -310,8 +339,8 @@ class TestTrain:
             ex.neg_queries[0] = [dataset[0].query, "x²"]
         forward, groups = training._forward, []
 
-        def checking(params, config, texts):
-            out, ctx = forward(params, config, texts)
+        def checking(params, config, texts, tokens=None):
+            out, ctx = forward(params, config, texts, tokens)
             for name, want in zip(("uniq", "inv", "lengths"), token_rows(texts, config)):
                 assert ctx[name].dtype == want.dtype and np.array_equal(ctx[name], want), name
             groups.append(len(texts))
@@ -453,7 +482,7 @@ class TestGroupPass:
         # text, and the backward by a recorder of the upstreams it is given
         seen = {}
 
-        def forward(params, config, texts):
+        def forward(params, config, texts, tokens=None):
             seen["texts"] = texts
             return np.array([seen["vecs"][t] for t in texts]), {"uniq": None}
 

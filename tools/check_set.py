@@ -4,8 +4,9 @@
 
 Runs, in this process through ``cli.main`` and on the ``src/`` beside this
 script: synth; mine with ANCE, random and ANCE+MoE negatives; train for each
-preset, once from ``--train-file`` and once with ``--refresh-per-epoch``; eval
-of each trained checkpoint; compare of the eval reports. The flags sit at
+preset, once from ``--train-file`` and once with ``--refresh-per-epoch``, and
+the MoE preset from its file under ``--freeze full`` and ``intermediate_only``
+too; eval of each trained checkpoint; compare of the eval reports. The flags sit at
 values other than their defaults, so each one reaches the bytes it sets.
 
 Prints ``<path> <sha256>`` for each command's ``hashes.json``, in run order
@@ -39,6 +40,9 @@ TRAINING = ["--epochs", "2", "--learning-rate", "0.01", "--grad-accum-steps", "3
 TRAIN_FILES = {"random-dataset": "mine-random", "ance-dataset": "mine-ance",
                "ance-clp": "mine-ance", "ance-clp-intermediate": "mine-ance",
                "ance-clp-moe-intermediate": "mine-ance-moe"}
+# the MoE preset's other freeze modes: they train the embedding, w_down and b_down
+# through the routed layer
+MOE_FREEZES = ("full", "intermediate_only")
 
 
 def commands() -> list[list[str]]:
@@ -58,6 +62,11 @@ def commands() -> list[list[str]]:
             runs.append(f"train-{preset}-{source}")
             steps.append(["train", "--preset", preset, *ENCODER, *TRAINING, *data,
                           "--outdir", runs[-1]])
+    for freeze in MOE_FREEZES:
+        runs.append(f"train-ance-clp-moe-{freeze}-file")
+        steps.append(["train", "--preset", "ance-clp-moe-intermediate", "--freeze", freeze,
+                      *ENCODER, *TRAINING, "--train-file", "mine-ance-moe/train.jsonl",
+                      "--outdir", runs[-1]])
     for run in runs:
         steps.append(["eval", "--checkpoint", f"{run}/checkpoint.json", *BUNDLE, "--k", "4",
                       "--method", run, "--dataset", "check-set", "--outdir", f"eval-{run}"])
