@@ -56,16 +56,13 @@ class FreezeMode(str, Enum):
 
 @dataclass(frozen=True)
 class MoEConfig:
+    """A top-1 routed layer of ``num_experts`` experts."""
+
     num_experts: int = 2
-    experts_per_token: int = 1
 
     def __post_init__(self):
         if self.num_experts < 1:
             raise ValueError("num_experts must be positive")
-        if self.experts_per_token < 1 or self.experts_per_token > self.num_experts:
-            raise ValueError("experts_per_token must be in [1, num_experts]")
-        if self.experts_per_token != 1:
-            raise ValueError("only experts_per_token == 1 is supported")
 
 
 @dataclass(frozen=True)
@@ -92,11 +89,15 @@ class EncoderConfig:
         unknown = sorted(d.keys() - {f.name for f in fields(EncoderConfig)})
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
+        if moe is not None:  # older files record top-1 routing as experts_per_token: 1
+            if moe.get("experts_per_token", 1) != 1:
+                raise ValueError("only experts_per_token == 1 is supported")
+            moe = MoEConfig(**{k: v for k, v in moe.items() if k != "experts_per_token"})
         return EncoderConfig(
             vocab_size=d["vocab_size"],
             d_model=d["d_model"],
             d_intermediate=d["d_intermediate"],
-            moe=None if moe is None else MoEConfig(**moe),
+            moe=moe,
         )
 
 

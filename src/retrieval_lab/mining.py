@@ -28,8 +28,8 @@ log = logging.getLogger(__name__)
 RankedList = list[tuple[str, float]]
 
 DEFAULT_NEGATIVES = 10
-# Keys per top-k block: bounds the (queries, docs) key matrix and the copy
-# np.partition makes of it (2**18 float64 = 2 MiB each).
+# Keys per top-k block: bounds each (queries, docs) key block (2**18 float64 =
+# 2 MiB); np.partition sees only the block's chunk maxima.
 _BLOCK_SCORES = 1 << 18
 
 

@@ -183,7 +183,7 @@ def encoder_instance(seed: int, moe: bool, n_tokens: int = 3,
                      vocab_size: int = 32):
     """Deterministic smooth random instance; bumps the seed until the
     finite-difference validity filter passes."""
-    moe_cfg = MoEConfig(num_experts=2, experts_per_token=1) if moe else None
+    moe_cfg = MoEConfig(num_experts=2) if moe else None
     config = EncoderConfig(vocab_size=vocab_size, d_model=d_model,
                            d_intermediate=d_intermediate, moe=moe_cfg)
     attempt = seed

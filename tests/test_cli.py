@@ -581,7 +581,7 @@ class TestTrain:
 
 
 # flags that set each config field to a value other than its default, and that
-# value; MoEConfig.experts_per_token has no flag
+# value
 FIELD_FLAGS = {
     (SynthSpec, "num_clusters"): (["--clusters", 3], 3),
     (SynthSpec, "docs_per_cluster"): (["--docs-per-cluster", 7], 7),
@@ -610,7 +610,7 @@ FIELD_FLAGS = {
 }
 CONFIG_FIELDS = [(cls, f.name) for cls in (SynthSpec, TrainConfig, LossConfig, EncoderConfig,
                                            MoEConfig)
-                 for f in fields(cls) if (cls, f.name) != (MoEConfig, "experts_per_token")]
+                 for f in fields(cls)]
 
 
 class _Built(Exception):
