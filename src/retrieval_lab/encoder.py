@@ -11,16 +11,16 @@ tensor's name and shape is declared once, by ``tensor_layout``.
 Tokens never interact, so a token's output row, its MoE route included,
 depends on its id alone. A batch of texts goes through one table over its
 distinct ids, and backprop runs once over that table, adding into a
-caller-supplied gradient dict. MoE keeps the table's rows expert-major, so
-each expert runs one matmul on one contiguous span; the gate runs on the
-id-sorted rows, and sums over rows run in id order. An ``encode_texts`` call,
-a whole corpus included, is one such batch, so the table has at most
-``vocab_size`` rows. A batch tokenizes each distinct text once, through a
-text memo of its own or the caller's (``training.steps`` keeps one per run).
-Text splits on whitespace when that gives the word-character runs, else by
-regex. Every word -> id lookup goes through one memo per vocabulary size,
-kept for the whole process, so a word is hashed once however many calls
-tokenize it.
+caller-supplied gradient dict. The gate runs on the id-sorted rows; then the
+table takes one row order, expert-major, so each expert runs one matmul on
+one contiguous span, and backprop sums over rows in that order. An
+``encode_texts`` call, a whole corpus included, is one such batch, so the
+table has at most ``vocab_size`` rows. A batch tokenizes each distinct text
+once, through a text memo of its own or the caller's (``training.steps``
+keeps one per run). Text splits on whitespace when that gives the
+word-character runs, else by regex. Every word -> id lookup goes through one
+memo per vocabulary size, kept for the whole process, so a word is hashed
+once however many calls tokenize it.
 """
 
 from __future__ import annotations
@@ -86,18 +86,21 @@ class EncoderConfig:
     @staticmethod
     def from_dict(d: dict) -> "EncoderConfig":
         moe = d.get("moe")
-        unknown = sorted(d.keys() - {f.name for f in fields(EncoderConfig)})
-        if unknown:
-            raise ValueError(f"unknown keys {unknown}")
         if moe is not None:  # older files record top-1 routing as experts_per_token: 1
+            if not isinstance(moe, dict):
+                raise ValueError(f"moe: expected an object, got {type(moe).__name__}")
             if moe.get("experts_per_token", 1) != 1:
                 raise ValueError("only experts_per_token == 1 is supported")
-            moe = MoEConfig(**{k: v for k, v in moe.items() if k != "experts_per_token"})
+            moe = {k: v for k, v in moe.items() if k != "experts_per_token"}
+        for where, keys, cls in (("", d, EncoderConfig), ("moe: ", moe or {}, MoEConfig)):
+            unknown = sorted(keys.keys() - {f.name for f in fields(cls)})
+            if unknown:
+                raise ValueError(f"{where}unknown keys {unknown}")
         return EncoderConfig(
             vocab_size=d["vocab_size"],
             d_model=d["d_model"],
             d_intermediate=d["d_intermediate"],
-            moe=moe,
+            moe=None if moe is None else MoEConfig(moe["num_experts"]),
         )
 
 
@@ -229,38 +232,34 @@ def _words(text: str) -> list[str]:
 def _intermediate(params: EncoderParams, config: EncoderConfig, x: np.ndarray) -> dict:
     """The intermediate layer on the id-sorted rows ``x``: ``h``, each row's relu(x
     W_up + b_up) through its top-1 expert times that expert's gate probability,
-    plus what ``_backward`` needs. ``h`` is expert-major, row ``rank[i]`` holding
-    ``x[i]``'s (``xs = x[order]``), so each expert runs one matmul on its span
-    ``[a:b)``. The dense up-projection is the one expert of span ``[0:m)``, with no
-    gate (``p``, ``route``, ``pe`` None), so unscaled; rows already in expert
-    order stay put (``order`` and ``rank`` slice every row).
+    plus what ``_backward`` needs. The gate runs on the id-sorted rows; one stable
+    sort by expert (``order``) then puts ``x``, ``h``, ``p``, ``route`` and ``pe`` in
+    the table's one row order, so each expert runs one matmul on its span ``[a:b)``.
+    The dense layer is the one expert of span ``[0:m)``, with no gate (``p``,
+    ``route``, ``pe`` None), so unscaled and unsorted (``order`` slices every row).
     """
     names = _expert_names(config)
     p = route = pe = None
-    order = rank = slice(None)
+    order = slice(None)
     ends = [len(x)]
     if params.is_moe:  # softmax gate, top-1 expert; argmax ties go to the lowest index
         logits = x @ params.gate  # on the id-sorted rows: its bits depend on row position
         z = np.exp(logits - logits.max(1, keepdims=True))
         p = z / z.sum(1, keepdims=True)
         route = p.argmax(1)
+        order = route.argsort(kind="stable")
+        x, p, route = x[order], p[order], route[order]
         pe = p.max(1)  # gate probability of each row's expert: its largest
         ends = np.bincount(route, minlength=len(names)).cumsum().tolist()
-        if np.any(route[1:] < route[:-1]):
-            order = route.argsort(kind="stable")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
     spans = [(a, b, *name) for a, b, name in zip([0, *ends], ends, names) if a < b]
-    xs = x[order]
     h = np.empty((len(x), config.d_intermediate))
     for a, b, w_name, b_name in spans:
-        np.matmul(xs[a:b], params._tensor(w_name), out=h[a:b])  # pre-activation
+        np.matmul(x[a:b], params._tensor(w_name), out=h[a:b])  # pre-activation
         h[a:b] += params._tensor(b_name)
     np.maximum(h, 0.0, out=h)
     if pe is not None:
-        h *= pe[order][:, None]
-    return {"h": h, "p": p, "route": route, "pe": pe, "order": order, "rank": rank,
-            "spans": spans, "xs": xs}
+        h *= pe[:, None]
+    return {"x": x, "h": h, "p": p, "route": route, "pe": pe, "order": order, "spans": spans}
 
 
 def moe_intermediate_forward(x: np.ndarray, params: EncoderParams,
@@ -299,10 +298,9 @@ def _word_ids(vocab_size: int) -> _WordIds:
 
 def _table_rows(texts: list[str], config: EncoderConfig,
                 tokens: dict[str, list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of the texts' token table and how texts pool them: the sorted
-    distinct token ids, each token's index into them, text after text (as
-    ``np.unique``'s inverse), and each text's token count. A text missing from
-    the ``tokens`` memo (text -> ids) is tokenized into it."""
+    """The texts' sorted distinct token ids (the rows the gate runs on), their
+    token ids end to end, and each text's token count. A text missing from the
+    ``tokens`` memo (text -> ids) is tokenized into it."""
     word_id = _word_ids(config.vocab_size).__getitem__
     flat, lengths = [], []  # token ids, text after text; each text's count
     for i, text in enumerate(texts):
@@ -316,7 +314,7 @@ def _table_rows(texts: list[str], config: EncoderConfig,
     ids = np.array(flat, dtype=np.intp)
     present = np.zeros(config.vocab_size, dtype=bool)
     present[ids] = True
-    return present.nonzero()[0], (present.cumsum() - 1).take(ids), np.array(lengths, dtype=np.intp)
+    return present.nonzero()[0], ids, np.array(lengths, dtype=np.intp)
 
 
 def _forward(params: EncoderParams, config: EncoderConfig, texts: list[str],
@@ -324,22 +322,25 @@ def _forward(params: EncoderParams, config: EncoderConfig, texts: list[str],
     """Unit-norm encodings (len(texts), d_model) plus the context ``_backward`` needs.
 
     Each distinct token id goes through the token network once, so the table
-    has at most ``vocab_size`` rows, in ``_intermediate``'s expert-major order;
-    a text's pool is the mean of its rows of that table. ``tokens`` is the
-    text -> ids memo of ``_table_rows``, by default one for this call.
+    has at most ``vocab_size`` rows, in the one row order ``_intermediate`` sets
+    after routing. Only here do ids map to rows: row ``r`` holds id ``uniq[r]``,
+    token ``t`` (texts end to end) reads row ``inv[t]``, and a text's pool is
+    the mean of its rows. ``tokens`` is ``_table_rows``' text -> ids memo, by
+    default one for this call.
     """
-    uniq, inv, lengths = _table_rows(texts, config, {} if tokens is None else tokens)
-    x = params.embedding[uniq]  # (m, d_model), one row per distinct id
-    ctx = _intermediate(params, config, x)
-    ctx.update(uniq=uniq, inv=inv, lengths=lengths, x=x)
+    uniq, ids, lengths = _table_rows(texts, config, {} if tokens is None else tokens)
+    ctx = _intermediate(params, config, params.embedding[uniq])
+    uniq = uniq[ctx.pop("order")]
+    row = np.empty(config.vocab_size, dtype=np.intp)
+    row[uniq] = np.arange(len(uniq))
+    inv = row.take(ids)
     table = ctx["h"] @ params.w_down
     table += params.b_down
-    table += ctx["xs"]
-    rank = ctx["rank"]
-    pool = _mean_rows(table, inv if isinstance(rank, slice) else rank.take(inv), lengths)
+    table += ctx["x"]
+    pool = _mean_rows(table, inv, lengths)
     norms = row_norms(pool, "pool")
     pool /= norms[:, None]
-    ctx.update(norms=norms, out=pool)
+    ctx.update(uniq=uniq, inv=inv, lengths=lengths, norms=norms, out=pool)
     return pool, ctx
 
 
@@ -369,12 +370,11 @@ def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
 
     A tensor missing from ``grads`` is frozen: its gradient is neither
     computed nor added as a key, and without ``embedding`` the whole
-    input-gradient chain is skipped. Each expert reads its span of the
-    expert-major rows; every sum over rows runs in id order, as its bits
-    depend on the order.
+    input-gradient chain is skipped. Every row array is in the table's one
+    order (``_forward``), so each expert reads its span and every sum over
+    rows runs in that order.
     """
     out, lengths, inv, x, h = (ctx[k] for k in ("out", "lengths", "inv", "x", "h"))
-    xs, order, rank = ctx["xs"], ctx["order"], ctx["rank"]
 
     def add(name, grad):  # grad is a thunk, so a frozen tensor's gradient never runs
         if name in grads:
@@ -384,32 +384,30 @@ def _backward(params: EncoderParams, ctx: dict, upstreams: np.ndarray,
     dpool = (upstreams - out * np.sum(out * upstreams, axis=1)[:, None]) / ctx["norms"][:, None]
     n, m = len(lengths), len(ctx["uniq"])
     counts = np.bincount(np.repeat(np.arange(n) * m, lengths) + inv, minlength=n * m)
-    dtable = counts.reshape(n, m).T.astype(np.float64) @ (dpool / lengths[:, None])  # id order
+    dtable = counts.reshape(n, m).T.astype(np.float64) @ (dpool / lengths[:, None])
     add("b_down", lambda: dtable.sum(axis=0))
-    add("w_down", lambda: h[rank].T @ dtable)
-    du = dtable[order] @ params.w_down.T  # dh, expert-major (m, d_intermediate)
+    add("w_down", lambda: h.T @ dtable)
+    du = dtable @ params.w_down.T  # dh (m, d_intermediate)
     want_dx = "embedding" in grads
     p, pe = ctx["p"], ctx["pe"]
     dx = dtable  # the residual path; the gate and the experts add theirs
     if p is not None and (want_dx or "gate" in grads):
         # softmax jacobian row e: dp_e/dlogit_j = p_e (1[e==j] - p_j); h = p_e relu(u)
         onehot = ctx["route"][:, None] == np.arange(p.shape[1])
-        dlogits = np.sum(h * du, axis=1)[rank][:, None] * (onehot - p)
+        dlogits = np.sum(h * du, axis=1)[:, None] * (onehot - p)
         add("gate", lambda: x.T @ dlogits)
         if want_dx:
             dx = dtable + dlogits @ params.gate.T
     if pe is not None:
-        du *= pe[order][:, None]
+        du *= pe[:, None]
     du *= h > 0  # h > 0 exactly where relu is
-    if want_dx:
-        dx = dx[order]
     for a, b, w_name, b_name in ctx["spans"]:
         add(b_name, lambda: du[a:b].sum(axis=0))
-        add(w_name, lambda: xs[a:b].T @ du[a:b])
+        add(w_name, lambda: x[a:b].T @ du[a:b])
         if want_dx:
             dx[a:b] += du[a:b] @ params._tensor(w_name).T
     if want_dx:
-        grads["embedding"][ctx["uniq"][order]] += dx  # ids are unique: no repeated-index scatter
+        grads["embedding"][ctx["uniq"]] += dx  # ids are unique: no repeated-index scatter
 
 
 def encode_texts(params: EncoderParams, config: EncoderConfig, texts: list[str]) -> np.ndarray:

@@ -602,12 +602,12 @@ class TestTokenTable:
 
 def mean_pool_oracle(table, ctx, texts, config):
     """Per text: its rows of ``table`` averaged with ``.mean(axis=0)``, then scaled
-    by ``sqrt(row @ row)``. ``table`` is in ``ctx``'s expert-major row order:
-    distinct id ``ctx["uniq"][i]`` is its row ``ctx["rank"][i]``."""
-    row_of = np.arange(len(ctx["uniq"]))[ctx["rank"]]
+    by ``sqrt(row @ row)``. ``table`` is in ``ctx``'s row order: distinct id
+    ``ctx["uniq"][r]`` is its row ``r``."""
+    row_of = {i: r for r, i in enumerate(ctx["uniq"].tolist())}
     rows = []
     for text in texts:
-        pool = table[row_of[np.searchsorted(ctx["uniq"], tokenize(text, config))]].mean(axis=0)
+        pool = table[[row_of[i] for i in tokenize(text, config)]].mean(axis=0)
         rows.append(pool / np.sqrt(pool @ pool))
     return np.array(rows)
 
@@ -626,7 +626,7 @@ class TestOneTablePerCall:
         params, config = make(47, vocab=1024, d_model=16, d_int=32)
         texts = _wide_texts(47, 320)  # more than two of the 128-text blocks encode_texts once used
         out, ctx = _forward(params, config, texts)
-        table = ctx["h"] @ params.w_down + params.b_down + ctx["xs"]
+        table = ctx["h"] @ params.w_down + params.b_down + ctx["x"]
         expected = mean_pool_oracle(table, ctx, texts, config)
         assert encode_texts(params, config, texts).tobytes() == expected.tobytes()
         assert out.tobytes() == expected.tobytes()
@@ -648,7 +648,7 @@ class TestOneTablePerCall:
         texts = _wide_texts(49, 300)
         ctx = _forward(params, config, texts)[1]
         ids = sorted({i for text in texts for i in tokenize(text, config)})
-        assert ctx["uniq"].tolist() == ids
+        assert sorted(ctx["uniq"].tolist()) == ids
         assert len(ctx["x"]) == len(ids)
 
     def test_one_forward_per_call(self, monkeypatch):
@@ -672,7 +672,7 @@ class TestOneTablePerCall:
             " ".join(f"w{int(i)}" for i in rng.integers(0, 2000, size=3000))]
         texts.insert(700, texts.pop())  # the long text among the short ones
         out, ctx = _forward(params, config, texts)
-        table = ctx["h"] @ params.w_down + params.b_down + ctx["xs"]
+        table = ctx["h"] @ params.w_down + params.b_down + ctx["x"]
         assert out.tobytes() == mean_pool_oracle(table, ctx, texts, config).tobytes()
 
     def test_pooling_memory_grows_with_tokens_not_texts_times_longest(self):
@@ -797,8 +797,11 @@ def _gather_scatter_forward(params, config, texts):
 
 
 def _gather_scatter_backward(params, ctx, upstreams, grads):
-    """``_backward`` on ``_gather_scatter_forward``'s id-ordered rows."""
+    """``_backward`` on ``_gather_scatter_forward``'s id-ordered rows; its three
+    sums over all rows (``b_down``, ``w_down``, the gate) run in stable (route,
+    id) order, as their bits depend on the order."""
     out, lengths, inv, x, h = (ctx[k] for k in ("out", "lengths", "inv", "x", "h"))
+    by_route = slice(None) if ctx["route"] is None else ctx["route"].argsort(kind="stable")
 
     def add(name, grad):
         if name in grads:
@@ -808,8 +811,8 @@ def _gather_scatter_backward(params, ctx, upstreams, grads):
     n, m = len(lengths), len(ctx["uniq"])
     counts = np.bincount(np.repeat(np.arange(n) * m, lengths) + inv, minlength=n * m)
     dtable = counts.reshape(n, m).T.astype(np.float64) @ (dpool / lengths[:, None])
-    add("b_down", lambda: dtable.sum(axis=0))
-    add("w_down", lambda: h.T @ dtable)
+    add("b_down", lambda: dtable[by_route].sum(axis=0))
+    add("w_down", lambda: h[by_route].T @ dtable[by_route])
     dh = dtable @ params.w_down.T
     want_dx = "embedding" in grads
     p, pe = ctx["p"], ctx["pe"]
@@ -818,7 +821,7 @@ def _gather_scatter_backward(params, ctx, upstreams, grads):
     if p is not None and (want_dx or "gate" in grads):
         onehot = ctx["route"][:, None] == np.arange(p.shape[1])
         dlogits = np.sum(h * dh, axis=1)[:, None] * (onehot - p)
-        add("gate", lambda: x.T @ dlogits)
+        add("gate", lambda: x[by_route].T @ dlogits[by_route])
         if want_dx:
             dx = dtable + dlogits @ params.gate.T
     for rows, w_name, b_name in ctx["groups"]:
@@ -853,9 +856,23 @@ class TestExpertMajorTable:
         want_out, want_ctx = _gather_scatter_forward(params, config, texts)
         assert out.tobytes() == want_out.tobytes()
         assert encode_texts(params, config, texts).tobytes() == want_out.tobytes()
+        # one row order: ids map to rows and rows to ids both ways, x is the rows'
+        # embeddings, and each expert's span holds its rows in ascending id order
+        uniq, spans = ctx["uniq"], ctx["spans"]
+        assert uniq[ctx["inv"]].tolist() == [i for text in texts for i in tokenize(text, config)]
+        assert ctx["x"].tobytes() == params.embedding[uniq].tobytes()
+        bounds = [0] + [b for _, b, *_ in spans]
+        assert [(a, b) for a, b, *_ in spans] == list(zip(bounds, bounds[1:]))
+        assert bounds[-1] == len(uniq)
+        for a, b, w_name, _ in spans:
+            assert np.all(np.diff(uniq[a:b]) > 0), w_name
+            if experts:
+                assert np.all(ctx["route"][a:b] == int(w_name.partition(".")[2])), w_name
         loads = np.bincount(ctx["route"], minlength=experts) if experts else None
+        if experts:
+            assert np.all(np.diff(ctx["route"]) >= 0)
         if routing == "spread" and (experts or 0) > 1:
-            assert isinstance(ctx["order"], np.ndarray)  # the rows were reordered
+            assert np.any(np.diff(uniq) < 0)  # the rows were reordered
             assert np.all(loads > 0)
         elif routing == "one_idle":
             assert loads[1] == 0 and loads.sum() == len(ctx["uniq"])
@@ -934,13 +951,11 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["config"].update(moe={"num_experts": 2, "experts": 1}),
-         "unexpected keyword argument 'experts'"),
         (lambda doc: doc["config"].update(vocab_size="4096"), "not supported between"),
         (lambda doc: doc["tensors"]["w_down"].update(shape="x"), ""),
         (lambda doc: doc.update(config=[]), "'list' object has no attribute 'get'"),
         (lambda doc: doc.update(tensors=[]), "'list' object has no attribute 'get'"),
-    ], ids=["unknown_moe_key", "string_vocab_size", "string_shape", "config_array",
+    ], ids=["string_vocab_size", "string_shape", "config_array",
             "tensors_array"])
     def test_wrong_type_names_file(self, tmp_path, edit, message):
         path, doc = self._doc(tmp_path)
@@ -985,8 +1000,14 @@ class TestCheckpointValidation:
         (None, lambda doc: doc["config"].update(extra=3), r"unknown keys \['extra'\]"),
         (2, lambda doc: doc["config"].update(zeta=None, alpha=1),
          r"unknown keys \['alpha', 'zeta'\]"),
+        (2, lambda doc: doc["config"]["moe"].update(experts=1), r"moe: unknown keys \['experts'\]"),
+        (2, lambda doc: doc["config"]["moe"].update(topk=1, experts_per_token=1),
+         r"moe: unknown keys \['topk'\]"),
+        (2, lambda doc: doc["config"].update(moe=[2]), "moe: expected an object, got list"),
+        (2, lambda doc: doc["config"].update(moe="top-1"), "moe: expected an object, got str"),
     ], ids=["d_intermediate_below_d_model", "two_experts_per_token", "no_experts",
-            "unknown_key", "unknown_keys_under_moe"])
+            "unknown_key", "unknown_keys_under_moe", "unknown_moe_key", "unknown_key_in_moe",
+            "moe_array", "moe_string"])
     def test_bad_config_names_file(self, tmp_path, experts, edit, message):
         params, config = (_dense_instance(48) if experts is None
                           else _moe_instance(48, experts=experts))
@@ -1003,4 +1024,14 @@ class TestCheckpointValidation:
         del doc["config"]["d_model"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"ckpt\.json: missing key 'd_model'$"):
+            load_checkpoint(path)
+
+    def test_moe_without_num_experts(self, tmp_path):
+        params, config = _moe_instance(48)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, config, path)
+        doc = json.loads(path.read_text())
+        doc["config"]["moe"] = {"experts_per_token": 1}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"ckpt\.json: missing key 'num_experts'$"):
             load_checkpoint(path)
