@@ -11,8 +11,9 @@ train.jsonl lines are that call. The corpus, query and neg-query-map lines have 
 fixed shape each, so they are filled from the ``json.encoder.encode_basestring``
 strings that json.dumps uses, in under half its time.
 
-One function per input rule: ``_read_jsonl`` prefixes ``path:line`` to every fault of a
-JSONL record, and ``_unique`` names a repeated key (id, doc_id, judgment) and both lines.
+One function per input rule: ``_read_jsonl`` and ``_read_tsv`` prefix ``path:line`` to every
+fault of a record, ``_unique`` names a repeated key (id, doc_id, judgment, ranked pair) and
+both lines, and ``_as_id`` takes an id: a nonempty string, or an integer.
 
 The generator builds clustered bag-of-words data: clusters own disjoint
 vocabularies, queries quote words from their relevant document, and every
@@ -141,10 +142,7 @@ def _unique(path: str | Path, records, name: str, key):
 
 def _load_id_text(path: str | Path, cls):
     def parse(obj):
-        item = cls(id=_as_id(obj["id"], "id"), text=_as_text(obj["text"], "text"))
-        if not item.id:
-            raise ValueError("id must be nonempty")
-        return item
+        return cls(id=_as_id(obj["id"], "id"), text=_as_text(obj["text"], "text"))
 
     return [item for _, item in _unique(path, _read_jsonl(path, parse), "id", lambda i: i.id)]
 
@@ -168,26 +166,31 @@ def save_id_text(items, path: str | Path) -> None:
         fh.writelines(f'{{"id": {q(item.id)}, "text": {q(item.text)}}}\n' for item in items)
 
 
-def _read_tsv(path: str | Path, fields: int):
-    """(line number, fields) of each nonblank line of ``path``, each ``fields`` tab-separated."""
+def _read_tsv(path: str | Path, fields: int, parse):
+    """(line, ``parse(*parts)``) per nonblank line of ``path``, split at tabs into ``fields``
+    parts. A fault of the line or from ``parse`` names ``path:line``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
-            if len(parts) != fields:
-                raise ValueError(f"{path}:{lineno}: expected {fields} tab-separated fields")
-            yield lineno, parts
+            try:
+                if len(parts) != fields:
+                    raise ValueError(f"expected {fields} tab-separated fields")
+                record = parse(*parts)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
+            yield lineno, record
 
 
 def load_qrels(path: str | Path) -> Qrels:
-    qrels = Qrels()
-    for lineno, (qid, did, rel) in _unique(path, _read_tsv(path, 3), "judgment",
-                                           lambda parts: (parts[0], parts[1])):
+    def parse(qid, did, rel):
         if rel not in ("0", "1"):
-            raise ValueError(f"{path}:{lineno}: relevance must be 0 or 1, got {rel!r}")
-        qrels.set(qid, did, int(rel))
-    return qrels
+            raise ValueError(f"relevance must be 0 or 1, got {rel!r}")
+        return (_as_id(qid, "query_id"), _as_id(did, "doc_id")), int(rel)
+
+    return Qrels(dict(j for _, j in _unique(path, _read_tsv(path, 3, parse), "judgment",
+                                            lambda j: j[0])))
 
 
 def save_qrels(qrels: Qrels, path: str | Path) -> None:
@@ -204,9 +207,11 @@ def _as_list(value, name: str) -> list:
 
 
 def _as_id(value, name: str) -> str:
-    """``value`` if it is a string; an integer (not ``bool``) in its ``str()`` form."""
+    """``value`` if it is a nonempty string; an integer (not ``bool``) in its ``str()`` form."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValueError(f"{name} must be a string or an integer, got {type(value).__name__}")
+    if value == "":
+        raise ValueError(f"{name} must be nonempty")
     return str(value)
 
 
@@ -226,19 +231,16 @@ def _as_texts(value, name: str) -> list[str]:
 
 def load_train_set(path: str | Path) -> list[TrainingExample]:
     def parse(obj):
-        try:
-            neg_queries = obj.get("neg_queries")
-            if neg_queries is not None:
-                neg_queries = [_as_texts(qs, f"neg_queries[{j}]")
-                               for j, qs in enumerate(_as_list(neg_queries, "neg_queries"))]
-            return TrainingExample(
-                query=_as_text(obj["query"], "query"),
-                pos=_as_texts(obj["pos"], "pos"),
-                neg=_as_texts(obj.get("neg", []), "neg"),
-                neg_queries=neg_queries,
-            )
-        except (KeyError, ValueError, TypeError) as err:
-            raise ValueError(f"invalid training example ({err})") from err
+        neg_queries = obj.get("neg_queries")
+        if neg_queries is not None:
+            neg_queries = [_as_texts(qs, f"neg_queries[{j}]")
+                           for j, qs in enumerate(_as_list(neg_queries, "neg_queries"))]
+        return TrainingExample(
+            query=_as_text(obj["query"], "query"),
+            pos=_as_texts(obj["pos"], "pos"),
+            neg=_as_texts(obj.get("neg", []), "neg"),
+            neg_queries=neg_queries,
+        )
 
     return [example for _, example in _read_jsonl(path, parse)]
 
@@ -252,10 +254,10 @@ def save_train_set(examples: list[TrainingExample], path: str | Path) -> None:
 def load_neg_query_map(path: str | Path) -> dict[str, list[str]]:
     """doc_id -> texts of that document's own positive queries."""
     def parse(obj):
-        doc_id, queries = obj.get("doc_id"), obj.get("queries")
-        if doc_id in (None, "") or not queries:
-            raise ValueError("need nonempty doc_id and queries")
-        return _as_id(doc_id, "doc_id"), _as_texts(queries, "queries")  # read as corpus ids
+        doc_id, queries = _as_id(obj["doc_id"], "doc_id"), _as_texts(obj["queries"], "queries")
+        if not queries:
+            raise ValueError("queries must be nonempty")
+        return doc_id, queries  # doc_id read as a corpus id
 
     return dict(e for _, e in _unique(path, _read_jsonl(path, parse), "doc_id", lambda e: e[0]))
 

@@ -480,6 +480,8 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
             entry = doc["tensors"].get(name)
             if entry is None:
                 raise ValueError(f"{path}: tensor {name!r} is missing")
+            if (dtype := entry["dtype"]) != "<f8":
+                raise ValueError(f"{path}: tensor {name!r} has dtype {dtype!r}, not '<f8'")
             try:
                 raw = base64.b64decode(entry["data"])
             except ValueError as err:  # binascii.Error, or text that is not ASCII

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import Document, Qrels, Query, _read_tsv
+from .data import Document, Qrels, Query, _as_id, _read_tsv, _unique
 from .encoder import encode  # unused here; perfbench/tracer.py wraps evaluation.encode
 from .encoder import EncoderConfig, EncoderParams, encode_texts
 from .mining import RankedList, _rows, build_index, search_many
@@ -41,13 +41,13 @@ class EvalReport:
 
 
 def ndcg_at_k(ranking: RankedList, relevant: set[str], k: int) -> float:
-    """Normalized discounted cumulative gain over the top k ranks."""
+    """Normalized discounted cumulative gain over the top k ranks; no document may repeat."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not relevant:
         raise ValueError("relevant set must be nonempty")
     dcg = 0.0
-    for i, (doc_id, _) in enumerate(ranking[:k]):
+    for doc_id, i in _rows([doc_id for doc_id, _ in ranking[:k]]).items():  # a repeat raises
         if doc_id in relevant:
             dcg += 1.0 / math.log2(i + 2)
     ideal = sum(1.0 / math.log2(i + 2) for i in range(min(k, len(relevant))))
@@ -100,25 +100,21 @@ def save_run(run: RetrievalRun, path: str | Path) -> None:
 
 
 def load_run(path: str | Path) -> RetrievalRun:
+    def parse(qid, rank_text, doc_id, score_text):
+        rank, score = int(rank_text), float(score_text)
+        # int() and float() also take signs, spaces, "_", other scripts' digits, nan, inf
+        if not (rank_text.isascii() and rank_text.isdigit()):
+            raise ValueError(f"rank must be decimal digits, got {rank_text!r}")
+        if not math.isfinite(score) or score_text.strip("0123456789.eE+-"):
+            raise ValueError(f"score must be a finite decimal number, got {score_text!r}")
+        return _as_id(qid, "query_id"), rank, _as_id(doc_id, "doc_id"), score
+
     run: RetrievalRun = {}
-    ranked: set[tuple[str, str]] = set()  # (query_id, doc_id) pairs read so far
-    for lineno, (qid, rank_text, doc_id, score_text) in _read_tsv(path, 4):
-        try:
-            rank, score = int(rank_text), float(score_text)
-            # int() and float() also take signs, spaces, "_", other scripts' digits, nan, inf
-            if not (rank_text.isascii() and rank_text.isdigit()):
-                raise ValueError(f"rank must be decimal digits, got {rank_text!r}")
-            if not math.isfinite(score) or score_text.strip("0123456789.eE+-"):
-                raise ValueError(f"score must be a finite decimal number, got {score_text!r}")
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from err
+    for lineno, (qid, rank, doc_id, score) in _unique(
+            path, _read_tsv(path, 4, parse), "ranked pair", lambda r: (r[0], r[2])):
         entries = run.setdefault(qid, [])
         if rank != len(entries) + 1:
             raise ValueError(f"{path}:{lineno}: ranks must be contiguous from 1")
-        if (qid, doc_id) in ranked:
-            raise ValueError(
-                f"{path}:{lineno}: duplicate doc_id {doc_id!r} in the ranking of {qid!r}")
-        ranked.add((qid, doc_id))
         entries.append((doc_id, score))
     return run
 
@@ -159,15 +155,13 @@ def compare_methods(reports: list[EvalReport]) -> tuple[str, str]:
     """
     if not reports:
         raise ValueError("need at least one report")
+    _rows([(rep.method, rep.dataset) for rep in reports], "report")
     cells: dict[str, dict[str, float]] = {}  # method -> dataset -> score, first-seen order
     for rep in reports:
         if rep.k != reports[0].k:
             raise ValueError(f"report ({rep.method!r}, {rep.dataset!r}) scores nDCG@{rep.k}, "
                              f"the first report nDCG@{reports[0].k}")
-        row = cells.setdefault(rep.method, {})
-        if rep.dataset in row:
-            raise ValueError(f"duplicate report for ({rep.method!r}, {rep.dataset!r})")
-        row[rep.dataset] = rep.mean_ndcg
+        cells.setdefault(rep.method, {})[rep.dataset] = rep.mean_ndcg
 
     datasets = sorted(cells[reports[0].method])
     for method, row in cells.items():

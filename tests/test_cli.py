@@ -471,8 +471,7 @@ class TestTrain:
         assert run_cli("train", "--train-file", train_file, *ENC_FLAGS,
                        "--outdir", tmp_path / "x") == 1
         err = capsys.readouterr().err
-        assert err == (f"error: {train_file}:1: invalid training example "
-                       "(query must be a string, got list)\n")
+        assert err == f"error: {train_file}:1: query must be a string, got list\n"
 
     def test_clp_example_without_negatives_trains_as_cl(self, tmp_path):
         # its penalty has no rows, and with only the positive to score, the

@@ -81,6 +81,12 @@ class TestIdTextLoaders:
         with pytest.raises(ValueError, match=match):
             load_corpus(path)
 
+    def test_empty_id_cites_line(self, tmp_path):
+        path = tmp_path / "queries.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n{"id": "", "text": "y"}\n')
+        with pytest.raises(ValueError, match=r"queries\.jsonl:2: id must be nonempty$"):
+            load_queries(path)
+
     def test_round_trip(self, tmp_path):
         docs = [Document("a", "alpha beta"), Document("b", "gamma")]
         path = tmp_path / "c.jsonl"
@@ -134,6 +140,21 @@ class TestQrels:
         with pytest.raises(ValueError, match=":2"):
             load_qrels(path)
 
+    @pytest.mark.parametrize("line", ["q2\td2", "q2\td2\t1\t", "q2 d2 1"])
+    def test_wrong_field_count_cites_line(self, tmp_path, line):
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"q1\td1\t1\n{line}\n")
+        with pytest.raises(ValueError, match=r"qrels\.tsv:2: expected 3 tab-separated fields$"):
+            load_qrels(path)
+
+    @pytest.mark.parametrize("line, field", [("q1\t\t1", "doc_id"), ("\td1\t1", "query_id")])
+    def test_empty_id_cites_line(self, tmp_path, line, field):
+        # judged relevant, an empty doc_id would score q1 0.0 against any real ranking
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"q0\td0\t1\n{line}\n")
+        with pytest.raises(ValueError, match=rf"qrels\.tsv:2: {field} must be nonempty$"):
+            load_qrels(path)
+
     def test_repeated_pair_cites_both_lines(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\td1\t1\nq1\td2\t1\n\nq1\td1\t0\n")
@@ -183,7 +204,7 @@ class TestTrainSet:
     def test_string_where_list_belongs_cites_line(self, tmp_path, line, field):
         path = tmp_path / "train.jsonl"
         path.write_text('{"query": "q", "pos": ["p"]}\n' + line + "\n")
-        match = rf"train\.jsonl:2: invalid training example \({field}\)"
+        match = rf"train\.jsonl:2: {field}$"
         with pytest.raises(ValueError, match=match):
             load_train_set(path)
 
@@ -198,8 +219,19 @@ class TestTrainSet:
     def test_non_string_text_cites_line(self, tmp_path, line, field):
         path = tmp_path / "train.jsonl"
         path.write_text('{"query": "q", "pos": ["p"]}\n' + line + "\n")
-        match = rf"train\.jsonl:2: invalid training example \({field}\)$"
+        match = rf"train\.jsonl:2: {field}$"
         with pytest.raises(ValueError, match=match):
+            load_train_set(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"pos": ["p"]}', "missing field 'query'"),
+        ('{"query": "q", "neg": ["n"]}', "missing field 'pos'"),
+        ('{"query": "q", "pos": []}', "pos must contain at least one text"),
+    ], ids=["no_query", "no_pos", "empty_pos"])
+    def test_fault_reads_like_other_loaders(self, tmp_path, line, message):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"query": "q", "pos": ["p"]}\n' + line + "\n")
+        with pytest.raises(ValueError, match=rf"train\.jsonl:2: {message}$"):
             load_train_set(path)
 
 
@@ -235,7 +267,7 @@ class TestNegQueryMap:
             load_neg_query_map(path)
 
     @pytest.mark.parametrize("value, message", [
-        ("null", "need nonempty doc_id and queries"),
+        ("null", "doc_id must be a string or an integer, got NoneType"),
         ('["x"]', "doc_id must be a string or an integer, got list"),
         ("1.5", "doc_id must be a string or an integer, got float"),
         ("true", "doc_id must be a string or an integer, got bool"),
@@ -244,6 +276,18 @@ class TestNegQueryMap:
         path = tmp_path / "m.jsonl"
         path.write_text('{"doc_id": 3, "queries": ["x"]}\n'
                         '{"doc_id": ' + value + ', "queries": ["y"]}\n')
+        with pytest.raises(ValueError, match=rf"m\.jsonl:2: {message}$"):
+            load_neg_query_map(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"queries": ["y"]}', "missing field 'doc_id'"),
+        ('{"doc_id": "", "queries": ["y"]}', "doc_id must be nonempty"),
+        ('{"doc_id": "e"}', "missing field 'queries'"),
+        ('{"doc_id": "e", "queries": []}', "queries must be nonempty"),
+    ], ids=["no_doc_id", "empty_doc_id", "no_queries", "empty_queries"])
+    def test_each_field_fault_is_named(self, tmp_path, line, message):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"doc_id": "d", "queries": ["x"]}\n' + line + "\n")
         with pytest.raises(ValueError, match=rf"m\.jsonl:2: {message}$"):
             load_neg_query_map(path)
 
@@ -277,12 +321,12 @@ def test_non_object_line_cites_line(tmp_path, loader, first, line, kind):
 @pytest.mark.parametrize("loader, line, field", [
     (load_corpus, '{"id": "b", "text": "!!! ---"}', "text"),
     (load_queries, '{"id": "b", "text": ""}', "text"),
-    (load_train_set, '{"query": " ?", "pos": ["p"]}', r"invalid training example \(query"),
-    (load_train_set, '{"query": "q", "pos": ["p", "..."]}', r"invalid training example \(pos\[1\]"),
+    (load_train_set, '{"query": " ?", "pos": ["p"]}', "query"),
+    (load_train_set, '{"query": "q", "pos": ["p", "..."]}', r"pos\[1\]"),
     (load_train_set, '{"query": "q", "pos": ["p"], "neg": ["-"], "neg_queries": [["a"]]}',
-     r"invalid training example \(neg\[0\]"),
+     r"neg\[0\]"),
     (load_train_set, '{"query": "q", "pos": ["p"], "neg": ["n"], "neg_queries": [["a", "+"]]}',
-     r"invalid training example \(neg_queries\[0\]\[1\]"),
+     r"neg_queries\[0\]\[1\]"),
     (load_neg_query_map, '{"doc_id": "e", "queries": ["x", "\\t"]}', r"queries\[1\]"),
 ], ids=["corpus", "queries", "train_query", "train_pos", "train_neg", "train_neg_queries",
         "neg_query_map"])

@@ -936,6 +936,18 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError, match=r"ckpt\.json: tensor 'embedding' is missing"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("embedding", lambda entry: entry.update(dtype="<f4"),
+         "tensor 'embedding' has dtype '<f4', not '<f8'"),
+        ("b_down", lambda entry: entry.pop("dtype"), "missing key 'dtype'"),
+    ], ids=["f4", "missing"])
+    def test_dtype_other_than_f8_rejected(self, tmp_path, name, edit, message):
+        path, doc = self._doc(tmp_path)
+        edit(doc["tensors"][name])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"ckpt\.json: {message}$"):
+            load_checkpoint(path)
+
     def test_truncated_json(self, tmp_path):
         path, _ = self._doc(tmp_path)
         text = path.read_text()

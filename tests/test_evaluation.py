@@ -68,6 +68,15 @@ class TestNdcgAtK:
         with pytest.raises(ValueError, match="relevant"):
             ndcg_at_k(ranked(["a"]), set(), 5)
 
+    def test_repeated_doc_in_top_k_rejected(self):
+        # counted twice, d0 would score 1.63
+        with pytest.raises(ValueError, match=r"^duplicate doc_id 'd0'$"):
+            ndcg_at_k([("d0", 1.0), ("d0", 0.9), ("d1", 0.5)], {"d0"}, 3)
+        with pytest.raises(ValueError, match=r"^duplicate doc_id 'd0'$"):
+            score_run({"q1": [("d0", 1.0), ("d0", 0.9)]}, Qrels({("q1", "d0"): 1}), 10)
+        # below the top k, a repeat is never read
+        assert ndcg_at_k(ranked(["d0", "d1", "d0"]), {"d0"}, 2) == 1.0
+
     def test_ideal_ranking_with_more_relevant_than_k(self):
         docs = [f"r{i}" for i in range(10)]
         assert ndcg_at_k(ranked(docs), set(docs), 5) == pytest.approx(1.0)
@@ -270,11 +279,25 @@ class TestRunDump:
         save_run(run, tmp_path / "run.tsv")
         assert load_run(tmp_path / "run.tsv") == run
 
+    @pytest.mark.parametrize("line", ["q1\t2\td2", "q1\t2\td2\t0.5\t", "q1 2 d2 0.5"])
+    def test_wrong_field_count_names_line(self, tmp_path, line):
+        (tmp_path / "run.tsv").write_text(f"q1\t1\td1\t0.9\n{line}\n")
+        with pytest.raises(ValueError, match=r"run\.tsv:2: expected 4 tab-separated fields$"):
+            load_run(tmp_path / "run.tsv")
+
+    @pytest.mark.parametrize("line, field", [("q1\t2\t\t0.5", "doc_id"),
+                                             ("\t1\td2\t0.5", "query_id")])
+    def test_empty_id_names_line(self, tmp_path, line, field):
+        (tmp_path / "run.tsv").write_text(f"q1\t1\td1\t0.9\n{line}\n")
+        with pytest.raises(ValueError, match=rf"run\.tsv:2: {field} must be nonempty$"):
+            load_run(tmp_path / "run.tsv")
+
     def test_repeated_doc_in_a_ranking_names_line(self, tmp_path):
         # counted twice, d1 would score nDCG@10 = 1.63 for q1
         (tmp_path / "run.tsv").write_text("q0\t1\td1\t0.9\nq1\t1\td1\t0.9\nq1\t2\td1\t0.8\n")
         with pytest.raises(ValueError,
-                           match=r"run\.tsv:3: duplicate doc_id 'd1' in the ranking of 'q1'$"):
+                           match=r"run\.tsv:3: duplicate ranked pair \('q1', 'd1'\) "
+                                 r"\(first seen on line 2\)$"):
             load_run(tmp_path / "run.tsv")
 
 class TestCompareMethods:

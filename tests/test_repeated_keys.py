@@ -1,7 +1,7 @@
 """One table of repeated keys: each entry point that reads keyed records names
 the first key met twice, in one message shape per layer. A file names its
-path, the repeating line and the key's first line; the mining layer names the
-doc id alone."""
+path, the repeating line and the key's first line; an in-memory list names the
+key alone."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from retrieval_lab.data import (
     load_queries,
 )
 from retrieval_lab.encoder import EncoderConfig, init_params
+from retrieval_lab.evaluation import EvalReport, compare_methods, load_run
 from retrieval_lab.mining import DenseIndex, build_index, mine_random_negatives_many
 from retrieval_lab.numerics import make_rng
 
@@ -43,6 +44,11 @@ def _random_negatives(tmp_path):
     mine_random_negatives_many(["x", "b", "b", "x"], [set()], 2, make_rng(0))
 
 
+def _compare_methods(tmp_path):
+    compare_methods([EvalReport("m1", "a", 5, {}, 0.5), EvalReport("m2", "a", 5, {}, 0.6),
+                     EvalReport("m1", "a", 5, {}, 0.7)])
+
+
 @pytest.mark.parametrize("entry, message", [
     (_from_file(load_corpus, "corpus.jsonl",
                 '{"id": "a", "text": "x"}\n{"id": "b", "text": "y"}\n{"id": "a", "text": "z"}\n'),
@@ -56,11 +62,14 @@ def _random_negatives(tmp_path):
      "{tmp}/neg_queries.jsonl:3: duplicate doc_id '5' (first seen on line 2)"),
     (_from_file(load_qrels, "qrels.tsv", "q1\td1\t1\nq1\td2\t1\n\nq1\td1\t0\n"),
      "{tmp}/qrels.tsv:4: duplicate judgment ('q1', 'd1') (first seen on line 1)"),
+    (_from_file(load_run, "run.tsv", "q1\t1\td1\t0.9\nq2\t1\td1\t0.9\nq1\t2\td1\t0.8\n"),
+     "{tmp}/run.tsv:3: duplicate ranked pair ('q1', 'd1') (first seen on line 1)"),
     (_build_index, "duplicate doc_id 'b'"),
     (_dense_index, "duplicate doc_id 'a'"),
     (_random_negatives, "duplicate doc_id 'b'"),
-], ids=["load_corpus", "load_queries", "load_neg_query_map", "load_qrels", "build_index",
-        "DenseIndex", "mine_random_negatives_many"])
+    (_compare_methods, "duplicate report ('m1', 'a')"),
+], ids=["load_corpus", "load_queries", "load_neg_query_map", "load_qrels", "load_run",
+        "build_index", "DenseIndex", "mine_random_negatives_many", "compare_methods"])
 def test_repeated_key_names_the_key(tmp_path, entry, message):
     with pytest.raises(ValueError) as err:
         entry(tmp_path)
