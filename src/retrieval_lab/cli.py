@@ -2,7 +2,7 @@
 
 Each flag declares its default once, from the dataclass field it sets where
 there is one, and a command builds each config dataclass from the flags named
-like its fields (``_settings``). Four fields map otherwise: ``num_clusters``
+like its fields (``_from_fields``). Four fields map otherwise: ``num_clusters``
 from --clusters, ``loss_cfg`` from --tau and --penalty-weight, ``freeze`` from
 --freeze as a ``FreezeMode``, and ``moe`` from --moe and --num-experts.
 
@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .losses import LossConfig
-from .numerics import _atomic_open, _reading, _write_json, make_rng
+from .numerics import _atomic_open, _from_fields, _reading, _write_json, make_rng
 from .training import TrainConfig
 
 # Each preset pins {mining strategy, loss, freeze mode, MoE on/off}.
@@ -132,23 +131,16 @@ def _with_config_and_preset(parser: argparse.ArgumentParser, ns: argparse.Namesp
     return parser.parse_args(argv)
 
 
-def _settings(cls, ns: argparse.Namespace, **derived):
-    """Dataclass ``cls`` with each field read from the flag of its name, except the
-    fields given in ``derived``, which no flag of their name sets."""
-    return cls(**{f.name: getattr(ns, f.name) for f in fields(cls) if f.name not in derived},
-               **derived)
-
-
 def _load_or_init_params(ns: argparse.Namespace) -> tuple[EncoderParams, EncoderConfig]:
     if ns.checkpoint:
         return load_checkpoint(_require_file(ns.checkpoint, "checkpoint"))
-    config = _settings(EncoderConfig, ns,
-                       moe=MoEConfig(num_experts=ns.num_experts) if ns.moe else None)
+    config = _from_fields(EncoderConfig, vars(ns),
+                          moe=_from_fields(MoEConfig, vars(ns)) if ns.moe else None)
     return init_params(config, ns.init_seed), config
 
 
 def cmd_synth(ns: argparse.Namespace) -> int:
-    spec = _settings(SynthSpec, ns, num_clusters=ns.clusters)
+    spec = _from_fields(SynthSpec, vars(ns), num_clusters=ns.clusters)
     with _outputs(ns) as out:
         dataset = data_mod.synth_generate(spec, ns.seed)
         data_mod.save_id_text(dataset.corpus, out("corpus.jsonl"))
@@ -194,8 +186,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
     if ns.epochs < 1:  # TrainConfig allows 0 epochs; a run that trains nothing is an error
         raise CliError("epochs must be >= 1")
     params, config = _load_or_init_params(ns)
-    cfg = _settings(TrainConfig, ns, loss_cfg=_settings(LossConfig, ns, lam=ns.penalty_weight),
-                    freeze=FreezeMode(ns.freeze))
+    cfg = _from_fields(TrainConfig, vars(ns), freeze=FreezeMode(ns.freeze),
+                       loss_cfg=_from_fields(LossConfig, vars(ns), lam=ns.penalty_weight))
 
     if ns.refresh_per_epoch:
         examples = partial(_miner(ns), config=config)  # params -> this epoch's examples
@@ -257,6 +249,10 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     if not ns.reports:
         raise CliError("compare needs at least one report.json path")
     reports = [evaluation.load_report(_require_file(p, "report")) for p in ns.reports]
+    keys = [(report.method, report.dataset) for report in reports]
+    for i, key in enumerate(keys):
+        if (j := keys.index(key)) < i:
+            raise CliError(f"{ns.reports[i]}: duplicate report {key!r} (first in {ns.reports[j]})")
     markdown, tsv = evaluation.compare_methods(reports)
     with _outputs(ns) as out:
         for name, text in (("comparison.md", markdown), ("comparison.tsv", tsv)):

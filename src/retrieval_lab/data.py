@@ -13,7 +13,8 @@ strings that json.dumps uses, in under half its time.
 
 One function per input rule: ``_read_jsonl`` and ``_read_tsv`` prefix ``path:line`` to every
 fault of a record, ``_unique`` names a repeated key (id, doc_id, judgment, ranked pair) and
-both lines, and ``_as_id`` takes an id: a nonempty string, or an integer.
+both lines, and ``_as_id`` takes an id: a nonempty string, or an integer. A train.jsonl
+line with a key other than the four above is rejected; ``Qrels`` reads its judgments once.
 
 The generator builds clustered bag-of-words data: clusters own disjoint
 vocabularies, queries quote words from their relevant document, and every
@@ -26,7 +27,7 @@ child stream of the seed, as whole vectorized numpy arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -53,23 +54,14 @@ class Qrels:
     """Binary relevance judgments; absent pairs count as 0."""
 
     judgments: dict[tuple[str, str], int] = field(default_factory=dict)
-    # query_id -> docs judged 1; kept in step with ``judgments`` by set()
-    _relevant: dict[str, set[str]] = field(default_factory=dict, init=False,
-                                           repr=False, compare=False)
 
     def __post_init__(self):
-        for (qid, did), rel in list(self.judgments.items()):
-            self.set(qid, did, rel)
-
-    def set(self, query_id: str, doc_id: str, relevance: int) -> None:
-        if relevance not in (0, 1):
-            raise ValueError(f"relevance must be 0 or 1, got {relevance}")
-        self.judgments[(query_id, doc_id)] = relevance
-        docs = self._relevant.setdefault(query_id, set())
-        if relevance:
-            docs.add(doc_id)
-        else:
-            docs.discard(doc_id)
+        self._relevant: dict[str, set[str]] = {}  # query_id -> docs judged 1
+        for (qid, did), rel in self.judgments.items():
+            if rel not in (0, 1):
+                raise ValueError(f"relevance must be 0 or 1, got {rel}")
+            if rel:
+                self._relevant.setdefault(qid, set()).add(did)
 
     def relevant_docs(self, query_id: str) -> set[str]:
         return set(self._relevant.get(query_id, ()))
@@ -231,6 +223,8 @@ def _as_texts(value, name: str) -> list[str]:
 
 def load_train_set(path: str | Path) -> list[TrainingExample]:
     def parse(obj):
+        if unknown := sorted(obj.keys() - {f.name for f in fields(TrainingExample)}):
+            raise ValueError(f"unknown fields {unknown}")
         neg_queries = obj.get("neg_queries")
         if neg_queries is not None:
             neg_queries = [_as_texts(qs, f"neg_queries[{j}]")

@@ -38,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import (_atomic_open, _reading, as_matrix, as_vector, make_rng, row_norms,
-                       seeded_init)
+from .numerics import (_atomic_open, _from_fields, _reading, as_matrix, as_vector, make_rng,
+                       row_norms, seeded_init)
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -96,12 +96,8 @@ class EncoderConfig:
             unknown = sorted(keys.keys() - {f.name for f in fields(cls)})
             if unknown:
                 raise ValueError(f"{where}unknown keys {unknown}")
-        return EncoderConfig(
-            vocab_size=d["vocab_size"],
-            d_model=d["d_model"],
-            d_intermediate=d["d_intermediate"],
-            moe=None if moe is None else MoEConfig(moe["num_experts"]),
-        )
+        return _from_fields(EncoderConfig, d,
+                            moe=None if moe is None else _from_fields(MoEConfig, moe))
 
 
 def tensor_layout(config: EncoderConfig) -> dict[str, tuple[int, ...]]:

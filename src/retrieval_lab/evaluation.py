@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .data import Document, Qrels, Query, _as_id, _read_tsv, _unique
@@ -20,7 +20,7 @@ from .encoder import encode  # unused here; perfbench/tracer.py wraps evaluation
 from .encoder import EncoderConfig, EncoderParams, encode_texts
 from .mining import RankedList, _rows, build_index, search_many
 from .mining import search_top_k  # unused here; perfbench/tracer.py wraps evaluation.search_top_k
-from .numerics import _atomic_open, _reading, _write_json
+from .numerics import _atomic_open, _from_fields, _reading, _write_json
 
 log = logging.getLogger(__name__)
 
@@ -36,8 +36,7 @@ class EvalReport:
     mean_ndcg: float
 
     def to_dict(self) -> dict:
-        return {"method": self.method, "dataset": self.dataset, "k": self.k,
-                "per_query": self.per_query, "mean_ndcg": self.mean_ndcg}
+        return asdict(self)
 
 
 def ndcg_at_k(ranking: RankedList, relevant: set[str], k: int) -> float:
@@ -75,7 +74,10 @@ def score_run(run: RetrievalRun, qrels: Qrels, k: int,
         if not relevant:
             log.warning("query %s has no relevant documents; skipped", qid)
             continue
-        per_query[qid] = ndcg_at_k(run[qid], relevant, k)
+        try:
+            per_query[qid] = ndcg_at_k(run[qid], relevant, k)
+        except ValueError as err:
+            raise ValueError(f"query {qid!r}: {err}") from err
     if not per_query:
         raise ValueError("no query with relevant documents to score")
     mean = sum(per_query[qid] for qid in sorted(per_query)) / len(per_query)
@@ -128,10 +130,9 @@ def _is_number(value) -> bool:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    """The report ``path`` holds; a field of the wrong JSON type names ``path``."""
+    """The report ``path`` holds; a field of the wrong JSON type or range names ``path``."""
     with _reading(path) as d:
-        report = EvalReport(method=d["method"], dataset=d["dataset"], k=d["k"],
-                            per_query=d["per_query"], mean_ndcg=d["mean_ndcg"])
+        report = _from_fields(EvalReport, d)
     checks = [
         ("method", isinstance(report.method, str), "a string"),
         ("dataset", isinstance(report.dataset, str), "a string"),
@@ -143,6 +144,12 @@ def load_report(path: str | Path) -> EvalReport:
     for key, fits, what in checks:
         if not fits:
             raise ValueError(f"{path}: {key!r} must be {what}")
+    if report.k < 1:
+        raise ValueError(f"{path}: 'k' must be >= 1, got {report.k}")
+    scores = [(f"'per_query' value of {qid!r}", v) for qid, v in report.per_query.items()]
+    for name, value in scores + [("'mean_ndcg'", report.mean_ndcg)]:
+        if not 0 <= value <= 1:  # NaN fails both comparisons
+            raise ValueError(f"{path}: {name} must be in [0, 1], got {value}")
     return report
 
 

@@ -1,6 +1,6 @@
-"""Dense float64 primitives shared by every other module, plus the atomic file
-write and the JSON-document writer every output goes through, and the error
-wrapper of the JSON loaders.
+"""Dense float64 primitives shared by every other module, plus the atomic file write and
+the JSON-document writer every output goes through, the error wrapper of the JSON loaders,
+and ``_from_fields``, which builds every dataclass that is read from a mapping.
 
 Vectors are 1-D ``numpy.float64`` arrays, matrices 2-D row-major. All
 numeric operations are pure functions; random state is carried explicitly by a
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -173,3 +174,8 @@ def _reading(path: str | Path):
         raise ValueError(f"{path}: missing key {err.args[0]!r}") from err
     except (TypeError, AttributeError) as err:  # e.g. an array where an object belongs
         raise ValueError(f"{path}: malformed entry ({err})") from err
+
+
+def _from_fields(cls, values, **derived):
+    """``cls`` from ``derived`` and ``values[name]`` for each other field (KeyError if missing)."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name not in derived}, **derived)

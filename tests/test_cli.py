@@ -742,6 +742,17 @@ class TestEvalAndCompare:
             "error: report ('at50', 'synth') scores nDCG@50, the first report nDCG@5\n")
         assert not (tmp_path / "cmp").exists()
 
+    def test_compare_repeated_report_names_both_files(self, tmp_path, capsys):
+        reports = []
+        for name, method in (("a", "m"), ("c", "n"), ("b", "m")):
+            reports.append(tmp_path / f"{name}.json")
+            reports[-1].write_text(json.dumps({"dataset": "ds", "k": 5, "mean_ndcg": 0.5,
+                                               "method": method, "per_query": {}}))
+        assert run_cli("compare", *reports, "--outdir", tmp_path / "cmp") == 1
+        assert capsys.readouterr().err == (
+            f"error: {reports[2]}: duplicate report ('m', 'ds') (first in {reports[0]})\n")
+        assert not (tmp_path / "cmp").exists()
+
     def test_compare_without_reports_fails(self, tmp_path, capsys):
         assert run_cli("compare", "--outdir", tmp_path / "c") == 1
         assert "at least one" in capsys.readouterr().err

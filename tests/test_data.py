@@ -96,27 +96,19 @@ class TestIdTextLoaders:
 
 class TestQrels:
     def test_round_trip(self, tmp_path):
-        qrels = Qrels()
-        qrels.set("q1", "d1", 1)
-        qrels.set("q1", "d2", 0)
-        qrels.set("q2", "d3", 1)
+        qrels = Qrels({("q1", "d1"): 1, ("q1", "d2"): 0, ("q2", "d3"): 1})
         path = tmp_path / "qrels.tsv"
         save_qrels(qrels, path)
         loaded = load_qrels(path)
         assert loaded.judgments == qrels.judgments
 
     def test_relevant_docs(self):
-        qrels = Qrels()
-        qrels.set("q1", "d1", 1)
-        qrels.set("q1", "d2", 0)
+        qrels = Qrels({("q1", "d1"): 1, ("q1", "d2"): 0})
         assert qrels.relevant_docs("q1") == {"d1"}
         assert qrels.relevant_docs("missing") == set()
 
     def test_overwrite_to_zero_removes_doc(self):
-        qrels = Qrels()
-        qrels.set("q1", "d1", 1)
-        qrels.set("q1", "d2", 1)
-        qrels.set("q1", "d1", 0)
+        qrels = Qrels({("q1", "d1"): 0, ("q1", "d2"): 1})
         assert qrels.relevant_docs("q1") == {"d2"}
         assert qrels.judgments[("q1", "d1")] == 0
         qrels.relevant_docs("q1").add("d9")  # caller gets a copy
@@ -124,7 +116,7 @@ class TestQrels:
 
     def test_rejects_graded_relevance(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            Qrels().set("q", "d", 2)
+            Qrels({("q", "d"): 2})
 
     @pytest.mark.parametrize("rel", ["+1", " 1", "01", "0_1", "\uff11", "2", "-0", "1.0", ""])
     def test_relevance_is_exactly_0_or_1(self, tmp_path, rel):
@@ -227,7 +219,10 @@ class TestTrainSet:
         ('{"pos": ["p"]}', "missing field 'query'"),
         ('{"query": "q", "neg": ["n"]}', "missing field 'pos'"),
         ('{"query": "q", "pos": []}', "pos must contain at least one text"),
-    ], ids=["no_query", "no_pos", "empty_pos"])
+        # a misspelled field would otherwise load as an example without negatives
+        ('{"query": "q", "pos": ["p"], "negs": ["n"]}', r"unknown fields \['negs'\]"),
+        ('{"query": "q", "poss": ["p"], "Neg": []}', r"unknown fields \['Neg', 'poss'\]"),
+    ], ids=["no_query", "no_pos", "empty_pos", "unknown_field", "unknown_fields"])
     def test_fault_reads_like_other_loaders(self, tmp_path, line, message):
         path = tmp_path / "train.jsonl"
         path.write_text('{"query": "q", "pos": ["p"]}\n' + line + "\n")

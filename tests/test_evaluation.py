@@ -72,7 +72,7 @@ class TestNdcgAtK:
         # counted twice, d0 would score 1.63
         with pytest.raises(ValueError, match=r"^duplicate doc_id 'd0'$"):
             ndcg_at_k([("d0", 1.0), ("d0", 0.9), ("d1", 0.5)], {"d0"}, 3)
-        with pytest.raises(ValueError, match=r"^duplicate doc_id 'd0'$"):
+        with pytest.raises(ValueError, match=r"^query 'q1': duplicate doc_id 'd0'$"):
             score_run({"q1": [("d0", 1.0), ("d0", 0.9)]}, Qrels({("q1", "d0"): 1}), 10)
         # below the top k, a repeat is never read
         assert ndcg_at_k(ranked(["d0", "d1", "d0"]), {"d0"}, 2) == 1.0
@@ -87,9 +87,7 @@ def verbatim_setup():
     corpus = [Document(f"d{i}", f"unique topic number {i} words alpha{i} beta{i}")
               for i in range(12)]
     queries = [Query(f"q{i}", corpus[i].text) for i in range(6)]
-    qrels = Qrels()
-    for i in range(6):
-        qrels.set(f"q{i}", f"d{i}", 1)
+    qrels = Qrels({(f"q{i}", f"d{i}"): 1 for i in range(6)})
     config = EncoderConfig(vocab_size=256, d_model=16, d_intermediate=32)
     params = init_params(config, 3)
     return params, config, corpus, queries, qrels
@@ -130,7 +128,7 @@ class TestEvaluate:
     def test_judged_doc_missing_from_corpus_counts_as_never_retrieved(self):
         # as in trec_eval: it enters the ideal DCG and is never in the ranking
         params, config, corpus, queries, qrels = verbatim_setup()
-        qrels.set("q0", "gone", 1)
+        qrels = Qrels({**qrels.judgments, ("q0", "gone"): 1})
         report = evaluate(params, config, corpus, queries, qrels, k=5)
         assert report.per_query["q0"] == pytest.approx(1.0 / (1.0 + 1.0 / math.log2(3)),
                                                        abs=1e-12)
@@ -239,6 +237,26 @@ class TestRunDump:
         (tmp_path / "r.json").write_text(json.dumps({**doc, key: value}))
         with pytest.raises(ValueError, match=rf"r\.json: '{key}' must be {what}$"):
             load_report(tmp_path / "r.json")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k", 0, "'k' must be >= 1, got 0"),
+        ("k", -3, "'k' must be >= 1, got -3"),
+        ("per_query", {"q1": 0.5, "q2": 2.5},
+         "'per_query' value of 'q2' must be in [0, 1], got 2.5"),
+        ("per_query", {"q1": float("nan")},
+         "'per_query' value of 'q1' must be in [0, 1], got nan"),
+        ("mean_ndcg", float("nan"), "'mean_ndcg' must be in [0, 1], got nan"),
+        ("mean_ndcg", float("inf"), "'mean_ndcg' must be in [0, 1], got inf"),
+        ("mean_ndcg", -0.25, "'mean_ndcg' must be in [0, 1], got -0.25"),
+        ("mean_ndcg", 2.5, "'mean_ndcg' must be in [0, 1], got 2.5"),
+    ], ids=["k_zero", "k_negative", "per_query_above_one", "per_query_nan", "mean_nan",
+            "mean_inf", "mean_negative", "mean_above_one"])
+    def test_report_value_score_run_never_writes_names_file(self, tmp_path, key, value, message):
+        doc = EvalReport("m", "ds", 5, {"q1": 0.5}, 0.5).to_dict()
+        (tmp_path / "r.json").write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(ValueError) as err:
+            load_report(tmp_path / "r.json")
+        assert str(err.value) == f"{tmp_path / 'r.json'}: {message}"
 
     def test_report_with_integer_numbers_loads(self, tmp_path):
         (tmp_path / "r.json").write_text(

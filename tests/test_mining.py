@@ -454,14 +454,14 @@ class TestMineAnceMany:
         index = build_index(corpus, params, config)
         rng = make_rng(46)
         queries = [Query(f"q{i}", random_text(rng, 5)) for i in range(4)]
-        qrels = Qrels()
+        judgments = {}
         wanted = []
         for query in queries:
             ranking = [d for d, _ in brute_force_ranking(index, encode(params, config, query.text))]
             relevant = {ranking[1], ranking[2], ranking[4]}
-            for doc_id in relevant:
-                qrels.set(query.id, doc_id, 1)
+            judgments.update({(query.id, doc_id): 1 for doc_id in relevant})
             wanted.append([d for d in ranking if d not in relevant][:6])
+        qrels = Qrels(judgments)
         text_of = {doc.id: doc.text for doc in corpus}
         examples = mine_dataset(corpus, queries, qrels, None, params, config,
                                 "ance", 6, make_rng(0))
@@ -498,13 +498,9 @@ class TestMineRandomMany:
         ids = [doc.id for doc in corpus]
         rng = make_rng(46)
         queries = [Query(f"q{i}", random_text(rng, 5)) for i in range(4)]
-        qrels = Qrels()
-        relevant_sets = []
-        for i, query in enumerate(queries):
-            relevant = {ids[i], ids[10 + 3 * i], ids[39 - i]}
-            for doc_id in relevant:
-                qrels.set(query.id, doc_id, 1)
-            relevant_sets.append(relevant)
+        relevant_sets = [{ids[i], ids[10 + 3 * i], ids[39 - i]} for i in range(len(queries))]
+        qrels = Qrels({(query.id, doc_id): 1
+                       for query, relevant in zip(queries, relevant_sets) for doc_id in relevant})
         oracle_rng = make_rng(0)
         wanted = [random_negatives_oracle(ids, relevant, 6, oracle_rng)
                   for relevant in relevant_sets]
@@ -584,8 +580,7 @@ class TestOneIdRule:
     def test_mine_dataset_rejects_repeated_corpus_id(self, strategy):
         corpus, params, config = small_setup(n_docs=4)
         corpus[1] = Document(corpus[0].id, corpus[1].text)
-        qrels = Qrels()
-        qrels.set("q0", corpus[2].id, 1)
+        qrels = Qrels({("q0", corpus[2].id): 1})
         with pytest.raises(ValueError, match=rf"^duplicate doc_id '{corpus[0].id}'$"):
             mine_dataset(corpus, [Query("q0", "a b")], qrels, None, params, config,
                          strategy, 2, make_rng(0))

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retrieval_lab.data import Document, save_id_text
-from retrieval_lab.evaluation import save_run
+from retrieval_lab.encoder import EncoderConfig, MoEConfig
+from retrieval_lab.evaluation import EvalReport, load_report, save_report, save_run
 from retrieval_lab.numerics import (
     _atomic_open,
     as_matrix,
@@ -243,3 +245,32 @@ class TestAtomicOpen:
             save_run({"q1": [("d1", 0.25)], "q2": [("d1", 0.5, "extra")]}, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["run.tsv"]
+
+
+# Every field of each dataclass that is saved to a file and read back, at a value
+# other than its default: a field the reader drops comes back changed.
+_MOE_FIELDS = {"num_experts": 3}
+SAVED_FIELDS = {
+    MoEConfig: _MOE_FIELDS,
+    EncoderConfig: {"vocab_size": 64, "d_model": 4, "d_intermediate": 8,
+                    "moe": MoEConfig(**_MOE_FIELDS)},
+    EvalReport: {"method": "m", "dataset": "ds", "k": 3, "per_query": {"q1": 0.25, "q2": 1.0},
+                 "mean_ndcg": 0.625},
+}
+
+
+class TestFromFields:
+    @pytest.mark.parametrize("cls", list(SAVED_FIELDS), ids=lambda cls: cls.__name__)
+    def test_table_sets_every_field(self, cls):
+        table = SAVED_FIELDS[cls]
+        assert sorted(table) == sorted(f.name for f in fields(cls))  # a new field fails here
+        assert all(table[f.name] != f.default for f in fields(cls))
+
+    def test_checkpoint_config_reads_every_field(self):
+        config = EncoderConfig(**SAVED_FIELDS[EncoderConfig])
+        assert EncoderConfig.from_dict(config.to_dict()) == config
+
+    def test_report_reads_every_field(self, tmp_path):
+        report = EvalReport(**SAVED_FIELDS[EvalReport])
+        save_report(report, tmp_path / "r.json")
+        assert load_report(tmp_path / "r.json") == report

@@ -7,7 +7,10 @@ script: synth; mine with ANCE, random and ANCE+MoE negatives; train for each
 preset, once from ``--train-file`` and once with ``--refresh-per-epoch``, and
 the MoE preset from its file under ``--freeze full`` and ``intermediate_only``
 too; eval of each trained checkpoint; compare of the eval reports. The flags sit at
-values other than their defaults, so each one reaches the bytes it sets.
+values other than their defaults, so each one reaches the bytes it sets. One run,
+``train-ance-clp-file``, reads the training values from a ``--config`` file that
+this script writes, ``training.json``; the file holds another penalty weight, and
+an explicit ``--penalty-weight`` restores the one the other runs train with.
 
 Prints ``<path> <sha256>`` for each command's ``hashes.json``, in run order
 and relative to OUTDIR (best a fresh directory), then the same for
@@ -21,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -36,6 +40,9 @@ BUNDLE = ["--corpus", "data/corpus.jsonl", "--queries", "data/queries.jsonl",
 MINING = [*BUNDLE, "--neg-query-map", "data/neg_queries.jsonl", "--k", "3"]
 TRAINING = ["--epochs", "2", "--learning-rate", "0.01", "--grad-accum-steps", "3",
             "--tau", "0.1", "--penalty-weight", "0.2", "--seed", "5"]
+# the run that reads TRAINING from CONFIG_FILE, and the flag that overrides one of its values
+CONFIG_RUN, CONFIG_FILE = "train-ance-clp-file", "training.json"
+OVERRIDE = TRAINING[TRAINING.index("--penalty-weight"):][:2]
 # the mined set each preset trains from: its strategy, and MoE where it has one
 TRAIN_FILES = {"random-dataset": "mine-random", "ance-dataset": "mine-ance",
                "ance-clp": "mine-ance", "ance-clp-intermediate": "mine-ance",
@@ -60,7 +67,8 @@ def commands() -> list[list[str]]:
                              ("refresh", ["--refresh-per-epoch", "--stop-grad-neg-queries",
                                           *MINING])):
             runs.append(f"train-{preset}-{source}")
-            steps.append(["train", "--preset", preset, *ENCODER, *TRAINING, *data,
+            training = ["--config", CONFIG_FILE, *OVERRIDE] if runs[-1] == CONFIG_RUN else TRAINING
+            steps.append(["train", "--preset", preset, *ENCODER, *training, *data,
                           "--outdir", runs[-1]])
     for freeze in MOE_FREEZES:
         runs.append(f"train-ance-clp-moe-{freeze}-file")
@@ -75,6 +83,13 @@ def commands() -> list[list[str]]:
     return steps
 
 
+def training_config() -> dict:
+    """TRAINING as a --config document, with a penalty weight that OVERRIDE replaces."""
+    doc = {flag[2:].replace("-", "_"): json.loads(value)
+           for flag, value in zip(TRAINING[::2], TRAINING[1::2])}
+    return {**doc, "penalty_weight": 0.5}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -82,6 +97,7 @@ def main(argv: list[str]) -> int:
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)  # relative paths, so the outputs and stdout name no directory
+    Path(CONFIG_FILE).write_text(json.dumps(training_config()), encoding="utf-8")
     stdout, steps = io.StringIO(), commands()
     for step in steps:
         with contextlib.redirect_stdout(stdout):
