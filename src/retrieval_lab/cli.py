@@ -249,9 +249,9 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     if not ns.reports:
         raise CliError("compare needs at least one report.json path")
     reports = [evaluation.load_report(_require_file(p, "report")) for p in ns.reports]
-    keys = [(report.method, report.dataset) for report in reports]
-    for i, key in enumerate(keys):
-        if (j := keys.index(key)) < i:
+    first: dict[tuple[str, str], int] = {}  # (method, dataset) -> its first report's index
+    for i, key in enumerate((report.method, report.dataset) for report in reports):
+        if (j := first.setdefault(key, i)) < i:
             raise CliError(f"{ns.reports[i]}: duplicate report {key!r} (first in {ns.reports[j]})")
     markdown, tsv = evaluation.compare_methods(reports)
     with _outputs(ns) as out:

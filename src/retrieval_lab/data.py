@@ -1,7 +1,7 @@
 """Corpus/query/qrels/training-set files plus a deterministic synthetic generator.
 
 File formats (all UTF-8):
-  corpus.jsonl, queries.jsonl   {"id": "...", "text": "..."} per line
+  corpus.jsonl, queries.jsonl   {"id": "...", "text": "..."} per line, each a ``Document``
   qrels.tsv                     query_id<TAB>doc_id<TAB>relevance(0|1), no header
   train.jsonl                   {"query", "pos": [...], "neg": [...], "neg_queries": [[...], ...]}
   neg_queries.jsonl             {"doc_id": "...", "queries": [...]} per line
@@ -43,10 +43,7 @@ class Document:
     text: str
 
 
-@dataclass(frozen=True)
-class Query:
-    id: str
-    text: str
+Query = Document  # a query row is an id/text record too
 
 
 @dataclass
@@ -132,19 +129,15 @@ def _unique(path: str | Path, records, name: str, key):
         yield lineno, record
 
 
-def _load_id_text(path: str | Path, cls):
+def load_corpus(path: str | Path) -> list[Document]:
+    """The id/text records of a corpus.jsonl or queries.jsonl file."""
     def parse(obj):
-        return cls(id=_as_id(obj["id"], "id"), text=_as_text(obj["text"], "text"))
+        return Document(id=_as_id(obj["id"], "id"), text=_as_text(obj["text"], "text"))
 
     return [item for _, item in _unique(path, _read_jsonl(path, parse), "id", lambda i: i.id)]
 
 
-def load_corpus(path: str | Path) -> list[Document]:
-    return _load_id_text(path, Document)
-
-
-def load_queries(path: str | Path) -> list[Query]:
-    return _load_id_text(path, Query)
+load_queries = load_corpus
 
 
 def _array(texts) -> str:

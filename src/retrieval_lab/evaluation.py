@@ -4,8 +4,8 @@ A run encodes every query in one pass and ranks them all with the batched
 exact search (``mining.search_many``, one matmul per block of queries).
 Binary gains with the log2(rank+1) discount (trec convention). Queries
 without any relevant document are skipped with a warning rather than
-scored as zero. Reports aggregate the arithmetic mean over scored queries,
-accumulated in query-id order so the result is order-independent.
+scored as zero. A report's mean, ``_mean``, is the arithmetic mean over scored
+queries, summed in query-id order (order-independent); ``load_report`` checks it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ class EvalReport:
     k: int
     per_query: dict[str, float]
     mean_ndcg: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def ndcg_at_k(ranking: RankedList, relevant: set[str], k: int) -> float:
@@ -80,9 +77,13 @@ def score_run(run: RetrievalRun, qrels: Qrels, k: int,
             raise ValueError(f"query {qid!r}: {err}") from err
     if not per_query:
         raise ValueError("no query with relevant documents to score")
-    mean = sum(per_query[qid] for qid in sorted(per_query)) / len(per_query)
     return EvalReport(method=method, dataset=dataset, k=k,
-                      per_query=per_query, mean_ndcg=mean)
+                      per_query=per_query, mean_ndcg=_mean(per_query))
+
+
+def _mean(per_query: dict[str, float]) -> float:
+    """The arithmetic mean of the scores, summed in query-id order."""
+    return sum(per_query[qid] for qid in sorted(per_query)) / len(per_query)
 
 
 def evaluate(params: EncoderParams, config: EncoderConfig, corpus: list[Document],
@@ -122,7 +123,7 @@ def load_run(path: str | Path) -> RetrievalRun:
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    _write_json(path, report.to_dict())
+    _write_json(path, asdict(report))
 
 
 def _is_number(value) -> bool:
@@ -130,7 +131,8 @@ def _is_number(value) -> bool:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    """The report ``path`` holds; a field of the wrong JSON type or range names ``path``."""
+    """The report ``path`` holds; a field of the wrong JSON type or range, or a
+    ``mean_ndcg`` more than 1e-12 from a nonempty ``per_query``'s mean, names ``path``."""
     with _reading(path) as d:
         report = _from_fields(EvalReport, d)
     checks = [
@@ -150,6 +152,9 @@ def load_report(path: str | Path) -> EvalReport:
     for name, value in scores + [("'mean_ndcg'", report.mean_ndcg)]:
         if not 0 <= value <= 1:  # NaN fails both comparisons
             raise ValueError(f"{path}: {name} must be in [0, 1], got {value}")
+    if report.per_query and abs(report.mean_ndcg - (mean := _mean(report.per_query))) > 1e-12:
+        raise ValueError(f"{path}: 'mean_ndcg' {report.mean_ndcg} is not the mean of "
+                         f"'per_query', {mean}")
     return report
 
 

@@ -27,7 +27,9 @@ from retrieval_lab.encoder import (
     EncoderConfig,
     FreezeMode,
     MoEConfig,
+    init_params,
     load_checkpoint,
+    save_checkpoint,
 )
 from retrieval_lab.losses import LossConfig
 from retrieval_lab.numerics import make_rng
@@ -753,6 +755,26 @@ class TestEvalAndCompare:
             f"error: {reports[2]}: duplicate report ('m', 'ds') (first in {reports[0]})\n")
         assert not (tmp_path / "cmp").exists()
 
+    def test_compare_repeat_names_the_file_it_repeats(self, tmp_path, capsys):
+        reports = []
+        for name, method in (("a", "m"), ("b", "n"), ("c", "n")):
+            reports.append(tmp_path / f"{name}.json")
+            reports[-1].write_text(json.dumps({"dataset": "ds", "k": 5, "mean_ndcg": 0.5,
+                                               "method": method, "per_query": {}}))
+        assert run_cli("compare", *reports, "--outdir", tmp_path / "cmp") == 1
+        assert capsys.readouterr().err == (
+            f"error: {reports[2]}: duplicate report ('n', 'ds') (first in {reports[1]})\n")
+
+    def test_compare_report_whose_mean_is_not_of_its_scores_fails(self, tmp_path, capsys):
+        # loaded, this report would rank its method at 0.9
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"dataset": "ds", "k": 5, "mean_ndcg": 0.9, "method": "m",
+                                      "per_query": {"q1": 0.25, "q2": 0.25}}))
+        assert run_cli("compare", report, "--outdir", tmp_path / "cmp") == 1
+        assert capsys.readouterr().err == (
+            f"error: {report}: 'mean_ndcg' 0.9 is not the mean of 'per_query', 0.25\n")
+        assert not (tmp_path / "cmp").exists()
+
     def test_compare_without_reports_fails(self, tmp_path, capsys):
         assert run_cli("compare", "--outdir", tmp_path / "c") == 1
         assert "at least one" in capsys.readouterr().err
@@ -762,6 +784,13 @@ class TestEvalAndCompare:
         report.write_text('{"k": 5, "mean_ndcg": 0.5, "method": "m", "per_query": {}}\n')
         assert run_cli("compare", report, "--outdir", tmp_path / "c") == 1
         assert capsys.readouterr().err == f"error: {report}: missing key 'dataset'\n"
+
+    def test_eval_without_checkpoint_fails(self, synth_dir, tmp_path, capsys):
+        assert run_cli("eval", "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv", "--outdir", tmp_path / "e") == 1
+        assert capsys.readouterr().err == "error: missing required path: checkpoint\n"
+        assert not (tmp_path / "e").exists()
 
     def test_eval_checkpoint_array_names_file(self, tmp_path, capsys):
         checkpoint = tmp_path / "ckpt.json"
@@ -812,6 +841,38 @@ class TestEvalAndCompare:
                           '"per_query": {}}\n')
         assert run_cli("compare", report, "--outdir", tmp_path / "c") == 1
         assert capsys.readouterr().err == f"error: {report}: 'mean_ndcg' must be a number\n"
+
+
+class TestCheckpointStart:
+    """A run started from ``--checkpoint`` of freshly initialised params writes the
+    bytes that ``--init-seed`` with the same encoder flags writes."""
+
+    @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe"])
+    @pytest.mark.parametrize("command", ["mine", "train"])
+    def test_checkpoint_of_init_params_equals_init_seed(self, synth_dir, mined_dir, tmp_path,
+                                                        command, moe):
+        config = EncoderConfig(vocab_size=128, d_model=8, d_intermediate=16,
+                               moe=MoEConfig(num_experts=3) if moe else None)
+        save_checkpoint(init_params(config, 7), config, tmp_path / "init.json")
+        encoder = [*ENC_FLAGS, "--moe", "--num-experts", 3] if moe else list(ENC_FLAGS)
+        preset = ["--preset", "ance-clp-moe-intermediate"] if moe else []
+        if command == "mine":
+            args = ["mine", *preset, "--strategy", "ance", "--k", 4,
+                    "--corpus", synth_dir / "corpus.jsonl",
+                    "--queries", synth_dir / "queries.jsonl",
+                    "--qrels", synth_dir / "qrels.tsv",
+                    "--neg-query-map", synth_dir / "neg_queries.jsonl"]
+        else:
+            args = ["train", *preset, "--train-file", mined_dir / "train.jsonl", "--epochs", 1,
+                    "--learning-rate", 1e-2, "--seed", 4]
+        hashes = {}
+        for name, start in (("checkpoint", ["--checkpoint", tmp_path / "init.json"]),
+                            ("seed", ["--init-seed", 7, *encoder]),
+                            ("other-seed", ["--init-seed", 8, *encoder])):
+            assert run_cli(*args, *start, "--outdir", tmp_path / name) == 0
+            hashes[name] = read_hashes(tmp_path / name)
+        assert hashes["checkpoint"] == hashes["seed"]
+        assert hashes["other-seed"] != hashes["seed"]  # the start reaches the bytes
 
 
 class TestEntryPoint:

@@ -93,6 +93,10 @@ class TestIdTextLoaders:
         save_id_text(docs, path)
         assert load_corpus(path) == docs
 
+    def test_a_query_row_is_a_document(self):
+        # one id/text record and one reader; both names stay bound
+        assert Query is Document and load_queries is load_corpus
+
 
 class TestQrels:
     def test_round_trip(self, tmp_path):
@@ -164,6 +168,10 @@ class TestTrainSet:
         with pytest.raises(ValueError, match="align"):
             TrainingExample(query="q", pos=["p"], neg=["n1", "n2"],
                             neg_queries=[["a"]])
+
+    def test_empty_query_rejected(self):
+        with pytest.raises(ValueError, match=r"^query must be nonempty$"):
+            TrainingExample(query="", pos=["p"])
 
     def test_empty_inner_neg_queries(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -609,6 +617,13 @@ class TestSynthGenerate:
                       vocab_per_cluster=5, noise_rate=0.0, doc_words=3, query_words=5)
         with pytest.raises(ValueError, match="noise_rate"):
             SynthSpec(noise_rate=1.0)
+
+    @pytest.mark.parametrize("name", ["num_clusters", "docs_per_cluster", "queries_per_cluster",
+                                      "vocab_per_cluster", "doc_words", "query_words",
+                                      "neg_queries_per_doc"])
+    def test_count_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1$"):
+            SynthSpec(**{name: 0})
 
     def test_bag_of_words_oracle_separates_clusters(self):
         # cosine over word-count vectors must put each query's relevant doc

@@ -1005,6 +1005,7 @@ class TestCheckpointValidation:
     @pytest.mark.parametrize("experts, edit, message", [
         (None, lambda doc: doc["config"].update(d_intermediate=3),
          "d_intermediate must be >= d_model"),
+        (None, lambda doc: doc["config"].update(d_model=0), "d_model must be positive"),
         (2, lambda doc: doc["config"]["moe"].update(experts_per_token=2),
          "only experts_per_token == 1 is supported"),
         (2, lambda doc: doc["config"]["moe"].update(num_experts=0),
@@ -1017,9 +1018,9 @@ class TestCheckpointValidation:
          r"moe: unknown keys \['topk'\]"),
         (2, lambda doc: doc["config"].update(moe=[2]), "moe: expected an object, got list"),
         (2, lambda doc: doc["config"].update(moe="top-1"), "moe: expected an object, got str"),
-    ], ids=["d_intermediate_below_d_model", "two_experts_per_token", "no_experts",
-            "unknown_key", "unknown_keys_under_moe", "unknown_moe_key", "unknown_key_in_moe",
-            "moe_array", "moe_string"])
+    ], ids=["d_intermediate_below_d_model", "d_model_zero", "two_experts_per_token",
+            "no_experts", "unknown_key", "unknown_keys_under_moe", "unknown_moe_key",
+            "unknown_key_in_moe", "moe_array", "moe_string"])
     def test_bad_config_names_file(self, tmp_path, experts, edit, message):
         params, config = (_dense_instance(48) if experts is None
                           else _moe_instance(48, experts=experts))

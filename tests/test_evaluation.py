@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -68,6 +69,10 @@ class TestNdcgAtK:
         with pytest.raises(ValueError, match="relevant"):
             ndcg_at_k(ranked(["a"]), set(), 5)
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            ndcg_at_k(ranked(["a"]), {"a"}, 0)
+
     def test_repeated_doc_in_top_k_rejected(self):
         # counted twice, d0 would score 1.63
         with pytest.raises(ValueError, match=r"^duplicate doc_id 'd0'$"):
@@ -113,6 +118,10 @@ class TestEvaluate:
             report = evaluate(params, config, corpus, queries, qrels, k=5)
         assert "qq" not in report.per_query
         assert any("qq" in rec.message for rec in caplog.records)
+
+    def test_run_without_judged_query_rejected(self):
+        with pytest.raises(ValueError, match=r"^no query with relevant documents to score$"):
+            score_run({"q1": ranked(["d1"])}, Qrels({("q1", "d1"): 0, ("q2", "d1"): 1}), 5)
 
     def test_repeated_query_id_rejected_before_encoding(self, monkeypatch):
         params, config, corpus, _, _ = verbatim_setup()
@@ -233,7 +242,7 @@ class TestRunDump:
         ("mean_ndcg", None, "a number"),
     ])
     def test_report_field_of_wrong_type_names_file(self, tmp_path, key, value, what):
-        doc = EvalReport("m", "ds", 5, {"q1": 0.5}, 0.5).to_dict()
+        doc = asdict(EvalReport("m", "ds", 5, {"q1": 0.5}, 0.5))
         (tmp_path / "r.json").write_text(json.dumps({**doc, key: value}))
         with pytest.raises(ValueError, match=rf"r\.json: '{key}' must be {what}$"):
             load_report(tmp_path / "r.json")
@@ -249,14 +258,24 @@ class TestRunDump:
         ("mean_ndcg", float("inf"), "'mean_ndcg' must be in [0, 1], got inf"),
         ("mean_ndcg", -0.25, "'mean_ndcg' must be in [0, 1], got -0.25"),
         ("mean_ndcg", 2.5, "'mean_ndcg' must be in [0, 1], got 2.5"),
+        ("mean_ndcg", 0.75, "'mean_ndcg' 0.75 is not the mean of 'per_query', 0.5"),
     ], ids=["k_zero", "k_negative", "per_query_above_one", "per_query_nan", "mean_nan",
-            "mean_inf", "mean_negative", "mean_above_one"])
+            "mean_inf", "mean_negative", "mean_above_one", "mean_not_of_scores"])
     def test_report_value_score_run_never_writes_names_file(self, tmp_path, key, value, message):
-        doc = EvalReport("m", "ds", 5, {"q1": 0.5}, 0.5).to_dict()
+        doc = asdict(EvalReport("m", "ds", 5, {"q1": 0.5}, 0.5))
         (tmp_path / "r.json").write_text(json.dumps({**doc, key: value}))
         with pytest.raises(ValueError) as err:
             load_report(tmp_path / "r.json")
         assert str(err.value) == f"{tmp_path / 'r.json'}: {message}"
+
+    @pytest.mark.parametrize("per_query, mean", [
+        ({"q1": 0.25, "q2": 0.25}, 0.25 + 1e-13),
+        ({}, 0.9),  # no scores to check it against
+    ], ids=["within_1e-12", "no_scores"])
+    def test_mean_within_tolerance_loads(self, tmp_path, per_query, mean):
+        report = EvalReport("m", "ds", 5, per_query, mean)
+        save_report(report, tmp_path / "r.json")
+        assert load_report(tmp_path / "r.json") == report
 
     def test_report_with_integer_numbers_loads(self, tmp_path):
         (tmp_path / "r.json").write_text(
@@ -310,6 +329,11 @@ class TestRunDump:
         with pytest.raises(ValueError, match=rf"run\.tsv:2: {field} must be nonempty$"):
             load_run(tmp_path / "run.tsv")
 
+    def test_rank_gap_names_line(self, tmp_path):
+        (tmp_path / "run.tsv").write_text("q1\t1\td1\t0.9\nq1\t3\td2\t0.5\n")
+        with pytest.raises(ValueError, match=r"run\.tsv:2: ranks must be contiguous from 1$"):
+            load_run(tmp_path / "run.tsv")
+
     def test_repeated_doc_in_a_ranking_names_line(self, tmp_path):
         # counted twice, d1 would score nDCG@10 = 1.63 for q1
         (tmp_path / "run.tsv").write_text("q0\t1\td1\t0.9\nq1\t1\td1\t0.9\nq1\t2\td1\t0.8\n")
@@ -345,6 +369,10 @@ class TestCompareMethods:
         weak_row = next(line for line in markdown.splitlines() if "| weak |" in line)
         strong_row = next(line for line in markdown.splitlines() if "| strong |" in line)
         assert "**0.9000**" in weak_row and "**0.7000**" in strong_row
+
+    def test_no_reports_rejected(self):
+        with pytest.raises(ValueError, match=r"^need at least one report$"):
+            compare_methods([])
 
     def test_mismatched_datasets_error(self):
         reports = [EvalReport("m1", "a", 5, {}, 0.5), EvalReport("m2", "b", 5, {}, 0.5)]

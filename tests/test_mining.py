@@ -433,6 +433,12 @@ class TestMineAnceMany:
         for query, positive, negatives in zip(queries, positives, got):
             assert negatives == mine_ance_negatives(index, params, config, query, positive, k=7)
 
+    def test_one_excluded_set_per_query(self):
+        corpus, params, config = small_setup(n_docs=4)
+        index = build_index(corpus, params, config)
+        with pytest.raises(ValueError, match=r"^0 excluded sets for 1 queries$"):
+            mine_ance_negatives_many(index, params, config, ["a b"], [], 2)
+
     def test_several_relevant_docs_fill_k(self, monkeypatch):
         corpus, params, config = small_setup(seed=15, n_docs=50)
         index = build_index(corpus, params, config)
@@ -538,6 +544,22 @@ class TestMineRandomMany:
     def test_k_below_one_rejected(self, k):
         with pytest.raises(ValueError, match=r"^k must be >= 1$"):
             mine_random_negatives([f"d{i}" for i in range(5)], "d0", k, make_rng(0))
+
+
+class TestMineDatasetFaults:
+    @pytest.mark.parametrize("strategy, judged, neg_query_map, message", [
+        ("bm25", {"d0": 1}, None, "strategy must be 'ance' or 'random', got 'bm25'"),
+        ("random", {"d0": 0}, None, r"no mineable queries \(qrels empty or ids mismatched\)"),
+        ("random", {"d0": 1}, {"d0": ["a"], "d1": ["b"]},
+         r"neg-query map missing entries for \['d2'\]"),
+    ], ids=["unknown_strategy", "no_judged_query", "neg_query_map_gap"])
+    def test_fault_rejected(self, strategy, judged, neg_query_map, message):
+        corpus, params, config = small_setup(n_docs=3)
+        corpus = [Document(f"d{i}", doc.text) for i, doc in enumerate(corpus)]
+        qrels = Qrels({("q0", doc_id): rel for doc_id, rel in judged.items()})
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            mine_dataset(corpus, [Query("q0", "a b")], qrels, neg_query_map, params, config,
+                         strategy, 2, make_rng(0))
 
 
 def mine_by(strategy, corpus_ids, excluded, k, rng):

@@ -277,6 +277,10 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"^learning_rate must be a finite number > 0$"):
             TrainConfig(learning_rate=lr)
 
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError, match=r"^epochs must be >= 0$"):
+            TrainConfig(epochs=-1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)

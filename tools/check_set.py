@@ -6,11 +6,14 @@ Runs, in this process through ``cli.main`` and on the ``src/`` beside this
 script: synth; mine with ANCE, random and ANCE+MoE negatives; train for each
 preset, once from ``--train-file`` and once with ``--refresh-per-epoch``, and
 the MoE preset from its file under ``--freeze full`` and ``intermediate_only``
-too; eval of each trained checkpoint; compare of the eval reports. The flags sit at
-values other than their defaults, so each one reaches the bytes it sets. One run,
-``train-ance-clp-file``, reads the training values from a ``--config`` file that
-this script writes, ``training.json``; the file holds another penalty weight, and
-an explicit ``--penalty-weight`` restores the one the other runs train with.
+too; eval of each trained checkpoint; compare of the eval reports; then two
+runs started by ``--checkpoint`` from a trained model: ANCE re-mining from
+``train-ance-clp-file``'s, and the MoE preset trained on from its own. The
+flags sit at values other than their defaults, so each one reaches the bytes it
+sets. One run, ``train-ance-clp-file``, reads the training values from a
+``--config`` file that this script writes, ``training.json``; the file holds
+another penalty weight, and an explicit ``--penalty-weight`` restores the one
+the other runs train with.
 
 Prints ``<path> <sha256>`` for each command's ``hashes.json``, in run order
 and relative to OUTDIR (best a fresh directory), then the same for
@@ -80,6 +83,12 @@ def commands() -> list[list[str]]:
                       "--method", run, "--dataset", "check-set", "--outdir", f"eval-{run}"])
     steps.append(["compare", *(f"eval-{run}/report.json" for run in runs),
                   "--outdir", "comparison"])
+    steps.append(["mine", "--strategy", "ance", "--checkpoint",
+                  f"{CONFIG_RUN}/checkpoint.json", *MINING, "--outdir", "mine-ance-remined"])
+    steps.append(["train", "--preset", "ance-clp-moe-intermediate", "--checkpoint",
+                  "train-ance-clp-moe-intermediate-file/checkpoint.json", *TRAINING,
+                  "--train-file", "mine-ance-moe/train.jsonl",
+                  "--outdir", "train-ance-clp-moe-intermediate-resumed"])
     return steps
 
 
