@@ -173,9 +173,7 @@ def _miner(ns: argparse.Namespace):
 
 
 def cmd_mine(ns: argparse.Namespace) -> int:
-    mine = _miner(ns)
-    params, config = _load_or_init_params(ns) if ns.strategy == "ance" else (None, None)
-    examples = mine(params, config)
+    examples = _miner(ns)(*_load_or_init_params(ns))  # the bundle loads first
     with _outputs(ns) as out:
         data_mod.save_train_set(examples, out("train.jsonl"))
     print(f"mined {len(examples)} training examples ({ns.strategy}) to {Path(ns.outdir)}")

@@ -5,10 +5,11 @@ scale exactness beats any approximate structure and makes oracle testing
 trivial. Search and both negative strategies are one blocked top-k over a
 key per (query, document), ``_top_k``; when mining, a query's relevant
 documents key -inf and are dropped. Search and hard (ANCE) negatives key by
-cosine under the current model, ties by doc id; random negatives key by one
-uniform draw per document, ties by corpus position. One id -> row map, ``_rows``,
-names the first repeated id for the index, both strategies and a run's queries;
-``_columns`` rejects a relevant id outside it. ``mine_dataset`` builds examples.
+cosine, a fixed-order row dot over a BLAS shortlist, ties by doc id; random
+negatives key by one uniform draw per document, ties by corpus position. One
+id -> row map, ``_rows``, names the first repeated id for the index, both
+strategies and a run's queries; ``_columns`` rejects a relevant id outside it.
+``mine_dataset`` builds examples.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ class DenseIndex:
         # Position of each row in ascending doc-id (str) order: the tie-break key.
         self._id_rank = np.empty(n, dtype=np.int64)
         self._id_rank[sorted(range(n), key=self.doc_ids.__getitem__)] = np.arange(n)
-        # BLAS gives equal rows different last bits depending on where they
-        # sit in its tiles. With duplicate rows, score the distinct ones and
-        # expand, so that equal documents tie exactly and rank by id.
-        rows = np.ascontiguousarray(self.vectors)
-        _, first, inverse = np.unique(rows.view(np.dtype((np.void, 8 * self.dim))).ravel(),
-                                      return_index=True, return_inverse=True)
-        self._distinct = (rows[first], inverse) if len(first) < n else None
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -67,13 +61,6 @@ class DenseIndex:
 
     def vector(self, doc_id: str) -> np.ndarray:
         return self.vectors[self._row_of[doc_id]]
-
-    def scores(self, queries: np.ndarray) -> np.ndarray:
-        """(len(queries), n_docs) dot products of unit queries with every row."""
-        if self._distinct is None:
-            return queries @ self.vectors.T
-        distinct, inverse = self._distinct
-        return (queries @ distinct.T)[:, inverse]
 
 
 def build_index(corpus: list[Document], params: EncoderParams,
@@ -96,19 +83,25 @@ def search_many(index: DenseIndex, query_vecs, k: int) -> list[RankedList]:
 
 
 def _search(index: DenseIndex, queries, k: int, excluded: list[list[int]]) -> list[RankedList]:
-    """``_top_k`` over the cosines of the checked query rows, normalized, with every document."""
+    """``_top_k`` over the cosines of the checked query rows, normalized, with
+    every document: BLAS keys the shortlist, a fixed-order row dot the result.
+    Two summation orders of a d-term dot of rows of norm at most 1 + 1e-9 differ
+    by at most 2 * d * u / (1 - d * u), u = 2**-53: the slack is 8 times that."""
     queries = queries / row_norms(queries, "query")[:, None]
-    return _top_k(lambda start, stop: index.scores(queries[start:stop]), len(queries), k,
-                  index.doc_ids, index._id_rank, excluded)
+    slack = 8 * index.dim * np.finfo(float).eps
+    return _top_k(lambda start, stop: queries[start:stop] @ index.vectors.T,
+                  lambda rows, cols, _: np.einsum("ij,ij->i", queries[rows], index.vectors[cols]),
+                  slack, len(queries), k, index.doc_ids, index._id_rank, excluded)
 
 
-def _top_k(keys, n_rows: int, k: int, labels: list[str], tie_rank: np.ndarray,
-           excluded: list[list[int]]) -> list[RankedList]:
-    """Each row's first k labels, with their keys, by (descending key,
-    ascending ``tie_rank``), outside the columns ``excluded[i]`` lists (none
+def _top_k(keys, final, slack: float, n_rows: int, k: int, labels: list[str],
+           tie_rank: np.ndarray, excluded: list[list[int]]) -> list[RankedList]:
+    """Each row's first k labels, with their final keys, by (descending final
+    key, ascending ``tie_rank``), outside the columns ``excluded[i]`` lists (none
     when ``excluded`` is empty): those key -inf, rank last and are dropped.
-    ``keys(start, stop)`` gives rows [start, stop)'s key matrix; it is called
-    in row order, ``_BLOCK_SCORES // len(labels)`` rows at a time."""
+    ``keys(start, stop)`` gives rows [start, stop)'s shortlist keys, in row order,
+    ``_BLOCK_SCORES // len(labels)`` rows at a time; ``final`` and ``slack`` are
+    as for ``_block_top``, with rows counted from 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
     keep = min(k, len(labels))
@@ -118,36 +111,43 @@ def _top_k(keys, n_rows: int, k: int, labels: list[str], tie_rank: np.ndarray,
     ranked: list[RankedList] = []
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
-        cols, values = _block_top(keys(start, stop), keep, tie_rank, excluded[start:stop])
+        cols, values = _block_top(keys(start, stop),
+                                  lambda rows, cols, near: final(start + rows, cols, near),
+                                  slack, keep, tie_rank, excluded[start:stop])
         pairs = list(zip(map(labels.__getitem__, cols), values))
         ranked += [[p for p in pairs[i:i + keep] if p[1] > -np.inf]
                    for i in range(0, len(pairs), keep)]
     return ranked
 
 
-def _block_top(keys: np.ndarray, keep: int, tie_rank: np.ndarray,
+def _block_top(keys: np.ndarray, final, slack: float, keep: int, tie_rank: np.ndarray,
                excluded: list[list[int]]) -> tuple[list, list]:
-    """Each row's first ``keep`` columns by (descending key, ascending
-    ``tie_rank``) and their keys, row after row, once row i's ``excluded[i]``
-    columns are set to -inf in place. A row's threshold is the ``keep``-th
-    largest of its chunks' maxima: ``keep`` distinct keys reach it, so it is
-    at most the row's k-th key, and every column at or above it is a
-    candidate, so boundary ties resolve by ``tie_rank`` as a full sort would.
-    The maxima take no copy of the block. Every array dies on return,
-    before the next block's keys are allocated; small arrays left alive
-    across blocks would pin holes in the heap and hold it resident."""
+    """Each row's first ``keep`` columns by (descending final key, ascending
+    ``tie_rank``) and their final keys, row after row, once row i's
+    ``excluded[i]`` columns key -inf in place, for good. ``final(rows, cols,
+    near)`` gives pairs (rows[i], cols[i]) keyed ``near`` in ``keys`` their final
+    keys, each within ``slack / 2``. If t is a row's ``keep``-th key, only its
+    columns keyed t - slack or more can rank, and all of them get final keys, so
+    ties resolve by ``tie_rank`` as in a full sort; t is at least the ``keep``-th
+    largest of its chunks' maxima. Every array dies on return, before the next
+    block's keys are allocated: small arrays alive across blocks pin heap holes."""
     keys[[i for i, cols in enumerate(excluded) for _ in cols],
          [col for cols in excluded for col in cols]] = -np.inf
     n = keys.shape[1]
     chunks = min(n, max(keep, 64))  # keep == n: one column each, the threshold the row minimum
     maxima = np.maximum.reduceat(keys, np.arange(chunks) * n // chunks, axis=1)
-    least = np.partition(maxima, chunks - keep, axis=1)[:, chunks - keep]
-    # every (row, col) keying at least its row's threshold, row-major
-    rows, cols = np.divmod(np.flatnonzero(keys >= least[:, None]), n)
-    cand = keys[rows, cols]
+    least = np.partition(maxima, chunks - keep, axis=1)[:, chunks - keep] - slack
+    rows, cols = np.divmod(np.flatnonzero(keys >= least[:, None]), n)  # row-major
+    near = keys[rows, cols]
+    # ``rows`` is sorted, also under a sort led by it: row i's entries start at its first
+    first = np.searchsorted(rows, np.arange(len(keys)))
+    table = np.full((len(keys), np.bincount(rows).max()), -np.inf)  # each row's candidates
+    table[rows, np.arange(len(rows)) - first[rows]] = near
+    kth = np.partition(table, -keep, axis=1)[:, -keep]
+    pick = np.flatnonzero(near >= (kth - slack)[rows])
+    rows, cols, near = rows[pick], cols[pick], near[pick]
+    cand = np.where(near > -np.inf, final(rows, cols, near), -np.inf)
     order = np.lexsort((tie_rank[cols], -cand, rows))
-    # ``rows`` is sorted and stays so under ``order``: row i's candidates start
-    # at its first entry
     first = np.searchsorted(rows, np.arange(len(keys)))
     kept = order[(first[:, None] + np.arange(keep)).ravel()]
     return cols[kept].tolist(), cand[kept].tolist()
@@ -208,7 +208,8 @@ def mine_random_negatives_many(corpus_ids: list[str], excluded: list[set[str]], 
     than k ids remain, all are returned, in key order.
     """
     n = len(corpus_ids)
-    ranked = _top_k(lambda start, stop: rng.random((stop - start, n)), len(excluded), k,
+    ranked = _top_k(lambda start, stop: rng.random((stop - start, n)),
+                    lambda rows, cols, drawn: drawn, 0.0, len(excluded), k,
                     corpus_ids, np.arange(n), _columns(_rows(corpus_ids), excluded))
     return [[doc_id for doc_id, _ in ranking] for ranking in ranked]
 

@@ -323,6 +323,24 @@ class TestMine:
         assert capsys.readouterr().err == "error: k must be >= 1\n"
         assert not (tmp_path / "m" / "train.jsonl").exists()
 
+    @pytest.mark.parametrize("strategy", ["ance", "random"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--checkpoint", "missing.json"], "checkpoint not found: {tmp}/missing.json"),
+        (["--vocab-size", 1], "vocab_size must be >= 2"),
+    ], ids=["missing_checkpoint", "vocab_size_1"])
+    def test_encoder_fault_rejected_for_every_strategy(self, synth_dir, tmp_path, capsys,
+                                                       strategy, flags, message):
+        # random mining reads no params, yet its --checkpoint and encoder flags
+        # are checked as ANCE mining checks them
+        flags = [str(tmp_path / f) if f == "missing.json" else f for f in flags]
+        assert run_cli("mine", "--strategy", strategy, "--k", 2, *flags,
+                       "--corpus", synth_dir / "corpus.jsonl",
+                       "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv",
+                       "--outdir", tmp_path / "m") == 1
+        assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert not (tmp_path / "m" / "train.jsonl").exists()
+
     def test_preset_sets_strategy(self, synth_dir, tmp_path):
         out_r = tmp_path / "ra"
         out_p = tmp_path / "pa"
@@ -1067,6 +1085,32 @@ for step in steps:
 """
 
 
+# mine, 1 epoch of train and eval at the default encoder sizes, dense and MoE, on
+# a 10 x 50 x 10 bundle: large enough for the 100 x 500 score block of eval
+# to differ in its last bits between 1 and 2 BLAS threads
+_EVAL_PIPELINE = """
+import sys
+from retrieval_lab.cli import main
+out = sys.argv[1]
+steps = [["synth", "--clusters", "10", "--docs-per-cluster", "50", "--queries-per-cluster", "10",
+          "--seed", "1", "--outdir", out + "/data"]]
+bundle = [arg for flag, name in [("--corpus", "corpus.jsonl"), ("--queries", "queries.jsonl"),
+                                 ("--qrels", "qrels.tsv")] for arg in (flag, out + "/data/" + name)]
+for preset in ("ance-clp", "ance-clp-moe-intermediate"):
+    steps += [["mine", "--preset", preset, "--init-seed", "1", *bundle,
+               "--neg-query-map", out + "/data/neg_queries.jsonl",
+               "--outdir", out + "/mine-" + preset],
+              ["train", "--preset", preset, "--init-seed", "1", "--epochs", "1",
+               "--train-file", out + "/mine-" + preset + "/train.jsonl",
+               "--outdir", out + "/train-" + preset],
+              ["eval", "--checkpoint", out + "/train-" + preset + "/checkpoint.json", *bundle,
+               "--k", "10", "--outdir", out + "/eval-" + preset]]
+for step in steps:
+    if main(step) != 0:
+        sys.exit(1)
+"""
+
+
 # one encode_texts call over 4,000 distinct words (about 2,550 distinct ids)
 # on the default encoder, so the token-table gemms span thousands of rows
 _ENCODE = """
@@ -1095,6 +1139,18 @@ class TestBlasThreadDeterminism:
                                            .read_bytes()).hexdigest()
                             for p in ("ance-clp", "ance-clp-intermediate",
                                       "ance-clp-moe-intermediate")])
+        assert digests[0] == digests[1]
+
+    def test_eval_runs_equal_across_blas_thread_counts(self, tmp_path):
+        digests = []
+        for run, threads in enumerate((1, min(2, os.cpu_count() or 1))):
+            out = tmp_path / f"run{run}-threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+            result = subprocess.run([sys.executable, "-c", _EVAL_PIPELINE, str(out)], env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            digests.append([hashlib.sha256((out / f"eval-{p}" / "run.tsv").read_bytes()).hexdigest()
+                            for p in ("ance-clp", "ance-clp-moe-intermediate")])
         assert digests[0] == digests[1]
 
     def test_encodings_equal_across_blas_thread_counts(self):

@@ -3,7 +3,7 @@ import pytest
 
 from retrieval_lab import mining
 from retrieval_lab.data import Document, Qrels, Query
-from retrieval_lab.encoder import EncoderConfig, encode, init_params
+from retrieval_lab.encoder import EncoderConfig, encode, encode_texts, init_params
 from retrieval_lab.mining import (
     DenseIndex,
     build_index,
@@ -15,7 +15,7 @@ from retrieval_lab.mining import (
     search_many,
     search_top_k,
 )
-from retrieval_lab.numerics import cosine_similarity, make_rng
+from retrieval_lab.numerics import cosine_similarity, make_rng, row_norms
 
 from conftest import random_text
 
@@ -384,7 +384,8 @@ class TestSearchMany:
         want = keys.copy()
         for row, cols in enumerate(excluded):
             want[row, cols] = -np.inf
-        cols, values = mining._block_top(keys, keep, tie_rank, excluded)
+        cols, values = mining._block_top(keys, lambda rows, cols, near: near, 0.0, keep,
+                                         tie_rank, excluded)
         for row in range(len(keys)):
             order = np.lexsort((tie_rank, -want[row]))[:keep]
             got = slice(row * keep, (row + 1) * keep)
@@ -419,6 +420,100 @@ class TestSearchMany:
         index = build_index(corpus, params, config)
         with pytest.raises(ValueError, match=match):
             search_many(index, queries, k)
+
+
+def fixed_order_ranking(index: DenseIndex, query_vec, excluded=frozenset()):
+    """Full-sort oracle over the scores a search returns: each document's
+    fixed-order row dot with the normalized query, ties by id, excluded ids dropped."""
+    q = query_vec / row_norms(query_vec[None, :], "query")[0]
+    scores = np.einsum("ij,ij->i", np.tile(q, (len(index), 1)), index.vectors)
+    pairs = [(d, s) for d, s in zip(index.doc_ids, scores.tolist()) if d not in excluded]
+    return sorted(pairs, key=lambda p: (-p[1], p[0]))
+
+
+def near_tie_index(bases, n=1000, group=12, seed=51):
+    """Random unit rows and, for each base row, ``group`` rows each component of
+    which is the base's or one ulp off it (the first an exact copy), scattered
+    over the index: their scores with a query near the base lie within a few
+    ulps. Ids follow no row order."""
+    rng = make_rng(seed)
+    vectors = rng.standard_normal((n, bases.shape[1]))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    spots = rng.permutation(n)[:group * len(bases)].reshape(len(bases), group)
+    for base, rows in zip(bases, spots):
+        step = rng.integers(-1, 2, size=(group, len(base)))
+        step[0] = 0
+        vectors[rows] = np.where(step == 0, base, np.nextafter(base, step * 2.0))
+    ids = [f"d{7919 * i % n:04d}" for i in range(n)]
+    return DenseIndex(ids, vectors, bases.shape[1]), [[ids[r] for r in rows] for rows in spots]
+
+
+class TestShortlistBound:
+    """Scores that lie within a few ulps of a row's k-th: every result must be
+    the full sort of the fixed-order dots, whatever the block or batch."""
+
+    def test_search_equals_full_sort_of_fixed_order_dots(self, monkeypatch):
+        corpus, params, config = small_setup(seed=21, n_docs=5, d_model=64, d_int=64)
+        bases = encode_texts(params, config, [doc.text for doc in corpus])
+        index, _ = near_tie_index(bases)
+        noise = make_rng(53).standard_normal(bases.shape) * 1e-3
+        queries = np.vstack([bases, bases + noise])
+        oracles = [fixed_order_ranking(index, q) for q in queries]
+        for k in (1, 2, 5, 11, 12, 13, 40):
+            want = [oracle[:k] for oracle in oracles]
+            # each query alone, then all in one batch at three block sizes
+            # (one query per block, three, the default): the same bits
+            assert [search_top_k(index, q, k) for q in queries] == want
+            for block_scores in (1, 3 * len(index), mining._BLOCK_SCORES):
+                monkeypatch.setattr(mining, "_BLOCK_SCORES", block_scores)
+                assert search_many(index, queries, k) == want
+
+    def test_ance_negatives_equal_full_sort_of_fixed_order_dots(self, monkeypatch):
+        corpus, params, config = small_setup(seed=22, n_docs=4, d_model=64, d_int=64)
+        texts = [doc.text for doc in corpus]
+        query_vecs = encode_texts(params, config, texts)
+        index, groups = near_tie_index(query_vecs, seed=54)
+        # none, part of the near-tie group, and all but 3 documents (fewer than k)
+        excluded = [set(), set(groups[1][1::3]), set(index.doc_ids[3:]), {groups[3][0]}]
+        for k in (1, 4, 10):
+            want = [[d for d, _ in fixed_order_ranking(index, q, skip)][:k]
+                    for q, skip in zip(query_vecs, excluded)]
+            for block_scores in (1, 2 * len(index), mining._BLOCK_SCORES):
+                monkeypatch.setattr(mining, "_BLOCK_SCORES", block_scores)
+                assert mine_ance_negatives_many(index, params, config, texts, excluded, k) == want
+
+    @pytest.mark.parametrize("keep", [1, 4, 30, 200])
+    def test_block_top_rekeys_every_column_within_slack(self, keep):
+        # shortlist keys up to slack / 2 either side of final keys that sit on
+        # levels closer than the slack, so the two orders disagree; rows with
+        # excluded columns, one with fewer than keep left
+        rng = make_rng(55)
+        n, slack = 200, 1e-3
+        final = rng.integers(0, 8, size=(5, n)) * (slack / 3)
+        final[4] = rng.standard_normal(n)
+        keys = final + rng.uniform(-slack / 2, slack / 2, size=final.shape)
+        excluded = [[], [3, 4, 5], list(range(0, n, 2)), list(range(2, n)), []]
+        tie_rank = rng.permutation(n)
+        want = final.copy()
+        for row, cols in enumerate(excluded):
+            want[row, cols] = -np.inf
+        calls = []
+
+        def rekey(rows, cols, near):
+            # only columns keyed within slack of their row's keep-th key (keys
+            # holds the -inf of the excluded columns by now)
+            assert np.array_equal(near, keys[rows, cols])
+            assert np.all(near >= np.sort(keys, axis=1)[rows, n - keep] - slack)
+            calls.append(len(rows))
+            return final[rows, cols]
+
+        cols, values = mining._block_top(keys, rekey, slack, keep, tie_rank, excluded)
+        assert len(calls) == 1
+        for row in range(len(keys)):
+            order = np.lexsort((tie_rank, -want[row]))[:keep]
+            got = slice(row * keep, (row + 1) * keep)
+            assert cols[got] == order.tolist(), row
+            assert values[got] == want[row, order].tolist(), row
 
 
 class TestMineAnceMany:

@@ -10,7 +10,10 @@ too; eval of each trained checkpoint; compare of the eval reports; then two
 runs started by ``--checkpoint`` from a trained model: ANCE re-mining from
 ``train-ance-clp-file``'s, and the MoE preset trained on from its own. The
 flags sit at values other than their defaults, so each one reaches the bytes it
-sets. One run, ``train-ance-clp-file``, reads the training values from a
+sets. Last come the score-path runs: a 10 x 50 x 10 synth, then mine, one epoch
+of train and eval for the ``ance-clp`` and MoE presets at the default encoder
+sizes, where eval's score block is large enough for BLAS to split it over
+threads. One run, ``train-ance-clp-file``, reads the training values from a
 ``--config`` file that this script writes, ``training.json``; the file holds
 another penalty weight, and an explicit ``--penalty-weight`` restores the one
 the other runs train with.
@@ -53,6 +56,10 @@ TRAIN_FILES = {"random-dataset": "mine-random", "ance-dataset": "mine-ance",
 # the MoE preset's other freeze modes: they train the embedding, w_down and b_down
 # through the routed layer
 MOE_FREEZES = ("full", "intermediate_only")
+# the score-path runs' bundle, and the presets they mine, train and eval at default sizes
+SCORE_BUNDLE = ["--corpus", "scores/corpus.jsonl", "--queries", "scores/queries.jsonl",
+                "--qrels", "scores/qrels.tsv"]
+SCORE_PRESETS = ("ance-clp", "ance-clp-moe-intermediate")
 
 
 def commands() -> list[list[str]]:
@@ -89,6 +96,17 @@ def commands() -> list[list[str]]:
                   "train-ance-clp-moe-intermediate-file/checkpoint.json", *TRAINING,
                   "--train-file", "mine-ance-moe/train.jsonl",
                   "--outdir", "train-ance-clp-moe-intermediate-resumed"])
+    steps.append(["synth", "--clusters", "10", "--docs-per-cluster", "50",
+                  "--queries-per-cluster", "10", "--seed", "1", "--outdir", "scores"])
+    for preset in SCORE_PRESETS:
+        steps += [["mine", "--preset", preset, "--init-seed", "1", *SCORE_BUNDLE,
+                   "--neg-query-map", "scores/neg_queries.jsonl",
+                   "--outdir", f"scores-mine-{preset}"],
+                  ["train", "--preset", preset, "--init-seed", "1", "--epochs", "1",
+                   "--train-file", f"scores-mine-{preset}/train.jsonl",
+                   "--outdir", f"scores-train-{preset}"],
+                  ["eval", "--checkpoint", f"scores-train-{preset}/checkpoint.json",
+                   *SCORE_BUNDLE, "--k", "10", "--outdir", f"scores-eval-{preset}"]]
     return steps
 
 
