@@ -36,7 +36,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .losses import LossConfig
-from .numerics import _atomic_open, _from_fields, _reading, _write_json, make_rng
+from .numerics import _KINDS, _atomic_open, _from_fields, _reading, _write_json, make_rng
 from .training import TrainConfig
 
 # Each preset pins {mining strategy, loss, freeze mode, MoE on/off}.
@@ -95,14 +95,12 @@ def _config_value_fault(action: argparse.Action, value) -> str | None:
     that. A value outside the flag's choices fails, as argparse fails the flag."""
     if action.choices is not None and value not in action.choices:
         return f"one of {list(action.choices)}"
-    if isinstance(action, argparse.BooleanOptionalAction):
-        return None if isinstance(value, bool) else "true or false"
     if action.nargs == "*":
         fits = isinstance(value, list) and all(isinstance(v, str) for v in value)
         return None if fits else "a list of strings"
-    kinds, what = {int: ((int,), "an integer"), float: ((int, float), "a number")}.get(
-        action.type, ((str,), "a string"))
-    return None if isinstance(value, kinds) and not isinstance(value, bool) else what
+    fits, what = _KINDS["bool" if isinstance(action, argparse.BooleanOptionalAction)
+                        else getattr(action.type, "__name__", "str")]  # no type: a string
+    return None if fits(value) else what
 
 
 def _with_config_and_preset(parser: argparse.ArgumentParser, ns: argparse.Namespace,
@@ -132,8 +130,17 @@ def _with_config_and_preset(parser: argparse.ArgumentParser, ns: argparse.Namesp
 
 
 def _load_or_init_params(ns: argparse.Namespace) -> tuple[EncoderParams, EncoderConfig]:
+    """The --checkpoint params (a setting off its flag default must match them), or fresh ones."""
     if ns.checkpoint:
-        return load_checkpoint(_require_file(ns.checkpoint, "checkpoint"))
+        params, config = load_checkpoint(path := _require_file(ns.checkpoint, "checkpoint"))
+        held = {**vars(config), "moe": config.moe is not None,
+                "num_experts": config.moe and config.moe.num_experts, "init_seed": None}
+        _add_encoder_flags(flags := argparse.ArgumentParser())
+        for key, value in held.items():
+            if getattr(ns, key) not in (flags.get_default(key), value):
+                raise CliError(f"--{key.replace('_', '-')} {getattr(ns, key)} disagrees "
+                               f"with {path} ({key} {value})")
+        return params, config
     config = _from_fields(EncoderConfig, vars(ns),
                           moe=_from_fields(MoEConfig, vars(ns)) if ns.moe else None)
     return init_params(config, ns.init_seed), config
@@ -244,8 +251,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_compare(ns: argparse.Namespace) -> int:
-    if not ns.reports:
-        raise CliError("compare needs at least one report.json path")
     reports = [evaluation.load_report(_require_file(p, "report")) for p in ns.reports]
     first: dict[tuple[str, str], int] = {}  # (method, dataset) -> its first report's index
     for i, key in enumerate((report.method, report.dataset) for report in reports):

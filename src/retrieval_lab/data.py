@@ -1,6 +1,6 @@
 """Corpus/query/qrels/training-set files plus a deterministic synthetic generator.
 
-File formats (all UTF-8):
+File formats (all UTF-8; ``_lines`` reads each line file, and names one that is not UTF-8):
   corpus.jsonl, queries.jsonl   {"id": "...", "text": "..."} per line, each a ``Document``
   qrels.tsv                     query_id<TAB>doc_id<TAB>relevance(0|1), no header
   train.jsonl                   {"query", "pos": [...], "neg": [...], "neg_queries": [[...], ...]}
@@ -89,32 +89,41 @@ class TrainingExample:
                 raise ValueError("each neg_queries entry needs at least one query")
 
 
-def _read_jsonl(path: str | Path, parse):
-    """(line, ``parse(obj)``) per nonblank line's JSON object; only ``"\\n"`` ends a line. A fault
-    of the line or from ``parse`` (``KeyError``: a missing field) names ``path:line``."""
-    decode = json.JSONDecoder().raw_decode
+def _lines(path: str | Path):
+    """(line number, line) per nonblank line of ``path``, split as universal newlines split;
+    a file that is not UTF-8 raises a ``ValueError`` naming ``path``, as ``_reading`` does."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            body = line.strip(" \t\r\n")  # what json.loads skips around the value
-            try:
-                obj, end = decode(body)
-            except json.JSONDecodeError:
-                end = -1
-            try:
-                if end != len(body):  # rejected: json.loads words the error
-                    obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-                record = parse(obj)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
-            except KeyError as err:
-                raise ValueError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from err
-            yield lineno, record
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line
+        except UnicodeDecodeError as err:  # its position is in the decoded buffer, not the line
+            raise ValueError(f"{path}: {err}") from err
+
+
+def _read_jsonl(path: str | Path, parse):
+    """(line, ``parse(obj)``) per nonblank line's JSON object. A fault of the line or from
+    ``parse`` (``KeyError``: a missing field) names ``path:line``."""
+    decode = json.JSONDecoder().raw_decode
+    for lineno, line in _lines(path):
+        body = line.strip(" \t\r\n")  # what json.loads skips around the value
+        try:
+            obj, end = decode(body)
+        except json.JSONDecodeError:
+            end = -1
+        try:
+            if end != len(body):  # rejected: json.loads words the error
+                obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+            record = parse(obj)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
+        except KeyError as err:
+            raise ValueError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
+        yield lineno, record
 
 
 def _unique(path: str | Path, records, name: str, key):
@@ -154,18 +163,15 @@ def save_id_text(items, path: str | Path) -> None:
 def _read_tsv(path: str | Path, fields: int, parse):
     """(line, ``parse(*parts)``) per nonblank line of ``path``, split at tabs into ``fields``
     parts. A fault of the line or from ``parse`` names ``path:line``."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            try:
-                if len(parts) != fields:
-                    raise ValueError(f"expected {fields} tab-separated fields")
-                record = parse(*parts)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from err
-            yield lineno, record
+    for lineno, line in _lines(path):
+        parts = line.rstrip("\n").split("\t")
+        try:
+            if len(parts) != fields:
+                raise ValueError(f"expected {fields} tab-separated fields")
+            record = parse(*parts)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
+        yield lineno, record
 
 
 def load_qrels(path: str | Path) -> Qrels:

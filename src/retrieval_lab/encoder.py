@@ -25,7 +25,6 @@ once however many calls tokenize it.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import hashlib
 import json
@@ -93,8 +92,7 @@ class EncoderConfig:
                 raise ValueError("only experts_per_token == 1 is supported")
             moe = {k: v for k, v in moe.items() if k != "experts_per_token"}
         for where, keys, cls in (("", d, EncoderConfig), ("moe: ", moe or {}, MoEConfig)):
-            unknown = sorted(keys.keys() - {f.name for f in fields(cls)})
-            if unknown:
+            if unknown := sorted(keys.keys() - {f.name for f in fields(cls)}):
                 raise ValueError(f"{where}unknown keys {unknown}")
         return _from_fields(EncoderConfig, d,
                             moe=None if moe is None else _from_fields(MoEConfig, moe))
@@ -463,34 +461,33 @@ def save_checkpoint(params: EncoderParams, config: EncoderConfig, path: str | Pa
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
     with _reading(path) as doc:
         if doc.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+            raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
         try:
             config = EncoderConfig.from_dict(doc["config"])
         except ValueError as err:  # a bad value, or a key no config has
-            raise ValueError(f"{path}: config: {err}") from err
+            raise ValueError(f"config: {err}") from err
 
         def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
             entry = doc["tensors"].get(name)
             if entry is None:
-                raise ValueError(f"{path}: tensor {name!r} is missing")
+                raise ValueError(f"tensor {name!r} is missing")
             if (dtype := entry["dtype"]) != "<f8":
-                raise ValueError(f"{path}: tensor {name!r} has dtype {dtype!r}, not '<f8'")
+                raise ValueError(f"tensor {name!r} has dtype {dtype!r}, not '<f8'")
             try:
-                raw = base64.b64decode(entry["data"])
-            except ValueError as err:  # binascii.Error, or text that is not ASCII
-                raise ValueError(f"{path}: tensor {name!r} data is not base64 ({err})") from err
+                raw = binascii.a2b_base64(entry["data"])
+            except (TypeError, ValueError) as err:  # not ASCII base64 text
+                raise ValueError(f"tensor {name!r} data is not base64 ({err})") from err
             stored = entry["shape"]
             if len(raw) != 8 * int(np.prod(stored)):
-                raise ValueError(f"{path}: tensor {name!r} has {len(raw)} bytes for shape {stored}")
+                raise ValueError(f"tensor {name!r} has {len(raw)} bytes for shape {stored}")
             if stored != list(shape):
-                raise ValueError(f"{path}: tensor {name!r} has shape {stored}, not {list(shape)}")
+                raise ValueError(f"tensor {name!r} has shape {stored}, not {list(shape)}")
             t = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
             if not np.all(np.isfinite(t)):
-                raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
+                raise ValueError(f"tensor {name!r} holds non-finite values")
             return t
 
         params = EncoderParams.from_named(config, tensor)
-        extra = sorted(set(doc["tensors"]) - set(tensor_layout(config)))
-        if extra:
-            raise ValueError(f"{path}: tensors {extra} are not in the config's layout")
+        if extra := sorted(set(doc["tensors"]) - set(tensor_layout(config))):
+            raise ValueError(f"tensors {extra} are not in the config's layout")
         return params, config

@@ -126,35 +126,19 @@ def save_report(report: EvalReport, path: str | Path) -> None:
     _write_json(path, asdict(report))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def load_report(path: str | Path) -> EvalReport:
     """The report ``path`` holds; a field of the wrong JSON type or range, or a
     ``mean_ndcg`` more than 1e-12 from a nonempty ``per_query``'s mean, names ``path``."""
     with _reading(path) as d:
         report = _from_fields(EvalReport, d)
-    checks = [
-        ("method", isinstance(report.method, str), "a string"),
-        ("dataset", isinstance(report.dataset, str), "a string"),
-        ("k", isinstance(report.k, int) and not isinstance(report.k, bool), "an integer"),
-        ("per_query", isinstance(report.per_query, dict)
-         and all(map(_is_number, report.per_query.values())), "an object of numbers"),
-        ("mean_ndcg", _is_number(report.mean_ndcg), "a number"),
-    ]
-    for key, fits, what in checks:
-        if not fits:
-            raise ValueError(f"{path}: {key!r} must be {what}")
-    if report.k < 1:
-        raise ValueError(f"{path}: 'k' must be >= 1, got {report.k}")
-    scores = [(f"'per_query' value of {qid!r}", v) for qid, v in report.per_query.items()]
-    for name, value in scores + [("'mean_ndcg'", report.mean_ndcg)]:
-        if not 0 <= value <= 1:  # NaN fails both comparisons
-            raise ValueError(f"{path}: {name} must be in [0, 1], got {value}")
-    if report.per_query and abs(report.mean_ndcg - (mean := _mean(report.per_query))) > 1e-12:
-        raise ValueError(f"{path}: 'mean_ndcg' {report.mean_ndcg} is not the mean of "
-                         f"'per_query', {mean}")
+        if report.k < 1:
+            raise ValueError(f"'k' must be >= 1, got {report.k}")
+        scores = [(f"'per_query' value of {qid!r}", v) for qid, v in report.per_query.items()]
+        for name, value in scores + [("'mean_ndcg'", report.mean_ndcg)]:
+            if not 0 <= value <= 1:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if report.per_query and abs(report.mean_ndcg - (mean := _mean(report.per_query))) > 1e-12:
+            raise ValueError(f"'mean_ndcg' {report.mean_ndcg} is not the mean of 'per_query', {mean}")
     return report
 
 

@@ -1,6 +1,7 @@
 """Dense float64 primitives shared by every other module, plus the atomic file write and
-the JSON-document writer every output goes through, the error wrapper of the JSON loaders,
-and ``_from_fields``, which builds every dataclass that is read from a mapping.
+the JSON-document writer every output goes through, ``_reading``, which names the file in
+every fault of a JSON input, and ``_from_fields``, which builds every dataclass read from a
+mapping and checks each value against its field's declared type (``_KINDS``).
 
 Vectors are 1-D ``numpy.float64`` arrays, matrices 2-D row-major. All
 numeric operations are pure functions; random state is carried explicitly by a
@@ -160,13 +161,12 @@ def _write_json(path: str | Path, doc) -> None:
 
 @contextmanager
 def _reading(path: str | Path):
-    """Yield the JSON object ``path`` holds. A document that is not an object,
-    and malformed JSON, a missing key or a value of the wrong type met inside
-    the block, raise a ``ValueError`` that names ``path`` (and the line, for JSON)."""
+    """Yield the JSON object ``path`` holds. Each ``ValueError`` here or in the block names
+    ``path``: a file not UTF-8, malformed JSON (and its line), a non-object, a bad value."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
-            raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
         yield doc
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}:{err.lineno}: malformed JSON ({err.msg})") from err
@@ -174,8 +174,27 @@ def _reading(path: str | Path):
         raise ValueError(f"{path}: missing key {err.args[0]!r}") from err
     except (TypeError, AttributeError) as err:  # e.g. an array where an object belongs
         raise ValueError(f"{path}: malformed entry ({err})") from err
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
+# Each declared field type's JSON values, by the type's name: (test, what a value must be).
+# A bool is no number. A field of a type not named here is not checked.
+_KINDS = {"int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+          "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+          "str": (lambda v: isinstance(v, str), "a string"),
+          "bool": (lambda v: isinstance(v, bool), "true or false"),
+          "dict[str, float]": (
+              lambda v: isinstance(v, dict) and all(map(_KINDS["float"][0], v.values())),
+              "an object of numbers")}
 
 
 def _from_fields(cls, values, **derived):
-    """``cls`` from ``derived`` and ``values[name]`` for each other field (KeyError if missing)."""
-    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name not in derived}, **derived)
+    """``cls`` from ``derived`` and each other field's ``values[name]``, which must be there
+    (KeyError) and of the declared type (``'<name>' must be ...``) unless ``_KINDS`` lacks it."""
+    own = [f for f in fields(cls) if f.name not in derived]
+    for f in own:  # the type's name, whether or not the module postpones annotations
+        fits, what = _KINDS.get(getattr(f.type, "__name__", f.type), (None, None))
+        if fits and not fits(values[f.name]):
+            raise ValueError(f"{f.name!r} must be {what}")
+    return cls(**{f.name: values[f.name] for f in own}, **derived)

@@ -810,6 +810,16 @@ class TestEvalAndCompare:
         assert capsys.readouterr().err == "error: missing required path: checkpoint\n"
         assert not (tmp_path / "e").exists()
 
+    def test_eval_corpus_not_utf8_names_file(self, synth_dir, trained_dir, tmp_path, capsys):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_bytes((synth_dir / "corpus.jsonl").read_bytes().replace(b"a", b"\xe9", 1))
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json",
+                       "--corpus", corpus, "--queries", synth_dir / "queries.jsonl",
+                       "--qrels", synth_dir / "qrels.tsv", "--outdir", tmp_path / "e") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {corpus}: 'utf-8' codec can't decode byte 0xe9 in position ")
+        assert not (tmp_path / "e").exists()
+
     def test_eval_checkpoint_array_names_file(self, tmp_path, capsys):
         checkpoint = tmp_path / "ckpt.json"
         checkpoint.write_text("[1, 2]\n")
@@ -891,6 +901,76 @@ class TestCheckpointStart:
             hashes[name] = read_hashes(tmp_path / name)
         assert hashes["checkpoint"] == hashes["seed"]
         assert hashes["other-seed"] != hashes["seed"]  # the start reaches the bytes
+
+
+# Encoder settings beside --checkpoint that disagree with a dense checkpoint (vocab 128,
+# d_model 8, d_intermediate 16) or a 3-expert one: (checkpoint experts, arguments, the
+# setting as named, the checkpoint's value). A setting may come from a flag, a preset or a
+# config file ("cfg.json", which sets d_model 16).
+DISAGREEING = {
+    "dense-vocab_size": (None, ["--vocab-size", 999], "--vocab-size 999", "vocab_size 128"),
+    "dense-d_model": (None, ["--d-model", 16], "--d-model 16", "d_model 8"),
+    "dense-d_intermediate": (None, ["--d-intermediate", 32], "--d-intermediate 32",
+                             "d_intermediate 16"),
+    "dense-moe": (None, ["--moe"], "--moe True", "moe False"),
+    "dense-num_experts": (None, ["--num-experts", 4], "--num-experts 4", "num_experts None"),
+    "dense-init_seed": (None, ["--init-seed", 5], "--init-seed 5", "init_seed None"),
+    "dense-preset": (None, ["--preset", "ance-clp-moe-intermediate"], "--moe True", "moe False"),
+    "dense-config": (None, ["--config", "cfg.json"], "--d-model 16", "d_model 8"),
+    "moe-vocab_size": (3, ["--vocab-size", 999], "--vocab-size 999", "vocab_size 128"),
+    "moe-d_model": (3, ["--d-model", 16], "--d-model 16", "d_model 8"),
+    "moe-d_intermediate": (3, ["--d-intermediate", 32], "--d-intermediate 32",
+                           "d_intermediate 16"),
+    "moe-num_experts": (3, ["--num-experts", 4], "--num-experts 4", "num_experts 3"),
+    "moe-init_seed": (3, ["--init-seed", 5], "--init-seed 5", "init_seed None"),
+    "moe-config": (3, ["--config", "cfg.json"], "--d-model 16", "d_model 8"),
+}
+
+
+class TestCheckpointSettings:
+    """With --checkpoint, an encoder setting keeps its flag default or agrees with the
+    checkpoint; any other value fails before an output is written, naming the file."""
+
+    @staticmethod
+    def _args(command, synth_dir, mined_dir):
+        if command == "mine":
+            return ["mine", "--k", 4, "--corpus", synth_dir / "corpus.jsonl",
+                    "--queries", synth_dir / "queries.jsonl", "--qrels", synth_dir / "qrels.tsv",
+                    "--neg-query-map", synth_dir / "neg_queries.jsonl"]
+        return ["train", "--train-file", mined_dir / "train.jsonl", "--epochs", 1]
+
+    @staticmethod
+    def _checkpoint(tmp_path, experts):
+        config = EncoderConfig(vocab_size=128, d_model=8, d_intermediate=16,
+                               moe=MoEConfig(num_experts=experts) if experts else None)
+        save_checkpoint(init_params(config, 7), config, tmp_path / "base.json")
+        return tmp_path / "base.json"
+
+    @pytest.mark.parametrize("case", list(DISAGREEING))
+    @pytest.mark.parametrize("command", ["mine", "train"])
+    def test_disagreeing_setting_fails(self, synth_dir, mined_dir, tmp_path, capsys,
+                                       command, case):
+        experts, settings, named, held = DISAGREEING[case]
+        checkpoint = self._checkpoint(tmp_path, experts)
+        (tmp_path / "cfg.json").write_text(json.dumps({"d_model": 16}))
+        settings = [tmp_path / s if s == "cfg.json" else s for s in settings]
+        capsys.readouterr()
+        assert run_cli(*self._args(command, synth_dir, mined_dir), *settings,
+                       "--checkpoint", checkpoint, "--outdir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {named} disagrees with {checkpoint} ({held})\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experts", [None, 3], ids=["dense", "moe"])
+    @pytest.mark.parametrize("command", ["mine", "train"])
+    def test_agreeing_settings_keep_the_bytes(self, synth_dir, mined_dir, tmp_path, command,
+                                              experts):
+        checkpoint = self._checkpoint(tmp_path, experts)
+        agreeing = [*ENC_FLAGS, "--init-seed", 0,
+                    *(["--moe", "--num-experts", 3] if experts else ["--no-moe"])]
+        for name, settings in (("bare", []), ("agreeing", agreeing)):
+            assert run_cli(*self._args(command, synth_dir, mined_dir), *settings,
+                           "--checkpoint", checkpoint, "--outdir", tmp_path / name) == 0
+        assert read_hashes(tmp_path / "agreeing") == read_hashes(tmp_path / "bare")
 
 
 class TestEntryPoint:

@@ -30,6 +30,7 @@ from retrieval_lab.data import (
     synth_generate,
 )
 from retrieval_lab.encoder import _words
+from retrieval_lab.evaluation import load_run
 from retrieval_lab.numerics import make_rng
 
 
@@ -341,6 +342,22 @@ def test_text_without_words_cites_line(tmp_path, loader, line, field):
     path.write_text(first + "\n" + line + "\n")
     with pytest.raises(ValueError, match=rf"f\.jsonl:2: {field}.* has no word characters: "):
         loader(path)
+
+
+@pytest.mark.parametrize("loader, first", [
+    (load_corpus, '{"id": "a", "text": "x"}'),
+    (load_qrels, "q\td\t1"),
+    (load_train_set, '{"query": "q", "pos": ["p"]}'),
+    (load_neg_query_map, '{"doc_id": "d", "queries": ["x"]}'),
+    (load_run, "q\t1\td\t0.5"),
+], ids=["corpus", "qrels", "train_set", "neg_query_map", "run"])
+def test_file_not_utf8_names_itself(tmp_path, loader, first):
+    # 0xE9 is Latin-1's e-acute: in UTF-8 it starts a sequence that "x" cannot continue
+    path = tmp_path / "f.txt"
+    path.write_bytes(first.encode() + b"\n\xe9x\n")
+    with pytest.raises(ValueError) as err:
+        loader(path)
+    assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xe9 in position ")
 
 
 # characters a JSON writer or a line reader could get wrong: quotes, escapes,

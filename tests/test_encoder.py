@@ -919,8 +919,10 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("data, reason", [("abc", "Incorrect padding"),
-                                              ("AAAAéAAA", "only ASCII characters")],
-                             ids=["padding", "non_ascii"])
+                                              ("AAAAA", r"number of data characters \(5\)"),
+                                              ("AAAAéAAA", "only ASCII characters"),
+                                              (5, "not 'int'"), (None, "not 'NoneType'")],
+                             ids=["padding", "five_chars", "non_ascii", "number", "null"])
     def test_payload_not_base64_names_file_and_tensor(self, tmp_path, data, reason):
         path, doc = self._doc(tmp_path)
         doc["tensors"]["b_up"]["data"] = data
@@ -963,18 +965,34 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["config"].update(vocab_size="4096"), "not supported between"),
-        (lambda doc: doc["tensors"]["w_down"].update(shape="x"), ""),
-        (lambda doc: doc.update(config=[]), "'list' object has no attribute 'get'"),
-        (lambda doc: doc.update(tensors=[]), "'list' object has no attribute 'get'"),
-    ], ids=["string_vocab_size", "string_shape", "config_array",
-            "tensors_array"])
+        (lambda doc: doc["config"].update(vocab_size="4096"),
+         r"config: 'vocab_size' must be an integer$"),
+        (lambda doc: doc["config"].update(d_model=8.0), r"config: 'd_model' must be an integer$"),
+        (lambda doc: doc["config"].update(d_model=True), r"config: 'd_model' must be an integer$"),
+        (lambda doc: doc["config"].update(d_intermediate=True),
+         r"config: 'd_intermediate' must be an integer$"),
+        (lambda doc: doc["config"].update(moe={"num_experts": "2"}),
+         r"config: 'num_experts' must be an integer$"),
+        (lambda doc: doc["tensors"]["w_down"].update(shape="x"), r"malformed entry \("),
+        (lambda doc: doc.update(config=[]),
+         r"malformed entry \(.*'list' object has no attribute 'get'"),
+        (lambda doc: doc.update(tensors=[]),
+         r"malformed entry \(.*'list' object has no attribute 'get'"),
+    ], ids=["string_vocab_size", "float_d_model", "bool_d_model", "bool_d_intermediate",
+            "string_num_experts", "string_shape", "config_array", "tensors_array"])
     def test_wrong_type_names_file(self, tmp_path, edit, message):
         path, doc = self._doc(tmp_path)
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=rf"ckpt\.json: malformed entry \(.*{message}"):
+        with pytest.raises(ValueError, match=rf"ckpt\.json: {message}"):
             load_checkpoint(path)
+
+    def test_not_utf8_names_file(self, tmp_path):
+        path, _ = self._doc(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b'"format"', b'"f\xffrmat"'))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("experts, edit, message", [
         (None, lambda doc: doc["config"].update(moe={"num_experts": 2, "experts_per_token": 1}),

@@ -224,6 +224,13 @@ class TestRunDump:
         with pytest.raises(ValueError, match=r"r\.json: missing key 'dataset'$"):
             load_report(tmp_path / "r.json")
 
+    def test_report_not_utf8_names_file(self, tmp_path):
+        (tmp_path / "r.json").write_bytes(b'{"method": "m\xff"}\n')
+        with pytest.raises(ValueError) as err:
+            load_report(tmp_path / "r.json")
+        assert str(err.value).startswith(
+            f"{tmp_path / 'r.json'}: 'utf-8' codec can't decode byte 0xff in position ")
+
     def test_non_object_report_names_file(self, tmp_path):
         (tmp_path / "r.json").write_text('["x"]\n')
         with pytest.raises(ValueError, match=r"r\.json: expected a JSON object, got list$"):

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retrieval_lab.data import Document, save_id_text
+from retrieval_lab.data import Document, SynthSpec, save_id_text
 from retrieval_lab.encoder import EncoderConfig, MoEConfig
 from retrieval_lab.evaluation import EvalReport, load_report, save_report, save_run
+from retrieval_lab.losses import LossConfig
 from retrieval_lab.numerics import (
     _atomic_open,
+    _from_fields,
     as_matrix,
     as_vector,
     check_unit,
@@ -22,6 +24,7 @@ from retrieval_lab.numerics import (
     row_norms,
     seeded_init,
 )
+from retrieval_lab.training import TrainConfig
 
 from conftest import finite_diff, rel_error, softmax_temperature
 
@@ -274,3 +277,32 @@ class TestFromFields:
         report = EvalReport(**SAVED_FIELDS[EvalReport])
         save_report(report, tmp_path / "r.json")
         assert load_report(tmp_path / "r.json") == report
+
+
+# Each JSON kind a scalar field may be declared as: a value of another kind, and what
+# _from_fields says the field must be.
+_WRONG = {"int": [(True, "an integer"), ("1", "an integer")],
+          "float": [(True, "a number"), ("1", "a number")],
+          "str": [(1, "a string")], "bool": [(1, "true or false")]}
+# Each dataclass read from a mapping, with a valid value of every field.
+_VALID = {SynthSpec: vars(SynthSpec()), EncoderConfig: vars(EncoderConfig()),
+          MoEConfig: vars(MoEConfig()), TrainConfig: vars(TrainConfig()),
+          LossConfig: vars(LossConfig()), EvalReport: SAVED_FIELDS[EvalReport]}
+_SCALAR_CASES = [(cls, f.name, value, what) for cls in _VALID for f in fields(cls)
+                 for value, what in _WRONG.get(f.type, [])]
+
+
+class TestFromFieldsKinds:
+    def test_every_scalar_field_is_covered(self):
+        # every field is a scalar _WRONG covers, or of a type that is no JSON scalar
+        others = {(EncoderConfig, "moe"), (TrainConfig, "loss_cfg"), (TrainConfig, "freeze"),
+                  (EvalReport, "per_query")}
+        assert {(cls, f.name) for cls in _VALID for f in fields(cls)} - others == {
+            (cls, name) for cls, name, _, _ in _SCALAR_CASES}
+
+    @pytest.mark.parametrize("cls, name, value, what", _SCALAR_CASES,
+                             ids=[f"{c.__name__}.{n}={v!r}" for c, n, v, _ in _SCALAR_CASES])
+    def test_value_of_another_kind_names_field(self, cls, name, value, what):
+        with pytest.raises(ValueError) as err:
+            _from_fields(cls, {**_VALID[cls], name: value})
+        assert str(err.value) == f"{name!r} must be {what}"
